@@ -18,7 +18,6 @@ from .calculus import (
     ScalarField,
     SingularPointError,
     add_horizontal_quadratic,
-    apply_field,
     check_field_consistency,
     check_profile_consistency,
     euclid_gradient,
@@ -66,7 +65,6 @@ from .estimates import (
     counterexample_profile,
     counterexample_rhs,
     counterexample_rhs_field,
-    euclidean_ball_sampler,
     gauge_ball_sampler,
     lq_norm,
     pointwise_bound_check,
@@ -122,7 +120,6 @@ __all__ = [
     "DEFAULT_SCHEME",
     "ScalarField",
     "RadialProfile",
-    "apply_field",
     "euclid_gradient",
     "euclid_hessian",
     "horizontal_gradient",
@@ -175,7 +172,6 @@ __all__ = [
     "ball_volume",
     "lq_norm",
     "gauge_ball_sampler",
-    "euclidean_ball_sampler",
     "q_star",
     "alpha_for_critical_q",
     "counterexample_profile",

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import GroupDescriptor, homogeneous_norm
+from .group import GroupDescriptor, _gauge_parts, homogeneous_norm
 
 __all__ = [
     "DomainError",
@@ -30,7 +30,6 @@ __all__ = [
     "RadialHessian",
     "euclid_gradient",
     "euclid_hessian",
-    "apply_field",
     "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
@@ -122,6 +121,32 @@ class ScalarField:
         return np.asarray(self.smooth_domain(np.asarray(x, dtype=float)))
 
 
+def _sample_admissible(
+    u: ScalarField,
+    sampler: Callable[[int, np.random.Generator], np.ndarray],
+    count: int,
+    rng: np.random.Generator,
+    max_retries: int = 20,
+) -> np.ndarray:
+    """Draw sampler points, redrawing those outside u's smooth domain.
+
+    Gives up with RuntimeError when points are still outside after
+    ``max_retries`` redraws.
+    """
+    pts = np.asarray(sampler(count, rng), dtype=float)
+    bad = ~u.in_domain(pts)
+    for _ in range(max_retries):
+        if not np.any(bad):
+            break
+        pts[bad] = np.asarray(sampler(int(np.sum(bad)), rng), dtype=float)
+        bad = ~u.in_domain(pts)
+    if np.any(bad):
+        raise RuntimeError(
+            f"sampler kept producing points outside the domain of {u.name!r}"
+        )
+    return pts
+
+
 def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
     if not bool(np.all(u.in_domain(x))):
         raise DomainError(f"point {x!r} is outside the smooth domain of {u.name!r}")
@@ -208,23 +233,6 @@ def euclid_hessian(
 
 
 # --- horizontal derivatives ------------------------------------------------
-
-
-def apply_field(
-    group: GroupDescriptor,
-    j: int,
-    u: ScalarField,
-    x: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-) -> float:
-    """X_j u(x) for j in 1..m (matching the field labels X_1..X_m)."""
-    if not 1 <= j <= group.m:
-        raise ValueError(f"field index must lie in 1..{group.m}, got {j}")
-    x = np.asarray(x, dtype=float)
-    _require_in_domain(u, x)
-    grad = euclid_gradient(u, x, scheme)
-    sigma = np.asarray(group.sigma_eval(x), dtype=float)
-    return float(sigma[:, j - 1] @ grad)
 
 
 def horizontal_gradient(
@@ -414,12 +422,9 @@ def radial_hessian_eigenvalues(
     if group.heisenberg_d is None:
         raise SingularPointError("radial eigenvalues need a Heisenberg descriptor")
     d = group.heisenberg_d
-    pts = np.asarray(pts, dtype=float)
-    h2 = np.sum(pts[..., : 2 * d] ** 2, axis=-1)
-    rho = (h2**2 + pts[..., -1] ** 2) ** 0.25
+    rho, _, g = _gauge_parts(group, pts)
     safe = rho > 0.0
     rho_safe = np.where(safe, rho, 1.0)
-    g = np.where(safe, h2 / rho_safe**2, 0.0)
     psi1 = np.where(safe, np.asarray(profile.psi_prime(rho_safe), dtype=float), 0.0)
     psi2 = np.where(safe, np.asarray(profile.psi_second(rho_safe), dtype=float), 0.0)
     cols = [psi2 * g, 3.0 * psi1 * g / rho_safe]
@@ -435,9 +440,7 @@ def field_from_profile(
     Deliberately evaluation-only so finite differences of the field remain
     an independent check of the closed-form radial Hessian.
     """
-
-    d = group.heisenberg_d
-    if d is None:
+    if group.heisenberg_d is None:
         raise SingularPointError("radial fields need a Heisenberg descriptor")
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -446,9 +449,7 @@ def field_from_profile(
         )
 
     def domain(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h2 = np.sum(x[..., : 2 * d] ** 2, axis=-1)
-        rho = homogeneous_norm(group, x)
+        rho, h2, _ = _gauge_parts(group, x)
         return (h2 > 0.0) & profile.radius_ok(rho)
 
     return ScalarField(

@@ -37,10 +37,11 @@ from .estimates import (
     ball_volume,
     gauge_ball_sampler,
     pointwise_bound_check,
+    power_profile,
     sweep_scaling,
     verify_pucci_annihilation,
 )
-from .group import GroupDescriptor, UnsupportedGroupError, heisenberg
+from .group import GroupDescriptor, heisenberg
 from .pucci import Ellipticity, pucci_minus, pucci_oracle_check
 from .report import (
     SCHEMA_VERSION,
@@ -110,19 +111,44 @@ def _parse_float_list(spec: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad list {spec!r}: {err}")
 
 
-def _require_heisenberg_d(group: GroupDescriptor) -> int:
-    if group.heisenberg_d is None:
-        raise UnsupportedGroupError("this command needs a Heisenberg group (h:<d>)")
-    return group.heisenberg_d
+def _positive_int(token: str) -> int:
+    """A count of work items; zero would make the check it sizes vacuous."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {token!r}")
+    return value
 
 
 def _status(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+def _finish(
+    args: argparse.Namespace, config: dict, results: object, passed: bool
+) -> int:
+    """Write the shared report envelope, print the verdict, return the exit code."""
+    if args.out:
+        write_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "version": __version__,
+                "command": args.command,
+                "config": config,
+                "results": results,
+                "passed": passed,
+            },
+            args.out,
+        )
+    print(f"overall: {_status(passed)}")
+    return 0 if passed else 1
+
+
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     cfg = CounterexampleConfig(
-        d=_require_heisenberg_d(args.group),
+        d=args.group.heisenberg_d,
         alpha=args.alpha,
         eps_list=args.eps,
         q_list=args.q,
@@ -180,31 +206,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     return 0 if overall else 1
 
 
-def _power_profile(alpha: float) -> RadialProfile:
-    def psi(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        rr = np.where(r > 0.0, r, 1.0)
-        return np.where(r > 0.0, 1.0 - rr**alpha, 1.0)
-
-    def psi_prime(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        rr = np.where(r > 0.0, r, 1.0)
-        return np.where(r > 0.0, -alpha * rr ** (alpha - 1.0), 0.0)
-
-    def psi_second(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        rr = np.where(r > 0.0, r, 1.0)
-        return np.where(r > 0.0, alpha * (1.0 - alpha) * rr ** (alpha - 2.0), 0.0)
-
-    return RadialProfile(
-        name=f"power[{alpha}]",
-        psi=psi,
-        psi_prime=psi_prime,
-        psi_second=psi_second,
-        smooth_radii=lambda r: np.asarray(r, dtype=float) > 0.0,
-    )
-
-
 def _quartic_profile() -> RadialProfile:
     return RadialProfile(
         name="quartic",
@@ -216,14 +217,13 @@ def _quartic_profile() -> RadialProfile:
 
 def _cmd_verify_radial(args: argparse.Namespace) -> int:
     group = args.group
-    _require_heisenberg_d(group)
     sampler = gauge_ball_sampler(
         group, rho_max=0.9, rho_min=0.15, min_horizontal=0.05
     )
     pts = sampler(args.points, substream(args.seed, "verify-radial"))
     results = []
     overall = True
-    for profile in (_power_profile(args.alpha), _quartic_profile()):
+    for profile in (power_profile(args.alpha), _quartic_profile()):
         u = field_from_profile(group, profile)
         worst = 0.0
         for x in pts:
@@ -241,26 +241,14 @@ def _cmd_verify_radial(args: argparse.Namespace) -> int:
             f"  [{_status(ok)}] {profile.name}: worst relative Hessian error"
             f" {worst:.3g} over {len(pts)} points (tol {args.tol:.3g})"
         )
-    if args.out:
-        write_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "version": __version__,
-                "command": "verify-radial",
-                "config": {
-                    "group": f"h:{group.heisenberg_d}",
-                    "alpha": args.alpha,
-                    "points": args.points,
-                    "seed": args.seed,
-                    "tol": args.tol,
-                },
-                "results": results,
-                "passed": overall,
-            },
-            args.out,
-        )
-    print(f"overall: {_status(overall)}")
-    return 0 if overall else 1
+    config = {
+        "group": f"h:{group.heisenberg_d}",
+        "alpha": args.alpha,
+        "points": args.points,
+        "seed": args.seed,
+        "tol": args.tol,
+    }
+    return _finish(args, config, results, overall)
 
 
 def _cmd_pucci(args: argparse.Namespace) -> int:
@@ -286,27 +274,16 @@ def _cmd_pucci(args: argparse.Namespace) -> int:
         f"  [{_status(ok)}] worst scaled (oracle - formula) gap {worst_gap:.3g}"
         f" (must stay below {args.tol:.3g}); optimizer attained: {all_attained}"
     )
-    if args.out:
-        write_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "version": __version__,
-                "command": "pucci",
-                "config": {
-                    "dim": args.dim,
-                    "count": args.count,
-                    "samples": args.samples,
-                    "lam": args.lam,
-                    "Lam": args.Lam,
-                    "seed": args.seed,
-                    "tol": args.tol,
-                },
-                "results": {"worst_gap": worst_gap, "attained": all_attained},
-                "passed": ok,
-            },
-            args.out,
-        )
-    return 0 if ok else 1
+    config = {
+        "dim": args.dim,
+        "count": args.count,
+        "samples": args.samples,
+        "lam": args.lam,
+        "Lam": args.Lam,
+        "seed": args.seed,
+        "tol": args.tol,
+    }
+    return _finish(args, config, {"worst_gap": worst_gap, "attained": all_attained}, ok)
 
 
 def _cmd_convexity(args: argparse.Namespace) -> int:
@@ -345,28 +322,14 @@ def _cmd_convexity(args: argparse.Namespace) -> int:
                 f" lines {'pass' if lines.passed else 'fail'},"
                 f" eigenvalues {'pass' if eigen.passed else 'fail'}"
             )
-    if args.out:
-        write_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "version": __version__,
-                "command": "convexity",
-                "config": {
-                    "group": f"h:{group.heisenberg_d}"
-                    if group.heisenberg_d
-                    else group.name,
-                    "c": list(args.c),
-                    "lines": args.lines,
-                    "points": args.points,
-                    "seed": args.seed,
-                },
-                "results": rows,
-                "passed": overall,
-            },
-            args.out,
-        )
-    print(f"overall: {_status(overall)}")
-    return 0 if overall else 1
+    config = {
+        "group": f"h:{group.heisenberg_d}",
+        "c": list(args.c),
+        "lines": args.lines,
+        "points": args.points,
+        "seed": args.seed,
+    }
+    return _finish(args, config, rows, overall)
 
 
 def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
@@ -401,39 +364,26 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
         f" entry-bound margin {rep.surrogate_margin:.3g}"
         f" over {rep.n_points} points"
     )
-    if args.out:
-        write_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "version": __version__,
-                "command": "pointwise-bound",
-                "config": {
-                    "group": f"h:{group.heisenberg_d}"
-                    if group.heisenberg_d
-                    else group.name,
-                    "lam": args.lam,
-                    "Lam": args.Lam,
-                    "count": args.count,
-                    "seed": args.seed,
-                    "tol": args.tol,
-                },
-                "results": {
-                    "lower_margin": rep.lower_margin,
-                    "upper_margin": rep.upper_margin,
-                    "surrogate_margin": rep.surrogate_margin,
-                    "semiconvex_ok": rep.semiconvex_ok,
-                    "supersolution_ok": rep.supersolution_ok,
-                },
-                "passed": rep.passed,
-            },
-            args.out,
-        )
-    return 0 if rep.passed else 1
+    config = {
+        "group": f"h:{group.heisenberg_d}",
+        "lam": args.lam,
+        "Lam": args.Lam,
+        "count": args.count,
+        "seed": args.seed,
+        "tol": args.tol,
+    }
+    results = {
+        "lower_margin": rep.lower_margin,
+        "upper_margin": rep.upper_margin,
+        "surrogate_margin": rep.surrogate_margin,
+        "semiconvex_ok": rep.semiconvex_ok,
+        "supersolution_ok": rep.supersolution_ok,
+    }
+    return _finish(args, config, results, rep.passed)
 
 
 def _cmd_ball_volume(args: argparse.Namespace) -> int:
     group = args.group
-    _require_heisenberg_d(group)
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed, method=args.method)
     results = []
     for r in args.r:
@@ -450,25 +400,14 @@ def _cmd_ball_volume(args: argparse.Namespace) -> int:
                 f" {entry['volume']:.17g}, predicted from r={base['r']:.17g}"
                 f" by r^{big_q}: {predicted:.17g}"
             )
-    if args.out:
-        write_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "version": __version__,
-                "command": "ball-volume",
-                "config": {
-                    "group": f"h:{group.heisenberg_d}",
-                    "r": list(args.r),
-                    "samples": args.samples,
-                    "seed": args.seed,
-                    "method": args.method,
-                },
-                "results": results,
-                "passed": True,
-            },
-            args.out,
-        )
-    return 0
+    config = {
+        "group": f"h:{group.heisenberg_d}",
+        "r": list(args.r),
+        "samples": args.samples,
+        "seed": args.seed,
+        "method": args.method,
+    }
+    return _finish(args, config, results, True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -527,16 +466,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_common(p)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=_cmd_verify_radial)
 
     p = sub.add_parser(
         "pucci", help="extremal operator formula against a sampled supremum"
     )
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--count", type=int, default=32, help="number of test matrices")
-    p.add_argument("--samples", type=int, default=4096, help="admissible matrices per test")
+    p.add_argument("--dim", type=_positive_int, default=4)
+    p.add_argument(
+        "--count", type=_positive_int, default=32, help="number of test matrices"
+    )
+    p.add_argument(
+        "--samples", type=_positive_int, default=4096, help="admissible matrices per test"
+    )
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--Lam", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=42)
@@ -554,8 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=(0.0, 0.5, 1.0, 2.0),
         help="semiconvexity constants to test, comma-separated",
     )
-    p.add_argument("--lines", type=int, default=64)
-    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--lines", type=_positive_int, default=64)
+    p.add_argument("--points", type=_positive_int, default=64)
     p.set_defaults(func=_cmd_convexity)
 
     p = sub.add_parser(
@@ -564,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--Lam", type=float, default=2.0)
-    p.add_argument("--count", type=int, default=64)
+    p.add_argument("--count", type=_positive_int, default=64)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_pointwise_bound)
 

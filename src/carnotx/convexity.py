@@ -15,7 +15,13 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .calculus import DEFAULT_SCHEME, FDScheme, ScalarField, horizontal_hessian_sym
+from .calculus import (
+    DEFAULT_SCHEME,
+    FDScheme,
+    ScalarField,
+    _sample_admissible,
+    horizontal_hessian_sym,
+)
 from .group import GroupDescriptor
 from .pucci import sym_eigenvalues
 from .rng import substream
@@ -164,25 +170,6 @@ def xline(
         t_min=t_min,
         t_max=t_max,
         point_at=lambda t: integrate_xline(group, x0, unit, t),
-    )
-
-
-def _sample_admissible(
-    u: ScalarField,
-    sampler: Callable[[int, np.random.Generator], np.ndarray],
-    count: int,
-    rng: np.random.Generator,
-    max_retries: int = 20,
-) -> np.ndarray:
-    """Draw sampler points until all lie in u's smooth domain."""
-    pts = np.asarray(sampler(count, rng), dtype=float)
-    for _ in range(max_retries):
-        bad = ~u.in_domain(pts)
-        if not np.any(bad):
-            return pts
-        pts[bad] = np.asarray(sampler(int(np.sum(bad)), rng), dtype=float)
-    raise RuntimeError(
-        f"sampler kept producing points outside the domain of {u.name!r}"
     )
 
 

@@ -26,11 +26,12 @@ from .calculus import (
     RadialProfile,
     ScalarField,
     SingularPointError,
+    _sample_admissible,
     horizontal_hessian_sym,
     radial_hessian,
     radial_hessian_eigenvalues,
 )
-from .group import GroupDescriptor, heisenberg, homogeneous_norm
+from .group import GroupDescriptor, _gauge_parts, heisenberg, homogeneous_norm
 from .pucci import (
     Ellipticity,
     pucci_plus,
@@ -51,7 +52,6 @@ __all__ = [
     "SweepReport",
     "gauge_box_halfwidths",
     "gauge_ball_sampler",
-    "euclidean_ball_sampler",
     "ball_volume",
     "lq_norm",
     "q_star",
@@ -120,8 +120,8 @@ def gauge_box_halfwidths(group: GroupDescriptor, r: float) -> np.ndarray:
     Coordinate i gets half-width r**w_i; on H^d that is |x_i| <= r for the
     horizontal slots and |t| <= r^2 vertically, which contains {rho < r}.
     """
-    if not r > 0.0:
-        raise ValueError(f"ball radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {r}")
     return float(r) ** np.array(group.dilation_weights, dtype=float)
 
 
@@ -136,13 +136,32 @@ def _sample_box(
     return rng.uniform(-1.0, 1.0, size=(count, group.n)) * hw
 
 
-def _gauge_parts(group: GroupDescriptor, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, |x_H|^2, |D rho|^2) with the zero-horizontal limit 0."""
-    d = group.heisenberg_d
-    h2 = np.sum(pts[..., : 2 * d] ** 2, axis=-1)
-    rho = (h2**2 + pts[..., -1] ** 2) ** 0.25
-    g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
-    return rho, h2, g
+def _rejection_sample(
+    group: GroupDescriptor,
+    r: float,
+    count: int,
+    rng: np.random.Generator,
+    keep: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    batch_floor: int,
+) -> np.ndarray:
+    """Sample `count` points of box(B_r) passing `keep(rho, h2, pts)`.
+
+    Each draw takes at least `batch_floor` box points; the floor fixes which
+    substream draws land in which sample, so changing it changes reports.
+    """
+    out = np.empty((count, group.n))
+    got = 0
+    for _ in range(10000):
+        if got == count:
+            break
+        pts = _sample_box(group, r, max(count - got, batch_floor), rng)
+        rho, h2, _ = _gauge_parts(group, pts)
+        pts = pts[keep(rho, h2, pts)][: count - got]
+        out[got : got + len(pts)] = pts
+        got += len(pts)
+    if got < count:
+        raise ValueError("rejection sampling failed to fill the sample")
+    return out
 
 
 def gauge_ball_sampler(
@@ -161,47 +180,23 @@ def gauge_ball_sampler(
     if group.heisenberg_d is None:
         raise ValueError("gauge-ball sampling needs a Heisenberg descriptor")
 
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty((count, group.n))
-        got = 0
-        for _ in range(10000):
-            if got == count:
-                break
-            pts = _sample_box(group, rho_max, max(count - got, 64), rng)
-            rho, h2, _ = _gauge_parts(group, pts)
-            keep = (rho < rho_max) & (rho >= rho_min) & (h2 >= min_horizontal**2)
-            for center, width in exclude_shells:
-                keep &= np.abs(rho - center) >= width
-            pts = pts[keep][: count - got]
-            out[got : got + len(pts)] = pts
-            got += len(pts)
-        else:
-            raise ValueError("gauge-ball sampler rejection rate too high")
-        return out
+    def keep(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        mask = (rho < rho_max) & (rho >= rho_min) & (h2 >= min_horizontal**2)
+        for center, width in exclude_shells:
+            mask &= np.abs(rho - center) >= width
+        return mask
 
-    return sampler
-
-
-def euclidean_ball_sampler(
-    n: int, radius: float
-) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """Uniform sampler on a Euclidean ball, for descriptors without a gauge."""
-
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        gauss = rng.standard_normal((count, n))
-        gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-        radii = radius * rng.random(count) ** (1.0 / n)
-        return gauss * radii[:, None]
-
-    return sampler
+    return lambda count, rng: _rejection_sample(group, rho_max, count, rng, keep, 64)
 
 
 def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEstimate:
     """Volume of the gauge ball B_r with a standard-error estimate."""
     vbox = _box_volume(group, r)
     if quad.method == "tensor-grid":
-        frac_fine = _grid_hit_fraction(group, r, quad.n_samples)
-        frac_coarse = _grid_hit_fraction(group, r, max(quad.n_samples // 2**group.n, 2**group.n))
+        frac_fine, frac_coarse = (
+            float(np.mean(_gauge_parts(group, mesh)[0] < r))
+            for mesh in _grid_meshes(group, r, quad.n_samples)
+        )
         return McEstimate(
             value=vbox * frac_fine, stderr=vbox * abs(frac_fine - frac_coarse)
         )
@@ -213,13 +208,21 @@ def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEst
     return McEstimate(value=vbox * p, stderr=vbox * se)
 
 
-def _grid_hit_fraction(group: GroupDescriptor, r: float, n_target: int) -> float:
-    k = max(2, int(round(n_target ** (1.0 / group.n))))
+def _grid_meshes(group: GroupDescriptor, r: float, n_samples: int) -> list[np.ndarray]:
+    """Midpoint product grids on box(B_r), fine and coarse.
+
+    The fine grid has about `n_samples` nodes; the coarse one has 2^n times
+    fewer, and the disagreement between the two is the reported error.
+    """
     hw = gauge_box_halfwidths(group, r)
-    axes = [np.linspace(-h + h / k, h - h / k, k) for h in hw]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, group.n)
-    rho, _, _ = _gauge_parts(group, mesh)
-    return float(np.mean(rho < r))
+    meshes = []
+    for n_target in (n_samples, max(n_samples // 2**group.n, 2**group.n)):
+        k = max(2, int(round(n_target ** (1.0 / group.n))))
+        axes = [np.linspace(-h + h / k, h - h / k, k) for h in hw]
+        meshes.append(
+            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, group.n)
+        )
+    return meshes
 
 
 def lq_norm(
@@ -269,11 +272,7 @@ def lq_norm(
 def _lq_norm_grid(
     u: ScalarField, group: GroupDescriptor, r: float, q: float, quad: QuadratureSpec
 ) -> LqEstimate:
-    def mass_at(n_target: int) -> tuple[float, float, int]:
-        k = max(2, int(round(n_target ** (1.0 / group.n))))
-        hw = gauge_box_halfwidths(group, r)
-        axes = [np.linspace(-h + h / k, h - h / k, k) for h in hw]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, group.n)
+    def mass_at(mesh: np.ndarray) -> tuple[float, float, int]:
         rho, _, _ = _gauge_parts(group, mesh)
         inside = rho < r
         vals = np.asarray(u.evaluate(mesh[inside]), dtype=float)
@@ -285,8 +284,9 @@ def _lq_norm_grid(
             int(np.sum(inside)),
         )
 
-    mass, rejected, n_inside = mass_at(quad.n_samples)
-    coarse, _, _ = mass_at(max(quad.n_samples // 2**group.n, 2**group.n))
+    fine_mesh, coarse_mesh = _grid_meshes(group, r, quad.n_samples)
+    mass, rejected, n_inside = mass_at(fine_mesh)
+    coarse, _, _ = mass_at(coarse_mesh)
     if rejected > 1e-3:
         raise IllPosedIntegrandError(
             f"{u.name!r} was unevaluable on {rejected:.2%} of grid nodes in B_{r}"
@@ -400,6 +400,33 @@ class CounterexampleConfig:
         return q_star(self.alpha, self.homogeneous_dim)
 
 
+def power_profile(alpha: float) -> RadialProfile:
+    """The gauge power 1 - rho^alpha, extended by its limit 1 at rho = 0."""
+
+    def psi(r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        rr = np.where(r > 0.0, r, 1.0)
+        return np.where(r > 0.0, 1.0 - rr**alpha, 1.0)
+
+    def psi_prime(r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        rr = np.where(r > 0.0, r, 1.0)
+        return np.where(r > 0.0, -alpha * rr ** (alpha - 1.0), 0.0)
+
+    def psi_second(r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        rr = np.where(r > 0.0, r, 1.0)
+        return np.where(r > 0.0, alpha * (1.0 - alpha) * rr ** (alpha - 2.0), 0.0)
+
+    return RadialProfile(
+        name=f"power[{alpha}]",
+        psi=psi,
+        psi_prime=psi_prime,
+        psi_second=psi_second,
+        smooth_radii=lambda r: np.asarray(r, dtype=float) > 0.0,
+    )
+
+
 def counterexample_profile(cfg: CounterexampleConfig, eps: float) -> RadialProfile:
     """Radial profile of the spliced family at a given splice radius.
 
@@ -412,27 +439,22 @@ def counterexample_profile(cfg: CounterexampleConfig, eps: float) -> RadialProfi
     alpha = cfg.alpha
     a = cfg.inner_coefficient
     cont = (1.0 - a) * eps**alpha  # matches the branches at rho = eps
+    outer = power_profile(alpha)
 
     def psi(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        rr = np.where(r > 0.0, r, 1.0)
-        outer = 1.0 - rr**alpha
         inner = 1.0 - a * eps ** (alpha - 2.0) * r**2 - cont
-        return np.where(r >= eps, outer, inner)
+        return np.where(r >= eps, outer.psi(r), inner)
 
     def psi_prime(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        rr = np.where(r > 0.0, r, 1.0)
-        outer = -alpha * rr ** (alpha - 1.0)
         inner = -2.0 * a * eps ** (alpha - 2.0) * r
-        return np.where(r >= eps, outer, inner)
+        return np.where(r >= eps, outer.psi_prime(r), inner)
 
     def psi_second(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        rr = np.where(r > 0.0, r, 1.0)
-        outer = alpha * (1.0 - alpha) * rr ** (alpha - 2.0)
         inner = np.full_like(r, -2.0 * a * eps ** (alpha - 2.0))
-        return np.where(r >= eps, outer, inner)
+        return np.where(r >= eps, outer.psi_second(r), inner)
 
     return RadialProfile(
         name=f"splice[alpha={alpha},eps={eps},{cfg.glue_mode}]",
@@ -457,7 +479,7 @@ def counterexample_field(cfg: CounterexampleConfig, eps: float) -> ScalarField:
         return np.asarray(profile.psi(homogeneous_norm(group, x)), dtype=float)
 
     def domain(x: np.ndarray) -> np.ndarray:
-        rho, h2, _ = _gauge_parts(group, np.asarray(x, dtype=float))
+        rho, h2, _ = _gauge_parts(group, x)
         return (h2 > 0.0) & (rho != eps)
 
     return ScalarField(name=profile.name, evaluate=evaluate, smooth_domain=domain)
@@ -490,7 +512,7 @@ def counterexample_rhs_field(cfg: CounterexampleConfig, eps: float) -> ScalarFie
     amp = cfg.rhs_amplitude * eps ** (cfg.alpha - 2.0)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        rho, _, g = _gauge_parts(group, np.asarray(x, dtype=float))
+        rho, _, g = _gauge_parts(group, x)
         return np.where(rho < eps, -amp * g, 0.0)
 
     return ScalarField(name=f"rhs[{eps}]", evaluate=evaluate)
@@ -524,28 +546,6 @@ class AnnihilationReport:
     n_excluded_shell: int
 
 
-def _rejection_sample(
-    group: GroupDescriptor,
-    r: float,
-    count: int,
-    rng: np.random.Generator,
-    keep: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Sample `count` points of box(B_r) passing `keep(rho, h2, pts)`."""
-    out = np.empty((count, group.n))
-    got = 0
-    for _ in range(10000):
-        if got == count:
-            return out
-        pts = _sample_box(group, r, max(count - got, 256), rng)
-        rho, h2, _ = _gauge_parts(group, pts)
-        mask = keep(rho, h2, pts)
-        pts = pts[mask][: count - got]
-        out[got : got + len(pts)] = pts
-        got += len(pts)
-    raise ValueError("rejection sampling failed to fill the sample")
-
-
 def verify_pucci_annihilation(
     cfg: CounterexampleConfig,
     eps: float,
@@ -564,6 +564,10 @@ def verify_pucci_annihilation(
     Closed forms are cross-checked against a matrix eigendecomposition and
     against finite differences of the field itself on safe subsamples.
     """
+    if n_samples < 2:
+        raise ValueError(
+            f"annihilation needs at least 2 samples (one per region), got {n_samples}"
+        )
     group = cfg.group()
     e = cfg.ellipticity()
     profile = counterexample_profile(cfg, eps)
@@ -573,28 +577,24 @@ def verify_pucci_annihilation(
 
     excluded = {"axis": 0, "shell": 0}
 
-    def keep(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        inside = rho < 1.0
-        axis = h2 < AXIS_EXCLUSION**2
-        shell = np.abs(rho - eps) < SPLICE_EXCLUSION
-        excluded["axis"] += int(np.sum(inside & axis))
-        excluded["shell"] += int(np.sum(inside & shell & ~axis))
-        return inside & ~axis & ~shell
+    def keep_within(radius: float) -> Callable:
+        def keep(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
+            inside = rho < radius
+            axis = h2 < AXIS_EXCLUSION**2
+            shell = np.abs(rho - eps) < SPLICE_EXCLUSION
+            excluded["axis"] += int(np.sum(inside & axis))
+            excluded["shell"] += int(np.sum(inside & shell & ~axis))
+            return inside & ~axis & ~shell
+
+        return keep
 
     n_ball = n_samples // 2
-    n_inner_target = n_samples - n_ball
-    pts_ball = _rejection_sample(group, 1.0, n_ball, rng, keep)
-
-    def keep_inner(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        inside = rho < eps
-        axis = h2 < AXIS_EXCLUSION**2
-        shell = np.abs(rho - eps) < SPLICE_EXCLUSION
-        excluded["axis"] += int(np.sum(inside & axis))
-        excluded["shell"] += int(np.sum(inside & shell & ~axis))
-        return inside & ~axis & ~shell
-
-    pts_inner = _rejection_sample(group, eps, n_inner_target, rng, keep_inner)
-    pts = np.vstack([pts_ball, pts_inner])
+    pts = np.vstack(
+        [
+            _rejection_sample(group, 1.0, n_ball, rng, keep_within(1.0), 256),
+            _rejection_sample(group, eps, n_samples - n_ball, rng, keep_within(eps), 256),
+        ]
+    )
 
     rho, h2, g = _gauge_parts(group, pts)
     inner = rho < eps
@@ -943,15 +943,7 @@ def pointwise_bound_check(
         raise ValueError(f"semiconvexity constant must be nonnegative, got {c4}")
     m = group.m
     rng = substream(seed, "pointwise-bound")
-    pts = np.asarray(sampler(count, rng), dtype=float)
-    ok = u.in_domain(pts)
-    for _ in range(20):
-        if np.all(ok):
-            break
-        pts[~ok] = np.asarray(sampler(int(np.sum(~ok)), rng), dtype=float)
-        ok = u.in_domain(pts)
-    else:
-        raise ValueError("sampler kept leaving the field's smooth domain")
+    pts = _sample_admissible(u, sampler, count, rng)
 
     g0 = abs(float(gop(np.zeros((m, m)))))
     semiconvex_ok = supersolution_ok = True

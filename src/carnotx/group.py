@@ -205,13 +205,22 @@ def left_translation(
     return lambda x: group_multiply(group, g, x)
 
 
+def _gauge_parts(
+    group: GroupDescriptor, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, |x_H|^2, |D rho|^2 = |x_H|^2 / rho^2) with the limit 0 at the origin."""
+    d = _require_heisenberg(group, "the homogeneous gauge")
+    x = np.asarray(x, dtype=float)
+    h2 = np.sum(x[..., : 2 * d] ** 2, axis=-1)
+    rho = (h2**2 + x[..., -1] ** 2) ** 0.25
+    g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
+    return rho, h2, g
+
+
 def homogeneous_norm(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     """Korányi-type gauge rho(x) = (|x_H|^4 + t^2)^(1/4) on H^d.
 
     Homogeneous of degree one under dilations and smooth away from the
     origin.
     """
-    d = _require_heisenberg(group, "the homogeneous gauge")
-    x = np.asarray(x, dtype=float)
-    h2 = np.sum(x[..., : 2 * d] ** 2, axis=-1)
-    return (h2**2 + x[..., -1] ** 2) ** 0.25
+    return _gauge_parts(group, x)[0]

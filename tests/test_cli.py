@@ -135,3 +135,52 @@ class TestOtherCommands:
     def test_ball_volume(self, capsys):
         assert run(["ball-volume", "--r", "0.5,1", "--samples", "50000"]) == 0
         assert "scaling check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pucci", "--count", "0"], "positive integer"),
+        (["pucci", "--dim", "0"], "positive integer"),
+        (["pucci", "--samples", "0"], "positive integer"),
+        (["pointwise-bound", "--count", "0"], "positive integer"),
+        (["verify-radial", "--points", "0"], "positive integer"),
+        (["convexity", "--lines", "0"], "positive integer"),
+        (["convexity", "--points", "-3"], "positive integer"),
+        (["ball-volume", "--r", "inf", "--samples", "2000"], "finite"),
+        (
+            [
+                "counterexample", "--eps", "2^-3..2^-6", "--q", "2",
+                "--samples", "1000", "--annihilation-samples", "1",
+            ],
+            "at least 2 samples",
+        ),
+    ],
+)
+def test_degenerate_work_is_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "overall:" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-radial", "--points", "4"],
+        ["pucci", "--count", "2", "--samples", "256"],
+        ["convexity", "--lines", "8", "--points", "8", "--c", "2"],
+        ["pointwise-bound", "--count", "4"],
+        ["ball-volume", "--r", "0.5,1", "--samples", "2000"],
+    ],
+)
+def test_report_envelope(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == [
+        "schema_version", "version", "command", "config", "results", "passed"
+    ]
+    assert payload["command"] == argv[0]
+    assert payload["passed"] is True
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from carnotx import (
+    Ellipticity,
     add_horizontal_quadratic,
     check_semiconvex_eigen,
     check_semiconvex_lines,
+    constant_field,
     convexity_catalog,
     gauge_quartic,
     group_multiply,
     heisenberg,
     horizontal_quadratic,
     integrate_xline,
+    pointwise_bound_check,
+    pucci_minus,
     saddle_field,
     xline,
 )
@@ -165,6 +169,35 @@ class TestCheckers:
         )
         with pytest.raises(RuntimeError):
             check_semiconvex_eigen(H1, nowhere, 0.0, box_sampler(H1), 8, seed=1)
+
+    def test_last_allowed_redraw_is_accepted(self):
+        # 1 draw + 20 redraws: only the 21st call lands in the domain
+        # {x_1 > 0}, and its points must be checked rather than rejected.
+        u = dataclasses.replace(
+            horizontal_quadratic(H1, -1.0), smooth_domain=lambda x: x[..., 0] > 0.0
+        )
+        e = Ellipticity(lam=1.0, Lam=2.0)
+        f = constant_field(-e.Lam * H1.m)
+        runs = {
+            "eigen": lambda sampler: check_semiconvex_eigen(
+                H1, u, 1.0, sampler, 8, seed=1
+            ).n_checked,
+            "pointwise": lambda sampler: pointwise_bound_check(
+                H1, lambda mat: pucci_minus(mat, e), u, f,
+                c4=1.0, e=e, sampler=sampler, count=8, seed=1,
+            ).n_points,
+        }
+        for name, check in runs.items():
+            calls = []
+
+            def sampler(count, rng):
+                calls.append(count)
+                pts = rng.uniform(0.1, 1.0, size=(count, H1.n))
+                pts[:, 0] *= 1.0 if len(calls) > 20 else -1.0
+                return pts
+
+            assert check(sampler) == 8, name
+            assert len(calls) == 21, name
 
     def test_negative_constant_acts_as_uniform_convexity(self):
         # c < 0 demands second differences strictly below -|c| s^2.

@@ -196,6 +196,9 @@ class TestQuadrature:
             QuadratureSpec(n_samples=999, seed=0)
         with pytest.raises(ValueError):
             QuadratureSpec(n_samples=2000, seed=0, method="quasi")
+        for r in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ball_volume(H1, r, QuadratureSpec(n_samples=2000, seed=0))
 
     def test_ball_volume_frozen_oracle(self):
         # |B_1| = pi^2/2 on H^1 (slice areas pi sqrt(1-t^2) integrated);
