@@ -8,6 +8,7 @@ field itself.
 
 The radial part implements the closed-form horizontal Hessian of gauge
 functions psi(rho) on H^d, including its full eigenvalue multiset.
+A single point is the one-element case of a stack of points (..., n).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import GroupDescriptor, _gauge_parts, homogeneous_norm
+from .group import GroupDescriptor, _dot, _gauge_parts, homogeneous_norm
 
 __all__ = [
     "DomainError",
@@ -90,8 +91,8 @@ class FDScheme:
         if self.order not in (2, 4):
             raise ValueError(f"order must be 2 or 4, got {self.order}")
 
-    def step_at(self, x: np.ndarray) -> float:
-        return self.base_step * max(1.0, float(np.max(np.abs(x))))
+    def step_at(self, x: np.ndarray) -> np.ndarray:
+        return self.base_step * np.maximum(1.0, np.max(np.abs(x), axis=-1))
 
 
 DEFAULT_SCHEME = FDScheme()
@@ -148,53 +149,58 @@ def _sample_admissible(
 
 
 def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
-    if not bool(np.all(u.in_domain(x))):
-        raise DomainError(f"point {x!r} is outside the smooth domain of {u.name!r}")
+    bad = ~np.asarray(u.in_domain(x), dtype=bool)
+    if bad.any():
+        raise DomainError(f"point {x[bad][0]!r} is outside the smooth domain of {u.name!r}")
 
 
-def _gradient_fd_once(u: ScalarField, x: np.ndarray, h: float, order: int) -> np.ndarray:
-    n = x.shape[0]
-    table = _D1[order]
-    pts = np.stack([x + off * h * _unit(n, k) for k in range(n) for off, _ in table])
-    vals = np.asarray(u.evaluate(pts), dtype=float).reshape(n, len(table))
-    coeffs = np.array([c for _, c in table])
-    return vals @ coeffs / h
+# Points per stencil evaluation: memory stays bounded whatever the stack size.
+_FD_CHUNK = 16
 
 
-def _hessian_fd_once(u: ScalarField, x: np.ndarray, h: float, order: int) -> np.ndarray:
-    n = x.shape[0]
-    diag_table = _D2[order]
-    mix_table = _D1[order]
-    pts: list[np.ndarray] = []
-    for k in range(n):
-        for off, _ in diag_table:
-            pts.append(x + off * h * _unit(n, k))
-    for k in range(n):
-        for l in range(k + 1, n):
-            for off_a, _ in mix_table:
-                for off_b, _ in mix_table:
-                    pts.append(x + h * (off_a * _unit(n, k) + off_b * _unit(n, l)))
-    vals = np.asarray(u.evaluate(np.stack(pts)), dtype=float)
+def _fd_derivatives(
+    u: ScalarField, x: np.ndarray, scheme: FDScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients and Hessians at points (..., n).
 
-    hess = np.empty((n, n))
-    pos = 0
-    d_coeffs = np.array([c for _, c in diag_table])
-    for k in range(n):
-        hess[k, k] = vals[pos : pos + len(diag_table)] @ d_coeffs / h**2
-        pos += len(diag_table)
-    m_coeffs = np.array([ca * cb for _, ca in mix_table for _, cb in mix_table])
-    for k in range(n):
-        for l in range(k + 1, n):
-            block = vals[pos : pos + len(m_coeffs)]
-            hess[k, l] = hess[l, k] = block @ m_coeffs / h**2
-            pos += len(m_coeffs)
-    return hess
+    One stencil serves both: axis rows at the second-derivative offsets,
+    which include every first-derivative one, then rows at products of
+    first-derivative offsets for each pair k < l.  Each point's values are
+    combined by BLAS dots of its own, so its bits do not depend on the stack.
+    """
+    n = x.shape[-1]
+    d1, d2 = _D1[scheme.order], _D2[scheme.order]
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    eye = np.eye(n)
+    table = np.array(
+        [off * eye[k] for k in range(n) for off, _ in d2]
+        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in d1 for ob, _ in d1]
+    )
+    grad_cols = [[off for off, _ in d2].index(off) for off, _ in d1]
+    c1, c2 = np.array([c for _, c in d1]), np.array([c for _, c in d2])
+    c_mix = np.array([ca * cb for _, ca in d1 for _, cb in d1])
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
 
-
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
+    flat = x.reshape(-1, n)
+    grad, hess = np.empty(flat.shape), np.empty(flat.shape + (n,))
+    for lo in range(0, len(flat), _FD_CHUNK):
+        xc = flat[lo : lo + _FD_CHUNK]
+        h = scheme.step_at(xc)[:, None]
+        h = np.concatenate([h, h / 2.0], axis=1) if scheme.richardson else h
+        vals = u.evaluate((xc[:, None, None, :] + h[..., None, None] * table).reshape(-1, n))
+        vals = np.asarray(vals, dtype=float).reshape(h.shape + (len(table),))
+        axis = vals[..., : n * len(d2)].reshape(h.shape + (n, len(d2)))
+        mix = vals[..., n * len(d2) :].reshape(h.shape + (len(pairs), len(c_mix)))
+        h2 = np.float_power(h, 2)[..., None]  # the C library's pow, as a scalar h**2
+        H = np.empty(h.shape + (n, n))
+        H[..., range(n), range(n)] = _dot(axis, c2) / h2
+        H[..., rows, cols] = H[..., cols, rows] = _dot(mix, c_mix) / h2
+        g = axis[..., grad_cols] @ c1 / h[..., None]
+        grad[lo : lo + len(xc)], hess[lo : lo + len(xc)] = (
+            _richardson(a[:, 0], a[:, 1], scheme.order) if scheme.richardson else a[:, 0]
+            for a in (g, H)
+        )
+    return grad.reshape(x.shape), hess.reshape(x.shape + (n,))
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray, order: int) -> np.ndarray:
@@ -205,31 +211,21 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray, order: int) -> np.ndarray:
 def euclid_gradient(
     u: ScalarField, x: np.ndarray, scheme: FDScheme = DEFAULT_SCHEME
 ) -> np.ndarray:
-    """Euclidean gradient at a single point, analytic when available."""
+    """Euclidean gradients at points (..., n), analytic when available."""
     x = np.asarray(x, dtype=float)
     if u.euclid_gradient is not None:
         return np.asarray(u.euclid_gradient(x), dtype=float)
-    h = scheme.step_at(x)
-    g = _gradient_fd_once(u, x, h, scheme.order)
-    if scheme.richardson:
-        g = _richardson(g, _gradient_fd_once(u, x, h / 2.0, scheme.order), scheme.order)
-    return g
+    return _fd_derivatives(u, x, scheme)[0]
 
 
 def euclid_hessian(
     u: ScalarField, x: np.ndarray, scheme: FDScheme = DEFAULT_SCHEME
 ) -> np.ndarray:
-    """Euclidean Hessian at a single point, analytic when available."""
+    """Euclidean Hessians at points (..., n), analytic when available."""
     x = np.asarray(x, dtype=float)
     if u.euclid_hessian is not None:
         return np.asarray(u.euclid_hessian(x), dtype=float)
-    h = scheme.step_at(x)
-    hess = _hessian_fd_once(u, x, h, scheme.order)
-    if scheme.richardson:
-        hess = _richardson(
-            hess, _hessian_fd_once(u, x, h / 2.0, scheme.order), scheme.order
-        )
-    return hess
+    return _fd_derivatives(u, x, scheme)[1]
 
 
 # --- horizontal derivatives ------------------------------------------------
@@ -241,12 +237,12 @@ def horizontal_gradient(
     x: np.ndarray,
     scheme: FDScheme = DEFAULT_SCHEME,
 ) -> np.ndarray:
-    """(X_1 u, ..., X_m u) at x."""
+    """(X_1 u, ..., X_m u) at points (..., n); shape (..., m)."""
     x = np.asarray(x, dtype=float)
     _require_in_domain(u, x)
     grad = euclid_gradient(u, x, scheme)
     sigma = np.asarray(group.sigma_eval(x), dtype=float)
-    return sigma.T @ grad
+    return (np.swapaxes(sigma, -1, -2) @ grad[..., None])[..., 0]
 
 
 def horizontal_hessian_sym(
@@ -255,23 +251,25 @@ def horizontal_hessian_sym(
     x: np.ndarray,
     scheme: FDScheme = DEFAULT_SCHEME,
 ) -> np.ndarray:
-    """Symmetrized horizontal Hessian ((X_i X_j + X_j X_i) u / 2).
+    """Symmetrized horizontal Hessians ((X_i X_j + X_j X_i) u / 2).
 
-    Assembled as sigma^T D^2u sigma plus the symmetrized first-order
-    correction carrying the exact polynomial partials of sigma; the result
-    is exactly symmetric.
+    Takes points (..., n) and returns shape (..., m, m).  Assembled as
+    sigma^T D^2u sigma plus the symmetrized first-order correction carrying
+    the exact polynomial partials of sigma; the result is exactly symmetric.
     """
     x = np.asarray(x, dtype=float)
     _require_in_domain(u, x)
-    grad = euclid_gradient(u, x, scheme)
-    hess = euclid_hessian(u, x, scheme)
+    if u.euclid_gradient is None and u.euclid_hessian is None:
+        grad, hess = _fd_derivatives(u, x, scheme)  # one stencil for both
+    else:
+        grad, hess = euclid_gradient(u, x, scheme), euclid_hessian(u, x, scheme)
     sigma = np.asarray(group.sigma_eval(x), dtype=float)
     jac = np.asarray(group.sigma_jacobian_eval(x), dtype=float)
-    main = sigma.T @ hess @ sigma
+    main = np.swapaxes(sigma, -1, -2) @ hess @ sigma
     # first-order term: T_ij = sum_{l,k} sigma_li (d_l sigma_kj) (d_k u)
-    first = np.einsum("li,lkj,k->ij", sigma, jac, grad)
-    out = main + 0.5 * (first + first.T)
-    return 0.5 * (out + out.T)
+    first = np.einsum("...li,...lkj,...k->...ij", sigma, jac, grad)
+    out = main + 0.5 * (first + np.swapaxes(first, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def sublaplacian(
@@ -279,9 +277,9 @@ def sublaplacian(
     u: ScalarField,
     x: np.ndarray,
     scheme: FDScheme = DEFAULT_SCHEME,
-) -> float:
-    """Trace of the symmetrized horizontal Hessian, i.e. sum_j X_j^2 u."""
-    return float(np.trace(horizontal_hessian_sym(group, u, x, scheme)))
+) -> np.ndarray:
+    """Trace of the symmetrized horizontal Hessian, i.e. sum_j X_j^2 u; shape (...)."""
+    return np.trace(horizontal_hessian_sym(group, u, x, scheme), axis1=-2, axis2=-1)
 
 
 # --- gauge-radial calculus on H^d -------------------------------------------
@@ -289,7 +287,7 @@ def sublaplacian(
 
 @dataclass(frozen=True)
 class HeisenbergRadialFrame:
-    """Pointwise ingredients of the gauge-radial calculus on H^d.
+    """Ingredients of the gauge-radial calculus on H^d at each point of a stack.
 
     ``eta / rho^3`` is the horizontal gradient of the gauge, and
     ``grad_norm_sq = |x_H|^2 / rho^2`` is its squared length (at most one).
@@ -297,9 +295,8 @@ class HeisenbergRadialFrame:
     angular part of the radial Hessian.
     """
 
-    rho: float
-    horizontal_sq: float
-    grad_norm_sq: float
+    rho: np.ndarray
+    grad_norm_sq: np.ndarray
     eta: np.ndarray
     b_block: np.ndarray
     c_block: np.ndarray
@@ -329,9 +326,10 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class RadialHessian:
-    """Closed-form horizontal Hessian of psi(rho) at a point of H^d.
+    """Closed-form horizontal Hessians (..., 2d, 2d) of psi(rho) on H^d.
 
-    The eigenvalue multiset is {radial, tangential, flat x (2d-2)} with
+    Per point, the eigenvalue multiset is {radial, tangential, flat x (2d-2)}
+    with
 
         radial     = psi''(rho) |Drho|^2,
         tangential = 3 psi'(rho) |Drho|^2 / rho,
@@ -339,68 +337,68 @@ class RadialHessian:
     """
 
     matrix: np.ndarray
-    eigen_radial: float
-    eigen_tangential: float
-    eigen_flat: float
+    eigen_radial: np.ndarray
+    eigen_tangential: np.ndarray
+    eigen_flat: np.ndarray
     flat_multiplicity: int
 
     def eigenvalues(self) -> np.ndarray:
-        """Full multiset, ascending."""
+        """Full multisets, ascending, shape (..., 2d)."""
         vals = [self.eigen_radial, self.eigen_tangential]
         vals += [self.eigen_flat] * self.flat_multiplicity
-        return np.sort(np.array(vals))
+        return np.sort(np.stack(vals, axis=-1), axis=-1)
 
 
 def radial_frame(group: GroupDescriptor, x: np.ndarray) -> HeisenbergRadialFrame:
-    """Gauge-radial frame of H^d at x; requires |x_H| > 0."""
+    """Gauge-radial frame of H^d at points (..., n); requires |x_H| > 0."""
     if group.heisenberg_d is None:
         raise SingularPointError(
             f"the gauge-radial frame needs a Heisenberg descriptor, not {group.name!r}"
         )
     d = group.heisenberg_d
     x = np.asarray(x, dtype=float)
-    if x.shape != (group.n,):
-        raise ValueError(f"expected a single point of length {group.n}")
-    a, b, t = x[:d], x[d : 2 * d], x[-1]
-    h2 = float(a @ a + b @ b)
-    if h2 == 0.0:
+    if x.shape[-1:] != (group.n,):
+        raise ValueError(f"expected points of length {group.n}, got shape {x.shape}")
+    a, b, t = x[..., :d], x[..., d : 2 * d], x[..., -1]
+    h2 = _dot(a, a) + _dot(b, b)
+    if np.any(h2 == 0.0):
         raise SingularPointError(
             "gauge-radial frame is singular where the horizontal part vanishes"
         )
-    rho = (h2**2 + t**2) ** 0.25
-    eta = np.concatenate([a * h2 + b * t, b * h2 - a * t])
+    # float_power is the C library's pow; numpy's vectorized ** differs
+    # from it in the last bit on some inputs.
+    rho = np.float_power(np.float_power(h2, 2) + np.float_power(t, 2), 0.25)
+    h2_, t_ = h2[..., None], t[..., None]
     return HeisenbergRadialFrame(
         rho=rho,
-        horizontal_sq=h2,
-        grad_norm_sq=h2 / rho**2,
-        eta=eta,
-        b_block=np.outer(a, a) + np.outer(b, b),
-        c_block=np.outer(a, b) - np.outer(b, a),
+        grad_norm_sq=h2 / np.float_power(rho, 2),
+        eta=np.concatenate([a * h2_ + b * t_, b * h2_ - a * t_], axis=-1),
+        b_block=_outer(a, a) + _outer(b, b),
+        c_block=_outer(a, b) - _outer(b, a),
     )
 
 
 def radial_hessian(
     group: GroupDescriptor, profile: RadialProfile, x: np.ndarray
 ) -> RadialHessian:
-    """Horizontal Hessian of psi(rho) with its eigenvalue components."""
+    """Horizontal Hessians of psi(rho) at points (..., n), with eigenvalue components."""
     fr = radial_frame(group, x)
-    if not bool(np.all(profile.radius_ok(fr.rho))):
-        raise DomainError(
-            f"profile {profile.name!r} is not smooth at rho={fr.rho!r}"
-        )
+    if not np.all(profile.radius_ok(fr.rho)):
+        raise DomainError(f"profile {profile.name!r} is not smooth at some rho in {fr.rho!r}")
     d = group.heisenberg_d
-    psi1 = float(profile.psi_prime(np.float64(fr.rho)))
-    psi2 = float(profile.psi_second(np.float64(fr.rho)))
     rho, g = fr.rho, fr.grad_norm_sq
+    psi1 = np.asarray(profile.psi_prime(rho), dtype=float)
+    psi2 = np.asarray(profile.psi_second(rho), dtype=float)
+    rho3 = np.float_power(rho, 3)
 
     angular = np.block([[fr.b_block, fr.c_block], [-fr.c_block, fr.b_block]])
-    v = fr.eta / rho**3
+    v = fr.eta / rho3[..., None]
     mat = (
-        (psi1 * g / rho) * np.eye(2 * d)
-        + (2.0 * psi1 / rho**3) * angular
-        + (psi2 - 3.0 * psi1 / rho) * np.outer(v, v)
+        (psi1 * g / rho)[..., None, None] * np.eye(2 * d)
+        + (2.0 * psi1 / rho3)[..., None, None] * angular
+        + (psi2 - 3.0 * psi1 / rho)[..., None, None] * _outer(v, v)
     )
-    mat = 0.5 * (mat + mat.T)
+    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
     return RadialHessian(
         matrix=mat,
         eigen_radial=psi2 * g,
@@ -408,6 +406,10 @@ def radial_hessian(
         eigen_flat=psi1 * g / rho,
         flat_multiplicity=2 * d - 2,
     )
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
 
 
 def radial_hessian_eigenvalues(
@@ -518,23 +520,13 @@ def check_field_consistency(
     the differenced value beyond atol + rtol * scale.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    fd_only = ScalarField(name=u.name, evaluate=u.evaluate)
-    worst_grad = worst_hess = 0.0
-    for x in points:
-        if u.euclid_gradient is not None:
-            a = np.asarray(u.euclid_gradient(x), dtype=float)
-            b = euclid_gradient(fd_only, x, scheme)
-            worst_grad = max(
-                worst_grad,
-                float(np.max(np.abs(a - b) / (atol + rtol * np.maximum(1.0, np.abs(a))))),
-            )
-        if u.euclid_hessian is not None:
-            a = np.asarray(u.euclid_hessian(x), dtype=float)
-            b = euclid_hessian(fd_only, x, scheme)
-            worst_hess = max(
-                worst_hess,
-                float(np.max(np.abs(a - b) / (atol + rtol * np.maximum(1.0, np.abs(a))))),
-            )
+    worst = []
+    fd_pair = _fd_derivatives(u, points, scheme)
+    for callback, fd in zip((u.euclid_gradient, u.euclid_hessian), fd_pair):
+        a = fd if callback is None else np.asarray(callback(points), dtype=float)
+        scale = atol + rtol * np.maximum(1.0, np.abs(a))
+        worst.append(float(np.max(np.abs(a - fd) / scale, initial=0.0)))
+    worst_grad, worst_hess = worst
     return {
         "ok": worst_grad <= 1.0 and worst_hess <= 1.0,
         "gradient_excess": worst_grad,

@@ -32,6 +32,7 @@ from .catalog import constant_field, convexity_catalog, horizontal_quadratic
 from .convexity import check_semiconvex_eigen, check_semiconvex_lines
 from .estimates import (
     CounterexampleConfig,
+    _exact_ball_volume,
     IllPosedIntegrandError,
     QuadratureSpec,
     ball_volume,
@@ -42,7 +43,7 @@ from .estimates import (
     verify_pucci_annihilation,
 )
 from .group import GroupDescriptor, heisenberg
-from .pucci import Ellipticity, pucci_minus, pucci_oracle_check
+from .pucci import Ellipticity, _relative_frobenius, pucci_minus, pucci_oracle_check
 from .report import (
     SCHEMA_VERSION,
     sweep_report_dict,
@@ -224,16 +225,11 @@ def _cmd_verify_radial(args: argparse.Namespace) -> int:
     results = []
     overall = True
     for profile in (power_profile(args.alpha), _quartic_profile()):
-        u = field_from_profile(group, profile)
-        worst = 0.0
-        for x in pts:
-            approx = horizontal_hessian_sym(group, u, x)
-            exact = radial_hessian(group, profile, x).matrix
-            rel = float(
-                np.linalg.norm(approx - exact)
-                / max(float(np.linalg.norm(exact)), 1e-30)
-            )
-            worst = max(worst, rel)
+        rel = _relative_frobenius(
+            horizontal_hessian_sym(group, field_from_profile(group, profile), pts),
+            radial_hessian(group, profile, pts).matrix,
+        )
+        worst = float(np.max(rel, initial=0.0))
         ok = worst <= args.tol
         overall = overall and ok
         results.append({"profile": profile.name, "max_rel_error": worst, "passed": ok})
@@ -385,11 +381,17 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
 def _cmd_ball_volume(args: argparse.Namespace) -> int:
     group = args.group
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed, method=args.method)
-    results = []
+    results, oks = [], []
     for r in args.r:
         est = ball_volume(group, r, quad)
+        exact = _exact_ball_volume(group, r)
+        pull = (est.value - exact) / est.stderr if est.stderr > 0.0 else np.inf
+        oks.append(abs(pull) <= 5.0)  # within five standard errors of the closed form
         results.append({"r": r, "volume": est.value, "stderr": est.stderr})
-        print(f"  r={r:.17g}: volume {est.value:.17g} (stderr {est.stderr:.3g})")
+        print(
+            f"  [{_status(oks[-1])}] r={r:.17g}: volume {est.value:.17g}"
+            f" (stderr {est.stderr:.3g}), exact {exact:.17g}, pull {pull:.3g}"
+        )
     if len(args.r) >= 2:
         big_q = group.homogeneous_dimension
         base = results[0]
@@ -407,7 +409,7 @@ def _cmd_ball_volume(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "method": args.method,
     }
-    return _finish(args, config, results, True)
+    return _finish(args, config, results, all(oks))
 
 
 def _build_parser() -> argparse.ArgumentParser:

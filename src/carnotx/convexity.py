@@ -22,7 +22,7 @@ from .calculus import (
     _sample_admissible,
     horizontal_hessian_sym,
 )
-from .group import GroupDescriptor
+from .group import GroupDescriptor, _dot
 from .pucci import sym_eigenvalues
 from .rng import substream
 
@@ -71,12 +71,12 @@ class SemiconvexityReport:
 
 def _normalized_direction(group: GroupDescriptor, alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (group.m,):
+    if alpha.shape[-1:] != (group.m,):
         raise ValueError(f"direction must have length m={group.m}")
-    norm = float(np.linalg.norm(alpha))
-    if norm == 0.0 or not np.isfinite(norm):
+    norm = np.sqrt(_dot(alpha, alpha))
+    if not np.all((norm != 0.0) & np.isfinite(norm)):
         raise ValueError("direction must be nonzero and finite")
-    return alpha / norm
+    return alpha / norm[..., None]
 
 
 def _heisenberg_line(
@@ -85,14 +85,14 @@ def _heisenberg_line(
     # Horizontal parts move linearly; the vertical velocity is constant in t
     # because the symplectic twist of (x_H + t alpha) against alpha is fixed.
     d = group.heisenberg_d
-    t = np.asarray(t, dtype=float)
-    vertical_speed = 2.0 * float(
-        x0[d : 2 * d] @ alpha[:d] - x0[:d] @ alpha[d : 2 * d]
+    vertical_speed = 2.0 * (
+        _dot(x0[:, d : 2 * d], alpha[:, :d]) - _dot(x0[:, :d], alpha[:, d : 2 * d])
     )
-    out = np.empty(t.shape + (group.n,))
-    out[...] = x0
-    out[..., : group.m] += t[..., None] * alpha
-    out[..., -1] = x0[-1] + vertical_speed * t
+    lines = (len(x0),) + (1,) * t.ndim
+    out = np.empty((len(x0),) + t.shape + (group.n,))
+    out[...] = x0.reshape(lines + (group.n,))
+    out[..., : group.m] += t[..., None] * alpha.reshape(lines + (group.m,))
+    out[..., -1] = x0[:, -1].reshape(lines) + vertical_speed.reshape(lines) * t
     return out
 
 
@@ -102,7 +102,7 @@ def _rk4_path(
     """Integrate x' = sigma(x) alpha to each target time with fixed-step RK4."""
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        return np.asarray(group.sigma_eval(state), dtype=float) @ alpha
+        return (np.asarray(group.sigma_eval(state), dtype=float) @ alpha[..., None])[..., 0]
 
     def advance(t_end: float, n_steps: int) -> np.ndarray:
         state = x0.copy()
@@ -115,41 +115,40 @@ def _rk4_path(
             state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return state
 
-    out = np.empty(t_targets.shape + (group.n,))
+    out = np.empty((len(x0),) + t_targets.shape + (group.n,))
     for idx, t_end in np.ndenumerate(t_targets):
         n_steps = max(1, int(np.ceil(abs(t_end) / _RK4_MAX_STEP)))
         coarse = advance(float(t_end), n_steps)
         fine = advance(float(t_end), 2 * n_steps)
-        scale = 1.0 + float(np.max(np.abs(fine)))
-        if float(np.max(np.abs(fine - coarse))) > 1e-9 * scale:
+        scale = 1.0 + np.max(np.abs(fine), axis=-1)
+        if np.any(np.max(np.abs(fine - coarse), axis=-1) > 1e-9 * scale):
             raise RuntimeError(
                 "horizontal line integration failed step-halving verification"
             )
-        out[idx] = fine
+        out[(slice(None),) + idx] = fine
     return out
 
 
 def integrate_xline(
     group: GroupDescriptor, x0: np.ndarray, alpha: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
-    """Point(s) reached along the X-line from x0 with unit direction alpha.
+    """Point(s) reached along the X-lines from x0 with unit directions alpha.
 
-    Directions are normalized to |alpha| = 1 so the line parameter is
-    horizontal arc length; this calibrates second-difference constants
-    against Hessian eigenvalue bounds.  On Heisenberg descriptors the path
-    is exact (horizontal motion is linear and the vertical speed constant);
-    otherwise fixed-step RK4 with step-halving verification is used.
+    Starts (..., n) pair with directions (..., m); the result has shape
+    (...) + t.shape + (n,).  Directions are normalized to |alpha| = 1 so the
+    line parameter is horizontal arc length; this calibrates second-difference
+    constants against Hessian eigenvalue bounds.  On Heisenberg descriptors
+    the path is exact (horizontal motion is linear and the vertical speed
+    constant); otherwise fixed-step RK4 with step-halving verification is used.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (group.n,):
+    if x0.shape[-1:] != (group.n,):
         raise ValueError(f"start point must have length n={group.n}")
     alpha = _normalized_direction(group, alpha)
     t_arr = np.asarray(t, dtype=float)
-    if group.heisenberg_d is not None:
-        out = _heisenberg_line(group, x0, alpha, t_arr)
-    else:
-        out = _rk4_path(group, x0, alpha, t_arr)
-    return out if t_arr.shape else out.reshape(group.n)
+    path = _heisenberg_line if group.heisenberg_d is not None else _rk4_path
+    out = path(group, x0.reshape(-1, group.n), alpha.reshape(-1, group.m), t_arr)
+    return out.reshape(x0.shape[:-1] + t_arr.shape + (group.n,))
 
 
 def xline(
@@ -190,41 +189,32 @@ def check_semiconvex_lines(
     domain cause the whole line to be redrawn (bounded retries).
     """
     c = float(c)
+    if line_count < 1:
+        raise ValueError(f"the line check needs at least one line, got {line_count}")
     rng = substream(seed, "semiconvex-lines")
-    starts = np.empty((line_count, group.n))
-    dirs = np.empty((line_count, group.m))
     s = np.asarray(step_sizes, dtype=float)
-
-    centers = np.empty(line_count)
-    plus = np.empty((line_count, s.size))
-    minus = np.empty((line_count, s.size))
+    rounds = []  # accepted (starts, directions, forward points, backward points)
     filled = 0
-    attempts = 0
-    while filled < line_count:
-        attempts += 1
-        if attempts > 40:
-            raise RuntimeError("could not sample admissible lines inside the domain")
+    for _ in range(40):
+        if filled == line_count:
+            break
         need = line_count - filled
-        cand_starts = _sample_admissible(u, sampler, need, rng)
+        starts = _sample_admissible(u, sampler, need, rng)
         gauss = rng.standard_normal((need, group.m))
         norms = np.linalg.norm(gauss, axis=1)
         ok = norms > 1e-12
-        cand_starts, gauss, norms = cand_starts[ok], gauss[ok], norms[ok]
-        cand_dirs = gauss / norms[:, None]
-        for x0, alpha in zip(cand_starts, cand_dirs):
-            fwd = integrate_xline(group, x0, alpha, s)
-            bwd = integrate_xline(group, x0, alpha, -s)
-            if not (np.all(u.in_domain(fwd)) and np.all(u.in_domain(bwd))):
-                continue
-            starts[filled], dirs[filled] = x0, alpha
-            centers[filled] = float(u.evaluate(x0))
-            plus[filled] = np.asarray(u.evaluate(fwd), dtype=float)
-            minus[filled] = np.asarray(u.evaluate(bwd), dtype=float)
-            filled += 1
-            if filled == line_count:
-                break
+        starts, dirs = starts[ok], gauss[ok] / norms[ok, None]
+        fwd, bwd = (integrate_xline(group, starts, dirs, t) for t in (s, -s))
+        inside = np.all(u.in_domain(fwd), axis=-1) & np.all(u.in_domain(bwd), axis=-1)
+        take = np.flatnonzero(inside)[:need]
+        rounds.append([arr[take] for arr in (starts, dirs, fwd, bwd)])
+        filled += len(take)
+    if filled < line_count:
+        raise RuntimeError("could not sample admissible lines inside the domain")
+    starts, dirs, fwd, bwd = (np.concatenate(parts) for parts in zip(*rounds))
 
-    slack = 2.0 * centers[:, None] - plus - minus - c * s[None, :] ** 2
+    centers = np.asarray(u.evaluate(starts), dtype=float)
+    slack = 2.0 * centers[:, None] - u.evaluate(fwd) - u.evaluate(bwd) - c * s[None, :] ** 2
     flat = int(np.argmax(slack))
     i, j = divmod(flat, s.size)
     worst = float(slack[i, j])
@@ -249,23 +239,19 @@ def check_semiconvex_eigen(
 ) -> SemiconvexityReport:
     """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - tol."""
     c = float(c)
+    if point_count < 1:
+        raise ValueError(f"the eigenvalue check needs at least one point, got {point_count}")
     rng = substream(seed, "semiconvex-eigen")
     pts = _sample_admissible(u, sampler, point_count, rng)
-    worst = -np.inf
-    witness_point = pts[0]
-    witness_eig = np.inf
-    for x in pts:
-        mat = horizontal_hessian_sym(group, u, x, scheme)
-        low = float(sym_eigenvalues(mat).eigenvalues[0])
-        slack = -c - low  # positive when the bound is violated
-        if slack > worst:
-            worst = slack
-            witness_point = x
-            witness_eig = low
+    mats = horizontal_hessian_sym(group, u, pts, scheme)
+    low = sym_eigenvalues(mats).eigenvalues[:, 0]
+    slack = -c - low  # positive when the bound is violated
+    i = int(np.argmax(slack))
+    worst = float(slack[i])
     return SemiconvexityReport(
         constant=c,
         passed=worst <= tol,
         worst_slack=float(worst),
-        witness={"point": witness_point.copy(), "min_eigenvalue": witness_eig},
+        witness={"point": pts[i].copy(), "min_eigenvalue": float(low[i])},
         n_checked=point_count,
     )

@@ -205,6 +205,11 @@ def left_translation(
     return lambda x: group_multiply(group, g, x)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each the very BLAS dot of a 1-D a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _gauge_parts(
     group: GroupDescriptor, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ The maximal operator is the supremum of Tr(A M) over symmetric A with
 spectrum in [lam, Lam]; in eigenvalues it is Lam * (positive part sum) +
 lam * (negative part sum), with the minimal operator as its dual.
 Eigenvalues come from a hand-rolled cyclic Jacobi sweep so that results are
-bit-for-bit deterministic across platforms and thread counts.
+bit-for-bit deterministic across platforms and thread counts.  A single
+matrix is the one-element case of a stack (..., m, m).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .group import _dot
 from .rng import substream
 
 __all__ = [
@@ -57,71 +59,89 @@ class Spectrum:
 
 def _as_symmetric(matrix: np.ndarray) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected nonempty square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, scale), rtol=0.0):
+    at = np.swapaxes(a, -1, -2)
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True, initial=1.0)
+    if not (np.abs(a - at) <= 1e-12 * scale).all():
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack (..., m, m), each as np.linalg.norm takes it."""
+    flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    return np.sqrt(_dot(flat, flat))
+
+
+def _relative_frobenius(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """||approx - exact|| / ||exact|| per stacked matrix, guarding ||exact|| = 0."""
+    return _frobenius(approx - exact) / np.maximum(_frobenius(exact), 1e-30)
 
 
 def sym_eigenvalues(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix or a stack (..., m, m).
 
-    Sweeps the strict upper triangle in a fixed row-major order until the
-    off-diagonal Frobenius mass falls below 1e-14 times the matrix norm.
-    The reconstruction V diag(e) V^T matches the input to 1e-12 * ||M||.
+    Cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5): each matrix
+    sweeps its strict upper triangle in a fixed row-major order until its
+    off-diagonal Frobenius mass falls below 1e-14 times its norm, and is
+    then frozen, so its bits do not depend on the rest of the stack.  Still
+    unconverged after _MAX_SWEEPS sweeps, it raises RuntimeError.  The
+    reconstruction V diag(e) V^T matches the input to 1e-12 * ||M||.
     """
     a = _as_symmetric(matrix)
-    m = a.shape[0]
-    v = np.eye(m)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0 or m == 1:
-        return Spectrum(eigenvalues=np.diag(a).copy(), vectors=v)
-
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < _OFFDIAG_TOL * norm:
+    lead, m = a.shape[:-2], a.shape[-1]
+    a = a.reshape((-1, m, m))
+    av = np.empty((len(a), 2 * m, m))  # a on top of v: columns rotate together
+    av[:, :m], av[:, m:] = a, np.eye(m)
+    norm = _frobenius(a)
+    bar = np.where(norm == 0.0, np.inf, _OFFDIAG_TOL * norm)  # zero: done at once
+    live, work = np.arange(len(a)), av
+    for sweep in range(_MAX_SWEEPS + 1):
+        done = _frobenius(work[:, :m] * (1.0 - np.eye(m))) < bar
+        if np.count_nonzero(done):
+            av[live[done]] = work[done]
+            live, work, bar = live[~done], work[~done], bar[~done]
+        if not len(live):
             break
+        if sweep == _MAX_SWEEPS:
+            raise RuntimeError(f"Jacobi did not converge in {sweep} sweeps")
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
+                apq = work[:, p, q]
+                # rotate only where a[p, q] != 0, by views when that is everywhere
+                k = slice(None) if np.count_nonzero(apq) == len(apq) else apq != 0.0
+                apq = apq[k]
+                # tau + 0.0 is +0 at tau = -0, where t = 1 as at +0; otherwise
+                # t has the bits of sign(tau) / (|tau| + hypot(1, tau)).
+                tau = (work[k, q, q] - work[k, p, p]) / (2.0 * apq) + 0.0
+                t = 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
                 c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
+                s, c = (t * c)[:, None], c[:, None]
+                col_p, col_q = work[k, :, p], work[k, :, q]
+                work[k, :, p], work[k, :, q] = c * col_p - s * col_q, s * col_p + c * col_q
+                row_p, row_q = work[k, p, :], work[k, q, :]
+                work[k, p, :], work[k, q, :] = c * row_p - s * row_q, s * row_p + c * row_q
+                work[k, p, q] = work[k, q, p] = 0.0
 
-    eig = np.diag(a).copy()
-    order = np.argsort(eig, kind="stable")
-    eig = eig[order]
-    v = v[:, order]
+    rows = np.arange(len(av))[:, None]
+    eig = np.diagonal(av[:, :m], axis1=-2, axis2=-1)
+    order = np.argsort(eig, axis=-1, kind="stable")
+    eig = eig[rows, order]
+    vt = np.swapaxes(av[:, m:], -1, -2)[rows, order]  # eigenvectors as rows
     # Deterministic sign convention: largest-magnitude component positive.
-    for k in range(m):
-        lead = int(np.argmax(np.abs(v[:, k])))
-        if v[lead, k] < 0.0:
-            v[:, k] = -v[:, k]
-    return Spectrum(eigenvalues=eig, vectors=v)
+    lead_entry = vt[rows, np.arange(m), np.argmax(np.abs(vt), axis=-1)]
+    vt = np.where(lead_entry[..., None] < 0.0, -vt, vt)
+    v = np.ascontiguousarray(np.swapaxes(vt, -1, -2))
+    return Spectrum(eigenvalues=eig.reshape(lead + (m,)), vectors=v.reshape(lead + (m, m)))
 
 
 def _clamped(eigs: np.ndarray) -> np.ndarray:
-    scale = float(np.sqrt(np.sum(np.asarray(eigs, dtype=float) ** 2)))
-    out = np.asarray(eigs, dtype=float).copy()
-    out[np.abs(out) < _ZERO_CLAMP * scale] = 0.0
-    return out
+    eigs = np.asarray(eigs, dtype=float)
+    scale = np.sqrt(np.sum(eigs**2, axis=-1, keepdims=True))
+    return np.where(np.abs(eigs) < _ZERO_CLAMP * scale, 0.0, eigs)
 
 
 def pucci_plus_of_eigenvalues(eigs: np.ndarray, e: Ellipticity) -> np.ndarray:
@@ -140,16 +160,14 @@ def pucci_minus_of_eigenvalues(eigs: np.ndarray, e: Ellipticity) -> np.ndarray:
     )
 
 
-def pucci_plus(matrix: np.ndarray, e: Ellipticity) -> float:
-    """Maximal Pucci operator of a symmetric matrix."""
-    eigs = _clamped(sym_eigenvalues(matrix).eigenvalues)
-    return float(pucci_plus_of_eigenvalues(eigs, e))
+def pucci_plus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
+    """Maximal Pucci operator of a symmetric matrix or a stack; shape (...)."""
+    return pucci_plus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
 
 
-def pucci_minus(matrix: np.ndarray, e: Ellipticity) -> float:
-    """Minimal Pucci operator of a symmetric matrix."""
-    eigs = _clamped(sym_eigenvalues(matrix).eigenvalues)
-    return float(pucci_minus_of_eigenvalues(eigs, e))
+def pucci_minus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
+    """Minimal Pucci operator of a symmetric matrix or a stack; shape (...)."""
+    return pucci_minus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
 
 
 def pucci_oracle_check(
@@ -199,7 +217,7 @@ def pucci_oracle_check(
 
 
 def isaacs_gap(
-    gop: Callable[[np.ndarray], float],
+    gop: Callable[[np.ndarray], np.ndarray],
     matrix: np.ndarray,
     y_samples: Sequence[np.ndarray],
     e: Ellipticity,
@@ -210,23 +228,23 @@ def isaacs_gap(
     Evaluates min over Y in {matrix} union y_samples of
     [max-operator(M - Y) + gop(Y)] - gop(M).  For any operator with the
     uniform ellipticity sandwich this is nonnegative and vanishes at
-    Y = M, which is always included.
+    Y = M, which is always included.  ``gop`` maps a stack (..., m, m) to
+    shape (...).
 
     The sandwich is the caller's responsibility; it is spot-checked on the
     supplied sample pairs and a violation raises ValueError.
     """
     a = _as_symmetric(matrix)
-    ys = [_as_symmetric(y) for y in y_samples]
+    ys = _as_symmetric(np.asarray(y_samples, dtype=float).reshape((-1,) + a.shape))
     g_m = float(gop(a))
-    for y in ys:
-        diff_plus = pucci_plus(a - y, e)
-        diff_minus = pucci_minus(a - y, e)
-        delta = g_m - float(gop(y))
-        if not (diff_minus - spot_tol <= delta <= diff_plus + spot_tol):
-            raise ValueError(
-                "operator violates the uniform ellipticity sandwich on a sample pair"
-            )
-    gap = 0.0  # the Y = M term, exactly zero
-    for y in ys:
-        gap = min(gap, pucci_plus(a - y, e) + float(gop(y)) - g_m)
-    return gap
+    g_y = np.asarray(gop(ys), dtype=float)
+    eigs = _clamped(sym_eigenvalues(a - ys).eigenvalues)
+    diff_plus = pucci_plus_of_eigenvalues(eigs, e)
+    diff_minus = pucci_minus_of_eigenvalues(eigs, e)
+    delta = g_m - g_y
+    if not np.all((diff_minus - spot_tol <= delta) & (delta <= diff_plus + spot_tol)):
+        raise ValueError(
+            "operator violates the uniform ellipticity sandwich on a sample pair"
+        )
+    # the Y = M term is exactly zero
+    return float(np.min(diff_plus + g_y - g_m, initial=0.0))

@@ -134,7 +134,24 @@ class TestOtherCommands:
 
     def test_ball_volume(self, capsys):
         assert run(["ball-volume", "--r", "0.5,1", "--samples", "50000"]) == 0
-        assert "scaling check" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "scaling check" in out
+        assert "exact 0.308425137534" in out  # pi^2/2 * 0.5^4
+
+    def test_ball_volume_far_from_exact_fails(self, monkeypatch, capsys):
+        import math
+
+        import carnotx.cli as cli
+        from carnotx.estimates import McEstimate
+
+        exact = math.pi**2 / 2.0
+        monkeypatch.setattr(
+            cli, "ball_volume", lambda group, r, quad: McEstimate(exact + 0.1, 0.01)
+        )
+        assert run(["ball-volume", "--r", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "pull 10" in out
+        assert out.splitlines()[-1] == "overall: FAIL"
 
 
 @pytest.mark.parametrize(

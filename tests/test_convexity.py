@@ -206,3 +206,25 @@ class TestCheckers:
         assert ok.passed
         too_strict = check_semiconvex_lines(H1, u, -1.1, box_sampler(H1), 24, seed=1)
         assert not too_strict.passed
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda sampler: pointwise_bound_check(
+            H1, lambda mat: pucci_minus(mat, Ellipticity(1.0, 2.0)),
+            horizontal_quadratic(H1, -1.0), constant_field(-4.0),
+            c4=1.0, e=Ellipticity(1.0, 2.0), sampler=sampler, count=0, seed=1,
+        ),
+        lambda sampler: check_semiconvex_eigen(
+            H1, horizontal_quadratic(H1), 0.0, sampler, point_count=0, seed=1
+        ),
+        lambda sampler: check_semiconvex_lines(
+            H1, horizontal_quadratic(H1), 0.0, sampler, line_count=0, seed=1
+        ),
+    ],
+    ids=["pointwise_bound_check", "check_semiconvex_eigen", "check_semiconvex_lines"],
+)
+def test_degenerate_counts_are_rejected(check):
+    with pytest.raises(ValueError, match="at least one"):
+        check(box_sampler(H1))

@@ -46,6 +46,13 @@ class TestEigensolver:
         with pytest.raises(ValueError):
             sym_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_non_convergence_raises(self, monkeypatch):
+        from carnotx import pucci
+
+        monkeypatch.setattr(pucci, "_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sym_eigenvalues(random_sym(np.random.default_rng(10), 4))
+
     def test_diagonal_and_identity(self):
         spec = sym_eigenvalues(np.diag([3.0, -1.0, 2.0]))
         assert np.allclose(spec.eigenvalues, [-1.0, 2.0, 3.0])
@@ -154,4 +161,4 @@ class TestIsaacsGap:
         mat = random_sym(rng, 3)
         ys = [mat - np.eye(3)]
         with pytest.raises(ValueError):
-            isaacs_gap(lambda m: 5.0 * float(np.trace(m)), mat, ys, E13)
+            isaacs_gap(lambda m: 5.0 * np.trace(m, axis1=-2, axis2=-1), mat, ys, E13)
