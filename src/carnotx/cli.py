@@ -112,15 +112,24 @@ def _parse_float_list(spec: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad list {spec!r}: {err}")
 
 
-def _positive_int(token: str) -> int:
-    """A count of work items; zero would make the check it sizes vacuous."""
+def _int_at_least(token: str, low: int, what: str) -> int:
     try:
         value = int(token)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {token!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {token!r}")
     return value
+
+
+def _positive_int(token: str) -> int:
+    """A count of work items; zero would make the check it sizes vacuous."""
+    return _int_at_least(token, 1, "positive")
+
+
+def _nonnegative_int(token: str) -> int:
+    """A count where 0 switches its check off; a negative one is bad usage."""
+    return _int_at_least(token, 0, "non-negative")
 
 
 def _status(passed: bool) -> str:
@@ -454,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-tol", type=float, default=0.05, dest="slope_tol")
     p.add_argument(
         "--annihilation-samples",
-        type=int,
+        type=_nonnegative_int,
         default=20000,
         dest="annihilation_samples",
         help="samples per splice radius for the operator identity check (0 disables)",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -130,11 +130,38 @@ def _box_volume(group: GroupDescriptor, r: float) -> float:
     return float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
 
 
-def _sample_box(
+# Box points drawn per chunk by the whole-box consumers (`ball_volume`,
+# `lq_norm`, the sweep moments), so their sampling memory is fixed rather
+# than proportional to the sample count.
+_CHUNK = 2**15
+
+
+def _sample_box(hw: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (k, n) in place with uniform points of the box with half-widths `hw`.
+
+    Same bits as ``rng.uniform(-1, 1, out.shape) * hw``: numpy computes that
+    uniform as ``-1 + 2 u``.
+    """
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+    out *= hw
+    return out
+
+
+def _box_chunks(
     group: GroupDescriptor, r: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, pts): `count` points of box(B_r) in chunks of `_CHUNK` rows.
+
+    Every chunk refills one buffer, so `pts` is valid only until the next
+    chunk.  Each draw continues the substream, so the chunks concatenate to
+    exactly the points of a single draw of `count`.
+    """
     hw = gauge_box_halfwidths(group, r)
-    return rng.uniform(-1.0, 1.0, size=(count, group.n)) * hw
+    buf = np.empty((min(count, _CHUNK), group.n))
+    for start in range(0, count, _CHUNK):
+        yield start, _sample_box(hw, rng, buf[: min(_CHUNK, count - start)])
 
 
 def _rejection_sample(
@@ -150,12 +177,13 @@ def _rejection_sample(
     Each draw takes at least `batch_floor` box points; the floor fixes which
     substream draws land in which sample, so changing it changes reports.
     """
+    hw = gauge_box_halfwidths(group, r)
     out = np.empty((count, group.n))
     got = 0
     for _ in range(10000):
         if got == count:
             break
-        pts = _sample_box(group, r, max(count - got, batch_floor), rng)
+        pts = _sample_box(hw, rng, np.empty((max(count - got, batch_floor), group.n)))
         rho, h2, _ = _gauge_parts(group, pts)
         pts = pts[keep(rho, h2, pts)][: count - got]
         out[got : got + len(pts)] = pts
@@ -202,9 +230,11 @@ def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEst
             value=vbox * frac_fine, stderr=vbox * abs(frac_fine - frac_coarse)
         )
     rng = substream(quad.seed, "ball-volume", repr(float(r)))
-    pts = _sample_box(group, r, quad.n_samples, rng)
-    rho, _, _ = _gauge_parts(group, pts)
-    p = float(np.mean(rho < r))
+    hits = sum(
+        int(np.count_nonzero(_gauge_parts(group, pts)[0] < r))
+        for _, pts in _box_chunks(group, r, quad.n_samples, rng)
+    )
+    p = hits / quad.n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / quad.n_samples)
     return McEstimate(value=vbox * p, stderr=vbox * se)
 
@@ -251,19 +281,22 @@ def lq_norm(
     rng = substream(quad.seed, "lq-norm", u.name, repr(float(r)), repr(q))
     vbox = _box_volume(group, r)
     n = quad.n_samples
-    pts = _sample_box(group, r, n, rng)
-    rho, _, _ = _gauge_parts(group, pts)
-    inside = rho < r
-    vals = np.asarray(u.evaluate(pts[inside]), dtype=float)
-    bad = ~np.isfinite(vals)
-    n_inside = int(np.sum(inside))
-    rejected = float(np.sum(bad)) / max(1, n_inside)
+    # One weight per sample, so the mean and deviation below keep numpy's
+    # summation order over all n of them.
+    w = np.zeros(n)
+    n_inside = n_bad = 0
+    for start, pts in _box_chunks(group, r, n, rng):
+        inside = _gauge_parts(group, pts)[0] < r
+        vals = np.asarray(u.evaluate(pts[inside]), dtype=float)
+        bad = ~np.isfinite(vals)
+        n_inside += int(np.count_nonzero(inside))
+        n_bad += int(np.count_nonzero(bad))
+        w[start : start + len(pts)][inside] = np.where(bad, 0.0, np.abs(vals) ** q)
+    rejected = n_bad / max(1, n_inside)
     if rejected > 1e-3:
         raise IllPosedIntegrandError(
             f"{u.name!r} was unevaluable on {rejected:.2%} of samples in B_{r}"
         )
-    w = np.zeros(n)
-    w[inside] = np.where(bad, 0.0, np.abs(vals) ** q)
     mass = vbox * float(np.mean(w))
     mass_se = vbox * float(np.std(w, ddof=1)) / math.sqrt(n)
     norm = mass ** (1.0 / q)
@@ -713,14 +746,17 @@ def _sweep_row(
     beta = (alpha - 2.0) * q + big_q
     rng = substream(quad.seed, "sweep-row", i_eps, i_q)
     n = quad.n_samples
+    # One weight per sample, so the mean and deviation keep numpy's
+    # summation order over all n of them; both moments reuse it.
+    w = np.empty(n)
 
     # Angular moment of |D rho|^(2q) over B_eps (its own box, so the hit
     # rate is eps-independent) and over the unit ball for the polar outer
     # reduction.
     def moment(radius: float) -> tuple[float, float]:
-        pts = _sample_box(group, radius, n, rng)
-        rho, _, g = _gauge_parts(group, pts)
-        w = np.where(rho < radius, g**q, 0.0)
+        for start, pts in _box_chunks(group, radius, n, rng):
+            rho, _, g = _gauge_parts(group, pts)
+            w[start : start + len(pts)] = np.where(rho < radius, g**q, 0.0)
         vbox = _box_volume(group, radius)
         return (
             vbox * float(np.mean(w)),

@@ -210,13 +210,37 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _sum_columns(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1) with the same bits, accumulated column by column.
+
+    numpy reduces each row of k <= 128 terms sequentially below 8 terms and
+    with eight interleaved accumulators, combined pairwise, from 8 on; this
+    repeats that order over whole columns instead of one short row at a
+    time, which is about twice as fast for the few columns of H^d.
+    """
+    k = a.shape[-1]
+    if k < 8:
+        acc = a[..., 0]
+        for j in range(1, k):
+            acc = acc + a[..., j]
+        return acc
+    r = [a[..., j] for j in range(8)]
+    top = k - k % 8
+    for i in range(8, top, 8):
+        r = [r[j] + a[..., i + j] for j in range(8)]
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(top, k):
+        acc = acc + a[..., i]
+    return acc
+
+
 def _gauge_parts(
     group: GroupDescriptor, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, |x_H|^2, |D rho|^2 = |x_H|^2 / rho^2) with the limit 0 at the origin."""
     d = _require_heisenberg(group, "the homogeneous gauge")
     x = np.asarray(x, dtype=float)
-    h2 = np.sum(x[..., : 2 * d] ** 2, axis=-1)
+    h2 = _sum_columns(x[..., : 2 * d] ** 2)
     rho = (h2**2 + x[..., -1] ** 2) ** 0.25
     g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
     return rho, h2, g

@@ -172,6 +172,7 @@ class TestOtherCommands:
             ],
             "at least 2 samples",
         ),
+        (["counterexample", "--annihilation-samples", "-5"], "non-negative integer"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

@@ -1,6 +1,7 @@
 """Quadrature, the spliced family, and the verification harnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,16 @@ from carnotx import (
     sweep_scaling,
     verify_pucci_annihilation,
 )
+from carnotx.estimates import (
+    _CHUNK,
+    LqEstimate,
+    McEstimate,
+    _box_chunks,
+    _sweep_row,
+    gauge_box_halfwidths,
+)
 from carnotx.report import dumps, sweep_report_dict
+from carnotx.rng import substream
 
 H1 = heisenberg(1)
 
@@ -327,3 +337,126 @@ class TestPointwiseBound:
                 sampler=lambda c, r: r.uniform(-1, 1, size=(c, 3)),
                 count=8, seed=1,
             )
+
+
+# --- chunked box sampling against the whole-array formulas --------------------
+
+H2 = heisenberg(2)
+STRADDLE = 2 * _CHUNK + 77  # ends 77 points into a third chunk
+
+
+def _whole_box(group, r, count, rng):
+    return rng.uniform(-1.0, 1.0, (count, group.n)) * gauge_box_halfwidths(group, r)
+
+
+def _whole_gauge(group, pts):
+    """rho and |D rho|^2 by a row-wise np.sum, the reference for `_gauge_parts`."""
+    d = group.heisenberg_d
+    h2 = np.sum(pts[..., : 2 * d] ** 2, axis=-1)
+    rho = (h2**2 + pts[..., -1] ** 2) ** 0.25
+    return rho, np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
+
+
+def _mean_and_se(vbox, w):
+    return (
+        vbox * float(np.mean(w)),
+        vbox * float(np.std(w, ddof=1)) / math.sqrt(len(w)),
+    )
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize(
+        "count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+    )
+    def test_chunks_concatenate_to_one_draw(self, count):
+        want = _whole_box(H2, 0.7, count, substream(3, "box"))
+        starts, parts = [], []
+        for start, pts in _box_chunks(H2, 0.7, count, substream(3, "box")):
+            starts.append(start)
+            parts.append(pts.copy())
+        assert starts == list(range(0, count, _CHUNK))
+        got = np.concatenate(parts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("group", [H1, H2])
+    def test_ball_volume_matches_whole_array(self, group):
+        r = 0.8
+        pts = _whole_box(group, r, STRADDLE, substream(4, "ball-volume", repr(r)))
+        p = float(np.mean(_whole_gauge(group, pts)[0] < r))
+        vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
+        se = math.sqrt(max(p * (1.0 - p), 0.0) / STRADDLE)
+        got = ball_volume(group, r, QuadratureSpec(n_samples=STRADDLE, seed=4))
+        assert got == McEstimate(value=vbox * p, stderr=vbox * se)
+
+    def test_lq_norm_matches_whole_array(self):
+        base = counterexample_field(CFG, 0.25)
+
+        def evaluate(x):
+            # Unevaluable on a thin slab, so the rejection count is exercised.
+            return np.where(x[..., 0] > 0.88, np.nan, base.evaluate(x))
+
+        u = ScalarField(name="slab", evaluate=evaluate)
+        r, q, seed = 0.9, 8.0 / 3.0, 12
+        rng = substream(seed, "lq-norm", u.name, repr(r), repr(q))
+        pts = _whole_box(H1, r, STRADDLE, rng)
+        inside = _whole_gauge(H1, pts)[0] < r
+        vals = evaluate(pts[inside])
+        bad = ~np.isfinite(vals)
+        assert 0 < int(np.sum(bad))
+        w = np.zeros(STRADDLE)
+        w[inside] = np.where(bad, 0.0, np.abs(vals) ** q)
+        vbox = float(np.prod(2.0 * gauge_box_halfwidths(H1, r)))
+        mass, mass_se = _mean_and_se(vbox, w)
+        norm = mass ** (1.0 / q)
+        want = LqEstimate(
+            norm=norm,
+            norm_stderr=norm * mass_se / (q * mass),
+            mass=mass,
+            mass_stderr=mass_se,
+            rejected_fraction=float(np.sum(bad)) / int(np.sum(inside)),
+            n_inside=int(np.sum(inside)),
+        )
+        got = lq_norm(u, H1, r, q, QuadratureSpec(n_samples=STRADDLE, seed=seed))
+        assert got == want
+
+    def test_sweep_row_matches_whole_array(self):
+        i_eps, i_q, seed = 1, 0, 21
+        eps, q = CFG.eps_list[i_eps], CFG.q_list[i_q]
+        rng = substream(seed, "sweep-row", i_eps, i_q)
+
+        def moment(radius):
+            rho, g = _whole_gauge(H1, _whole_box(H1, radius, STRADDLE, rng))
+            w = np.where(rho < radius, g**q, 0.0)
+            return _mean_and_se(float(np.prod(2.0 * gauge_box_halfwidths(H1, radius))), w)
+
+        inner, inner_se = moment(eps)
+        unit, unit_se = moment(1.0)
+        row = _sweep_row(CFG, QuadratureSpec(n_samples=STRADDLE, seed=seed), i_eps, i_q)
+        source = CFG.rhs_amplitude**q * eps ** ((CFG.alpha - 2.0) * q)
+        outer = (3.0 * CFG.alpha) ** q * 4.0
+        radial = (1.0 - eps**row.predicted_exponent) / row.predicted_exponent
+        assert (row.f_mass, row.f_mass_stderr) == (source * inner, source * inner_se)
+        assert (row.hess_mass_outer, row.hess_mass_outer_stderr) == (
+            outer * unit * radial,
+            outer * unit_se * radial,
+        )
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate while `fn` runs, above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_per_sample():
+    # The sweep keeps one weight vector of n (plus the deviation's temporary)
+    # and a fixed chunk; the volume only the fixed chunk.
+    n = 800_000
+    quad = QuadratureSpec(n_samples=n, seed=2)
+    assert _traced_peak(lambda: _sweep_row(CFG, quad, 0, 0)) / n < 24.0
+    assert _traced_peak(lambda: ball_volume(H2, 1.0, quad)) / n < 8.0

@@ -13,6 +13,7 @@ from carnotx import (
     homogeneous_norm,
     left_translation,
 )
+from carnotx.group import _gauge_parts
 
 
 def abelian(n: int) -> GroupDescriptor:
@@ -175,3 +176,24 @@ class TestDilationsAndGauge:
         assert np.allclose(
             homogeneous_norm(G, group_inverse(G, x)), homogeneous_norm(G, x)
         )
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_gauge_parts_bits_match_row_sum(d):
+    """The column sum gives the bits of np.sum's row reduce, on both sides of 8 terms."""
+    G = heisenberg(d)
+    rng = np.random.default_rng(100 + d)
+    x = rng.uniform(-1.0, 1.0, (200000, G.n)) * rng.uniform(1e-3, 1e3, G.n)
+    x[0] = 0.0  # the origin
+    x[1:64, : 2 * d] = 0.0  # the vertical axis
+    h2 = np.sum(x[..., : 2 * d] ** 2, axis=-1)
+    rho = (h2**2 + x[..., -1] ** 2) ** 0.25
+    g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
+    for want, got in zip((rho, h2, g), _gauge_parts(G, x)):
+        assert np.array_equal(_bits(got), _bits(want))
+    for want, got in zip((rho, h2, g), _gauge_parts(G, x[200])):
+        assert _bits(got) == _bits(want[200])
