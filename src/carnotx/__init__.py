@@ -63,7 +63,6 @@ from .estimates import (
     ball_volume,
     counterexample_field,
     counterexample_profile,
-    counterexample_rhs,
     counterexample_rhs_field,
     gauge_ball_sampler,
     lq_norm,
@@ -176,7 +175,6 @@ __all__ = [
     "alpha_for_critical_q",
     "counterexample_profile",
     "counterexample_field",
-    "counterexample_rhs",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",
     "sweep_scaling",

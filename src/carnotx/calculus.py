@@ -359,19 +359,16 @@ def radial_frame(group: GroupDescriptor, x: np.ndarray) -> HeisenbergRadialFrame
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (group.n,):
         raise ValueError(f"expected points of length {group.n}, got shape {x.shape}")
-    a, b, t = x[..., :d], x[..., d : 2 * d], x[..., -1]
-    h2 = _dot(a, a) + _dot(b, b)
+    rho, h2, g = _gauge_parts(group, x)
     if np.any(h2 == 0.0):
         raise SingularPointError(
             "gauge-radial frame is singular where the horizontal part vanishes"
         )
-    # float_power is the C library's pow; numpy's vectorized ** differs
-    # from it in the last bit on some inputs.
-    rho = np.float_power(np.float_power(h2, 2) + np.float_power(t, 2), 0.25)
+    a, b, t = x[..., :d], x[..., d : 2 * d], x[..., -1]
     h2_, t_ = h2[..., None], t[..., None]
     return HeisenbergRadialFrame(
         rho=rho,
-        grad_norm_sq=h2 / np.float_power(rho, 2),
+        grad_norm_sq=g,
         eta=np.concatenate([a * h2_ + b * t_, b * h2_ - a * t_], axis=-1),
         b_block=_outer(a, a) + _outer(b, b),
         c_block=_outer(a, b) - _outer(b, a),

@@ -31,10 +31,12 @@ from .calculus import (
 from .catalog import constant_field, convexity_catalog, horizontal_quadratic
 from .convexity import check_semiconvex_eigen, check_semiconvex_lines
 from .estimates import (
+    MAX_PULL,
     CounterexampleConfig,
-    _exact_ball_volume,
     IllPosedIntegrandError,
     QuadratureSpec,
+    _exact_ball_volume,
+    _pull,
     ball_volume,
     gauge_ball_sampler,
     pointwise_bound_check,
@@ -389,34 +391,23 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
 
 def _cmd_ball_volume(args: argparse.Namespace) -> int:
     group = args.group
-    quad = QuadratureSpec(n_samples=args.samples, seed=args.seed, method=args.method)
+    quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
     results, oks = [], []
     for r in args.r:
         est = ball_volume(group, r, quad)
         exact = _exact_ball_volume(group, r)
-        pull = (est.value - exact) / est.stderr if est.stderr > 0.0 else np.inf
-        oks.append(abs(pull) <= 5.0)  # within five standard errors of the closed form
+        pull = _pull(est.value, est.stderr, exact)
+        oks.append(abs(pull) <= MAX_PULL)
         results.append({"r": r, "volume": est.value, "stderr": est.stderr})
         print(
             f"  [{_status(oks[-1])}] r={r:.17g}: volume {est.value:.17g}"
             f" (stderr {est.stderr:.3g}), exact {exact:.17g}, pull {pull:.3g}"
         )
-    if len(args.r) >= 2:
-        big_q = group.homogeneous_dimension
-        base = results[0]
-        for entry in results[1:]:
-            predicted = base["volume"] * (entry["r"] / base["r"]) ** big_q
-            print(
-                f"  scaling check r={entry['r']:.17g}: measured"
-                f" {entry['volume']:.17g}, predicted from r={base['r']:.17g}"
-                f" by r^{big_q}: {predicted:.17g}"
-            )
     config = {
         "group": f"h:{group.heisenberg_d}",
         "r": list(args.r),
         "samples": args.samples,
         "seed": args.seed,
-        "method": args.method,
     }
     return _finish(args, config, results, all(oks))
 
@@ -531,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ball radii, comma-separated",
     )
     p.add_argument("--samples", type=int, default=1000000)
-    p.add_argument("--method", choices=("monte-carlo", "tensor-grid"), default="monte-carlo")
     p.set_defaults(func=_cmd_ball_volume)
 
     return parser

@@ -3,11 +3,12 @@
 Monte-Carlo integration samples the bounding box of a gauge ball with
 counter-based substreams, so every estimate is a pure function of
 (seed, work-unit identity) and reports are bit-identical across worker
-counts.  Radially separable integrands additionally get a polar reduction:
-an angular moment measured once over the unit ball times an exact
-one-dimensional radial integral.  That reduction keeps the critical
-exponent measurements well conditioned where naive sampling has unbounded
-variance.
+counts.  What is known exactly is not sampled: radially separable
+integrands reduce in polar coordinates to the exact moment of |D rho|^(2q)
+over the unit ball (`_gauge_moment`) times an exact one-dimensional radial
+integral.  That keeps the Hessian masses at the critical exponent exact
+where naive sampling has unbounded variance, and gives every Monte-Carlo
+estimate of the sweep an exact value to be compared with.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .calculus import (
     FDScheme,
     RadialProfile,
     ScalarField,
-    SingularPointError,
     _sample_admissible,
     horizontal_hessian_sym,
     radial_hessian,
@@ -59,7 +59,6 @@ __all__ = [
     "alpha_for_critical_q",
     "counterexample_profile",
     "counterexample_field",
-    "counterexample_rhs",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",
     "sweep_scaling",
@@ -77,24 +76,19 @@ class IllPosedIntegrandError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate over a gauge ball.
+    """Monte-Carlo integration over a gauge ball: samples of its bounding box.
 
-    ``monte-carlo`` samples the bounding box uniformly; ``tensor-grid``
-    uses a midpoint product grid of roughly ``n_samples`` nodes.  Norm
-    estimates require at least 10^3 samples.
+    Norm estimates require at least 10^3 samples.
     """
 
     n_samples: int
     seed: int
-    method: str = "monte-carlo"
 
     def __post_init__(self) -> None:
         if self.n_samples < 1000:
             raise ValueError(
                 f"norm estimates need at least 1000 samples, got {self.n_samples}"
             )
-        if self.method not in ("monte-carlo", "tensor-grid"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ def _box_volume(group: GroupDescriptor, r: float) -> float:
 
 
 # Box points drawn per chunk by the whole-box consumers (`ball_volume`,
-# `lq_norm`, the sweep moments), so their sampling memory is fixed rather
-# than proportional to the sample count.
+# `lq_norm`), so their sampling memory is fixed rather than proportional to
+# the sample count.
 _CHUNK = 2**15
 
 
@@ -221,14 +215,6 @@ def gauge_ball_sampler(
 def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEstimate:
     """Volume of the gauge ball B_r with a standard-error estimate."""
     vbox = _box_volume(group, r)
-    if quad.method == "tensor-grid":
-        frac_fine, frac_coarse = (
-            float(np.mean(_gauge_parts(group, mesh)[0] < r))
-            for mesh in _grid_meshes(group, r, quad.n_samples)
-        )
-        return McEstimate(
-            value=vbox * frac_fine, stderr=vbox * abs(frac_fine - frac_coarse)
-        )
     rng = substream(quad.seed, "ball-volume", repr(float(r)))
     hits = sum(
         int(np.count_nonzero(_gauge_parts(group, pts)[0] < r))
@@ -239,29 +225,33 @@ def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEst
     return McEstimate(value=vbox * p, stderr=vbox * se)
 
 
-def _exact_ball_volume(group: GroupDescriptor, r: float) -> float:
-    """|B_r| = r^Q omega_{2d-1} / (2(d+1)) B(1/2, d/2) on H^d, omega_{2d-1} = 2 pi^d / Gamma(d)."""
+def _gauge_moment(group: GroupDescriptor, q: float) -> float:
+    """The exact moment of |D rho|^(2q) over the unit gauge ball of H^d.
+
+    In polar coordinates (Folland-Stein, Hardy Spaces on Homogeneous Groups,
+    1982) it is omega_{2d-1} / (2(d+1)) B(1/2, (d+q)/2), omega_{2d-1} =
+    2 pi^d / Gamma(d).  |D rho| is invariant under dilations, so over B_r
+    the moment is r^Q times this; at q = 0 it is the volume |B_1|.
+    """
     d = group.heisenberg_d
     omega = 2.0 * math.pi**d / math.gamma(d)
-    beta = math.gamma(0.5) * math.gamma(0.5 * d) / math.gamma(0.5 * (d + 1))
-    return float(r) ** group.homogeneous_dimension * omega / (2.0 * (d + 1)) * beta
+    s = 0.5 * (d + q)
+    beta = math.gamma(0.5) * math.gamma(s) / math.gamma(s + 0.5)
+    return omega / (2.0 * (d + 1)) * beta
 
 
-def _grid_meshes(group: GroupDescriptor, r: float, n_samples: int) -> list[np.ndarray]:
-    """Midpoint product grids on box(B_r), fine and coarse.
+def _exact_ball_volume(group: GroupDescriptor, r: float) -> float:
+    """|B_r| = r^Q |B_1|."""
+    return float(r) ** group.homogeneous_dimension * _gauge_moment(group, 0.0)
 
-    The fine grid has about `n_samples` nodes; the coarse one has 2^n times
-    fewer, and the disagreement between the two is the reported error.
-    """
-    hw = gauge_box_halfwidths(group, r)
-    meshes = []
-    for n_target in (n_samples, max(n_samples // 2**group.n, 2**group.n)):
-        k = max(2, int(round(n_target ** (1.0 / group.n))))
-        axes = [np.linspace(-h + h / k, h - h / k, k) for h in hw]
-        meshes.append(
-            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, group.n)
-        )
-    return meshes
+
+# An estimate further than this many standard errors from its exact value fails.
+MAX_PULL = 5.0
+
+
+def _pull(value: float, stderr: float, exact: float) -> float:
+    """(value - exact) / stderr; infinite when there is no error bar to compare with."""
+    return (value - exact) / stderr if stderr > 0.0 else math.inf
 
 
 def lq_norm(
@@ -276,8 +266,6 @@ def lq_norm(
     q = float(q)
     if not q > 1.0:
         raise ValueError(f"exponent must exceed 1, got {q}")
-    if quad.method == "tensor-grid":
-        return _lq_norm_grid(u, group, r, q, quad)
     rng = substream(quad.seed, "lq-norm", u.name, repr(float(r)), repr(q))
     vbox = _box_volume(group, r)
     n = quad.n_samples
@@ -306,40 +294,6 @@ def lq_norm(
         norm_stderr=norm_se,
         mass=mass,
         mass_stderr=mass_se,
-        rejected_fraction=rejected,
-        n_inside=n_inside,
-    )
-
-
-def _lq_norm_grid(
-    u: ScalarField, group: GroupDescriptor, r: float, q: float, quad: QuadratureSpec
-) -> LqEstimate:
-    def mass_at(mesh: np.ndarray) -> tuple[float, float, int]:
-        rho, _, _ = _gauge_parts(group, mesh)
-        inside = rho < r
-        vals = np.asarray(u.evaluate(mesh[inside]), dtype=float)
-        bad = ~np.isfinite(vals)
-        cell = _box_volume(group, r) / mesh.shape[0]
-        return (
-            cell * float(np.sum(np.where(bad, 0.0, np.abs(vals) ** q))),
-            float(np.sum(bad)) / max(1, int(np.sum(inside))),
-            int(np.sum(inside)),
-        )
-
-    fine_mesh, coarse_mesh = _grid_meshes(group, r, quad.n_samples)
-    mass, rejected, n_inside = mass_at(fine_mesh)
-    coarse, _, _ = mass_at(coarse_mesh)
-    if rejected > 1e-3:
-        raise IllPosedIntegrandError(
-            f"{u.name!r} was unevaluable on {rejected:.2%} of grid nodes in B_{r}"
-        )
-    err = abs(mass - coarse)
-    norm = mass ** (1.0 / q)
-    return LqEstimate(
-        norm=norm,
-        norm_stderr=norm * err / (q * mass) if mass > 0 else 0.0,
-        mass=mass,
-        mass_stderr=err,
         rejected_fraction=rejected,
         n_inside=n_inside,
     )
@@ -527,27 +481,6 @@ def counterexample_field(cfg: CounterexampleConfig, eps: float) -> ScalarField:
     return ScalarField(name=profile.name, evaluate=evaluate, smooth_domain=domain)
 
 
-def counterexample_rhs(cfg: CounterexampleConfig, eps: float, x: np.ndarray) -> float:
-    """Right-hand side paired with the spliced field at a single point.
-
-    Zero outside B_eps; inside, a negative multiple of the squared
-    horizontal gauge gradient scaled by eps**(alpha-2).  Points on the
-    vertical axis inside B_eps are singular for the radial frame and raise.
-    """
-    group = cfg.group()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (group.n,):
-        raise ValueError(f"expected a single point of length {group.n}")
-    rho, h2, g = _gauge_parts(group, x)
-    if rho >= eps:
-        return 0.0
-    if h2 == 0.0:
-        raise SingularPointError(
-            "the inner right-hand side is undefined on the vertical axis"
-        )
-    return float(-cfg.rhs_amplitude * eps ** (cfg.alpha - 2.0) * g)
-
-
 def counterexample_rhs_field(cfg: CounterexampleConfig, eps: float) -> ScalarField:
     """Vectorized right-hand side, extended by its limit 0 on the axis."""
     group = cfg.group()
@@ -695,12 +628,16 @@ def verify_pucci_annihilation(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Measured norms for one (eps, q) cell.
+    """One (eps, q) cell: the measured source mass against its exact value.
 
-    Masses are q-th powers of norms.  The Hessian magnitude is the
-    pointwise spectral norm (largest absolute eigenvalue); its inner mass
-    uses the exact radial constancy of the profile, its outer mass the
-    polar reduction with a Monte-Carlo angular moment.
+    Masses are q-th powers of norms.  The source mass is the `lq_norm`
+    estimate of the right-hand side over B_eps, with ``n_inside`` of its
+    samples in the ball; ``f_mass_exact`` is its closed form and ``f_pull``
+    the distance between the two in standard errors.  The Hessian magnitude
+    is the pointwise spectral norm (largest absolute eigenvalue), and both
+    of its masses are exact: the closed-form moment of |D rho|^(2q) scaled
+    to B_eps inside, where the profile is a parabola, and times an exact
+    radial integral outside.
     """
 
     eps: float
@@ -708,12 +645,13 @@ class SweepRow:
     predicted_exponent: float
     f_mass: float
     f_mass_stderr: float
+    f_mass_exact: float
+    f_pull: float
+    n_inside: int
     f_norm: float
     f_norm_stderr: float
     hess_mass_inner: float
-    hess_mass_inner_stderr: float
     hess_mass_outer: float
-    hess_mass_outer_stderr: float
     hess_norm_ball: float
     hess_norm_outer: float
     u_sup: float
@@ -725,8 +663,6 @@ class SweepReport:
     rows: list[SweepRow]
     fits: list[dict]
     verdicts: list[dict]
-    unit_ball_volume: float
-    unit_ball_volume_stderr: float
     passed: bool
 
 
@@ -744,63 +680,34 @@ def _sweep_row(
     q = cfg.q_list[i_q]
     alpha = cfg.alpha
     beta = (alpha - 2.0) * q + big_q
-    rng = substream(quad.seed, "sweep-row", i_eps, i_q)
-    n = quad.n_samples
-    # One weight per sample, so the mean and deviation keep numpy's
-    # summation order over all n of them; both moments reuse it.
-    w = np.empty(n)
+    f = lq_norm(counterexample_rhs_field(cfg, eps), group, eps, q, quad)
 
-    # Angular moment of |D rho|^(2q) over B_eps (its own box, so the hit
-    # rate is eps-independent) and over the unit ball for the polar outer
-    # reduction.
-    def moment(radius: float) -> tuple[float, float]:
-        for start, pts in _box_chunks(group, radius, n, rng):
-            rho, _, g = _gauge_parts(group, pts)
-            w[start : start + len(pts)] = np.where(rho < radius, g**q, 0.0)
-        vbox = _box_volume(group, radius)
-        return (
-            vbox * float(np.mean(w)),
-            vbox * float(np.std(w, ddof=1)) / math.sqrt(n),
-        )
-
-    inner_moment, inner_moment_se = moment(eps)
-    unit_moment, unit_moment_se = moment(1.0)
-
-    scale = eps ** ((alpha - 2.0) * q)
-    amp = cfg.rhs_amplitude
-    f_mass = amp**q * scale * inner_moment
-    f_mass_se = amp**q * scale * inner_moment_se
-
-    inner_mag = 6.0 * cfg.inner_coefficient  # largest |eigenvalue| coefficient inside
-    hess_inner = inner_mag**q * scale * inner_moment
-    hess_inner_se = inner_mag**q * scale * inner_moment_se
-
-    outer_mag = 3.0 * alpha  # largest |eigenvalue| coefficient outside
+    # Exact moment of eps^((alpha-2)q) |D rho|^(2q) over B_eps.
+    moment = _gauge_moment(group, q)
+    inner_moment = eps ** ((alpha - 2.0) * q) * eps**big_q * moment
+    f_exact = cfg.rhs_amplitude**q * inner_moment
+    hess_inner = (6.0 * cfg.inner_coefficient) ** q * inner_moment
     radial_integral = (
         math.log(1.0 / eps) if abs(beta) < 1e-9 else (1.0 - eps**beta) / beta
     )
-    hess_outer = outer_mag**q * big_q * unit_moment * radial_integral
-    hess_outer_se = outer_mag**q * big_q * unit_moment_se * radial_integral
+    hess_outer = (3.0 * alpha) ** q * big_q * moment * radial_integral
 
-    f_norm = f_mass ** (1.0 / q)
-    f_norm_se = f_norm * f_mass_se / (q * f_mass) if f_mass > 0.0 else 0.0
-
-    profile = counterexample_profile(cfg, eps)
     return SweepRow(
         eps=eps,
         q=q,
         predicted_exponent=beta,
-        f_mass=f_mass,
-        f_mass_stderr=f_mass_se,
-        f_norm=f_norm,
-        f_norm_stderr=f_norm_se,
+        f_mass=f.mass,
+        f_mass_stderr=f.mass_stderr,
+        f_mass_exact=f_exact,
+        f_pull=_pull(f.mass, f.mass_stderr, f_exact),
+        n_inside=f.n_inside,
+        f_norm=f.norm,
+        f_norm_stderr=f.norm_stderr,
         hess_mass_inner=hess_inner,
-        hess_mass_inner_stderr=hess_inner_se,
         hess_mass_outer=hess_outer,
-        hess_mass_outer_stderr=hess_outer_se,
         hess_norm_ball=(hess_inner + hess_outer) ** (1.0 / q),
         hess_norm_outer=hess_outer ** (1.0 / q),
-        u_sup=_profile_sup(profile),
+        u_sup=_profile_sup(counterexample_profile(cfg, eps)),
     )
 
 
@@ -829,7 +736,8 @@ def sweep_scaling(
     get a log-log slope fit of the source mass against the predicted
     (alpha-2) q + Q; the critical exponent instead checks that the source
     norm stays level while the outer Hessian mass grows affinely in
-    log(1/eps).
+    log(1/eps).  Either verdict also fails when a measured source mass is
+    more than MAX_PULL standard errors from its exact value.
     """
     if len(cfg.eps_list) < 4:
         raise ValueError("scaling fits need at least four splice radii")
@@ -846,69 +754,62 @@ def sweep_scaling(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda ij: _sweep_row(cfg, quad, *ij), cells))
 
-    omega = ball_volume(cfg.group(), 1.0, quad)
-
     fits: list[dict] = []
     verdicts: list[dict] = []
     eps_arr = np.array(cfg.eps_list)
     for j, q in enumerate(cfg.q_list):
         sub = [rows[i * len(cfg.q_list) + j] for i in range(len(cfg.eps_list))]
         beta = sub[0].predicted_exponent
-        sup_ok = all(row.u_sup <= 1.0 + 1e-12 for row in sub)
         if abs(beta) < 1e-9:
             norms = np.array([row.f_norm for row in sub])
             ratio = float(np.max(norms) / np.min(norms))
             slope, intercept, r2 = _linear_fit(
                 np.log(1.0 / eps_arr), np.array([row.hess_mass_outer for row in sub])
             )
-            passed = ratio <= norm_ratio_max and r2 >= r2_min and sup_ok
-            fits.append(
-                {
-                    "q": q,
-                    "kind": "critical",
-                    "f_norm_ratio": ratio,
-                    "hess_outer_slope": slope,
-                    "hess_outer_intercept": intercept,
-                    "r2": r2,
-                }
-            )
-            verdicts.append(
-                {
-                    "q": q,
-                    "kind": "critical",
-                    "passed": passed,
-                    "detail": (
-                        f"source norm ratio {ratio:.6g} (max {norm_ratio_max}),"
-                        f" outer Hessian mass affine in log(1/eps) with R^2={r2:.6g}"
-                    ),
-                }
+            passed = ratio <= norm_ratio_max and r2 >= r2_min
+            fit = {
+                "q": q,
+                "kind": "critical",
+                "f_norm_ratio": ratio,
+                "hess_outer_slope": slope,
+                "hess_outer_intercept": intercept,
+                "r2": r2,
+            }
+            detail = (
+                f"source norm ratio {ratio:.6g} (max {norm_ratio_max}),"
+                f" outer Hessian mass affine in log(1/eps) with R^2={r2:.6g}"
             )
         else:
             slope, intercept, r2 = _linear_fit(
                 np.log(eps_arr), np.log(np.array([row.f_mass for row in sub]))
             )
-            passed = abs(slope - beta) <= slope_tol and sup_ok
-            fits.append(
-                {
-                    "q": q,
-                    "kind": "power",
-                    "fitted_slope": slope,
-                    "predicted_slope": beta,
-                    "intercept": intercept,
-                    "r2": r2,
-                }
+            passed = abs(slope - beta) <= slope_tol
+            fit = {
+                "q": q,
+                "kind": "power",
+                "fitted_slope": slope,
+                "predicted_slope": beta,
+                "intercept": intercept,
+                "r2": r2,
+            }
+            detail = (
+                f"fitted log-log slope {slope:.6g} vs predicted {beta:.6g}"
+                f" (tolerance {slope_tol})"
             )
-            verdicts.append(
-                {
-                    "q": q,
-                    "kind": "power",
-                    "passed": passed,
-                    "detail": (
-                        f"fitted log-log slope {slope:.6g} vs predicted {beta:.6g}"
-                        f" (tolerance {slope_tol})"
-                    ),
-                }
-            )
+        sup_ok = all(row.u_sup <= 1.0 + 1e-12 for row in sub)
+        worst_pull = max((row.f_pull for row in sub), key=abs)
+        fits.append(fit)
+        verdicts.append(
+            {
+                "q": q,
+                "kind": fit["kind"],
+                "passed": passed and sup_ok and abs(worst_pull) <= MAX_PULL,
+                "detail": (
+                    f"{detail}, worst source-mass pull {worst_pull:.3g}"
+                    f" (limit {MAX_PULL:g})"
+                ),
+            }
+        )
 
     config = {
         "d": cfg.d,
@@ -921,7 +822,6 @@ def sweep_scaling(
         "critical_q": cfg.critical_q(),
         "n_samples": quad.n_samples,
         "seed": quad.seed,
-        "method": quad.method,
         "version": _pkg_version,
     }
     return SweepReport(
@@ -929,8 +829,6 @@ def sweep_scaling(
         rows=rows,
         fits=fits,
         verdicts=verdicts,
-        unit_ball_volume=omega.value,
-        unit_ball_volume_stderr=omega.stderr,
         passed=all(v["passed"] for v in verdicts),
     )
 

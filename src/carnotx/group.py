@@ -237,9 +237,16 @@ def _sum_columns(a: np.ndarray) -> np.ndarray:
 def _gauge_parts(
     group: GroupDescriptor, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, |x_H|^2, |D rho|^2 = |x_H|^2 / rho^2) with the limit 0 at the origin."""
+    """(rho, |x_H|^2, |D rho|^2 = |x_H|^2 / rho^2) with the limit 0 at the origin.
+
+    This is the one definition of the gauge.  A single point goes through
+    the stacked path: numpy's scalar ** rounds differently from its array
+    loop, so a single call would not give the bits of a stacked one.
+    """
     d = _require_heisenberg(group, "the homogeneous gauge")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return tuple(part[0] for part in _gauge_parts(group, x[None]))
     h2 = _sum_columns(x[..., : 2 * d] ** 2)
     rho = (h2**2 + x[..., -1] ** 2) ** 0.25
     g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)

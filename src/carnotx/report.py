@@ -28,7 +28,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 
@@ -103,8 +103,6 @@ def sweep_report_dict(report: SweepReport) -> dict:
         "rows": list(report.rows),
         "fits": report.fits,
         "verdicts": report.verdicts,
-        "unit_ball_volume": report.unit_ball_volume,
-        "unit_ball_volume_stderr": report.unit_ball_volume_stderr,
         "passed": report.passed,
     }
 

@@ -213,6 +213,21 @@ class TestRadialCalculus:
             single = radial_hessian(H1, profile, x)
             assert np.allclose(np.sort(batch[k]), np.sort(single.eigenvalues()), rtol=1e-12)
 
+    @pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
+    def test_one_gauge_gives_the_same_bits_on_every_route(self, group):
+        # Both closed-form eigenvalue routes, and single and stacked gauge
+        # calls, must agree bit for bit: the gauge is defined once.
+        profile = power_profile(0.5)
+        pts = np.random.default_rng(31).uniform(-1.0, 1.0, (20000, group.n))
+        closed = radial_hessian(group, profile, pts)
+        flat = [closed.eigen_flat] * closed.flat_multiplicity
+        want = np.stack([closed.eigen_radial, closed.eigen_tangential] + flat, axis=-1)
+        got = radial_hessian_eigenvalues(group, profile, pts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        stacked = homogeneous_norm(group, pts)
+        single = np.array([homogeneous_norm(group, x) for x in pts])
+        assert np.array_equal(single.view(np.uint64), stacked.view(np.uint64))
+
     def test_fd_cross_check_of_closed_form(self):
         profile = power_profile(0.5)
         u = field_from_profile(H1, profile)

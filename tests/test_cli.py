@@ -1,8 +1,16 @@
 """CLI: argument parsing, exit codes, and report files."""
 
+import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import carnotx
 
 from carnotx.cli import _parse_eps_spec, _parse_q_spec, run
 from carnotx.report import CSV_HEADER, SCHEMA_VERSION
@@ -95,6 +103,30 @@ class TestCounterexampleCommand:
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
 
+    def test_source_mass_far_from_exact_fails(self, monkeypatch, capsys):
+        import carnotx.estimates as estimates
+
+        real = estimates.lq_norm
+
+        def one_cell_off(u, group, r, q, quad):
+            est = real(u, group, r, q, quad)
+            if r == 2.0**-4:
+                est = dataclasses.replace(est, mass=est.mass + 10.0 * est.mass_stderr)
+            return est
+
+        monkeypatch.setattr(estimates, "lq_norm", one_cell_off)
+        argv = [
+            "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "2000",
+            "--annihilation-samples", "0",
+        ]
+        assert run(argv) == 1
+        out = capsys.readouterr().out
+        # The slope still passes; the pull alone fails the verdict.
+        slope = float(re.search(r"fitted log-log slope (\S+)", out).group(1))
+        pull = float(re.search(r"worst source-mass pull (\S+)", out).group(1))
+        assert abs(slope - 1.0) <= 0.05 and pull > 5.0
+        assert out.splitlines()[-1] == "overall: FAIL"
+
     def test_bad_alpha_is_usage_error(self):
         assert run(["counterexample", "--alpha", "1.5"]) == 2
 
@@ -135,8 +167,8 @@ class TestOtherCommands:
     def test_ball_volume(self, capsys):
         assert run(["ball-volume", "--r", "0.5,1", "--samples", "50000"]) == 0
         out = capsys.readouterr().out
-        assert "scaling check" in out
         assert "exact 0.308425137534" in out  # pi^2/2 * 0.5^4
+        assert "scaling check" not in out
 
     def test_ball_volume_far_from_exact_fails(self, monkeypatch, capsys):
         import math
@@ -202,3 +234,17 @@ def test_report_envelope(argv, tmp_path, capsys):
     assert payload["command"] == argv[0]
     assert payload["passed"] is True
     assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+def test_cli_imports_only_numpy_at_runtime():
+    # scipy and mpmath are test oracles; importing the CLI must not pull them in.
+    code = (
+        "import sys, carnotx.cli; "
+        "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    src = str(Path(carnotx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

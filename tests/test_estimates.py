@@ -12,13 +12,11 @@ from carnotx import (
     IllPosedIntegrandError,
     QuadratureSpec,
     ScalarField,
-    SingularPointError,
     alpha_for_critical_q,
     ball_volume,
     constant_field,
     counterexample_field,
     counterexample_profile,
-    counterexample_rhs,
     counterexample_rhs_field,
     gauge_ball_sampler,
     heisenberg,
@@ -38,6 +36,7 @@ from carnotx.estimates import (
     LqEstimate,
     McEstimate,
     _box_chunks,
+    _gauge_moment,
     _sweep_row,
     gauge_box_halfwidths,
 )
@@ -149,26 +148,13 @@ class TestProfile:
 
 class TestRhs:
     def test_frozen_inner_value(self):
-        got = counterexample_rhs(CFG, 0.125, np.array([0.01, 0.02, 0.001]))
+        f = counterexample_rhs_field(CFG, 0.125)
+        got = float(f.evaluate(np.array([0.01, 0.02, 0.001])))
         assert got == pytest.approx(-13.492384683385085, rel=1e-14)
 
     def test_zero_outside(self):
-        assert counterexample_rhs(CFG, 0.125, np.array([0.5, 0.5, 0.0])) == 0.0
-
-    def test_axis_inside_is_singular(self):
-        with pytest.raises(SingularPointError):
-            counterexample_rhs(CFG, 0.125, np.array([0.0, 0.0, 1e-6]))
-
-    def test_vectorized_field_matches_scalar(self):
-        eps = 0.125
-        f = counterexample_rhs_field(CFG, eps)
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-0.2, 0.2, (50, 3))
-        vals = f.evaluate(pts)
-        for k, x in enumerate(pts):
-            if np.hypot(x[0], x[1]) == 0.0:
-                continue
-            assert vals[k] == pytest.approx(counterexample_rhs(CFG, eps, x), rel=1e-14)
+        f = counterexample_rhs_field(CFG, 0.125)
+        assert float(f.evaluate(np.array([0.5, 0.5, 0.0]))) == 0.0
 
 
 class TestAnnihilation:
@@ -204,8 +190,6 @@ class TestQuadrature:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(n_samples=999, seed=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_samples=2000, seed=0, method="quasi")
         for r in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 ball_volume(H1, r, QuadratureSpec(n_samples=2000, seed=0))
@@ -216,12 +200,25 @@ class TestQuadrature:
         est = ball_volume(H1, 1.0, QuadratureSpec(n_samples=200000, seed=9))
         assert abs(est.value - math.pi**2 / 2.0) <= 4.0 * est.stderr
 
-    def test_ball_volume_grid_agrees_with_mc(self):
-        mc = ball_volume(H1, 0.7, QuadratureSpec(n_samples=200000, seed=1))
-        grid = ball_volume(
-            H1, 0.7, QuadratureSpec(n_samples=200000, seed=1, method="tensor-grid")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 8.0 / 3.0, 3.0])
+    def test_gauge_moment_matches_direct_integral(self, d, q):
+        # The moment of |D rho|^(2q) = (s^2 / rho^2)^q over the unit ball,
+        # integrated directly in s = |x_H| and t: the sphere S^(2d-1) of
+        # radius s has area omega s^(2d-1), and the ball is s^4 + t^2 < 1.
+        from scipy import integrate
+
+        omega = 2.0 * math.pi**d / math.gamma(d)
+
+        def integrand(s, t):
+            return s ** (2 * d - 1) * (s * s / math.sqrt(s**4 + t * t)) ** q if s > 0 else 0.0
+
+        half, _ = integrate.dblquad(
+            integrand, 0.0, 1.0, 0.0, lambda t: (1.0 - t * t) ** 0.25,
+            epsabs=0.0, epsrel=1e-11,
         )
-        assert grid.value == pytest.approx(mc.value, rel=0.02)
+        got = _gauge_moment(heisenberg(d), q)
+        assert got == pytest.approx(2.0 * omega * half, rel=1e-8)
 
     def test_lq_norm_of_constant(self):
         u = constant_field(2.0)
@@ -419,27 +416,25 @@ class TestChunkedSampling:
         got = lq_norm(u, H1, r, q, QuadratureSpec(n_samples=STRADDLE, seed=seed))
         assert got == want
 
-    def test_sweep_row_matches_whole_array(self):
-        i_eps, i_q, seed = 1, 0, 21
+    @pytest.mark.parametrize("i_q", [0, 1])
+    def test_sweep_row_is_one_lq_norm_and_closed_forms(self, i_q):
+        i_eps, seed = 1, 21
         eps, q = CFG.eps_list[i_eps], CFG.q_list[i_q]
-        rng = substream(seed, "sweep-row", i_eps, i_q)
-
-        def moment(radius):
-            rho, g = _whole_gauge(H1, _whole_box(H1, radius, STRADDLE, rng))
-            w = np.where(rho < radius, g**q, 0.0)
-            return _mean_and_se(float(np.prod(2.0 * gauge_box_halfwidths(H1, radius))), w)
-
-        inner, inner_se = moment(eps)
-        unit, unit_se = moment(1.0)
-        row = _sweep_row(CFG, QuadratureSpec(n_samples=STRADDLE, seed=seed), i_eps, i_q)
-        source = CFG.rhs_amplitude**q * eps ** ((CFG.alpha - 2.0) * q)
-        outer = (3.0 * CFG.alpha) ** q * 4.0
-        radial = (1.0 - eps**row.predicted_exponent) / row.predicted_exponent
-        assert (row.f_mass, row.f_mass_stderr) == (source * inner, source * inner_se)
-        assert (row.hess_mass_outer, row.hess_mass_outer_stderr) == (
-            outer * unit * radial,
-            outer * unit_se * radial,
+        quad = QuadratureSpec(n_samples=STRADDLE, seed=seed)
+        row = _sweep_row(CFG, quad, i_eps, i_q)
+        f = lq_norm(counterexample_rhs_field(CFG, eps), H1, eps, q, quad)
+        assert (row.f_mass, row.f_mass_stderr, row.n_inside) == (
+            f.mass, f.mass_stderr, f.n_inside
         )
+        # Exact masses: Q = 4, a = alpha, and beta = 0 at the critical q = 8/3.
+        moment = _gauge_moment(H1, q)
+        inner = eps ** ((CFG.alpha - 2.0) * q) * eps**4.0 * moment
+        beta = row.predicted_exponent
+        radial = math.log(1.0 / eps) if i_q == 1 else (1.0 - eps**beta) / beta
+        assert row.f_mass_exact == CFG.rhs_amplitude**q * inner
+        assert row.f_pull == (row.f_mass - row.f_mass_exact) / row.f_mass_stderr
+        assert row.hess_mass_inner == (6.0 * CFG.alpha) ** q * inner
+        assert row.hess_mass_outer == (3.0 * CFG.alpha) ** q * 4.0 * moment * radial
 
 
 def _traced_peak(fn) -> int:
