@@ -189,6 +189,8 @@ def check_semiconvex_lines(
     domain cause the whole line to be redrawn (bounded retries).
     """
     c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"semiconvexity constant must be finite, got {c}")
     if line_count < 1:
         raise ValueError(f"the line check needs at least one line, got {line_count}")
     rng = substream(seed, "semiconvex-lines")
@@ -239,6 +241,8 @@ def check_semiconvex_eigen(
 ) -> SemiconvexityReport:
     """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - tol."""
     c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"semiconvexity constant must be finite, got {c}")
     if point_count < 1:
         raise ValueError(f"the eigenvalue check needs at least one point, got {point_count}")
     rng = substream(seed, "semiconvex-eigen")

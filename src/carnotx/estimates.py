@@ -120,13 +120,9 @@ def gauge_box_halfwidths(group: GroupDescriptor, r: float) -> np.ndarray:
     return float(r) ** np.array(group.dilation_weights, dtype=float)
 
 
-def _box_volume(group: GroupDescriptor, r: float) -> float:
-    return float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
-
-
-# Box points drawn per chunk by the whole-box consumers (`ball_volume`,
-# `lq_norm`), so their sampling memory is fixed rather than proportional to
-# the sample count.
+# Box points per chunk of the Monte-Carlo integrator, so its memory is fixed.
+# Chunk moments are merged as blocks, so like the rejection batch floors the
+# chunk fixes the summation order: changing it changes report bytes.
 _CHUNK = 2**15
 
 
@@ -148,9 +144,8 @@ def _box_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, pts): `count` points of box(B_r) in chunks of `_CHUNK` rows.
 
-    Every chunk refills one buffer, so `pts` is valid only until the next
-    chunk.  Each draw continues the substream, so the chunks concatenate to
-    exactly the points of a single draw of `count`.
+    Each chunk refills one buffer (so `pts` lives until the next chunk) and
+    continues the substream, so the chunks concatenate to a single draw.
     """
     hw = gauge_box_halfwidths(group, r)
     buf = np.empty((min(count, _CHUNK), group.n))
@@ -212,19 +207,6 @@ def gauge_ball_sampler(
     return lambda count, rng: _rejection_sample(group, rho_max, count, rng, keep, 64)
 
 
-def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEstimate:
-    """Volume of the gauge ball B_r with a standard-error estimate."""
-    vbox = _box_volume(group, r)
-    rng = substream(quad.seed, "ball-volume", repr(float(r)))
-    hits = sum(
-        int(np.count_nonzero(_gauge_parts(group, pts)[0] < r))
-        for _, pts in _box_chunks(group, r, quad.n_samples, rng)
-    )
-    p = hits / quad.n_samples
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / quad.n_samples)
-    return McEstimate(value=vbox * p, stderr=vbox * se)
-
-
 def _gauge_moment(group: GroupDescriptor, q: float) -> float:
     """The exact moment of |D rho|^(2q) over the unit gauge ball of H^d.
 
@@ -254,49 +236,72 @@ def _pull(value: float, stderr: float, exact: float) -> float:
     return (value - exact) / stderr if stderr > 0.0 else math.inf
 
 
-def lq_norm(
-    u: ScalarField, group: GroupDescriptor, r: float, q: float, quad: QuadratureSpec
-) -> LqEstimate:
-    """L^q(B_r) norm of a field by box sampling with an indicator.
+def _box_masses(
+    u: ScalarField, group: GroupDescriptor, r: float, qs: Sequence[float], quad: QuadratureSpec
+) -> tuple[list[McEstimate], float, int]:
+    """The Monte-Carlo integrator: masses of |u|^q over B_r for every q in `qs`.
 
-    Non-finite field values inside the ball count as rejected samples; a
-    rejected fraction above 1e-3 means the integrand's bad set is not
-    negligible and raises IllPosedIntegrandError.
+    One box pass, keyed by (seed, u.name, r), evaluates `u` once per chunk
+    on the points inside B_r.  Per q, chunk means and sums of squared
+    deviations merge in chunk order by Chan, Golub & LeVeque's pairwise
+    update (Am. Stat. 1983); standard errors use ddof = 1.  Non-finite
+    values count as rejected, and above 1e-3 of the inside points they
+    raise IllPosedIntegrandError.  Also returns that fraction and n_inside.
     """
-    q = float(q)
-    if not q > 1.0:
-        raise ValueError(f"exponent must exceed 1, got {q}")
-    rng = substream(quad.seed, "lq-norm", u.name, repr(float(r)), repr(q))
-    vbox = _box_volume(group, r)
+    rng = substream(quad.seed, "box-mass", u.name, repr(float(r)))
     n = quad.n_samples
-    # One weight per sample, so the mean and deviation below keep numpy's
-    # summation order over all n of them.
-    w = np.zeros(n)
+    mean, m2 = [0.0] * len(qs), [0.0] * len(qs)
     n_inside = n_bad = 0
     for start, pts in _box_chunks(group, r, n, rng):
+        k = len(pts)
         inside = _gauge_parts(group, pts)[0] < r
+        k_in = int(np.count_nonzero(inside))
         vals = np.asarray(u.evaluate(pts[inside]), dtype=float)
         bad = ~np.isfinite(vals)
-        n_inside += int(np.count_nonzero(inside))
+        n_inside += k_in
         n_bad += int(np.count_nonzero(bad))
-        w[start : start + len(pts)][inside] = np.where(bad, 0.0, np.abs(vals) ** q)
+        mag = np.abs(vals)
+        for j, q in enumerate(qs):
+            w = np.where(bad, 0.0, mag**q)
+            m = float(np.sum(w)) / k
+            # Each of the k - k_in outside zeros deviates from m by m.
+            ss = float(np.sum((w - m) ** 2)) + (k - k_in) * m * m
+            delta = m - mean[j]
+            mean[j] += delta * k / (start + k)
+            m2[j] += ss + delta * delta * start * k / (start + k)
     rejected = n_bad / max(1, n_inside)
     if rejected > 1e-3:
         raise IllPosedIntegrandError(
             f"{u.name!r} was unevaluable on {rejected:.2%} of samples in B_{r}"
         )
-    mass = vbox * float(np.mean(w))
-    mass_se = vbox * float(np.std(w, ddof=1)) / math.sqrt(n)
-    norm = mass ** (1.0 / q)
-    norm_se = norm * mass_se / (q * mass) if mass > 0.0 else mass_se ** (1.0 / q)
-    return LqEstimate(
-        norm=norm,
-        norm_stderr=norm_se,
-        mass=mass,
-        mass_stderr=mass_se,
-        rejected_fraction=rejected,
-        n_inside=n_inside,
-    )
+    vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
+    masses = [
+        McEstimate(value=vbox * m, stderr=vbox * math.sqrt(s / (n - 1)) / math.sqrt(n))
+        for m, s in zip(mean, m2)
+    ]
+    return masses, rejected, n_inside
+
+
+def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEstimate:
+    """Volume of the gauge ball B_r with a standard error: the q = 0 mass of 1."""
+    one = ScalarField(name="one", evaluate=lambda x: np.ones(x.shape[:-1]))
+    return _box_masses(one, group, r, (0.0,), quad)[0][0]
+
+
+def lq_norm(
+    u: ScalarField, group: GroupDescriptor, r: float, qs: Sequence[float], quad: QuadratureSpec
+) -> tuple[LqEstimate, ...]:
+    """L^q(B_r) norms of a field for every exponent in `qs`, from one `_box_masses` pass."""
+    qs = tuple(float(q) for q in qs)
+    if not qs or not all(q > 1.0 for q in qs):
+        raise ValueError(f"need at least one exponent, each above 1, got {qs}")
+    masses, rejected, n_inside = _box_masses(u, group, r, qs, quad)
+    out = []
+    for q, m in zip(qs, masses):
+        norm = m.value ** (1.0 / q)
+        norm_se = norm * m.stderr / (q * m.value) if m.value > 0.0 else m.stderr ** (1.0 / q)
+        out.append(LqEstimate(norm, norm_se, m.value, m.stderr, rejected, n_inside))
+    return tuple(out)
 
 
 # --- the spliced gauge-power family -----------------------------------------
@@ -362,6 +367,9 @@ class CounterexampleConfig:
                 raise ValueError(
                     f"integrability exponents must lie in (1, Q) = (1, {big_q}), got {q}"
                 )
+        # A repeated radius or exponent would repeat rows and inflate a fit.
+        if any(len(set(v)) < len(v) for v in (self.eps_list, self.q_list)):
+            raise ValueError("splice radii and exponents must be distinct")
         if self.glue_mode not in ("paper-literal", "c1-variant"):
             raise ValueError(f"unknown glue mode {self.glue_mode!r}")
         if not self.ellipticity().Lam > self.ellipticity().lam:
@@ -631,13 +639,13 @@ class SweepRow:
     """One (eps, q) cell: the measured source mass against its exact value.
 
     Masses are q-th powers of norms.  The source mass is the `lq_norm`
-    estimate of the right-hand side over B_eps, with ``n_inside`` of its
-    samples in the ball; ``f_mass_exact`` is its closed form and ``f_pull``
-    the distance between the two in standard errors.  The Hessian magnitude
-    is the pointwise spectral norm (largest absolute eigenvalue), and both
-    of its masses are exact: the closed-form moment of |D rho|^(2q) scaled
-    to B_eps inside, where the profile is a parabola, and times an exact
-    radial integral outside.
+    estimate of the right-hand side over B_eps from the radius's shared box
+    pass, with ``n_inside`` of its samples in the ball; ``f_mass_exact`` is
+    its closed form and ``f_pull`` the distance between the two in standard
+    errors.  The Hessian magnitude is the pointwise spectral norm (largest
+    absolute eigenvalue), and both of its masses are exact: the closed-form
+    moment of |D rho|^(2q) scaled to B_eps inside, where the profile is a
+    parabola, and times an exact radial integral outside.
     """
 
     eps: float
@@ -666,21 +674,17 @@ class SweepReport:
     passed: bool
 
 
-def _profile_sup(profile: RadialProfile, grid: int = 8192) -> float:
-    r = np.linspace(0.0, 1.0, grid + 1)
-    return float(np.max(profile.psi(r)))
+def _sweep_radius(cfg: CounterexampleConfig, quad: QuadratureSpec, eps: float) -> list[SweepRow]:
+    """The rows of one splice radius, one per exponent, from one `lq_norm` pass."""
+    fs = lq_norm(counterexample_rhs_field(cfg, eps), cfg.group(), eps, cfg.q_list, quad)
+    return [_sweep_row(cfg, eps, q, f) for q, f in zip(cfg.q_list, fs)]
 
 
-def _sweep_row(
-    cfg: CounterexampleConfig, quad: QuadratureSpec, i_eps: int, i_q: int
-) -> SweepRow:
+def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -> SweepRow:
     group = cfg.group()
     big_q = float(cfg.homogeneous_dim)
-    eps = cfg.eps_list[i_eps]
-    q = cfg.q_list[i_q]
     alpha = cfg.alpha
     beta = (alpha - 2.0) * q + big_q
-    f = lq_norm(counterexample_rhs_field(cfg, eps), group, eps, q, quad)
 
     # Exact moment of eps^((alpha-2)q) |D rho|^(2q) over B_eps.
     moment = _gauge_moment(group, q)
@@ -707,7 +711,8 @@ def _sweep_row(
         hess_mass_outer=hess_outer,
         hess_norm_ball=(hess_inner + hess_outer) ** (1.0 / q),
         hess_norm_outer=hess_outer ** (1.0 / q),
-        u_sup=_profile_sup(counterexample_profile(cfg, eps)),
+        # The profile decreases in rho, so its sup is psi(0).
+        u_sup=1.0 - (1.0 - cfg.inner_coefficient) * eps**alpha,
     )
 
 
@@ -731,28 +736,24 @@ def sweep_scaling(
 ) -> SweepReport:
     """Measure the (eps, q) grid and fit the scaling laws.
 
-    Rows are independent work units on counter-based substreams, so the
-    report is bit-identical for any worker count.  Noncritical exponents
-    get a log-log slope fit of the source mass against the predicted
-    (alpha-2) q + Q; the critical exponent instead checks that the source
-    norm stays level while the outer Hessian mass grows affinely in
-    log(1/eps).  Either verdict also fails when a measured source mass is
-    more than MAX_PULL standard errors from its exact value.
+    Each radius is one work unit, a box pass on its own counter-based
+    substream for all exponents, so the report is bit-identical for any
+    worker count.  Noncritical exponents get a log-log slope fit of the
+    source mass against the predicted (alpha-2) q + Q; the critical
+    exponent instead checks that the source norm stays level while the
+    outer Hessian mass grows affinely in log(1/eps).  Either verdict also
+    fails when a measured source mass is more than MAX_PULL standard
+    errors from its exact value.
     """
     if len(cfg.eps_list) < 4:
         raise ValueError("scaling fits need at least four splice radii")
     lo, hi = min(cfg.eps_list), max(cfg.eps_list)
     if hi / lo < 4.0:
         raise ValueError("splice radii must span at least two dyadic decades")
-    if workers < 1:
-        raise ValueError("worker count must be positive")
 
-    cells = [(i, j) for i in range(len(cfg.eps_list)) for j in range(len(cfg.q_list))]
-    if workers == 1:
-        rows = [_sweep_row(cfg, quad, i, j) for i, j in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ij: _sweep_row(cfg, quad, *ij), cells))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_radius = pool.map(lambda eps: _sweep_radius(cfg, quad, eps), cfg.eps_list)
+        rows = [row for radius_rows in per_radius for row in radius_rows]
 
     fits: list[dict] = []
     verdicts: list[dict] = []
@@ -876,8 +877,8 @@ def pointwise_bound_check(
 
         -c4 * m - tol <= trace <= (f + m c4 (Lam - lam) + |gop(0)|) / lam + tol.
     """
-    if not c4 >= 0.0:
-        raise ValueError(f"semiconvexity constant must be nonnegative, got {c4}")
+    if not 0.0 <= c4 < math.inf:
+        raise ValueError(f"semiconvexity constant must be finite and nonnegative, got {c4}")
     if count < 1:
         raise ValueError(f"the bound needs at least one point, got count={count}")
     m = group.m

@@ -37,15 +37,15 @@ _MAX_SWEEPS = 64
 
 @dataclass(frozen=True)
 class Ellipticity:
-    """Ellipticity window 0 < lam <= Lam."""
+    """Ellipticity window 0 < lam <= Lam < inf."""
 
     lam: float
     Lam: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lam <= self.Lam):
+        if not (0.0 < self.lam <= self.Lam < np.inf):
             raise ValueError(
-                f"ellipticity requires 0 < lam <= Lam, got ({self.lam}, {self.Lam})"
+                f"ellipticity requires 0 < lam <= Lam < inf, got ({self.lam}, {self.Lam})"
             )
 
 

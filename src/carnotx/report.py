@@ -28,7 +28,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 

@@ -12,7 +12,7 @@ import pytest
 
 import carnotx
 
-from carnotx.cli import _parse_eps_spec, _parse_q_spec, run
+from carnotx.cli import _build_parser, _parse_eps_spec, _parse_q_spec, run
 from carnotx.report import CSV_HEADER, SCHEMA_VERSION
 
 
@@ -63,6 +63,10 @@ class TestCounterexampleCommand:
         assert "workers" not in payload["config"]
         assert len(payload["rows"]) == 8
         assert len(payload["annihilation"]) == 4
+        for entry in payload["annihilation"]:
+            assert entry["witness"] is None
+            assert entry["n_outer"] + entry["n_inner"] == 1200
+            assert entry["n_excluded_axis"] >= 0 and entry["n_excluded_shell"] >= 0
         header = csv_path.read_text().splitlines()[0]
         assert header == ",".join(CSV_HEADER)
         assert len(csv_path.read_text().splitlines()) == 9
@@ -108,13 +112,16 @@ class TestCounterexampleCommand:
 
         real = estimates.lq_norm
 
-        def one_cell_off(u, group, r, q, quad):
-            est = real(u, group, r, q, quad)
+        def one_radius_off(u, group, r, qs, quad):
+            ests = real(u, group, r, qs, quad)
             if r == 2.0**-4:
-                est = dataclasses.replace(est, mass=est.mass + 10.0 * est.mass_stderr)
-            return est
+                ests = tuple(
+                    dataclasses.replace(est, mass=est.mass + 10.0 * est.mass_stderr)
+                    for est in ests
+                )
+            return ests
 
-        monkeypatch.setattr(estimates, "lq_norm", one_cell_off)
+        monkeypatch.setattr(estimates, "lq_norm", one_radius_off)
         argv = [
             "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "2000",
             "--annihilation-samples", "0",
@@ -205,6 +212,8 @@ class TestOtherCommands:
             "at least 2 samples",
         ),
         (["counterexample", "--annihilation-samples", "-5"], "non-negative integer"),
+        (["counterexample", "--eps", "2^-3,2^-3,2^-3,2^-5", "--q", "2"], "distinct"),
+        (["counterexample", "--eps", "2^-3..2^-6", "--q", "2,2"], "distinct"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -234,6 +243,24 @@ def test_report_envelope(argv, tmp_path, capsys):
     assert payload["command"] == argv[0]
     assert payload["passed"] is True
     assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+def test_non_finite_numbers_are_usage_errors(capsys):
+    # Walks every option that converts its value, so a later option cannot
+    # skip the check: float options reject NaN and infinities at parse time,
+    # and integer and group options reject them too.
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    typed = [
+        (name, action.option_strings[-1])
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.type is not None
+    ]
+    assert len(typed) > 20
+    for command, option in typed:
+        for value in ("nan", "inf"):
+            assert run([command, option, value]) == 2, (command, option, value)
+    assert "overall:" not in capsys.readouterr().out
 
 
 def test_cli_imports_only_numpy_at_runtime():

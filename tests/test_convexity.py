@@ -1,6 +1,7 @@
 """Horizontal lines and the two semiconvexity checkers."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -228,3 +229,10 @@ class TestCheckers:
 def test_degenerate_counts_are_rejected(check):
     with pytest.raises(ValueError, match="at least one"):
         check(box_sampler(H1))
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_is_rejected(c):
+    for check in (check_semiconvex_lines, check_semiconvex_eigen):
+        with pytest.raises(ValueError, match="finite"):
+            check(H1, horizontal_quadratic(H1), c, box_sampler(H1), 8, seed=1)

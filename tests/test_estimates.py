@@ -33,11 +33,9 @@ from carnotx import (
 )
 from carnotx.estimates import (
     _CHUNK,
-    LqEstimate,
-    McEstimate,
     _box_chunks,
     _gauge_moment,
-    _sweep_row,
+    _sweep_radius,
     gauge_box_halfwidths,
 )
 from carnotx.report import dumps, sweep_report_dict
@@ -95,6 +93,8 @@ class TestConfig:
             dict(good, q_list=(1.0,)),
             dict(good, q_list=(4.0,)),
             dict(good, glue_mode="smooth"),
+            dict(good, eps_list=(0.125, 0.25, 0.125)),
+            dict(good, q_list=(2.0, 2.0)),
         ):
             with pytest.raises(ValueError):
                 CounterexampleConfig(**bad)
@@ -223,7 +223,7 @@ class TestQuadrature:
     def test_lq_norm_of_constant(self):
         u = constant_field(2.0)
         quad = QuadratureSpec(n_samples=100000, seed=7)
-        est = lq_norm(u, H1, 1.0, 2.0, quad)
+        (est,) = lq_norm(u, H1, 1.0, (2.0,), quad)
         vol = ball_volume(H1, 1.0, quad)
         want = 2.0 * math.sqrt(vol.value)
         # independent streams: compare within combined error bars
@@ -239,11 +239,12 @@ class TestQuadrature:
 
         u = ScalarField(name="broken", evaluate=half_nan)
         with pytest.raises(IllPosedIntegrandError):
-            lq_norm(u, H1, 1.0, 2.0, QuadratureSpec(n_samples=2000, seed=1))
+            lq_norm(u, H1, 1.0, (2.0,), QuadratureSpec(n_samples=2000, seed=1))
 
     def test_lq_norm_exponent_validation(self):
-        with pytest.raises(ValueError):
-            lq_norm(constant_field(1.0), H1, 1.0, 1.0, QuadratureSpec(2000, 1))
+        for qs in [(1.0,), (2.0, 1.0), ()]:
+            with pytest.raises(ValueError):
+                lq_norm(constant_field(1.0), H1, 1.0, qs, QuadratureSpec(2000, 1))
 
     def test_gauge_ball_sampler_respects_constraints(self):
         sampler = gauge_ball_sampler(
@@ -326,14 +327,15 @@ class TestPointwiseBound:
 
     def test_rejects_negative_constant(self):
         e = Ellipticity(lam=1.0, Lam=2.0)
-        with pytest.raises(ValueError):
-            pointwise_bound_check(
-                H1, lambda mat: pucci_minus(mat, e),
-                horizontal_quadratic(H1, 1.0), constant_field(10.0),
-                c4=-1.0, e=e,
-                sampler=lambda c, r: r.uniform(-1, 1, size=(c, 3)),
-                count=8, seed=1,
-            )
+        for c4 in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                pointwise_bound_check(
+                    H1, lambda mat: pucci_minus(mat, e),
+                    horizontal_quadratic(H1, 1.0), constant_field(10.0),
+                    c4=c4, e=e,
+                    sampler=lambda c, r: r.uniform(-1, 1, size=(c, 3)),
+                    count=8, seed=1,
+                )
 
 
 # --- chunked box sampling against the whole-array formulas --------------------
@@ -355,10 +357,21 @@ def _whole_gauge(group, pts):
 
 
 def _mean_and_se(vbox, w):
+    """Whole-array mass and standard error: numpy's mean and std(ddof=1)."""
     return (
         vbox * float(np.mean(w)),
         vbox * float(np.std(w, ddof=1)) / math.sqrt(len(w)),
     )
+
+
+def _slab_field():
+    base = counterexample_field(CFG, 0.25)
+
+    def evaluate(x):
+        # Unevaluable on a thin slab, so the rejection count is exercised.
+        return np.where(x[..., 0] > 0.88, np.nan, base.evaluate(x))
+
+    return ScalarField(name="slab", evaluate=evaluate)
 
 
 class TestChunkedSampling:
@@ -377,52 +390,61 @@ class TestChunkedSampling:
 
     @pytest.mark.parametrize("group", [H1, H2])
     def test_ball_volume_matches_whole_array(self, group):
+        # The volume is the q = 0 mass of the constant 1: the mean of the
+        # indicator, with the sample deviation as its error.
         r = 0.8
-        pts = _whole_box(group, r, STRADDLE, substream(4, "ball-volume", repr(r)))
-        p = float(np.mean(_whole_gauge(group, pts)[0] < r))
-        vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / STRADDLE)
+        pts = _whole_box(group, r, STRADDLE, substream(4, "box-mass", "one", repr(r)))
+        w = (_whole_gauge(group, pts)[0] < r).astype(float)
+        value, stderr = _mean_and_se(float(np.prod(2.0 * gauge_box_halfwidths(group, r))), w)
         got = ball_volume(group, r, QuadratureSpec(n_samples=STRADDLE, seed=4))
-        assert got == McEstimate(value=vbox * p, stderr=vbox * se)
+        assert got.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert got.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
     def test_lq_norm_matches_whole_array(self):
-        base = counterexample_field(CFG, 0.25)
-
-        def evaluate(x):
-            # Unevaluable on a thin slab, so the rejection count is exercised.
-            return np.where(x[..., 0] > 0.88, np.nan, base.evaluate(x))
-
-        u = ScalarField(name="slab", evaluate=evaluate)
-        r, q, seed = 0.9, 8.0 / 3.0, 12
-        rng = substream(seed, "lq-norm", u.name, repr(r), repr(q))
-        pts = _whole_box(H1, r, STRADDLE, rng)
+        # Chunk-wise moments merged by Chan's update against numpy's
+        # whole-array mean and std(ddof=1), for every exponent of one pass.
+        u = _slab_field()
+        r, qs, seed = 0.9, (2.0, 8.0 / 3.0), 12
+        pts = _whole_box(H1, r, STRADDLE, substream(seed, "box-mass", u.name, repr(r)))
         inside = _whole_gauge(H1, pts)[0] < r
-        vals = evaluate(pts[inside])
+        vals = u.evaluate(pts[inside])
         bad = ~np.isfinite(vals)
         assert 0 < int(np.sum(bad))
-        w = np.zeros(STRADDLE)
-        w[inside] = np.where(bad, 0.0, np.abs(vals) ** q)
         vbox = float(np.prod(2.0 * gauge_box_halfwidths(H1, r)))
-        mass, mass_se = _mean_and_se(vbox, w)
-        norm = mass ** (1.0 / q)
-        want = LqEstimate(
-            norm=norm,
-            norm_stderr=norm * mass_se / (q * mass),
-            mass=mass,
-            mass_stderr=mass_se,
-            rejected_fraction=float(np.sum(bad)) / int(np.sum(inside)),
-            n_inside=int(np.sum(inside)),
-        )
-        got = lq_norm(u, H1, r, q, QuadratureSpec(n_samples=STRADDLE, seed=seed))
-        assert got == want
+        got = lq_norm(u, H1, r, qs, QuadratureSpec(n_samples=STRADDLE, seed=seed))
+        assert len(got) == len(qs)
+        for q, est in zip(qs, got):
+            w = np.zeros(STRADDLE)
+            w[inside] = np.where(bad, 0.0, np.abs(vals) ** q)
+            mass, mass_se = _mean_and_se(vbox, w)
+            norm = mass ** (1.0 / q)
+            assert est.mass == pytest.approx(mass, rel=1e-12, abs=0.0)
+            assert est.mass_stderr == pytest.approx(mass_se, rel=1e-12, abs=0.0)
+            assert est.norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+            assert est.norm_stderr == pytest.approx(
+                norm * mass_se / (q * mass), rel=1e-12, abs=0.0
+            )
+            assert est.rejected_fraction == float(np.sum(bad)) / int(np.sum(inside))
+            assert est.n_inside == int(np.sum(inside))
+
+    def test_exponents_share_one_pass_bit_for_bit(self):
+        # q is not part of the substream key, so a multi-exponent call gives
+        # every exponent exactly what a call with that exponent alone gives.
+        u = _slab_field()
+        qs = (2.0, 8.0 / 3.0, 3.0)
+        quad = QuadratureSpec(n_samples=STRADDLE, seed=5)
+        together = lq_norm(u, H1, 0.9, qs, quad)
+        alone = tuple(lq_norm(u, H1, 0.9, (q,), quad)[0] for q in qs)
+        assert together == alone
 
     @pytest.mark.parametrize("i_q", [0, 1])
     def test_sweep_row_is_one_lq_norm_and_closed_forms(self, i_q):
         i_eps, seed = 1, 21
         eps, q = CFG.eps_list[i_eps], CFG.q_list[i_q]
         quad = QuadratureSpec(n_samples=STRADDLE, seed=seed)
-        row = _sweep_row(CFG, quad, i_eps, i_q)
-        f = lq_norm(counterexample_rhs_field(CFG, eps), H1, eps, q, quad)
+        row = _sweep_radius(CFG, quad, eps)[i_q]
+        f = lq_norm(counterexample_rhs_field(CFG, eps), H1, eps, CFG.q_list, quad)[i_q]
+        assert (row.eps, row.q) == (eps, q)
         assert (row.f_mass, row.f_mass_stderr, row.n_inside) == (
             f.mass, f.mass_stderr, f.n_inside
         )
@@ -435,6 +457,40 @@ class TestChunkedSampling:
         assert row.f_pull == (row.f_mass - row.f_mass_exact) / row.f_mass_stderr
         assert row.hess_mass_inner == (6.0 * CFG.alpha) ** q * inner
         assert row.hess_mass_outer == (3.0 * CFG.alpha) ** q * 4.0 * moment * radial
+
+    @pytest.mark.parametrize("glue", ["paper-literal", "c1-variant"])
+    def test_u_sup_is_the_profile_maximum(self, glue):
+        # The closed form psi(0) against the maximum on a fine grid of [0, 1].
+        grid = np.linspace(0.0, 1.0, 8193)
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            cfg = CounterexampleConfig(
+                d=1, alpha=alpha, eps_list=(2.0**-3, 2.0**-8, 0.6, 0.25),
+                q_list=(2.0,), glue_mode=glue,
+            )
+            quad = QuadratureSpec(n_samples=1000, seed=1)
+            for eps in cfg.eps_list:
+                (row,) = _sweep_radius(cfg, quad, eps)
+                want = float(np.max(counterexample_profile(cfg, eps).psi(grid)))
+                assert row.u_sup == want
+
+    def test_sweep_draws_one_box_pass_per_radius(self, monkeypatch):
+        import carnotx.estimates as estimates
+
+        drawn = {}
+        real = estimates._sample_box
+
+        def counting(hw, rng, out):
+            drawn[float(hw[0])] = drawn.get(float(hw[0]), 0) + len(out)
+            return real(hw, rng, out)
+
+        monkeypatch.setattr(estimates, "_sample_box", counting)
+        cfg = CounterexampleConfig(
+            d=1, alpha=0.5, eps_list=CFG.eps_list, q_list=(2.0, 2.5, 8.0 / 3.0)
+        )
+        n = _CHUNK + 5
+        rep = sweep_scaling(cfg, QuadratureSpec(n_samples=n, seed=3), workers=2)
+        assert len(rep.rows) == 4 * 3
+        assert drawn == {eps: n for eps in cfg.eps_list}
 
 
 def _traced_peak(fn) -> int:
@@ -449,9 +505,16 @@ def _traced_peak(fn) -> int:
 
 
 def test_monte_carlo_memory_per_sample():
-    # The sweep keeps one weight vector of n (plus the deviation's temporary)
-    # and a fixed chunk; the volume only the fixed chunk.
+    # The sweep's radius and the volume hold only a fixed chunk.
     n = 800_000
     quad = QuadratureSpec(n_samples=n, seed=2)
-    assert _traced_peak(lambda: _sweep_row(CFG, quad, 0, 0)) / n < 24.0
+    assert _traced_peak(lambda: _sweep_radius(CFG, quad, CFG.eps_list[0])) / n < 24.0
     assert _traced_peak(lambda: ball_volume(H2, 1.0, quad)) / n < 8.0
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    def peak(n):
+        quad = QuadratureSpec(n_samples=n, seed=2)
+        return _traced_peak(lambda: _sweep_radius(CFG, quad, CFG.eps_list[0]))
+
+    assert peak(1_000_000) <= 1.25 * peak(100_000)

@@ -1,6 +1,7 @@
 """Extremal operators: frozen values, algebraic laws, and the sampled sup."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,9 @@ class TestFormulas:
             Ellipticity(lam=2.0, Lam=1.0)
         with pytest.raises(ValueError):
             Ellipticity(lam=-1.0, Lam=1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Ellipticity(lam=1.0, Lam=bad)
 
 
 class TestOracle:
