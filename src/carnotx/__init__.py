@@ -95,7 +95,6 @@ from .pucci import (
 from .report import (
     SCHEMA_VERSION,
     dumps,
-    sweep_report_dict,
     write_json,
     write_rows_csv,
 )
@@ -184,7 +183,6 @@ __all__ = [
     "dumps",
     "write_json",
     "write_rows_csv",
-    "sweep_report_dict",
     # rng
     "substream",
 ]

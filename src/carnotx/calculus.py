@@ -306,9 +306,7 @@ class HeisenbergRadialFrame:
 class RadialProfile:
     """One-dimensional profile psi with its first two derivatives.
 
-    ``smooth_radii`` marks where derivative formulas are trusted; a profile
-    spliced at some radius exposes it via ``splice_radius`` (queries exactly
-    there resolve to the outer branch).
+    ``smooth_radii`` marks where derivative formulas are trusted.
     """
 
     name: str
@@ -316,7 +314,6 @@ class RadialProfile:
     psi_prime: Callable[[np.ndarray], np.ndarray]
     psi_second: Callable[[np.ndarray], np.ndarray]
     smooth_radii: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    splice_radius: Optional[float] = None
 
     def radius_ok(self, r: np.ndarray) -> np.ndarray:
         if self.smooth_radii is None:

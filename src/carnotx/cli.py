@@ -46,12 +46,7 @@ from .estimates import (
 )
 from .group import GroupDescriptor, heisenberg
 from .pucci import Ellipticity, _relative_frobenius, pucci_minus, pucci_oracle_check
-from .report import (
-    SCHEMA_VERSION,
-    sweep_report_dict,
-    write_json,
-    write_rows_csv,
-)
+from .report import SCHEMA_VERSION, write_json, write_rows_csv
 from .rng import substream
 
 __all__ = ["run", "main"]
@@ -143,11 +138,28 @@ def _status(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
-def _finish(
-    args: argparse.Namespace, config: dict, results: object, passed: bool
-) -> int:
+def _unit_box(group: GroupDescriptor):
+    """Uniform points of the box [-1, 1]^n, the checkers' sampling region."""
+
+    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-1.0, 1.0, size=(count, group.n))
+
+    return sampler
+
+
+# Options that only choose where output goes or how fast it is produced;
+# every other parsed option decides the results and is recorded.
+_NOT_CONFIG = ("command", "func", "out", "csv", "workers")
+
+
+def _finish(args: argparse.Namespace, results: object, passed: bool) -> int:
     """Write the shared report envelope, print the verdict, return the exit code."""
     if args.out:
+        config = {
+            key: f"h:{value.heisenberg_d}" if isinstance(value, GroupDescriptor) else value
+            for key, value in vars(args).items()
+            if key not in _NOT_CONFIG
+        }
         write_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -173,21 +185,10 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     )
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
     report = sweep_scaling(cfg, quad, workers=args.workers, slope_tol=args.slope_tol)
-    payload = sweep_report_dict(report)
-
-    overall = report.passed
-    if args.annihilation_samples > 0:
-        # Every field of each report, exclusion counts and witness included.
-        section = [
-            verify_pucci_annihilation(cfg, eps, args.annihilation_samples, args.seed)
-            for eps in cfg.eps_list
-        ]
-        overall = overall and all(ann.passed for ann in section)
-        payload["annihilation"] = section
-    payload["passed"] = bool(overall)
-
-    if args.out:
-        write_json(payload, args.out)
+    annihilation = [
+        verify_pucci_annihilation(cfg, eps, args.annihilation_samples, args.seed)
+        for eps in (cfg.eps_list if args.annihilation_samples > 0 else ())
+    ]
     if args.csv:
         write_rows_csv(report.rows, args.csv)
 
@@ -200,14 +201,25 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             f"  [{_status(verdict['passed'])}] q={verdict['q']:.17g}"
             f" ({verdict['kind']}): {verdict['detail']}"
         )
-    for ann in payload.get("annihilation", []):
+    for ann in annihilation:
         print(
             f"  [{_status(ann.passed)}] annihilation eps={ann.eps:.17g}:"
             f" outer residual {ann.max_outer_residual:.3g},"
             f" inner residual {ann.max_inner_residual:.3g}"
         )
-    print(f"overall: {_status(overall)}")
-    return 0 if overall else 1
+    e = cfg.ellipticity()
+    results = {
+        "lam": e.lam,
+        "Lam": e.Lam,
+        "critical_q": cfg.critical_q(),
+        "rows": report.rows,
+        "fits": report.fits,
+        "verdicts": report.verdicts,
+        "annihilation": annihilation,
+    }
+    return _finish(
+        args, results, report.passed and all(ann.passed for ann in annihilation)
+    )
 
 
 def _quartic_profile() -> RadialProfile:
@@ -240,14 +252,7 @@ def _cmd_verify_radial(args: argparse.Namespace) -> int:
             f"  [{_status(ok)}] {profile.name}: worst relative Hessian error"
             f" {worst:.3g} over {len(pts)} points (tol {args.tol:.3g})"
         )
-    config = {
-        "group": f"h:{group.heisenberg_d}",
-        "alpha": args.alpha,
-        "points": args.points,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return _finish(args, config, results, overall)
+    return _finish(args, results, overall)
 
 
 def _cmd_pucci(args: argparse.Namespace) -> int:
@@ -273,24 +278,12 @@ def _cmd_pucci(args: argparse.Namespace) -> int:
         f"  [{_status(ok)}] worst scaled (oracle - formula) gap {worst_gap:.3g}"
         f" (must stay below {args.tol:.3g}); optimizer attained: {all_attained}"
     )
-    config = {
-        "dim": args.dim,
-        "count": args.count,
-        "samples": args.samples,
-        "lam": args.lam,
-        "Lam": args.Lam,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return _finish(args, config, {"worst_gap": worst_gap, "attained": all_attained}, ok)
+    return _finish(args, {"worst_gap": worst_gap, "attained": all_attained}, ok)
 
 
 def _cmd_convexity(args: argparse.Namespace) -> int:
     group = args.group
-
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=(count, group.n))
-
+    sampler = _unit_box(group)
     rows = []
     overall = True
     for case in convexity_catalog(group):
@@ -310,8 +303,8 @@ def _cmd_convexity(args: argparse.Namespace) -> int:
                     "threshold": case.threshold,
                     "c": c,
                     "expected": expected,
-                    "lines_passed": lines.passed,
-                    "eigen_passed": eigen.passed,
+                    "lines": lines,
+                    "eigen": eigen,
                     "agreed": ok,
                 }
             )
@@ -321,14 +314,7 @@ def _cmd_convexity(args: argparse.Namespace) -> int:
                 f" lines {'pass' if lines.passed else 'fail'},"
                 f" eigenvalues {'pass' if eigen.passed else 'fail'}"
             )
-    config = {
-        "group": f"h:{group.heisenberg_d}",
-        "c": list(args.c),
-        "lines": args.lines,
-        "points": args.points,
-        "seed": args.seed,
-    }
-    return _finish(args, config, rows, overall)
+    return _finish(args, rows, overall)
 
 
 def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
@@ -337,10 +323,6 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
     m = group.m
     u = horizontal_quadratic(group, -1.0)
     f = constant_field(-e.Lam * m, name="tight-rhs")
-
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=(count, group.n))
-
     rep = pointwise_bound_check(
         group,
         lambda mat: pucci_minus(mat, e),
@@ -348,7 +330,7 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
         f,
         c4=1.0,
         e=e,
-        sampler=sampler,
+        sampler=_unit_box(group),
         count=args.count,
         seed=args.seed,
         tol=args.tol,
@@ -363,22 +345,7 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
         f" entry-bound margin {rep.surrogate_margin:.3g}"
         f" over {rep.n_points} points"
     )
-    config = {
-        "group": f"h:{group.heisenberg_d}",
-        "lam": args.lam,
-        "Lam": args.Lam,
-        "count": args.count,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    results = {
-        "lower_margin": rep.lower_margin,
-        "upper_margin": rep.upper_margin,
-        "surrogate_margin": rep.surrogate_margin,
-        "semiconvex_ok": rep.semiconvex_ok,
-        "supersolution_ok": rep.supersolution_ok,
-    }
-    return _finish(args, config, results, rep.passed)
+    return _finish(args, rep, rep.passed)
 
 
 def _cmd_ball_volume(args: argparse.Namespace) -> int:
@@ -395,13 +362,7 @@ def _cmd_ball_volume(args: argparse.Namespace) -> int:
             f"  [{_status(oks[-1])}] r={r:.17g}: volume {est.value:.17g}"
             f" (stderr {est.stderr:.3g}), exact {exact:.17g}, pull {pull:.3g}"
         )
-    config = {
-        "group": f"h:{group.heisenberg_d}",
-        "r": list(args.r),
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    return _finish(args, config, results, all(oks))
+    return _finish(args, results, all(oks))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -93,10 +93,6 @@ class GroupDescriptor:
         return self.layer_dims[0]
 
     @property
-    def r(self) -> int:
-        return len(self.layer_dims)
-
-    @property
     def homogeneous_dimension(self) -> int:
         return sum((i + 1) * k for i, k in enumerate(self.layer_dims))
 

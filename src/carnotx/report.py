@@ -17,18 +17,17 @@ from typing import Any, Iterable, TextIO
 
 import numpy as np
 
-from .estimates import SweepReport, SweepRow
+from .estimates import SweepRow
 
 __all__ = [
     "SCHEMA_VERSION",
     "dumps",
-    "sweep_report_dict",
     "write_json",
     "write_rows_csv",
     "CSV_HEADER",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CSV_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 
@@ -92,19 +91,6 @@ def dumps(obj: Any) -> str:
     _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
-
-
-def sweep_report_dict(report: SweepReport) -> dict:
-    """The on-disk shape of a scaling sweep report."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": report.config.get("version"),
-        "config": report.config,
-        "rows": list(report.rows),
-        "fits": report.fits,
-        "verdicts": report.verdicts,
-        "passed": report.passed,
-    }
 
 
 def write_json(obj: Any, path: str) -> None:

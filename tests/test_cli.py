@@ -59,11 +59,15 @@ class TestCounterexampleCommand:
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["passed"] is True
-        assert set(payload["config"]) >= {"d", "alpha", "eps_list", "q_list", "seed"}
-        assert "workers" not in payload["config"]
-        assert len(payload["rows"]) == 8
-        assert len(payload["annihilation"]) == 4
-        for entry in payload["annihilation"]:
+        config, results = payload["config"], payload["results"]
+        assert set(config) >= {"group", "alpha", "eps", "q", "seed"}
+        # Both options decide the verdict, so both are recorded.
+        assert config["slope_tol"] == 0.05 and config["annihilation_samples"] == 1200
+        assert not {"workers", "out", "csv"} & set(config)
+        assert set(results) >= {"lam", "Lam", "critical_q", "fits", "verdicts"}
+        assert len(results["rows"]) == 8
+        assert len(results["annihilation"]) == 4
+        for entry in results["annihilation"]:
             assert entry["witness"] is None
             assert entry["n_outer"] + entry["n_inner"] == 1200
             assert entry["n_excluded_axis"] >= 0 and entry["n_excluded_shell"] >= 0
@@ -106,6 +110,7 @@ class TestCounterexampleCommand:
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
+        assert payload["results"]["annihilation"] == []
 
     def test_source_mass_far_from_exact_fails(self, monkeypatch, capsys):
         import carnotx.estimates as estimates
@@ -167,9 +172,19 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert len(payload["results"]) == 6 * 4
+        for row in payload["results"]:
+            assert row["lines"]["passed"] == row["eigen"]["passed"] == row["expected"]
+            assert set(row["lines"]["witness"]) == {"start", "direction", "s"}
+            assert set(row["eigen"]["witness"]) == {"point", "min_eigenvalue"}
+            assert row["lines"]["worst_slack"] is not None
 
-    def test_pointwise_bound(self):
-        assert run(["pointwise-bound", "--count", "16"]) == 0
+    def test_pointwise_bound(self, tmp_path):
+        out = tmp_path / "bound.json"
+        assert run(["pointwise-bound", "--count", "16", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["n_points"] == 16
+        assert len(results["witness"]["point"]) == 3
+        assert results["witness"]["trace"] == pytest.approx(-2.0)
 
     def test_ball_volume(self, capsys):
         assert run(["ball-volume", "--r", "0.5,1", "--samples", "50000"]) == 0
@@ -223,16 +238,26 @@ def test_degenerate_work_is_usage_error(argv, message, capsys):
     assert "overall:" not in captured.out
 
 
-@pytest.mark.parametrize(
-    "argv",
+ENVELOPE_CASES = [
+    ["verify-radial", "--points", "4"],
+    ["pucci", "--count", "2", "--samples", "256"],
+    ["convexity", "--lines", "8", "--points", "8", "--c", "2"],
+    ["pointwise-bound", "--count", "4"],
+    ["ball-volume", "--r", "0.5,1", "--samples", "2000"],
     [
-        ["verify-radial", "--points", "4"],
-        ["pucci", "--count", "2", "--samples", "256"],
-        ["convexity", "--lines", "8", "--points", "8", "--c", "2"],
-        ["pointwise-bound", "--count", "4"],
-        ["ball-volume", "--r", "0.5,1", "--samples", "2000"],
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1500",
+        "--annihilation-samples", "0",
     ],
-)
+]
+
+
+def test_envelope_cases_name_every_subcommand():
+    # A later subcommand must join the envelope test, so it cannot fork the shape.
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert sorted(argv[0] for argv in ENVELOPE_CASES) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_CASES)
 def test_report_envelope(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) == 0
