@@ -13,7 +13,7 @@ A single point is the one-element case of a stack of points (..., n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

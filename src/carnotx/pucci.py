@@ -170,50 +170,55 @@ def pucci_minus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
     return pucci_minus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
 
 
-def pucci_oracle_check(
-    matrix: np.ndarray, e: Ellipticity, n_samples: int, seed: int
-) -> tuple[float, float, bool]:
-    """Stress the sup representation of the maximal operator.
-
-    Samples admissible coefficient matrices A = U diag(u) U^T with Haar-ish
-    U and spectra uniform in [lam, Lam], maximizes Tr(A M) over the sample,
-    and builds the optimizer A* sharing M's eigenvectors with coefficient
-    Lam on nonnegative eigendirections and lam elsewhere.
-
-    Returns (oracle_sup, formula_value, attained) where ``attained`` says
-    Tr(A* M) reproduces the eigenvalue formula to 1e-10 * max(1, ||M||).
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    a = _as_symmetric(matrix)
+def _sampled_sup(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> float:
+    """Sampled max of Tr(A a); its chunks die on return, before the next matrix's."""
     m = a.shape[0]
-    spec = sym_eigenvalues(a)
-    formula = float(pucci_plus_of_eigenvalues(_clamped(spec.eigenvalues), e))
-
     rng = substream(seed, "pucci-oracle")
-    oracle_sup = -np.inf
-    chunk = 4096
-    remaining = int(n_samples)
-    while remaining > 0:
-        k = min(chunk, remaining)
-        remaining -= k
-        gauss = rng.standard_normal((k, m, m))
-        q_mats, r_mats = np.linalg.qr(gauss)
+    sup = -np.inf
+    for start in range(0, n_samples, 4096):
+        k = min(4096, n_samples - start)
+        q_mats, r_mats = np.linalg.qr(rng.standard_normal((k, m, m)))
         # make the factorization unique so U is Haar-distributed
         signs = np.sign(np.einsum("nii->ni", r_mats))
         signs[signs == 0.0] = 1.0
         q_mats = q_mats * signs[:, None, :]
         coeffs = rng.uniform(e.lam, e.Lam, size=(k, m))
         mats = np.einsum("nik,nk,njk->nij", q_mats, coeffs, q_mats)
-        traces = np.einsum("nij,ji->n", mats, a)
-        oracle_sup = max(oracle_sup, float(np.max(traces)))
+        sup = max(sup, float(np.max(np.einsum("nij,ji->n", mats, a))))
+    return sup
 
+
+def pucci_oracle_check(
+    matrix: np.ndarray, e: Ellipticity, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stress the sup representation of the maximal operator.
+
+    For each matrix M of a stack (..., m, m), samples admissible
+    coefficient matrices A = U diag(u) U^T with Haar U and spectra uniform
+    in [lam, Lam], maximizes Tr(A M) over the sample, and builds the
+    optimizer A* sharing M's eigenvectors with coefficient Lam on
+    nonnegative eigendirections and lam elsewhere.  Matrix j of the
+    flattened stack draws from substream(seed + j, "pucci-oracle").
+
+    Returns (oracle_sup, formula_value, attained), each of shape (...),
+    where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to
+    1e-10 * max(1, ||M||).
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    a = _as_symmetric(matrix)
+    lead, m = a.shape[:-2], a.shape[-1]
+    a = a.reshape((-1, m, m))
+    if not len(a):
+        raise ValueError("need at least one matrix")
+    spec = sym_eigenvalues(a)
+    formula = pucci_plus_of_eigenvalues(_clamped(spec.eigenvalues), e)
+    oracle_sup = np.array([_sampled_sup(aj, e, n_samples, seed + j) for j, aj in enumerate(a)])
     coeff_star = np.where(spec.eigenvalues > 0.0, e.Lam, e.lam)
-    a_star = (spec.vectors * coeff_star) @ spec.vectors.T
-    attained = abs(float(np.trace(a_star @ a)) - formula) <= 1e-10 * max(
-        1.0, float(np.linalg.norm(a))
-    )
-    return oracle_sup, formula, attained
+    a_star = (spec.vectors * coeff_star[:, None, :]) @ np.swapaxes(spec.vectors, -1, -2)
+    traces = np.einsum("nij,nji->n", a_star, a)
+    attained = np.abs(traces - formula) <= 1e-10 * np.maximum(1.0, _frobenius(a))
+    return tuple(x.reshape(lead)[()] for x in (oracle_sup, formula, attained))
 
 
 def isaacs_gap(

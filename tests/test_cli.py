@@ -6,14 +6,18 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carnotx
 
+from carnotx import Ellipticity, pucci_oracle_check
 from carnotx.cli import _build_parser, _parse_eps_spec, _parse_q_spec, run
-from carnotx.report import CSV_HEADER, SCHEMA_VERSION
+from carnotx.report import CSV_HEADER, SCHEMA_VERSION, dumps
+from carnotx.rng import substream
 
 
 class TestParsing:
@@ -162,6 +166,62 @@ class TestOtherCommands:
 
     def test_pucci(self):
         assert run(["pucci", "--count", "4", "--samples", "512"]) == 0
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_pucci_report_matches_per_matrix_loop(self, seed, tmp_path):
+        # The reference is the per-matrix loop: one (dim, dim) draw, oracle
+        # call at seed + i and np.linalg.norm scale per matrix.
+        e = Ellipticity(lam=1.0, Lam=3.0)
+        rng = substream(seed, "pucci-cli")
+        gaps, attained = [], True
+        for i in range(7):
+            raw = rng.standard_normal((4, 4))
+            mat = 0.5 * (raw + raw.T)
+            sup, formula, ok = pucci_oracle_check(mat, e, n_samples=300, seed=seed + i)
+            gaps.append((sup - formula) / max(1.0, float(np.linalg.norm(mat))))
+            attained = attained and bool(ok)
+        worst = float(max(gaps))
+        want = {
+            "schema_version": SCHEMA_VERSION,
+            "version": carnotx.__version__,
+            "command": "pucci",
+            "config": {
+                "dim": 4, "count": 7, "samples": 300, "lam": 1.0, "Lam": 3.0,
+                "seed": seed, "tol": 1e-10,
+            },
+            "results": {"worst_gap": worst, "attained": attained},
+            "passed": attained and worst <= 1e-10,
+        }
+        out = tmp_path / "pucci.json"
+        argv = ["pucci", "--dim", "4", "--count", "7", "--samples", "300"]
+        run(argv + ["--seed", str(seed), "--out", str(out)])
+        assert out.read_text() == dumps(want)
+
+    def test_pucci_is_one_stacked_call(self, monkeypatch):
+        import carnotx.cli as cli
+        import carnotx.pucci as pucci
+
+        calls = []
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+        monkeypatch.setattr(pucci, "sym_eigenvalues", counted("eig", pucci.sym_eigenvalues))
+        monkeypatch.setattr(cli, "pucci_oracle_check", counted("oracle", cli.pucci_oracle_check))
+        assert run(["pucci", "--count", "5", "--samples", "16"]) == 0
+        assert sorted(calls) == ["eig", "oracle"]
+
+    def test_pucci_memory_stays_flat(self):
+        # One stacked oracle call must still free each matrix's sample chunks
+        # before the next matrix draws its own.
+        argv = ["pucci", "--dim", "6", "--count", "64", "--samples", "1024"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_convexity(self, tmp_path):
         out = tmp_path / "conv.json"

@@ -1,6 +1,5 @@
 """Extremal operators: frozen values, algebraic laws, and the sampled sup."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -143,6 +142,26 @@ class TestOracle:
     def test_oracle_requires_samples(self):
         with pytest.raises(ValueError):
             pucci_oracle_check(np.eye(2), E13, n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [1, 4097])  # 4097: two sample chunks
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_stack_matches_single_calls(self, m, n_samples):
+        rng = np.random.default_rng(m)
+        stack = np.array([random_sym(rng, m) for _ in range(6)]).reshape(2, 3, m, m)
+        sup, formula, attained = pucci_oracle_check(stack, E13, n_samples, seed=11)
+        assert sup.shape == formula.shape == attained.shape == (2, 3)
+        singles = [
+            pucci_oracle_check(mat, E13, n_samples, seed=11 + j)
+            for j, mat in enumerate(stack.reshape(-1, m, m))
+        ]
+        want_sup, want_formula, want_attained = (np.array(x).reshape(2, 3) for x in zip(*singles))
+        assert np.array_equal(sup.view(np.uint64), want_sup.view(np.uint64))
+        assert np.array_equal(formula.view(np.uint64), want_formula.view(np.uint64))
+        assert np.array_equal(attained, want_attained) and attained.all()
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            pucci_oracle_check(np.zeros((0, 3, 3)), E13, n_samples=8, seed=0)
 
 
 class TestIsaacsGap:
