@@ -11,17 +11,13 @@ integrability exponent.
 __version__ = "0.1.0"
 
 from .calculus import (
-    DEFAULT_SCHEME,
     DomainError,
-    FDScheme,
     RadialProfile,
     ScalarField,
     SingularPointError,
     add_horizontal_quadratic,
     check_field_consistency,
     check_profile_consistency,
-    euclid_gradient,
-    euclid_hessian,
     field_from_profile,
     horizontal_gradient,
     horizontal_hessian_sym,
@@ -41,13 +37,10 @@ from .catalog import (
     saddle_field,
 )
 from .convexity import (
-    DEFAULT_STEP_SIZES,
     SemiconvexityReport,
-    XLine,
     check_semiconvex_eigen,
     check_semiconvex_lines,
     integrate_xline,
-    xline,
 )
 from .estimates import (
     AnnihilationReport,
@@ -61,7 +54,6 @@ from .estimates import (
     SweepRow,
     alpha_for_critical_q,
     ball_volume,
-    counterexample_field,
     counterexample_profile,
     counterexample_rhs_field,
     gauge_ball_sampler,
@@ -114,12 +106,8 @@ __all__ = [
     # calculus
     "DomainError",
     "SingularPointError",
-    "FDScheme",
-    "DEFAULT_SCHEME",
     "ScalarField",
     "RadialProfile",
-    "euclid_gradient",
-    "euclid_hessian",
     "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
@@ -141,9 +129,6 @@ __all__ = [
     "pucci_oracle_check",
     "isaacs_gap",
     # convexity
-    "DEFAULT_STEP_SIZES",
-    "XLine",
-    "xline",
     "integrate_xline",
     "SemiconvexityReport",
     "check_semiconvex_lines",
@@ -173,7 +158,6 @@ __all__ = [
     "q_star",
     "alpha_for_critical_q",
     "counterexample_profile",
-    "counterexample_field",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",
     "sweep_scaling",

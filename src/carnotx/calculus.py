@@ -23,14 +23,8 @@ from .group import GroupDescriptor, _dot, _gauge_parts, homogeneous_norm
 __all__ = [
     "DomainError",
     "SingularPointError",
-    "FDScheme",
-    "DEFAULT_SCHEME",
     "ScalarField",
     "RadialProfile",
-    "HeisenbergRadialFrame",
-    "RadialHessian",
-    "euclid_gradient",
-    "euclid_hessian",
     "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
@@ -54,48 +48,13 @@ class SingularPointError(DomainError):
 
 # --- finite differences ----------------------------------------------------
 
-# offset -> coefficient tables for central stencils; first-derivative
-# coefficients are divided by h, second-derivative ones by h^2.
-_D1 = {
-    2: ((-1, -0.5), (1, 0.5)),
-    4: ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0)),
-}
-_D2 = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    4: (
-        (-2, -1.0 / 12.0),
-        (-1, 4.0 / 3.0),
-        (0, -5.0 / 2.0),
-        (1, 4.0 / 3.0),
-        (2, -1.0 / 12.0),
-    ),
-}
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Central finite-difference scheme.
-
-    The effective step at a point is ``base_step * max(1, |x|_inf)``.  With
-    ``richardson`` the stencil is evaluated at h and h/2 and extrapolated,
-    raising the order by two.
-    """
-
-    base_step: float = 1e-3
-    order: int = 4
-    richardson: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.base_step > 0.0:
-            raise ValueError(f"base step must be positive, got {self.base_step}")
-        if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
-
-    def step_at(self, x: np.ndarray) -> np.ndarray:
-        return self.base_step * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-
-
-DEFAULT_SCHEME = FDScheme()
+# The one stencil: fourth-order central differences with step
+# 1e-3 * max(1, |x|_inf), Richardson-extrapolated from h and h/2.
+# Offset -> coefficient tables; first-derivative coefficients are divided
+# by h, second-derivative ones by h^2.
+_D1 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
+_D2 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
+_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -122,21 +81,23 @@ class ScalarField:
         return np.asarray(self.smooth_domain(np.asarray(x, dtype=float)))
 
 
+_MAX_REDRAWS = 20
+
+
 def _sample_admissible(
     u: ScalarField,
     sampler: Callable[[int, np.random.Generator], np.ndarray],
     count: int,
     rng: np.random.Generator,
-    max_retries: int = 20,
 ) -> np.ndarray:
     """Draw sampler points, redrawing those outside u's smooth domain.
 
     Gives up with RuntimeError when points are still outside after
-    ``max_retries`` redraws.
+    _MAX_REDRAWS redraws.
     """
     pts = np.asarray(sampler(count, rng), dtype=float)
     bad = ~u.in_domain(pts)
-    for _ in range(max_retries):
+    for _ in range(_MAX_REDRAWS):
         if not np.any(bad):
             break
         pts[bad] = np.asarray(sampler(int(np.sum(bad)), rng), dtype=float)
@@ -158,9 +119,7 @@ def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
 _FD_CHUNK = 16
 
 
-def _fd_derivatives(
-    u: ScalarField, x: np.ndarray, scheme: FDScheme
-) -> tuple[np.ndarray, np.ndarray]:
+def _fd_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradients and Hessians at points (..., n).
 
     One stencil serves both: axis rows at the second-derivative offsets,
@@ -169,88 +128,66 @@ def _fd_derivatives(
     combined by BLAS dots of its own, so its bits do not depend on the stack.
     """
     n = x.shape[-1]
-    d1, d2 = _D1[scheme.order], _D2[scheme.order]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     eye = np.eye(n)
     table = np.array(
-        [off * eye[k] for k in range(n) for off, _ in d2]
-        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in d1 for ob, _ in d1]
+        [off * eye[k] for k in range(n) for off, _ in _D2]
+        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in _D1 for ob, _ in _D1]
     )
-    grad_cols = [[off for off, _ in d2].index(off) for off, _ in d1]
-    c1, c2 = np.array([c for _, c in d1]), np.array([c for _, c in d2])
-    c_mix = np.array([ca * cb for _, ca in d1 for _, cb in d1])
+    grad_cols = [[off for off, _ in _D2].index(off) for off, _ in _D1]
+    c1, c2 = np.array([c for _, c in _D1]), np.array([c for _, c in _D2])
+    c_mix = np.array([ca * cb for _, ca in _D1 for _, cb in _D1])
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
 
     flat = x.reshape(-1, n)
     grad, hess = np.empty(flat.shape), np.empty(flat.shape + (n,))
     for lo in range(0, len(flat), _FD_CHUNK):
         xc = flat[lo : lo + _FD_CHUNK]
-        h = scheme.step_at(xc)[:, None]
-        h = np.concatenate([h, h / 2.0], axis=1) if scheme.richardson else h
+        h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
+        h = np.concatenate([h, h / 2.0], axis=1)
         vals = u.evaluate((xc[:, None, None, :] + h[..., None, None] * table).reshape(-1, n))
         vals = np.asarray(vals, dtype=float).reshape(h.shape + (len(table),))
-        axis = vals[..., : n * len(d2)].reshape(h.shape + (n, len(d2)))
-        mix = vals[..., n * len(d2) :].reshape(h.shape + (len(pairs), len(c_mix)))
+        axis = vals[..., : n * len(_D2)].reshape(h.shape + (n, len(_D2)))
+        mix = vals[..., n * len(_D2) :].reshape(h.shape + (len(pairs), len(c_mix)))
         h2 = np.float_power(h, 2)[..., None]  # the C library's pow, as a scalar h**2
         H = np.empty(h.shape + (n, n))
         H[..., range(n), range(n)] = _dot(axis, c2) / h2
         H[..., rows, cols] = H[..., cols, rows] = _dot(mix, c_mix) / h2
         g = axis[..., grad_cols] @ c1 / h[..., None]
+        # Richardson: the fourth-order error of h against h/2 cancels.
         grad[lo : lo + len(xc)], hess[lo : lo + len(xc)] = (
-            _richardson(a[:, 0], a[:, 1], scheme.order) if scheme.richardson else a[:, 0]
-            for a in (g, H)
+            (16.0 * a[:, 1] - a[:, 0]) / 15.0 for a in (g, H)
         )
     return grad.reshape(x.shape), hess.reshape(x.shape + (n,))
 
 
-def _richardson(coarse: np.ndarray, fine: np.ndarray, order: int) -> np.ndarray:
-    w = 2.0**order
-    return (w * fine - coarse) / (w - 1.0)
+def _euclid_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean gradients and Hessians at points (..., n).
 
-
-def euclid_gradient(
-    u: ScalarField, x: np.ndarray, scheme: FDScheme = DEFAULT_SCHEME
-) -> np.ndarray:
-    """Euclidean gradients at points (..., n), analytic when available."""
-    x = np.asarray(x, dtype=float)
-    if u.euclid_gradient is not None:
-        return np.asarray(u.euclid_gradient(x), dtype=float)
-    return _fd_derivatives(u, x, scheme)[0]
-
-
-def euclid_hessian(
-    u: ScalarField, x: np.ndarray, scheme: FDScheme = DEFAULT_SCHEME
-) -> np.ndarray:
-    """Euclidean Hessians at points (..., n), analytic when available."""
-    x = np.asarray(x, dtype=float)
-    if u.euclid_hessian is not None:
-        return np.asarray(u.euclid_hessian(x), dtype=float)
-    return _fd_derivatives(u, x, scheme)[1]
+    The field's callbacks give what they can; one stencil gives the rest,
+    and none runs when both callbacks are present.
+    """
+    callbacks = (u.euclid_gradient, u.euclid_hessian)
+    fd_pair = _fd_derivatives(u, x) if None in callbacks else (None, None)
+    return tuple(
+        fd if callback is None else np.asarray(callback(x), dtype=float)
+        for callback, fd in zip(callbacks, fd_pair)
+    )
 
 
 # --- horizontal derivatives ------------------------------------------------
 
 
-def horizontal_gradient(
-    group: GroupDescriptor,
-    u: ScalarField,
-    x: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-) -> np.ndarray:
+def horizontal_gradient(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """(X_1 u, ..., X_m u) at points (..., n); shape (..., m)."""
     x = np.asarray(x, dtype=float)
     _require_in_domain(u, x)
-    grad = euclid_gradient(u, x, scheme)
+    grad = _euclid_derivatives(u, x)[0]
     sigma = np.asarray(group.sigma_eval(x), dtype=float)
     return (np.swapaxes(sigma, -1, -2) @ grad[..., None])[..., 0]
 
 
-def horizontal_hessian_sym(
-    group: GroupDescriptor,
-    u: ScalarField,
-    x: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-) -> np.ndarray:
+def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """Symmetrized horizontal Hessians ((X_i X_j + X_j X_i) u / 2).
 
     Takes points (..., n) and returns shape (..., m, m).  Assembled as
@@ -259,10 +196,7 @@ def horizontal_hessian_sym(
     """
     x = np.asarray(x, dtype=float)
     _require_in_domain(u, x)
-    if u.euclid_gradient is None and u.euclid_hessian is None:
-        grad, hess = _fd_derivatives(u, x, scheme)  # one stencil for both
-    else:
-        grad, hess = euclid_gradient(u, x, scheme), euclid_hessian(u, x, scheme)
+    grad, hess = _euclid_derivatives(u, x)
     sigma = np.asarray(group.sigma_eval(x), dtype=float)
     jac = np.asarray(group.sigma_jacobian_eval(x), dtype=float)
     main = np.swapaxes(sigma, -1, -2) @ hess @ sigma
@@ -272,14 +206,9 @@ def horizontal_hessian_sym(
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def sublaplacian(
-    group: GroupDescriptor,
-    u: ScalarField,
-    x: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-) -> np.ndarray:
+def sublaplacian(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """Trace of the symmetrized horizontal Hessian, i.e. sum_j X_j^2 u; shape (...)."""
-    return np.trace(horizontal_hessian_sym(group, u, x, scheme), axis1=-2, axis2=-1)
+    return np.trace(horizontal_hessian_sym(group, u, x), axis1=-2, axis2=-1)
 
 
 # --- gauge-radial calculus on H^d -------------------------------------------
@@ -428,9 +357,7 @@ def radial_hessian_eigenvalues(
     return np.stack(cols, axis=-1)
 
 
-def field_from_profile(
-    group: GroupDescriptor, profile: RadialProfile, name: Optional[str] = None
-) -> ScalarField:
+def field_from_profile(group: GroupDescriptor, profile: RadialProfile) -> ScalarField:
     """The gauge-radial field psi(rho(x)) without analytic callbacks.
 
     Deliberately evaluation-only so finite differences of the field remain
@@ -449,7 +376,7 @@ def field_from_profile(
         return (h2 > 0.0) & profile.radius_ok(rho)
 
     return ScalarField(
-        name=name or f"{profile.name}(rho)",
+        name=f"{profile.name}(rho)",
         evaluate=evaluate,
         smooth_domain=domain,
     )
@@ -501,13 +428,13 @@ def add_horizontal_quadratic(
 # --- consistency self-tests --------------------------------------------------
 
 
-def check_field_consistency(
-    u: ScalarField,
-    points: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
-) -> dict:
+# Callbacks agree with the stencil within atol + rtol * max(1, |value|).
+_CALLBACK_RTOL, _CALLBACK_ATOL = 1e-6, 1e-8
+# Step and relative tolerance of the one-dimensional profile check.
+_PROFILE_STEP, _PROFILE_RTOL = 1e-4, 1e-6
+
+
+def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
     """Compare analytic derivative callbacks against finite differences.
 
     Returns a report dict; ``ok`` is False when any callback deviates from
@@ -515,10 +442,10 @@ def check_field_consistency(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     worst = []
-    fd_pair = _fd_derivatives(u, points, scheme)
+    fd_pair = _fd_derivatives(u, points)
     for callback, fd in zip((u.euclid_gradient, u.euclid_hessian), fd_pair):
         a = fd if callback is None else np.asarray(callback(points), dtype=float)
-        scale = atol + rtol * np.maximum(1.0, np.abs(a))
+        scale = _CALLBACK_ATOL + _CALLBACK_RTOL * np.maximum(1.0, np.abs(a))
         worst.append(float(np.max(np.abs(a - fd) / scale, initial=0.0)))
     worst_grad, worst_hess = worst
     return {
@@ -528,16 +455,12 @@ def check_field_consistency(
     }
 
 
-def check_profile_consistency(
-    profile: RadialProfile,
-    radii: np.ndarray,
-    h: float = 1e-4,
-    rtol: float = 1e-6,
-) -> dict:
+def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict:
     """Verify psi_prime / psi_second against 1-D differences of psi."""
     radii = np.asarray(radii, dtype=float)
     ok_mask = profile.radius_ok(radii)
     r = radii[ok_mask]
+    h = _PROFILE_STEP
     # fourth-order central differences in one dimension
     d1 = (
         profile.psi(r - 2 * h)
@@ -559,4 +482,5 @@ def check_profile_consistency(
         np.abs(d2 - profile.psi_second(r))
         / np.maximum(1.0, np.abs(profile.psi_second(r)))
     )
-    return {"ok": bool(e1 <= rtol and e2 <= rtol), "prime_err": float(e1), "second_err": float(e2)}
+    ok = bool(e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL)
+    return {"ok": ok, "prime_err": float(e1), "second_err": float(e2)}

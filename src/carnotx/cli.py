@@ -77,10 +77,18 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _dyadic_exponent(token: str) -> int:
+    """k of '2^k', limited to the exponents of finite, nonzero doubles."""
+    k = int(token[2:])
+    if not -1074 <= k <= 1023:
+        raise ValueError(f"exponent of {token!r} is outside [-1074, 1023]")
+    return k
+
+
 def _parse_dyadic(token: str) -> float:
     token = token.strip()
     if token.startswith("2^"):
-        return float(2.0 ** int(token[2:]))
+        return 2.0 ** _dyadic_exponent(token)
     return _finite_float(token)
 
 
@@ -91,7 +99,7 @@ def _parse_eps_spec(spec: str) -> tuple[float, ...]:
             lo_s, hi_s = (part.strip() for part in spec.split("..", 1))
             if not (lo_s.startswith("2^") and hi_s.startswith("2^")):
                 raise ValueError("ranges must use dyadic endpoints, like 2^-3..2^-8")
-            k0, k1 = int(lo_s[2:]), int(hi_s[2:])
+            k0, k1 = _dyadic_exponent(lo_s), _dyadic_exponent(hi_s)
             step = 1 if k1 >= k0 else -1
             return tuple(2.0**k for k in range(k0, k1 + step, step))
         return tuple(_parse_dyadic(t) for t in spec.split(","))
@@ -490,6 +498,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, IllPosedIntegrandError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OverflowError as err:
+        print(f"error: a result is too large for a float: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"error: could not write output: {err}", file=sys.stderr)

@@ -15,42 +15,24 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .calculus import (
-    DEFAULT_SCHEME,
-    FDScheme,
-    ScalarField,
-    _sample_admissible,
-    horizontal_hessian_sym,
-)
+from .calculus import ScalarField, _sample_admissible, horizontal_hessian_sym
 from .group import GroupDescriptor, _dot
 from .pucci import sym_eigenvalues
 from .rng import substream
 
 __all__ = [
-    "XLine",
     "SemiconvexityReport",
     "integrate_xline",
-    "xline",
     "check_semiconvex_lines",
     "check_semiconvex_eigen",
-    "DEFAULT_STEP_SIZES",
 ]
 
 # Dyadic probe half-widths for second differences.
-DEFAULT_STEP_SIZES = tuple(2.0**-k for k in range(3, 9))
+_STEP_SIZES = tuple(2.0**-k for k in range(3, 9))
+# Both checkers forgive a violation up to this slack.
+_SLACK_TOL = 1e-9
 
 _RK4_MAX_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class XLine:
-    """A horizontal line segment with a vectorized evaluator."""
-
-    start: np.ndarray
-    direction: np.ndarray
-    t_min: float
-    t_max: float
-    point_at: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -67,16 +49,6 @@ class SemiconvexityReport:
     worst_slack: float
     witness: Any
     n_checked: int
-
-
-def _normalized_direction(group: GroupDescriptor, alpha: np.ndarray) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[-1:] != (group.m,):
-        raise ValueError(f"direction must have length m={group.m}")
-    norm = np.sqrt(_dot(alpha, alpha))
-    if not np.all((norm != 0.0) & np.isfinite(norm)):
-        raise ValueError("direction must be nonzero and finite")
-    return alpha / norm[..., None]
 
 
 def _heisenberg_line(
@@ -144,32 +116,17 @@ def integrate_xline(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-1:] != (group.n,):
         raise ValueError(f"start point must have length n={group.n}")
-    alpha = _normalized_direction(group, alpha)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape[-1:] != (group.m,):
+        raise ValueError(f"direction must have length m={group.m}")
+    norm = np.sqrt(_dot(alpha, alpha))
+    if not np.all((norm != 0.0) & np.isfinite(norm)):
+        raise ValueError("direction must be nonzero and finite")
+    alpha = alpha / norm[..., None]
     t_arr = np.asarray(t, dtype=float)
     path = _heisenberg_line if group.heisenberg_d is not None else _rk4_path
     out = path(group, x0.reshape(-1, group.n), alpha.reshape(-1, group.m), t_arr)
     return out.reshape(x0.shape[:-1] + t_arr.shape + (group.n,))
-
-
-def xline(
-    group: GroupDescriptor,
-    x0: np.ndarray,
-    alpha: np.ndarray,
-    t_span: tuple[float, float] = (-1.0, 1.0),
-) -> XLine:
-    """Construct an X-line with a reusable evaluator."""
-    t_min, t_max = float(t_span[0]), float(t_span[1])
-    if not t_min < t_max:
-        raise ValueError(f"need t_min < t_max, got {t_span}")
-    x0 = np.asarray(x0, dtype=float)
-    unit = _normalized_direction(group, alpha)
-    return XLine(
-        start=x0,
-        direction=unit,
-        t_min=t_min,
-        t_max=t_max,
-        point_at=lambda t: integrate_xline(group, x0, unit, t),
-    )
 
 
 def check_semiconvex_lines(
@@ -179,14 +136,13 @@ def check_semiconvex_lines(
     sampler: Callable[[int, np.random.Generator], np.ndarray],
     line_count: int,
     seed: int,
-    step_sizes: tuple[float, ...] = DEFAULT_STEP_SIZES,
-    tol: float = 1e-9,
 ) -> SemiconvexityReport:
-    """Second-difference test 2u(x) - u(x(+s)) - u(x(-s)) <= c s^2 + tol.
+    """Second-difference test 2u(x) - u(x(+s)) - u(x(-s)) <= c s^2 + 1e-9.
 
     Lines start at sampled points with uniformly random unit directions;
-    each is probed at every step size.  Endpoints that leave the smooth
-    domain cause the whole line to be redrawn (bounded retries).
+    each is probed at the half-widths s = 2^-3, ..., 2^-8.  Endpoints that
+    leave the smooth domain cause the whole line to be redrawn (bounded
+    retries).
     """
     c = float(c)
     if not np.isfinite(c):
@@ -194,7 +150,7 @@ def check_semiconvex_lines(
     if line_count < 1:
         raise ValueError(f"the line check needs at least one line, got {line_count}")
     rng = substream(seed, "semiconvex-lines")
-    s = np.asarray(step_sizes, dtype=float)
+    s = np.asarray(_STEP_SIZES, dtype=float)
     rounds = []  # accepted (starts, directions, forward points, backward points)
     filled = 0
     for _ in range(40):
@@ -222,7 +178,7 @@ def check_semiconvex_lines(
     worst = float(slack[i, j])
     return SemiconvexityReport(
         constant=c,
-        passed=worst <= tol,
+        passed=worst <= _SLACK_TOL,
         worst_slack=worst,
         witness={"start": starts[i].copy(), "direction": dirs[i].copy(), "s": float(s[j])},
         n_checked=line_count * s.size,
@@ -236,10 +192,8 @@ def check_semiconvex_eigen(
     sampler: Callable[[int, np.random.Generator], np.ndarray],
     point_count: int,
     seed: int,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    tol: float = 1e-9,
 ) -> SemiconvexityReport:
-    """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - tol."""
+    """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - 1e-9."""
     c = float(c)
     if not np.isfinite(c):
         raise ValueError(f"semiconvexity constant must be finite, got {c}")
@@ -247,14 +201,14 @@ def check_semiconvex_eigen(
         raise ValueError(f"the eigenvalue check needs at least one point, got {point_count}")
     rng = substream(seed, "semiconvex-eigen")
     pts = _sample_admissible(u, sampler, point_count, rng)
-    mats = horizontal_hessian_sym(group, u, pts, scheme)
+    mats = horizontal_hessian_sym(group, u, pts)
     low = sym_eigenvalues(mats).eigenvalues[:, 0]
     slack = -c - low  # positive when the bound is violated
     i = int(np.argmax(slack))
     worst = float(slack[i])
     return SemiconvexityReport(
         constant=c,
-        passed=worst <= tol,
+        passed=worst <= _SLACK_TOL,
         worst_slack=float(worst),
         witness={"point": pts[i].copy(), "min_eigenvalue": float(low[i])},
         n_checked=point_count,

@@ -21,16 +21,15 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .calculus import (
-    DEFAULT_SCHEME,
-    FDScheme,
     RadialProfile,
     ScalarField,
     _sample_admissible,
+    field_from_profile,
     horizontal_hessian_sym,
     radial_hessian,
     radial_hessian_eigenvalues,
 )
-from .group import GroupDescriptor, _gauge_parts, heisenberg, homogeneous_norm
+from .group import GroupDescriptor, _gauge_parts, heisenberg
 from .pucci import (
     Ellipticity,
     _relative_frobenius,
@@ -50,14 +49,12 @@ __all__ = [
     "PointwiseBoundReport",
     "SweepRow",
     "SweepReport",
-    "gauge_box_halfwidths",
     "gauge_ball_sampler",
     "ball_volume",
     "lq_norm",
     "q_star",
     "alpha_for_critical_q",
     "counterexample_profile",
-    "counterexample_field",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",
     "sweep_scaling",
@@ -113,10 +110,16 @@ def gauge_box_halfwidths(group: GroupDescriptor, r: float) -> np.ndarray:
 
     Coordinate i gets half-width r**w_i; on H^d that is |x_i| <= r for the
     horizontal slots and |t| <= r^2 vertically, which contains {rho < r}.
+    A radius whose box volume underflows to 0 or overflows is rejected.
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"ball radius must be positive and finite, got {r}")
-    return float(r) ** np.array(group.dilation_weights, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        hw = float(r) ** np.array(group.dilation_weights, dtype=float)
+        volume = np.prod(2.0 * hw)
+    if not (r > 0.0 and 0.0 < volume < math.inf):
+        raise ValueError(
+            f"ball radius must be positive with a positive, finite box volume, got {r}"
+        )
+    return hw
 
 
 # Box points per chunk of the Monte-Carlo integrator, so its memory is fixed.
@@ -228,6 +231,10 @@ def _exact_ball_volume(group: GroupDescriptor, r: float) -> float:
 
 # An estimate further than this many standard errors from its exact value fails.
 MAX_PULL = 5.0
+# At the critical exponent the source norms may spread by at most this ratio,
+# and the outer Hessian mass must fit an affine law in log(1/eps) this well.
+NORM_RATIO_MAX = 1.2
+R2_MIN = 0.99
 
 
 def _pull(value: float, stderr: float, exact: float) -> float:
@@ -434,7 +441,8 @@ def counterexample_profile(cfg: CounterexampleConfig, eps: float) -> RadialProfi
     """Radial profile of the spliced family at a given splice radius.
 
     Values and derivatives exactly at the splice resolve to the outer
-    branch (the splice set has measure zero; reports flag hits).
+    branch, but the splice radius is outside ``smooth_radii``: second
+    derivatives do not exist there classically.
     """
     eps = float(eps)
     if not 0.0 < eps < 1.0:
@@ -464,27 +472,8 @@ def counterexample_profile(cfg: CounterexampleConfig, eps: float) -> RadialProfi
         psi=psi,
         psi_prime=psi_prime,
         psi_second=psi_second,
-        smooth_radii=lambda r: np.asarray(r, dtype=float) > 0.0,
+        smooth_radii=lambda r: outer.radius_ok(r) & (np.asarray(r) != eps),
     )
-
-
-def counterexample_field(cfg: CounterexampleConfig, eps: float) -> ScalarField:
-    """The spliced field as a plain ScalarField (evaluation only).
-
-    Its smooth domain excludes the splice shell and the vertical axis,
-    where second derivatives do not exist classically.
-    """
-    group = cfg.group()
-    profile = counterexample_profile(cfg, eps)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return np.asarray(profile.psi(homogeneous_norm(group, x)), dtype=float)
-
-    def domain(x: np.ndarray) -> np.ndarray:
-        rho, h2, _ = _gauge_parts(group, x)
-        return (h2 > 0.0) & (rho != eps)
-
-    return ScalarField(name=profile.name, evaluate=evaluate, smooth_domain=domain)
 
 
 def counterexample_rhs_field(cfg: CounterexampleConfig, eps: float) -> ScalarField:
@@ -500,6 +489,11 @@ def counterexample_rhs_field(cfg: CounterexampleConfig, eps: float) -> ScalarFie
 
 
 # --- annihilation of the maximal operator ------------------------------------
+
+
+# Outer-branch points whose stencil Hessian is compared with the closed form,
+# and the relative Frobenius tolerance of that comparison.
+_FD_CHECKS, _FD_RTOL = 12, 1e-4
 
 
 @dataclass(frozen=True)
@@ -533,8 +527,6 @@ def verify_pucci_annihilation(
     n_samples: int,
     seed: int,
     tol: float = 1e-8,
-    fd_checks: int = 12,
-    fd_rtol: float = 1e-4,
 ) -> AnnihilationReport:
     """Check the defining identities of the spliced family by sampling.
 
@@ -594,17 +586,17 @@ def verify_pucci_annihilation(
 
     # Finite-difference cross-check on the outer branch, away from the
     # splice and the axis so the stencil sees a smooth function.
-    u = counterexample_field(cfg, eps)
+    u = field_from_profile(group, profile)
     lo = max(0.15, eps + 0.03)
     fd_ok = (~inner) & (rho > lo) & (rho < 0.9) & (h2 > 0.05**2)
     fd_idx = np.flatnonzero(fd_ok)
-    if len(fd_idx) > fd_checks:
-        fd_idx = fd_idx[rng.choice(len(fd_idx), size=fd_checks, replace=False)]
+    if len(fd_idx) > _FD_CHECKS:
+        fd_idx = fd_idx[rng.choice(len(fd_idx), size=_FD_CHECKS, replace=False)]
     rel = _relative_frobenius(
         horizontal_hessian_sym(group, u, pts[fd_idx]),
         radial_hessian(group, profile, pts[fd_idx]).matrix,
     )
-    fd_excess = float(np.max(rel / fd_rtol, initial=0.0))
+    fd_excess = float(np.max(rel / _FD_RTOL, initial=0.0))
 
     passed = (
         outer_res <= tol
@@ -727,8 +719,6 @@ def sweep_scaling(
     quad: QuadratureSpec,
     workers: int = 1,
     slope_tol: float = 0.05,
-    norm_ratio_max: float = 1.2,
-    r2_min: float = 0.99,
 ) -> SweepReport:
     """Measure the (eps, q) grid and fit the scaling laws.
 
@@ -763,7 +753,7 @@ def sweep_scaling(
             slope, intercept, r2 = _linear_fit(
                 np.log(1.0 / eps_arr), np.array([row.hess_mass_outer for row in sub])
             )
-            passed = ratio <= norm_ratio_max and r2 >= r2_min
+            passed = ratio <= NORM_RATIO_MAX and r2 >= R2_MIN
             fit = {
                 "q": q,
                 "kind": "critical",
@@ -773,7 +763,7 @@ def sweep_scaling(
                 "r2": r2,
             }
             detail = (
-                f"source norm ratio {ratio:.6g} (max {norm_ratio_max}),"
+                f"source norm ratio {ratio:.6g} (max {NORM_RATIO_MAX}),"
                 f" outer Hessian mass affine in log(1/eps) with R^2={r2:.6g}"
             )
         else:
@@ -847,7 +837,6 @@ def pointwise_bound_check(
     sampler: Callable[[int, np.random.Generator], np.ndarray],
     count: int,
     seed: int,
-    scheme: FDScheme = DEFAULT_SCHEME,
     tol: float = 1e-8,
 ) -> PointwiseBoundReport:
     """Sample the two-sided bound on the horizontal trace.
@@ -867,7 +856,7 @@ def pointwise_bound_check(
     pts = _sample_admissible(u, sampler, count, rng)
 
     g0 = abs(float(gop(np.zeros((m, m)))))
-    mats = horizontal_hessian_sym(group, u, pts, scheme)
+    mats = horizontal_hessian_sym(group, u, pts)
     fx = np.asarray(f.evaluate(pts), dtype=float)
     semiconvex_ok = not np.any(sym_eigenvalues(mats).eigenvalues[:, 0] < -c4 - tol)
     supersolution_ok = not np.any(np.asarray(gop(mats)) > fx + tol)

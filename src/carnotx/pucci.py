@@ -33,6 +33,7 @@ __all__ = [
 _ZERO_CLAMP = 1e-14
 _OFFDIAG_TOL = 1e-14
 _MAX_SWEEPS = 64
+_SANDWICH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,6 @@ def isaacs_gap(
     matrix: np.ndarray,
     y_samples: Sequence[np.ndarray],
     e: Ellipticity,
-    spot_tol: float = 1e-9,
 ) -> float:
     """Slack of the min-max representation at ``matrix``.
 
@@ -237,7 +237,8 @@ def isaacs_gap(
     shape (...).
 
     The sandwich is the caller's responsibility; it is spot-checked on the
-    supplied sample pairs and a violation raises ValueError.
+    supplied sample pairs, to within _SANDWICH_TOL, and a violation raises
+    ValueError.
     """
     a = _as_symmetric(matrix)
     ys = _as_symmetric(np.asarray(y_samples, dtype=float).reshape((-1,) + a.shape))
@@ -247,7 +248,8 @@ def isaacs_gap(
     diff_plus = pucci_plus_of_eigenvalues(eigs, e)
     diff_minus = pucci_minus_of_eigenvalues(eigs, e)
     delta = g_m - g_y
-    if not np.all((diff_minus - spot_tol <= delta) & (delta <= diff_plus + spot_tol)):
+    within = (diff_minus - _SANDWICH_TOL <= delta) & (delta <= diff_plus + _SANDWICH_TOL)
+    if not np.all(within):
         raise ValueError(
             "operator violates the uniform ellipticity sandwich on a sample pair"
         )

@@ -24,7 +24,6 @@ __all__ = [
     "dumps",
     "write_json",
     "write_rows_csv",
-    "CSV_HEADER",
 ]
 
 SCHEMA_VERSION = 4

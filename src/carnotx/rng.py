@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["substream"]
+
 _MASK64 = (1 << 64) - 1
 
 

@@ -289,6 +289,25 @@ class TestOtherCommands:
         (["counterexample", "--annihilation-samples", "-5"], "non-negative integer"),
         (["counterexample", "--eps", "2^-3,2^-3,2^-3,2^-5", "--q", "2"], "distinct"),
         (["counterexample", "--eps", "2^-3..2^-6", "--q", "2,2"], "distinct"),
+        # dyadic exponents outside the finite, nonzero doubles; a range is
+        # checked at its endpoints, before any radius is built
+        (["counterexample", "--eps", "2^5000,2^-4,2^-5,2^-6"], "outside [-1074, 1023]"),
+        (["counterexample", "--eps", "2^-3..2^1100"], "outside [-1074, 1023]"),
+        (["counterexample", "--eps", "2^-3..2^-100000000"], "outside [-1074, 1023]"),
+        (
+            ["counterexample", "--eps", "2^-600,2^-601,2^-602,2^-603", "--q", "2"],
+            "box volume",
+        ),
+        (
+            [
+                "counterexample", "--eps", "2^-250,2^-251,2^-252,2^-253", "--q", "3",
+                "--samples", "1000", "--annihilation-samples", "0",
+            ],
+            "too large for a float",
+        ),
+        # Monte-Carlo boxes whose volume overflows or underflows
+        (["ball-volume", "--r", "1e200", "--samples", "2000"], "box volume"),
+        (["ball-volume", "--r", "1e-200", "--samples", "2000"], "box volume"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

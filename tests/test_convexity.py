@@ -21,7 +21,6 @@ from carnotx import (
     pointwise_bound_check,
     pucci_minus,
     saddle_field,
-    xline,
 )
 from carnotx.calculus import ScalarField
 
@@ -77,22 +76,13 @@ class TestXLines:
             numeric = integrate_xline(generic, x0, alpha, t)
             assert np.allclose(numeric, exact, atol=1e-9)
 
-    def test_xline_object(self):
-        line = xline(H1, np.zeros(3), np.array([0.0, 1.0]), t_span=(-2.0, 2.0))
-        pts = line.point_at(np.array([-2.0, 0.0, 2.0]))
-        assert pts.shape == (3, 3)
-        assert np.allclose(pts[1], 0.0)
-        assert line.t_min == -2.0 and line.t_max == 2.0
-        with pytest.raises(ValueError):
-            xline(H1, np.zeros(3), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            xline(H1, np.zeros(3), np.array([1.0, 0.0]), t_span=(2.0, -2.0))
-
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             integrate_xline(H1, np.zeros(2), np.array([1.0, 0.0]), 1.0)
         with pytest.raises(ValueError):
             integrate_xline(H1, np.zeros(3), np.array([1.0, 0.0, 0.0]), 1.0)
+        with pytest.raises(ValueError):
+            integrate_xline(H1, np.zeros(3), np.array([0.0, 0.0]), 1.0)
 
 
 class TestCheckers:

@@ -15,9 +15,9 @@ from carnotx import (
     alpha_for_critical_q,
     ball_volume,
     constant_field,
-    counterexample_field,
     counterexample_profile,
     counterexample_rhs_field,
+    field_from_profile,
     gauge_ball_sampler,
     heisenberg,
     homogeneous_norm,
@@ -138,12 +138,14 @@ class TestProfile:
 
     def test_field_and_smooth_domain(self):
         eps = 0.125
-        u = counterexample_field(CFG, eps)
-        x = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.5]])
+        u = field_from_profile(H1, counterexample_profile(CFG, eps))
+        # off the axis, on the axis, and exactly on the splice shell rho = eps
+        x = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.5], [eps, 0.0, 0.0]])
         vals = u.evaluate(x)
         rho0 = float(homogeneous_norm(H1, x[0]))
         assert vals[0] == pytest.approx(1.0 - math.sqrt(rho0))
-        assert u.in_domain(x).tolist() == [True, False]
+        assert float(homogeneous_norm(H1, x[2])) == eps
+        assert u.in_domain(x).tolist() == [True, False, False]
 
 
 class TestRhs:
@@ -383,7 +385,7 @@ def _mean_and_se(vbox, w):
 
 
 def _slab_field():
-    base = counterexample_field(CFG, 0.25)
+    base = field_from_profile(H1, counterexample_profile(CFG, 0.25))
 
     def evaluate(x):
         # Unevaluable on a thin slab, so the rejection count is exercised.

@@ -1,9 +1,13 @@
-"""Source hygiene: every imported name is used (no linter runs on this tree)."""
+"""Source hygiene: every imported name is used (no linter runs on this tree),
+and the package exports exactly what its modules export."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import carnotx
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "carnotx").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -41,3 +45,13 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_are_the_modules_exports():
+    # The CLI is the command-line entry point, not part of the library surface.
+    layers = [p.stem for p in (ROOT / "src" / "carnotx").glob("*.py")
+              if p.stem not in ("__init__", "cli")]
+    union = {name for stem in layers
+             for name in importlib.import_module(f"carnotx.{stem}").__all__}
+    # Sorted lists, so a name exported twice fails too.
+    assert sorted(carnotx.__all__) == sorted(union | {"__version__"})
