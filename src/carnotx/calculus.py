@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import GroupDescriptor, _dot, _gauge_parts, homogeneous_norm
+from .group import GroupDescriptor, _dot, _gauge_parts
 
 __all__ = [
     "DomainError",
@@ -66,7 +66,10 @@ class ScalarField:
     trusted; ``check_field_consistency`` verifies them against finite
     differences of ``evaluate``.  ``smooth_domain`` is a vectorized
     predicate for where derivative queries are legitimate (None means
-    everywhere).
+    everywhere).  A field that is a function of the gauge on H^d carries
+    ``of_gauge(rho, h2, g)``, mapping the stacks of ``group._gauge_parts``
+    to values; its ``evaluate`` is then ``of_gauge`` of those parts
+    (``_gauge_field``), so a caller holding the gauge need not recompute it.
     """
 
     name: str
@@ -74,6 +77,7 @@ class ScalarField:
     euclid_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     euclid_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    of_gauge: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def in_domain(self, x: np.ndarray) -> np.ndarray:
         if self.smooth_domain is None:
@@ -346,8 +350,14 @@ def radial_hessian_eigenvalues(
     """
     if group.heisenberg_d is None:
         raise SingularPointError("radial eigenvalues need a Heisenberg descriptor")
-    d = group.heisenberg_d
     rho, _, g = _gauge_parts(group, pts)
+    return _radial_eigenvalues(group.heisenberg_d, profile, rho, g)
+
+
+def _radial_eigenvalues(
+    d: int, profile: RadialProfile, rho: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """``radial_hessian_eigenvalues`` on H^d from the gauge rho and |D rho|^2."""
     safe = rho > 0.0
     rho_safe = np.where(safe, rho, 1.0)
     psi1 = np.where(safe, np.asarray(profile.psi_prime(rho_safe), dtype=float), 0.0)
@@ -357,27 +367,38 @@ def radial_hessian_eigenvalues(
     return np.stack(cols, axis=-1)
 
 
+def _gauge_field(
+    group: GroupDescriptor,
+    name: str,
+    of_gauge: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    smooth_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> ScalarField:
+    """The field ``of_gauge(rho, h2, g)`` on H^d; ``evaluate`` gauges its points first."""
+    if group.heisenberg_d is None:
+        raise SingularPointError("gauge fields need a Heisenberg descriptor")
+    return ScalarField(
+        name=name,
+        evaluate=lambda x: of_gauge(*_gauge_parts(group, x)),
+        smooth_domain=smooth_domain,
+        of_gauge=of_gauge,
+    )
+
+
 def field_from_profile(group: GroupDescriptor, profile: RadialProfile) -> ScalarField:
     """The gauge-radial field psi(rho(x)) without analytic callbacks.
 
     Deliberately evaluation-only so finite differences of the field remain
     an independent check of the closed-form radial Hessian.
     """
-    if group.heisenberg_d is None:
-        raise SingularPointError("radial fields need a Heisenberg descriptor")
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            profile.psi(homogeneous_norm(group, x)), dtype=float
-        )
 
     def domain(x: np.ndarray) -> np.ndarray:
         rho, h2, _ = _gauge_parts(group, x)
         return (h2 > 0.0) & profile.radius_ok(rho)
 
-    return ScalarField(
-        name=f"{profile.name}(rho)",
-        evaluate=evaluate,
+    return _gauge_field(
+        group,
+        f"{profile.name}(rho)",
+        lambda rho, h2, g: np.asarray(profile.psi(rho), dtype=float),
         smooth_domain=domain,
     )
 

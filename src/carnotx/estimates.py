@@ -23,11 +23,12 @@ import numpy as np
 from .calculus import (
     RadialProfile,
     ScalarField,
+    _gauge_field,
+    _radial_eigenvalues,
     _sample_admissible,
     field_from_profile,
     horizontal_hessian_sym,
     radial_hessian,
-    radial_hessian_eigenvalues,
 )
 from .group import GroupDescriptor, _gauge_parts, heisenberg
 from .pucci import (
@@ -176,7 +177,7 @@ def _rejection_sample(
             break
         pts = _sample_box(hw, rng, np.empty((max(count - got, batch_floor), group.n)))
         rho, h2, _ = _gauge_parts(group, pts)
-        pts = pts[keep(rho, h2, pts)][: count - got]
+        pts = np.compress(keep(rho, h2, pts), pts, axis=0)[: count - got]
         out[got : got + len(pts)] = pts
         got += len(pts)
     if got < count:
@@ -242,17 +243,40 @@ def _pull(value: float, stderr: float, exact: float) -> float:
     return (value - exact) / stderr if stderr > 0.0 else math.inf
 
 
+def _values_inside(
+    u: ScalarField, group: GroupDescriptor, r: float, pts: np.ndarray
+) -> np.ndarray:
+    """`u` at the rows of `pts` inside B_r, gauging each row once.
+
+    A field with `of_gauge` gets the gauge of the inside rows, any other
+    field the rows themselves.  Both are selected with np.compress, which
+    numpy runs several times faster than a boolean index, and the
+    full-chunk gauge is released one part at a time as it is compressed.
+    """
+    if u.of_gauge is None:
+        inside = _gauge_parts(group, pts)[0] < r
+        return np.asarray(u.evaluate(np.compress(inside, pts, axis=0)), dtype=float)
+    rho, h2, g = _gauge_parts(group, pts)
+    inside = rho < r
+    rho = np.compress(inside, rho)
+    h2 = np.compress(inside, h2)
+    g = np.compress(inside, g)
+    return np.asarray(u.of_gauge(rho, h2, g), dtype=float)
+
+
 def _box_masses(
     u: ScalarField, group: GroupDescriptor, r: float, qs: Sequence[float], quad: QuadratureSpec
 ) -> tuple[list[McEstimate], float, int]:
     """The Monte-Carlo integrator: masses of |u|^q over B_r for every q in `qs`.
 
     One box pass, keyed by (seed, u.name, r), evaluates `u` once per chunk
-    on the points inside B_r.  Per q, chunk means and sums of squared
-    deviations merge in chunk order by Chan, Golub & LeVeque's pairwise
-    update (Am. Stat. 1983); standard errors use ddof = 1.  Non-finite
-    values count as rejected, and above 1e-3 of the inside points they
-    raise IllPosedIntegrandError.  Also returns that fraction and n_inside.
+    on the points inside B_r (`_values_inside`).  Per q, chunk means and
+    sums of squared deviations merge in chunk order by Chan, Golub &
+    LeVeque's pairwise update (Am. Stat. 1983); standard errors use
+    ddof = 1.  Non-finite values count as rejected, and above 1e-3 of the
+    inside points they raise IllPosedIntegrandError; a finite |u|^q whose
+    moments overflow a float raises OverflowError.  Also returns the
+    rejected fraction and n_inside.
     """
     rng = substream(quad.seed, "box-mass", u.name, repr(float(r)))
     n = quad.n_samples
@@ -260,21 +284,26 @@ def _box_masses(
     n_inside = n_bad = 0
     for start, pts in _box_chunks(group, r, n, rng):
         k = len(pts)
-        inside = _gauge_parts(group, pts)[0] < r
-        k_in = int(np.count_nonzero(inside))
-        vals = np.asarray(u.evaluate(pts[inside]), dtype=float)
+        vals = _values_inside(u, group, r, pts)
+        k_in = len(vals)
         bad = ~np.isfinite(vals)
+        chunk_bad = int(np.count_nonzero(bad))
         n_inside += k_in
-        n_bad += int(np.count_nonzero(bad))
+        n_bad += chunk_bad
         mag = np.abs(vals)
         for j, q in enumerate(qs):
-            w = np.where(bad, 0.0, mag**q)
-            m = float(np.sum(w)) / k
-            # Each of the k - k_in outside zeros deviates from m by m.
-            ss = float(np.sum((w - m) ** 2)) + (k - k_in) * m * m
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = mag**q
+                if chunk_bad:
+                    w = np.where(bad, 0.0, w)
+                m = float(np.sum(w)) / k
+                # Each of the k - k_in outside zeros deviates from m by m.
+                ss = float(np.sum((w - m) ** 2)) + (k - k_in) * m * m
             delta = m - mean[j]
             mean[j] += delta * k / (start + k)
             m2[j] += ss + delta * delta * start * k / (start + k)
+            if not (math.isfinite(mean[j]) and math.isfinite(m2[j])):
+                raise OverflowError(f"|{u.name}|^{q} over B_{r} overflows a float")
     rejected = n_bad / max(1, n_inside)
     if rejected > 1e-3:
         raise IllPosedIntegrandError(
@@ -290,7 +319,7 @@ def _box_masses(
 
 def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEstimate:
     """Volume of the gauge ball B_r with a standard error: the q = 0 mass of 1."""
-    one = ScalarField(name="one", evaluate=lambda x: np.ones(x.shape[:-1]))
+    one = _gauge_field(group, "one", lambda rho, h2, g: np.ones(np.shape(rho)))
     return _box_masses(one, group, r, (0.0,), quad)[0][0]
 
 
@@ -478,14 +507,10 @@ def counterexample_profile(cfg: CounterexampleConfig, eps: float) -> RadialProfi
 
 def counterexample_rhs_field(cfg: CounterexampleConfig, eps: float) -> ScalarField:
     """Vectorized right-hand side, extended by its limit 0 on the axis."""
-    group = cfg.group()
     amp = cfg.rhs_amplitude * eps ** (cfg.alpha - 2.0)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        rho, _, g = _gauge_parts(group, x)
-        return np.where(rho < eps, -amp * g, 0.0)
-
-    return ScalarField(name=f"rhs[{eps}]", evaluate=evaluate)
+    return _gauge_field(
+        cfg.group(), f"rhs[{eps}]", lambda rho, h2, g: np.where(rho < eps, -amp * g, 0.0)
+    )
 
 
 # --- annihilation of the maximal operator ------------------------------------
@@ -568,11 +593,12 @@ def verify_pucci_annihilation(
         ]
     )
 
-    rho, h2, _ = _gauge_parts(group, pts)
+    rho, h2, g = _gauge_parts(group, pts)
     inner = rho < eps
-    eigs = radial_hessian_eigenvalues(group, profile, pts)
+    eigs = _radial_eigenvalues(cfg.d, profile, rho, g)
     mplus = pucci_plus_of_eigenvalues(eigs, e)
-    rhs = counterexample_rhs_field(cfg, eps).evaluate(pts)
+    f = counterexample_rhs_field(cfg, eps)
+    rhs = f.evaluate(pts) if f.of_gauge is None else f.of_gauge(rho, h2, g)
     residual = np.abs(mplus - rhs) / scale
 
     worst = int(np.argmax(residual))

@@ -206,27 +206,32 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _sum_columns(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1) with the same bits, accumulated column by column.
+def _sum_squares(x: np.ndarray, k: int) -> np.ndarray:
+    """np.sum(x[..., :k] ** 2, axis=-1) with the same bits, column by column.
 
     numpy reduces each row of k <= 128 terms sequentially below 8 terms and
     with eight interleaved accumulators, combined pairwise, from 8 on; this
     repeats that order over whole columns instead of one short row at a
-    time, which is about twice as fast for the few columns of H^d.
+    time, squaring each column on its own rather than the strided block,
+    which is about five times as fast for the few columns of H^d.
     """
-    k = a.shape[-1]
+
+    def sq(j: int) -> np.ndarray:
+        return x[..., j] ** 2
+
     if k < 8:
-        acc = a[..., 0]
+        acc = sq(0)
         for j in range(1, k):
-            acc = acc + a[..., j]
+            acc += sq(j)
         return acc
-    r = [a[..., j] for j in range(8)]
+    r = [sq(j) for j in range(8)]
     top = k - k % 8
     for i in range(8, top, 8):
-        r = [r[j] + a[..., i + j] for j in range(8)]
+        for j in range(8):
+            r[j] += sq(i + j)
     acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for i in range(top, k):
-        acc = acc + a[..., i]
+        acc += sq(i)
     return acc
 
 
@@ -243,7 +248,7 @@ def _gauge_parts(
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return tuple(part[0] for part in _gauge_parts(group, x[None]))
-    h2 = _sum_columns(x[..., : 2 * d] ** 2)
+    h2 = _sum_squares(x, 2 * d)
     rho = (h2**2 + x[..., -1] ** 2) ** 0.25
     g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
     return rho, h2, g

@@ -1,6 +1,7 @@
 """Quadrature, the spliced family, and the verification harnesses."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from carnotx import (
     CounterexampleConfig,
     Ellipticity,
     IllPosedIntegrandError,
+    McEstimate,
     QuadratureSpec,
     ScalarField,
     alpha_for_critical_q,
@@ -38,6 +40,7 @@ from carnotx.estimates import (
     _sweep_radius,
     gauge_box_halfwidths,
 )
+from carnotx.group import _gauge_parts
 from carnotx.report import dumps
 from carnotx.rng import substream
 
@@ -261,6 +264,15 @@ class TestQuadrature:
         u = ScalarField(name="broken", evaluate=half_nan)
         with pytest.raises(IllPosedIntegrandError):
             lq_norm(u, H1, 1.0, (2.0,), QuadratureSpec(n_samples=2000, seed=1))
+
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_lq_norm_overflow_raises(self, q):
+        # 1e200**2 overflows |u|^q itself; 1e200**1.5 = 1e300 is finite but
+        # its squared deviations are not.  Either way no inf mass comes back.
+        u = constant_field(1e200)
+        want = f"|{u.name}|^{q} over B_1.0 overflows a float"
+        with pytest.raises(OverflowError, match=re.escape(want)):
+            lq_norm(u, H1, 1.0, (q,), QuadratureSpec(n_samples=2000, seed=1))
 
     def test_lq_norm_exponent_validation(self):
         for qs in [(1.0,), (2.0, 1.0), ()]:
@@ -511,6 +523,133 @@ class TestChunkedSampling:
         rep = sweep_scaling(cfg, QuadratureSpec(n_samples=n, seed=3), workers=2)
         assert len(rep.rows) == 4 * 3
         assert drawn == {eps: n for eps in cfg.eps_list}
+
+
+def _glue_cfg(d, glue):
+    return CounterexampleConfig(
+        d=d, alpha=0.5, eps_list=CFG.eps_list, q_list=(2.0, 8.0 / 3.0), glue_mode=glue
+    )
+
+
+def _reference_lq(u, group, r, qs, quad):
+    """`lq_norm` rebuilt the way a boolean-gather integrator computes it.
+
+    Every box point is drawn and gauged in one whole array, `u` is evaluated
+    on the rows `pts[inside]`, and the per-chunk moments of those values
+    merge in chunk order by the same Chan update.
+    """
+    n = quad.n_samples
+    pts = _whole_box(group, r, n, substream(quad.seed, "box-mass", u.name, repr(r)))
+    inside = _gauge_parts(group, pts)[0] < r
+    vals = np.asarray(u.evaluate(pts[inside]), dtype=float)
+    ends = np.cumsum([np.count_nonzero(inside[s : s + _CHUNK]) for s in range(0, n, _CHUNK)])
+    mean, m2 = [0.0] * len(qs), [0.0] * len(qs)
+    for start, lo, hi in zip(range(0, n, _CHUNK), np.r_[0, ends[:-1]], ends):
+        k, v = min(_CHUNK, n - start), vals[lo:hi]
+        bad = ~np.isfinite(v)
+        for j, q in enumerate(qs):
+            w = np.where(bad, 0.0, np.abs(v) ** q)
+            m = float(np.sum(w)) / k
+            ss = float(np.sum((w - m) ** 2)) + (k - len(v)) * m * m
+            delta = m - mean[j]
+            mean[j] += delta * k / (start + k)
+            m2[j] += ss + delta * delta * start * k / (start + k)
+    vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
+    out = []
+    for q, m, s in zip(qs, mean, m2):
+        mass, mass_se = vbox * m, vbox * math.sqrt(s / (n - 1)) / math.sqrt(n)
+        norm = mass ** (1.0 / q)
+        out.append((norm, norm * mass_se / (q * mass), mass, mass_se, len(vals)))
+    return out
+
+
+class TestGaugeReuse:
+    @pytest.mark.parametrize("count", [_CHUNK - 1, STRADDLE])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("glue", ["paper-literal", "c1-variant"])
+    def test_rhs_lq_norm_equals_row_gather_reference(self, count, d, glue):
+        # The integrator hands the rhs the compressed gauge; a reference that
+        # gathers the inside rows and evaluates them gives the same bits.
+        cfg = _glue_cfg(d, glue)
+        quad = QuadratureSpec(n_samples=count, seed=31)
+        for eps in (cfg.eps_list[0], cfg.eps_list[-1]):
+            u = counterexample_rhs_field(cfg, eps)
+            got = lq_norm(u, cfg.group(), eps, cfg.q_list, quad)
+            want = _reference_lq(u, cfg.group(), eps, cfg.q_list, quad)
+            for est, ref in zip(got, want):
+                assert (est.norm, est.norm_stderr, est.mass, est.mass_stderr, est.n_inside) == ref
+                assert est.rejected_fraction == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_of_gauge_is_evaluate_bit_for_bit(self, d, monkeypatch):
+        import carnotx.estimates as estimates
+
+        eps = 0.125
+        group = heisenberg(d)
+        n = group.n
+        rng = np.random.default_rng(8)
+        axis, vertical = np.zeros(n), np.zeros(n)
+        axis[0], vertical[-1] = eps, eps * eps
+        x = np.vstack(
+            [np.zeros(n), axis, vertical, rng.uniform(-0.4, 0.4, (300, n)),
+             rng.uniform(-0.05, 0.05, (300, n))]
+        )
+        assert _gauge_parts(group, x)[0][0] == 0.0
+        assert np.all(_gauge_parts(group, x[1:3])[0] == eps)
+
+        # ball_volume's constant 1 is built inside it; capture it on the way in.
+        seen = []
+
+        def capture(u, *args):
+            seen.append(u)
+            return [McEstimate(1.0, 0.0)], 0.0, 0
+
+        monkeypatch.setattr(estimates, "_box_masses", capture)
+        ball_volume(group, 1.0, QuadratureSpec(n_samples=1000, seed=1))
+        fields = [seen[0]]
+        for glue in ("paper-literal", "c1-variant"):
+            cfg = _glue_cfg(d, glue)
+            fields += [
+                counterexample_rhs_field(cfg, eps),
+                field_from_profile(group, counterexample_profile(cfg, eps)),
+            ]
+        for u in fields:
+            assert u.of_gauge is not None
+            for pts in (x, x[5]):
+                want = np.asarray(u.of_gauge(*_gauge_parts(group, pts)), dtype=float)
+                got = np.asarray(u.evaluate(pts), dtype=float)
+                assert got.shape == want.shape == pts.shape[:-1]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), u.name
+
+    @pytest.fixture
+    def gauged(self, monkeypatch):
+        """Point counts of every `_gauge_parts` call from estimates or calculus."""
+        import carnotx.calculus as calculus
+        import carnotx.estimates as estimates
+
+        seen = []
+
+        def counting(group, x):
+            seen.append(int(np.prod(np.shape(x)[:-1])))
+            return _gauge_parts(group, x)
+
+        monkeypatch.setattr(estimates, "_gauge_parts", counting)
+        monkeypatch.setattr(calculus, "_gauge_parts", counting)
+        return seen
+
+    def test_sweep_radius_gauges_each_box_point_once(self, gauged):
+        # The inside points are not gauged a second time by the rhs field.
+        n = STRADDLE
+        rows = _sweep_radius(CFG, QuadratureSpec(n_samples=n, seed=4), CFG.eps_list[0])
+        assert 0 < rows[0].n_inside < n
+        assert sum(gauged) == n
+
+    def test_annihilation_gauges_its_sample_once(self, gauged):
+        # The residual's rhs and closed-form eigenvalues share one gauge of
+        # the final sample.
+        rep = verify_pucci_annihilation(CFG, 0.125, n_samples=400, seed=11)
+        assert rep.passed
+        assert gauged.count(400) == 1
 
 
 def _traced_peak(fn) -> int:
