@@ -1,0 +1,94 @@
+"""Regenerate the golden reports that ``tests/test_golden.py`` compares against.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+It runs every case below in process, writes its report files into this
+directory, and records the platform they were made on in ``platform.json``.
+The bits of a report depend on numpy's BLAS dots and the C library's
+``pow``, so goldens made elsewhere may legitimately differ in last digits.
+Regenerate only when a change means to alter report bytes (a schema bump,
+or a value change it states), never to make a failing comparison pass.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from carnotx.cli import run
+
+HERE = Path(__file__).resolve().parent
+
+# Each case is one ``carnotx`` call; ``files`` maps an output option to the
+# file it writes.  The six subcommands at their defaults come first, then
+# every call of the benchmark's workloads at the default seed.
+CASES = {
+    "counterexample": (
+        ["counterexample"],
+        {"--out": "counterexample.json", "--csv": "counterexample.csv"},
+    ),
+    "verify-radial": (["verify-radial"], {"--out": "verify-radial.json"}),
+    "pucci": (["pucci"], {"--out": "pucci.json"}),
+    "convexity": (["convexity"], {"--out": "convexity.json"}),
+    "pointwise-bound": (["pointwise-bound"], {"--out": "pointwise-bound.json"}),
+    "ball-volume": (["ball-volume"], {"--out": "ball-volume.json"}),
+    "bench-sweep": (
+        ["counterexample", "--samples", "1000000", "--q", "2,8/3", "--workers", "2"],
+        {"--out": "bench-sweep.json"},
+    ),
+    "bench-verify-radial-h2": (
+        ["verify-radial", "--group", "h:2", "--points", "200"],
+        {"--out": "bench-verify-radial-h2.json"},
+    ),
+    "bench-pointwise-bound": (
+        ["pointwise-bound", "--count", "1000"],
+        {"--out": "bench-pointwise-bound.json"},
+    ),
+    "bench-pucci-dim6": (
+        ["pucci", "--dim", "6", "--count", "64", "--samples", "1024"],
+        {"--out": "bench-pucci-dim6.json"},
+    ),
+}
+
+
+def run_case(name: str, directory: Path) -> int:
+    """Run one case with its report files written into ``directory``; the exit code."""
+    argv, files = CASES[name]
+    argv = list(argv)
+    for option, filename in files.items():
+        argv += [option, str(directory / filename)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return run(argv)
+
+
+def environment() -> dict:
+    """What the report bits depend on beyond the code itself."""
+    return {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "libc": " ".join(platform.libc_ver()),
+    }
+
+
+def main() -> int:
+    for name in CASES:
+        code = run_case(name, HERE)
+        if code != 0:
+            print(f"{name}: exit {code}", file=sys.stderr)
+            return 1
+    (HERE / "platform.json").write_text(json.dumps(environment(), indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

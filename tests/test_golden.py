@@ -1,0 +1,119 @@
+"""Golden reports: every report file must match its committed bytes exactly.
+
+The cases and the script that regenerates them live in ``tests/golden/``.
+A mismatch names each differing JSON path (or CSV cell) with both values,
+so a last-bit float drift reads differently from a structural change.
+"""
+
+import csv
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+
+
+def _parse_json(text: str):
+    # Numbers stay as their text, so -0 differs from 0 and 1 from 1.0;
+    # objects stay as ordered pairs, so key order counts.
+    return json.loads(text, parse_float=str, parse_int=str, object_pairs_hook=list)
+
+
+def json_differences(want: str, got: str) -> list[str]:
+    """Paths where two reports differ, each with the golden and the new value."""
+    diffs = []
+
+    def walk(a, b, path):
+        if isinstance(a, list) and isinstance(b, list):
+            pairs_a = all(isinstance(x, tuple) for x in a) and bool(a)
+            pairs_b = all(isinstance(x, tuple) for x in b) and bool(b)
+            if pairs_a and pairs_b:
+                keys_a, keys_b = [k for k, _ in a], [k for k, _ in b]
+                if keys_a != keys_b:
+                    diffs.append(f"{path or '<root>'}: keys {keys_a} != {keys_b}")
+                    return
+                for (key, va), (_, vb) in zip(a, b):
+                    walk(va, vb, f"{path}.{key}" if path else key)
+                return
+            if not pairs_a and not pairs_b:
+                if len(a) != len(b):
+                    diffs.append(f"{path}: length {len(a)} != {len(b)}")
+                    return
+                for i, (va, vb) in enumerate(zip(a, b)):
+                    walk(va, vb, f"{path}[{i}]")
+                return
+        if a != b:
+            diffs.append(f"{path or '<root>'}: golden {a!r}, now {b!r}")
+
+    walk(_parse_json(want), _parse_json(got), "")
+    if not diffs:
+        diffs.append("same values, different layout or whitespace")
+    return diffs
+
+
+def csv_differences(want: str, got: str) -> list[str]:
+    rows_a = list(csv.reader(io.StringIO(want)))
+    rows_b = list(csv.reader(io.StringIO(got)))
+    if len(rows_a) != len(rows_b):
+        return [f"row count {len(rows_a)} != {len(rows_b)}"]
+    header = rows_a[0] if rows_a else []
+    diffs = []
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if len(ra) != len(rb):
+            diffs.append(f"row {i}: {len(ra)} cells != {len(rb)}")
+            continue
+        for j, (a, b) in enumerate(zip(ra, rb)):
+            if a != b:
+                col = header[j] if i and j < len(header) else j
+                diffs.append(f"row {i}, {col}: golden {a!r}, now {b!r}")
+    return diffs or ["same cells, different line endings or quoting"]
+
+
+def _environment_note() -> str:
+    recorded = json.loads((GOLDEN / "platform.json").read_text())
+    current = regenerate.environment()
+    changed = {k: (recorded.get(k), v) for k, v in current.items() if recorded.get(k) != v}
+    if not changed:
+        return "The goldens were made on this platform, so the change is in the code."
+    parts = ", ".join(f"{k} {a} -> {b}" for k, (a, b) in changed.items())
+    return (
+        f"The goldens were made on another platform ({parts}); report bits depend on"
+        " BLAS dots and the C library's pow, so last-digit drift may come from that."
+    )
+
+
+def test_differences_name_paths_and_values():
+    want = '{\n  "a": [\n    1,\n    0.5\n  ],\n  "b": 0\n}\n'
+    got = '{\n  "a": [\n    1,\n    0.50000000000000011\n  ],\n  "b": -0\n}\n'
+    assert json_differences(want, got) == [
+        "a[1]: golden '0.5', now '0.50000000000000011'",
+        "b: golden '0', now '-0'",
+    ]
+    assert json_differences('{\n  "a": 1,\n  "b": 2\n}\n', '{\n  "b": 2,\n  "a": 1\n}\n') == [
+        "<root>: keys ['a', 'b'] != ['b', 'a']"
+    ]
+    assert csv_differences("x,y\n1,2\n", "x,y\n1,3\n") == ["row 1, y: golden '2', now '3'"]
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.CASES))
+def test_report_bytes_match_golden(name, tmp_path):
+    assert regenerate.run_case(name, tmp_path) == 0
+    for option, filename in regenerate.CASES[name][1].items():
+        want = (GOLDEN / filename).read_bytes()
+        got = (tmp_path / filename).read_bytes()
+        if got != want:
+            differ = csv_differences if option == "--csv" else json_differences
+            lines = differ(want.decode(), got.decode())
+            pytest.fail(
+                f"{filename} differs from its golden in {len(lines)} place(s):\n  "
+                + "\n  ".join(lines[:40])
+                + f"\n{_environment_note()}"
+                "\nRegenerate only with tests/golden/regenerate.py, and say why in CHANGES.md."
+            )
