@@ -1,9 +1,8 @@
-"""Horizontal calculus and verification tools on Carnot groups.
+"""Horizontal calculus and verification tools on the Heisenberg groups H^d.
 
-The package centers on the Heisenberg family: graded coordinates with an
-explicit horizontal frame, gauge-radial calculus with closed-form
-horizontal Hessians, extremal (Pucci-type) operators, semiconvexity
-checkers along horizontal lines, and Monte-Carlo estimates that verify
+Graded coordinates with an explicit horizontal frame, gauge-radial
+calculus with closed-form horizontal Hessians, extremal (Pucci-type)
+operators, semiconvexity checkers along horizontal lines, and Monte-Carlo estimates that verify
 the scaling behavior of a spliced gauge-power family near its critical
 integrability exponent.
 """
@@ -65,7 +64,6 @@ from .estimates import (
 )
 from .group import (
     GroupDescriptor,
-    UnsupportedGroupError,
     dilate,
     group_inverse,
     group_multiply,
@@ -96,7 +94,6 @@ __all__ = [
     "__version__",
     # group
     "GroupDescriptor",
-    "UnsupportedGroupError",
     "heisenberg",
     "dilate",
     "group_multiply",

@@ -1,10 +1,8 @@
-"""Horizontal differential calculus along a Carnot frame.
+"""Horizontal differential calculus along the frame of H^d.
 
 Euclidean partials come from analytic callbacks when a field carries them
-and from central finite differences otherwise; the frame coefficients and
-their partials are always exact polynomials supplied by the group
-descriptor.  Differencing therefore never touches sigma, only the scalar
-field itself.
+and from central finite differences otherwise; the frame coefficients are
+exact, so differencing only ever touches the scalar field itself.
 
 The radial part implements the closed-form horizontal Hessian of gauge
 functions psi(rho) on H^d, including its full eigenvalue multiset.
@@ -18,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import GroupDescriptor, _dot, _gauge_parts
+from .group import GroupDescriptor, _dot, _frame, _gauge_parts, _points
 
 __all__ = [
     "DomainError",
@@ -184,29 +182,26 @@ def _euclid_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 def horizontal_gradient(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """(X_1 u, ..., X_m u) at points (..., n); shape (..., m)."""
-    x = np.asarray(x, dtype=float)
+    x = _points(group, x)
     _require_in_domain(u, x)
     grad = _euclid_derivatives(u, x)[0]
-    sigma = np.asarray(group.sigma_eval(x), dtype=float)
+    sigma = _frame(group, x)
     return (np.swapaxes(sigma, -1, -2) @ grad[..., None])[..., 0]
 
 
 def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """Symmetrized horizontal Hessians ((X_i X_j + X_j X_i) u / 2).
 
-    Takes points (..., n) and returns shape (..., m, m).  Assembled as
-    sigma^T D^2u sigma plus the symmetrized first-order correction carrying
-    the exact polynomial partials of sigma; the result is exactly symmetric.
+    Takes points (..., n) and returns shape (..., m, m), the symmetric part
+    of sigma^T D^2u sigma.  The first-order part of X_i X_j u is 2 u_t in
+    the (i+d, i) slot and -2 u_t in (i, i+d): antisymmetric, so the
+    symmetrization removes it exactly.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(group, x)
     _require_in_domain(u, x)
-    grad, hess = _euclid_derivatives(u, x)
-    sigma = np.asarray(group.sigma_eval(x), dtype=float)
-    jac = np.asarray(group.sigma_jacobian_eval(x), dtype=float)
-    main = np.swapaxes(sigma, -1, -2) @ hess @ sigma
-    # first-order term: T_ij = sum_{l,k} sigma_li (d_l sigma_kj) (d_k u)
-    first = np.einsum("...li,...lkj,...k->...ij", sigma, jac, grad)
-    out = main + 0.5 * (first + np.swapaxes(first, -1, -2))
+    hess = _euclid_derivatives(u, x)[1]
+    sigma = _frame(group, x)
+    out = np.swapaxes(sigma, -1, -2) @ hess @ sigma
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
@@ -281,14 +276,8 @@ class RadialHessian:
 
 def radial_frame(group: GroupDescriptor, x: np.ndarray) -> HeisenbergRadialFrame:
     """Gauge-radial frame of H^d at points (..., n); requires |x_H| > 0."""
-    if group.heisenberg_d is None:
-        raise SingularPointError(
-            f"the gauge-radial frame needs a Heisenberg descriptor, not {group.name!r}"
-        )
     d = group.heisenberg_d
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (group.n,):
-        raise ValueError(f"expected points of length {group.n}, got shape {x.shape}")
+    x = _points(group, x)
     rho, h2, g = _gauge_parts(group, x)
     if np.any(h2 == 0.0):
         raise SingularPointError(
@@ -348,8 +337,6 @@ def radial_hessian_eigenvalues(
     with columns (radial, tangential, flat, ..., flat).  Rows with a
     vanishing horizontal part come out as zero (the continuous extension).
     """
-    if group.heisenberg_d is None:
-        raise SingularPointError("radial eigenvalues need a Heisenberg descriptor")
     rho, _, g = _gauge_parts(group, pts)
     return _radial_eigenvalues(group.heisenberg_d, profile, rho, g)
 
@@ -374,8 +361,6 @@ def _gauge_field(
     smooth_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ScalarField:
     """The field ``of_gauge(rho, h2, g)`` on H^d; ``evaluate`` gauges its points first."""
-    if group.heisenberg_d is None:
-        raise SingularPointError("gauge fields need a Heisenberg descriptor")
     return ScalarField(
         name=name,
         evaluate=lambda x: of_gauge(*_gauge_parts(group, x)),

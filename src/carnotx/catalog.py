@@ -113,9 +113,6 @@ def saddle_field(group: GroupDescriptor) -> ScalarField:
 
 def gauge_quartic(group: GroupDescriptor) -> ScalarField:
     """rho^4 = |x_H|^4 + t^2 on H^d: a polynomial, smooth everywhere."""
-    d = group.heisenberg_d
-    if d is None:
-        raise ValueError("the gauge quartic needs a Heisenberg descriptor")
     m, n = group.m, group.n
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -197,15 +194,11 @@ def convexity_catalog(group: GroupDescriptor) -> list[ConvexityCase]:
     Thresholds are exact (the fields are quadratics or the gauge quartic),
     so expected verdicts at any tested constant follow by comparison.
     """
-    cases = [
+    return [
         ConvexityCase(horizontal_quadratic(group, 1.0), threshold=0.0),
         ConvexityCase(coordinate_field(group, 1), threshold=0.0),
+        ConvexityCase(gauge_quartic(group), threshold=0.0),
         ConvexityCase(horizontal_quadratic(group, -1.0), threshold=1.0),
         ConvexityCase(saddle_field(group), threshold=1.0),
         ConvexityCase(horizontal_quadratic(group, -3.0), threshold=3.0),
     ]
-    if group.heisenberg_d is not None:
-        cases.insert(2, ConvexityCase(gauge_quartic(group), threshold=0.0))
-    else:
-        cases.insert(2, ConvexityCase(horizontal_quadratic(group, 2.0), threshold=0.0))
-    return cases

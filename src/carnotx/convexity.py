@@ -1,7 +1,8 @@
 """Convexity along horizontal lines and its Hessian characterization.
 
 An X-line through x0 with unit direction alpha in R^m solves
-x'(t) = sigma(x(t)) alpha.  A function is semiconvex with constant c along
+x'(t) = sigma(x(t)) alpha; on H^d it is the group translate x0 o (t alpha, 0),
+computed in closed form.  A function is semiconvex with constant c along
 X-lines when every centered second difference is at most c s^2; the
 equivalent pointwise statement bounds the symmetrized horizontal Hessian
 below by -c I.  Both checkers share one sampling protocol so their verdicts
@@ -16,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .calculus import ScalarField, _sample_admissible, horizontal_hessian_sym
-from .group import GroupDescriptor, _dot
+from .group import GroupDescriptor, _dot, _points
 from .pucci import sym_eigenvalues
 from .rng import substream
 
@@ -31,8 +32,6 @@ __all__ = [
 _STEP_SIZES = tuple(2.0**-k for k in range(3, 9))
 # Both checkers forgive a violation up to this slack.
 _SLACK_TOL = 1e-9
-
-_RK4_MAX_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,39 +67,6 @@ def _heisenberg_line(
     return out
 
 
-def _rk4_path(
-    group: GroupDescriptor, x0: np.ndarray, alpha: np.ndarray, t_targets: np.ndarray
-) -> np.ndarray:
-    """Integrate x' = sigma(x) alpha to each target time with fixed-step RK4."""
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return (np.asarray(group.sigma_eval(state), dtype=float) @ alpha[..., None])[..., 0]
-
-    def advance(t_end: float, n_steps: int) -> np.ndarray:
-        state = x0.copy()
-        h = t_end / n_steps if n_steps else 0.0
-        for _ in range(n_steps):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return state
-
-    out = np.empty((len(x0),) + t_targets.shape + (group.n,))
-    for idx, t_end in np.ndenumerate(t_targets):
-        n_steps = max(1, int(np.ceil(abs(t_end) / _RK4_MAX_STEP)))
-        coarse = advance(float(t_end), n_steps)
-        fine = advance(float(t_end), 2 * n_steps)
-        scale = 1.0 + np.max(np.abs(fine), axis=-1)
-        if np.any(np.max(np.abs(fine - coarse), axis=-1) > 1e-9 * scale):
-            raise RuntimeError(
-                "horizontal line integration failed step-halving verification"
-            )
-        out[(slice(None),) + idx] = fine
-    return out
-
-
 def integrate_xline(
     group: GroupDescriptor, x0: np.ndarray, alpha: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
@@ -109,13 +75,10 @@ def integrate_xline(
     Starts (..., n) pair with directions (..., m); the result has shape
     (...) + t.shape + (n,).  Directions are normalized to |alpha| = 1 so the
     line parameter is horizontal arc length; this calibrates second-difference
-    constants against Hessian eigenvalue bounds.  On Heisenberg descriptors
-    the path is exact (horizontal motion is linear and the vertical speed
-    constant); otherwise fixed-step RK4 with step-halving verification is used.
+    constants against Hessian eigenvalue bounds.  The path is exact:
+    horizontal motion is linear and the vertical speed constant.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape[-1:] != (group.n,):
-        raise ValueError(f"start point must have length n={group.n}")
+    x0 = _points(group, x0)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-1:] != (group.m,):
         raise ValueError(f"direction must have length m={group.m}")
@@ -124,8 +87,7 @@ def integrate_xline(
         raise ValueError("direction must be nonzero and finite")
     alpha = alpha / norm[..., None]
     t_arr = np.asarray(t, dtype=float)
-    path = _heisenberg_line if group.heisenberg_d is not None else _rk4_path
-    out = path(group, x0.reshape(-1, group.n), alpha.reshape(-1, group.m), t_arr)
+    out = _heisenberg_line(group, x0.reshape(-1, group.n), alpha.reshape(-1, group.m), t_arr)
     return out.reshape(x0.shape[:-1] + t_arr.shape + (group.n,))
 
 

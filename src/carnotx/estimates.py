@@ -198,9 +198,6 @@ def gauge_ball_sampler(
     |rho - radius| below the half-width are rejected.  Useful for keeping
     finite-difference stencils away from splice radii.
     """
-    if group.heisenberg_d is None:
-        raise ValueError("gauge-ball sampling needs a Heisenberg descriptor")
-
     def keep(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
         mask = (rho < rho_max) & (rho >= rho_min) & (h2 >= min_horizontal**2)
         for center, width in exclude_shells:

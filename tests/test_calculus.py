@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from carnotx import (
+    CounterexampleConfig,
     DomainError,
     RadialProfile,
     ScalarField,
@@ -18,7 +19,10 @@ from carnotx import (
     add_horizontal_quadratic,
     check_field_consistency,
     check_profile_consistency,
+    convexity_catalog,
+    counterexample_profile,
     field_from_profile,
+    gauge_ball_sampler,
     gauge_quartic,
     heisenberg,
     homogeneous_norm,
@@ -29,7 +33,9 @@ from carnotx import (
     radial_hessian_eigenvalues,
     sublaplacian,
 )
+from carnotx.calculus import _euclid_derivatives
 from carnotx.catalog import coordinate_product
+from carnotx.group import _frame
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -233,15 +239,6 @@ class TestRadialCalculus:
         with pytest.raises(DomainError):
             horizontal_hessian_sym(H1, u, np.array([0.0, 0.0, 0.5]))
 
-    def test_radial_ops_require_heisenberg(self):
-        from tests.test_group import abelian
-
-        profile = power_profile(0.5)
-        with pytest.raises(ValueError):
-            radial_frame(abelian(3), np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError):
-            radial_hessian(abelian(3), profile, np.array([0.5, 0.5, 0.5]))
-
 
 class TestFieldUtilities:
     def test_add_horizontal_quadratic_exact(self):
@@ -284,3 +281,40 @@ class TestFieldUtilities:
             psi_second=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
         )
         assert not check_profile_consistency(bad, radii)["ok"]
+
+
+def carnot_frame_hessian_sym(group, u, x):
+    """The general Carnot-frame formula sym(sigma^T D^2u sigma + sym(T)).
+
+    T_ij = sum_{l,k} sigma_li (d_l sigma_kj) (d_k u) takes the exact
+    partials of the frame from the Jacobian table of H^d built here.
+    """
+    d, n, m = group.heisenberg_d, group.n, group.m
+    jac = np.zeros((n, n, m))  # [l, k, j] = d sigma_kj / d x_l
+    for i in range(d):
+        jac[i + d, n - 1, i] = 2.0
+        jac[i, n - 1, i + d] = -2.0
+    grad, hess = _euclid_derivatives(u, x)
+    sigma = _frame(group, x)
+    jac = np.broadcast_to(jac, x.shape[:-1] + (n, n, m))
+    main = np.swapaxes(sigma, -1, -2) @ hess @ sigma
+    first = np.einsum("...li,...lkj,...k->...ij", sigma, jac, grad)
+    out = main + 0.5 * (first + np.swapaxes(first, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+@pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
+def test_hessian_sym_equals_carnot_frame_formula(group):
+    # On H^d the symmetrized first-order term is exactly zero, so dropping
+    # it must leave every entry unchanged.
+    eps = 2.0**-3
+    cfg = CounterexampleConfig(d=group.heisenberg_d, alpha=0.5, eps_list=(eps,), q_list=(2.0,))
+    fields = [case.field for case in convexity_catalog(group)]
+    fields.append(field_from_profile(group, counterexample_profile(cfg, eps)))
+    sampler = gauge_ball_sampler(
+        group, rho_max=0.95, rho_min=0.05, min_horizontal=0.01, exclude_shells=[(eps, 0.01)]
+    )
+    pts = sampler(2000, np.random.default_rng(17))
+    for u in fields:
+        got = horizontal_hessian_sym(group, u, pts)
+        assert np.array_equal(got, carnot_frame_hessian_sym(group, u, pts)), u.name

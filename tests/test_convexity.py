@@ -65,17 +65,6 @@ class TestXLines:
         b = integrate_xline(H1, x0, np.array([1.0, 0.0]), 1.0)
         assert np.allclose(a, b)
 
-    def test_rk4_fallback_matches_closed_form(self):
-        # Same frame without the Heisenberg tag: generic integrator path.
-        generic = dataclasses.replace(H1, heisenberg_d=None, name="untagged")
-        assert not generic.is_heisenberg()
-        x0 = np.array([0.4, 0.8, -0.3])
-        alpha = np.array([0.6, -0.8])
-        for t in (-1.2, 0.5, 2.0):
-            exact = integrate_xline(H1, x0, alpha, t)
-            numeric = integrate_xline(generic, x0, alpha, t)
-            assert np.allclose(numeric, exact, atol=1e-9)
-
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             integrate_xline(H1, np.zeros(2), np.array([1.0, 0.0]), 1.0)

@@ -5,33 +5,24 @@ import pytest
 
 from carnotx import (
     GroupDescriptor,
-    UnsupportedGroupError,
+    constant_field,
     dilate,
+    field_from_profile,
     group_inverse,
     group_multiply,
     heisenberg,
     homogeneous_norm,
+    horizontal_gradient,
+    horizontal_hessian_sym,
+    integrate_xline,
     left_translation,
+    radial_frame,
+    radial_hessian,
+    radial_hessian_eigenvalues,
+    sublaplacian,
 )
-from carnotx.group import _gauge_parts
-
-
-def abelian(n: int) -> GroupDescriptor:
-    """Commutative single-layer descriptor: the frame is the identity."""
-
-    def sigma(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (n, n))
-        out[...] = np.eye(n)
-        return out
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (n, n, n))
-
-    return GroupDescriptor(
-        name=f"abelian-{n}", layer_dims=(n,), sigma_eval=sigma, sigma_jacobian_eval=jac
-    )
+from carnotx.estimates import power_profile
+from carnotx.group import _frame, _gauge_parts
 
 
 class TestDescriptor:
@@ -42,16 +33,18 @@ class TestDescriptor:
             assert G.m == 2 * d
             assert G.homogeneous_dimension == q
             assert G.dilation_weights == (1,) * (2 * d) + (2,)
-            assert G.is_heisenberg()
+            assert G == GroupDescriptor(d) == heisenberg(np.int64(d))
 
     def test_heisenberg_rejects_bad_d(self):
-        for bad in (0, -1, 1.5, True):
+        for bad in (0, -1, 1.5, True, None):
             with pytest.raises(ValueError):
                 heisenberg(bad)
+            with pytest.raises(ValueError):
+                GroupDescriptor(bad)
 
     def test_frame_matrix_values(self):
         G = heisenberg(1)
-        sig = G.sigma_eval(np.array([0.3, -0.7, 0.2]))
+        sig = _frame(G, np.array([0.3, -0.7, 0.2]))
         assert np.allclose(sig, [[1.0, 0.0], [0.0, 1.0], [-1.4, -0.6]])
 
     def test_frame_is_derivative_of_right_translation(self):
@@ -66,29 +59,7 @@ class TestDescriptor:
             plus = group_multiply(G, x, s * e)
             minus = group_multiply(G, x, -s * e)
             col = (plus - minus) / (2 * s)
-            assert np.allclose(col, G.sigma_eval(x)[:, j], atol=1e-9)
-
-    def test_descriptor_validation_rejects_bad_frame(self):
-        def sigma(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1] + (3, 2))
-            out[..., 0, 0] = 2.0  # top block must be the identity
-            out[..., 1, 1] = 1.0
-            return out
-
-        def jac(x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1] + (3, 3, 2))
-
-        with pytest.raises(ValueError):
-            GroupDescriptor(
-                name="bad", layer_dims=(2, 1), sigma_eval=sigma, sigma_jacobian_eval=jac
-            )
-
-    def test_abelian_descriptor_is_not_heisenberg(self):
-        G = abelian(3)
-        assert not G.is_heisenberg()
-        assert G.homogeneous_dimension == 3
+            assert np.allclose(col, _frame(G, x)[:, j], atol=1e-9)
 
 
 class TestLaw:
@@ -126,13 +97,6 @@ class TestLaw:
         g = np.array([0.4, -0.2, 0.9])
         x = np.array([[0.1, 0.3, -0.5], [1.0, -1.0, 2.0]])
         assert np.allclose(left_translation(G, g)(x), group_multiply(G, g, x))
-
-    def test_law_requires_heisenberg(self):
-        G = abelian(3)
-        with pytest.raises(UnsupportedGroupError):
-            group_multiply(G, np.zeros(3), np.zeros(3))
-        with pytest.raises(UnsupportedGroupError):
-            homogeneous_norm(G, np.zeros(3))
 
 
 class TestDilationsAndGauge:
@@ -197,3 +161,35 @@ def test_gauge_parts_bits_match_row_sum(d):
         assert np.array_equal(_bits(got), _bits(want))
     for want, got in zip((rho, h2, g), _gauge_parts(G, x[200])):
         assert _bits(got) == _bits(want[200])
+
+
+_PROFILE = power_profile(0.5)
+
+# Every public function that takes points of the group, as f(group, x).
+POINT_TAKERS = {
+    "homogeneous_norm": homogeneous_norm,
+    "dilate": lambda G, x: dilate(G, 2.0, x),
+    "group_multiply_left": lambda G, x: group_multiply(G, x, np.zeros(G.n)),
+    "group_multiply_right": lambda G, x: group_multiply(G, np.zeros(G.n), x),
+    "group_inverse": group_inverse,
+    "left_translation_base": left_translation,
+    "left_translation_point": lambda G, x: left_translation(G, np.zeros(G.n))(x),
+    "horizontal_gradient": lambda G, x: horizontal_gradient(G, constant_field(1.0), x),
+    "horizontal_hessian_sym": lambda G, x: horizontal_hessian_sym(G, constant_field(1.0), x),
+    "sublaplacian": lambda G, x: sublaplacian(G, constant_field(1.0), x),
+    "radial_frame": radial_frame,
+    "radial_hessian": lambda G, x: radial_hessian(G, _PROFILE, x),
+    "radial_hessian_eigenvalues": lambda G, x: radial_hessian_eigenvalues(G, _PROFILE, x),
+    "field_from_profile": lambda G, x: field_from_profile(G, _PROFILE).evaluate(x),
+    "integrate_xline": lambda G, x: integrate_xline(G, x, np.ones(G.m), 0.5),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 2], ids=["n-1", "n+2"])
+@pytest.mark.parametrize("name", sorted(POINT_TAKERS))
+@pytest.mark.parametrize("d", [1, 2])
+def test_points_of_the_wrong_length_are_rejected(d, name, extra):
+    G = heisenberg(d)
+    for x in (np.full(G.n + extra, 0.5), np.full((4, G.n + extra), 0.5)):
+        with pytest.raises(ValueError, match=f"expected points of length {G.n}"):
+            POINT_TAKERS[name](G, x)
