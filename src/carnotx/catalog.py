@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import ScalarField
-from .group import GroupDescriptor
+from .group import GroupDescriptor, _points
 
 __all__ = [
     "constant_field",
@@ -46,15 +46,15 @@ def coordinate_field(group: GroupDescriptor, i: int) -> ScalarField:
     n, k = group.n, i - 1
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.asarray(x).shape)
+        out = np.zeros(_points(group, x).shape)
         out[..., k] = 1.0
         return out
 
     return ScalarField(
         name=f"x{i}",
-        evaluate=lambda x: np.asarray(x, dtype=float)[..., k],
+        evaluate=lambda x: _points(group, x)[..., k],
         euclid_gradient=gradient,
-        euclid_hessian=lambda x: np.zeros(np.asarray(x).shape + (n,)),
+        euclid_hessian=lambda x: np.zeros(_points(group, x).shape + (n,)),
     )
 
 
@@ -64,7 +64,7 @@ def horizontal_quadratic(group: GroupDescriptor, coeff: float = 1.0) -> ScalarFi
     coeff = float(coeff)
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(group, x)
         out = np.zeros(x.shape)
         out[..., :m] = coeff * x[..., :m]
         return out
@@ -76,10 +76,10 @@ def horizontal_quadratic(group: GroupDescriptor, coeff: float = 1.0) -> ScalarFi
         name=f"{coeff}/2*|x_H|^2",
         evaluate=lambda x: 0.5
         * coeff
-        * np.sum(np.asarray(x, dtype=float)[..., :m] ** 2, axis=-1),
+        * np.sum(_points(group, x)[..., :m] ** 2, axis=-1),
         euclid_gradient=gradient,
         euclid_hessian=lambda x: np.broadcast_to(
-            bump, np.asarray(x).shape[:-1] + (n, n)
+            bump, _points(group, x).shape[:-1] + (n, n)
         ),
     )
 
@@ -91,22 +91,25 @@ def saddle_field(group: GroupDescriptor) -> ScalarField:
     n = group.n
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(group, x)
         out = np.zeros(x.shape)
         out[..., 0] = -x[..., 0]
         out[..., 1] = x[..., 1]
         return out
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        x = _points(group, x)
+        return 0.5 * (x[..., 1] ** 2 - x[..., 0] ** 2)
 
     bump = np.zeros((n, n))
     bump[0, 0], bump[1, 1] = -1.0, 1.0
 
     return ScalarField(
         name="(x2^2-x1^2)/2",
-        evaluate=lambda x: 0.5
-        * (np.asarray(x, dtype=float)[..., 1] ** 2 - np.asarray(x, dtype=float)[..., 0] ** 2),
+        evaluate=evaluate,
         euclid_gradient=gradient,
         euclid_hessian=lambda x: np.broadcast_to(
-            bump, np.asarray(x).shape[:-1] + (n, n)
+            bump, _points(group, x).shape[:-1] + (n, n)
         ),
     )
 
@@ -116,12 +119,12 @@ def gauge_quartic(group: GroupDescriptor) -> ScalarField:
     m, n = group.m, group.n
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(group, x)
         h2 = np.sum(x[..., :m] ** 2, axis=-1)
         return h2**2 + x[..., -1] ** 2
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(group, x)
         h2 = np.sum(x[..., :m] ** 2, axis=-1)
         out = np.zeros(x.shape)
         out[..., :m] = 4.0 * x[..., :m] * h2[..., None]
@@ -129,7 +132,7 @@ def gauge_quartic(group: GroupDescriptor) -> ScalarField:
         return out
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(group, x)
         h2 = np.sum(x[..., :m] ** 2, axis=-1)
         out = np.zeros(x.shape + (n,))
         xh = x[..., :m]
@@ -155,11 +158,15 @@ def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
     n, a, b = group.n, i - 1, j - 1
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(group, x)
         out = np.zeros(x.shape)
         out[..., a] += x[..., b]
         out[..., b] += x[..., a]
         return out
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        x = _points(group, x)
+        return x[..., a] * x[..., b]
 
     bump = np.zeros((n, n))
     bump[a, b] += 1.0
@@ -167,11 +174,10 @@ def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
 
     return ScalarField(
         name=f"x{i}*x{j}",
-        evaluate=lambda x: np.asarray(x, dtype=float)[..., a]
-        * np.asarray(x, dtype=float)[..., b],
+        evaluate=evaluate,
         euclid_gradient=gradient,
         euclid_hessian=lambda x: np.broadcast_to(
-            bump, np.asarray(x).shape[:-1] + (n, n)
+            bump, _points(group, x).shape[:-1] + (n, n)
         ),
     )
 

@@ -270,7 +270,9 @@ def _cmd_pucci(args: argparse.Namespace) -> int:
     oracle_sup, formula, attained = pucci_oracle_check(
         mats, e, n_samples=args.samples, seed=args.seed
     )
-    worst_gap = float(np.max((oracle_sup - formula) / np.maximum(1.0, _frobenius(mats))))
+    gaps = (oracle_sup - formula) / np.maximum(1.0, _frobenius(mats))
+    worst = int(np.argmax(gaps))
+    worst_gap = float(gaps[worst])
     all_attained = bool(np.all(attained))
     ok = all_attained and worst_gap <= args.tol
     print(
@@ -281,7 +283,14 @@ def _cmd_pucci(args: argparse.Namespace) -> int:
         f"  [{_status(ok)}] worst scaled (oracle - formula) gap {worst_gap:.3g}"
         f" (must stay below {args.tol:.3g}); optimizer attained: {all_attained}"
     )
-    return _finish(args, {"worst_gap": worst_gap, "attained": all_attained}, ok)
+    results = {
+        "worst_gap": worst_gap,
+        "worst_index": worst,
+        "oracle_sup": float(oracle_sup[worst]),
+        "formula": float(formula[worst]),
+        "attained": all_attained,
+    }
+    return _finish(args, results, ok)
 
 
 def _cmd_convexity(args: argparse.Namespace) -> int:
@@ -360,7 +369,9 @@ def _cmd_ball_volume(args: argparse.Namespace) -> int:
         exact = _exact_ball_volume(group, r)
         pull = _pull(est.value, est.stderr, exact)
         oks.append(abs(pull) <= MAX_PULL)
-        results.append({"r": r, "volume": est.value, "stderr": est.stderr})
+        results.append(
+            {"r": r, "volume": est.value, "stderr": est.stderr, "exact": exact, "pull": pull}
+        )
         print(
             f"  [{_status(oks[-1])}] r={r:.17g}: volume {est.value:.17g}"
             f" (stderr {est.stderr:.3g}), exact {exact:.17g}, pull {pull:.3g}"

@@ -171,21 +171,49 @@ def pucci_minus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
     return pucci_minus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
 
 
+def _haar_columns(g: np.ndarray) -> np.ndarray:
+    """Q factors with positive-diagonal R of a stack g (k, m, m), as columns (m, m, k).
+
+    Entry [j, i, n] is row i of column j of sample n's Q, so each column of
+    every sample is one contiguous (m, k) slab.  Classical Gram-Schmidt,
+    applied twice, keeps Q orthogonal to working precision (Giraud, Langou
+    & Rozloznik 2005).  Its R has a positive diagonal by construction, so
+    Q is the unique such QR factor, which is Haar-distributed for Gaussian
+    g (Mezzadri 2007).  A zero or non-finite column norm raises
+    RuntimeError.
+    """
+    cols = np.ascontiguousarray(np.transpose(g, (2, 1, 0)), dtype=float)
+    for j in range(cols.shape[0]):
+        v, prev = cols[j], cols[:j]
+        for _ in range(2 if j else 0):
+            v -= np.einsum("jk,jik->ik", np.einsum("jik,ik->jk", prev, v), prev)
+        norm = np.sqrt(np.einsum("ik,ik->k", v, v))
+        if not np.all((norm > 0.0) & (norm < np.inf)):
+            raise RuntimeError(f"Gram-Schmidt column {j} has zero or non-finite norm")
+        v /= norm
+    return cols
+
+
 def _sampled_sup(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> float:
-    """Sampled max of Tr(A a); its chunks die on return, before the next matrix's."""
+    """Sampled max of Tr(A a); its chunks die on return, before the next matrix's.
+
+    Tr(A a) = sum_j c_j u_j^T a u_j over the columns u_j of Haar U, so A is
+    never formed; it depends on u_j only through u_j u_j^T, which is why a
+    column's sign does not matter.
+    """
     m = a.shape[0]
     rng = substream(seed, "pucci-oracle")
     sup = -np.inf
     for start in range(0, n_samples, 4096):
         k = min(4096, n_samples - start)
-        q_mats, r_mats = np.linalg.qr(rng.standard_normal((k, m, m)))
-        # make the factorization unique so U is Haar-distributed
-        signs = np.sign(np.einsum("nii->ni", r_mats))
-        signs[signs == 0.0] = 1.0
-        q_mats = q_mats * signs[:, None, :]
+        cols = _haar_columns(rng.standard_normal((k, m, m)))
         coeffs = rng.uniform(e.lam, e.Lam, size=(k, m))
-        mats = np.einsum("nik,nk,njk->nij", q_mats, coeffs, q_mats)
-        sup = max(sup, float(np.max(np.einsum("nij,ji->n", mats, a))))
+        traces = np.zeros(k)
+        for j in range(m):
+            traces += coeffs[:, j] * np.einsum("ik,ik->k", cols[j], a @ cols[j])
+        if not np.isfinite(traces).all():
+            raise RuntimeError("sampled trace Tr(A M) is not finite")
+        sup = max(sup, float(np.max(traces)))
     return sup
 
 
@@ -195,15 +223,20 @@ def pucci_oracle_check(
     """Stress the sup representation of the maximal operator.
 
     For each matrix M of a stack (..., m, m), samples admissible
-    coefficient matrices A = U diag(u) U^T with Haar U and spectra uniform
-    in [lam, Lam], maximizes Tr(A M) over the sample, and builds the
-    optimizer A* sharing M's eigenvectors with coefficient Lam on
+    coefficient matrices A = U diag(c) U^T with Haar U and spectra c
+    uniform in [lam, Lam], maximizes Tr(A M) over the sample, and builds
+    the optimizer A* sharing M's eigenvectors with coefficient Lam on
     nonnegative eigendirections and lam elsewhere.  Matrix j of the
-    flattened stack draws from substream(seed + j, "pucci-oracle").
+    flattened stack draws from substream(seed + j, "pucci-oracle"): per
+    chunk of at most 4096 samples, the Gaussians whose twice-applied
+    Gram-Schmidt factor is U (_haar_columns), then c.  The sampled traces
+    are sums c_j u_j^T M u_j over the columns of U, and nothing here
+    shares code with the Jacobi solver that gives the formula.
 
     Returns (oracle_sup, formula_value, attained), each of shape (...),
     where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to
-    1e-10 * max(1, ||M||).
+    1e-10 * max(1, ||M||).  A degenerate sample, a Gram-Schmidt column of
+    zero or non-finite norm or a non-finite trace, raises RuntimeError.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

@@ -173,14 +173,17 @@ class TestOtherCommands:
         # call at seed + i and np.linalg.norm scale per matrix.
         e = Ellipticity(lam=1.0, Lam=3.0)
         rng = substream(seed, "pucci-cli")
-        gaps, attained = [], True
+        gaps, sups, formulas, attained = [], [], [], True
         for i in range(7):
             raw = rng.standard_normal((4, 4))
             mat = 0.5 * (raw + raw.T)
             sup, formula, ok = pucci_oracle_check(mat, e, n_samples=300, seed=seed + i)
             gaps.append((sup - formula) / max(1.0, float(np.linalg.norm(mat))))
+            sups.append(float(sup))
+            formulas.append(float(formula))
             attained = attained and bool(ok)
         worst = float(max(gaps))
+        i = gaps.index(worst)
         want = {
             "schema_version": SCHEMA_VERSION,
             "version": carnotx.__version__,
@@ -189,7 +192,13 @@ class TestOtherCommands:
                 "dim": 4, "count": 7, "samples": 300, "lam": 1.0, "Lam": 3.0,
                 "seed": seed, "tol": 1e-10,
             },
-            "results": {"worst_gap": worst, "attained": attained},
+            "results": {
+                "worst_gap": worst,
+                "worst_index": i,
+                "oracle_sup": sups[i],
+                "formula": formulas[i],
+                "attained": attained,
+            },
             "passed": attained and worst <= 1e-10,
         }
         out = tmp_path / "pucci.json"
@@ -251,6 +260,33 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "exact 0.308425137534" in out  # pi^2/2 * 0.5^4
         assert "scaling check" not in out
+
+    def test_ball_volume_report_matches_library(self, tmp_path):
+        from carnotx import QuadratureSpec, ball_volume, heisenberg
+        from carnotx.estimates import _exact_ball_volume, _pull
+
+        out = tmp_path / "ball.json"
+        argv = ["ball-volume", "--group", "h:2", "--r", "0.5,2", "--samples", "20000"]
+        assert run(argv + ["--seed", "3", "--out", str(out)]) == 0
+        G, quad = heisenberg(2), QuadratureSpec(n_samples=20000, seed=3)
+        want = []
+        for r in (0.5, 2.0):
+            est = ball_volume(G, r, quad)
+            exact = _exact_ball_volume(G, r)
+            want.append(
+                {"r": r, "volume": est.value, "stderr": est.stderr,
+                 "exact": exact, "pull": _pull(est.value, est.stderr, exact)}
+            )
+        assert out.read_text() == dumps(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "version": carnotx.__version__,
+                "command": "ball-volume",
+                "config": {"group": "h:2", "seed": 3, "r": [0.5, 2.0], "samples": 20000},
+                "results": want,
+                "passed": True,
+            }
+        )
 
     def test_ball_volume_far_from_exact_fails(self, monkeypatch, capsys):
         import math

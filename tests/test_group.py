@@ -5,20 +5,26 @@ import pytest
 
 from carnotx import (
     GroupDescriptor,
+    check_field_consistency,
     constant_field,
+    coordinate_field,
+    coordinate_product,
     dilate,
     field_from_profile,
+    gauge_quartic,
     group_inverse,
     group_multiply,
     heisenberg,
     homogeneous_norm,
     horizontal_gradient,
     horizontal_hessian_sym,
+    horizontal_quadratic,
     integrate_xline,
     left_translation,
     radial_frame,
     radial_hessian,
     radial_hessian_eigenvalues,
+    saddle_field,
     sublaplacian,
 )
 from carnotx.estimates import power_profile
@@ -182,7 +188,23 @@ POINT_TAKERS = {
     "radial_hessian_eigenvalues": lambda G, x: radial_hessian_eigenvalues(G, _PROFILE, x),
     "field_from_profile": lambda G, x: field_from_profile(G, _PROFILE).evaluate(x),
     "integrate_xline": lambda G, x: integrate_xline(G, x, np.ones(G.m), 0.5),
+    "check_field_consistency": lambda G, x: check_field_consistency(
+        horizontal_quadratic(G), x
+    ),
 }
+# Every callback of every group-bound catalog field takes points too.
+_CATALOG_FIELDS = {
+    "coordinate_field": lambda G: coordinate_field(G, 1),
+    "horizontal_quadratic": horizontal_quadratic,
+    "saddle_field": saddle_field,
+    "gauge_quartic": gauge_quartic,
+    "coordinate_product": lambda G: coordinate_product(G, 1, 2),
+}
+for _name, _make in _CATALOG_FIELDS.items():
+    for _callback in ("evaluate", "euclid_gradient", "euclid_hessian"):
+        POINT_TAKERS[f"{_name}.{_callback}"] = (
+            lambda G, x, make=_make, cb=_callback: getattr(make(G), cb)(x)
+        )
 
 
 @pytest.mark.parametrize("extra", [-1, 2], ids=["n-1", "n+2"])

@@ -1,13 +1,16 @@
 """Source hygiene: every imported name is used (no linter runs on this tree),
-and the package exports exactly what its modules export."""
+the package exports exactly what its modules export, and the README states
+the report schema the code writes."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import carnotx
+from carnotx.report import SCHEMA_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "carnotx").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -55,3 +58,8 @@ def test_package_exports_are_the_modules_exports():
              for name in importlib.import_module(f"carnotx.{stem}").__all__}
     # Sorted lists, so a name exported twice fails too.
     assert sorted(carnotx.__all__) == sorted(union | {"__version__"})
+
+
+def test_readme_states_the_schema_version():
+    stated = re.findall(r"`schema_version` (\d+)", (ROOT / "README.md").read_text())
+    assert stated and all(int(v) == SCHEMA_VERSION for v in stated)

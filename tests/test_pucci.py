@@ -159,6 +159,50 @@ class TestOracle:
         assert np.array_equal(formula.view(np.uint64), want_formula.view(np.uint64))
         assert np.array_equal(attained, want_attained) and attained.all()
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_haar_columns_match_sign_fixed_lapack_qr(self, m):
+        from carnotx.pucci import _haar_columns
+
+        g = np.random.default_rng(20 + m).standard_normal((10_000, m, m))
+        q, r = np.linalg.qr(g)
+        signs = np.sign(np.einsum("nii->ni", r))
+        signs[signs == 0.0] = 1.0
+        want = q * signs[:, None, :]
+        got = np.transpose(_haar_columns(g), (2, 1, 0))
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(np.swapaxes(got, -1, -2) @ got - np.eye(m)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "spoil, match",
+        [
+            ("normal", "zero or non-finite norm"),  # column 1 of every draw zeroed
+            ("uniform", "not finite"),  # one coefficient NaN
+        ],
+    )
+    def test_degenerate_draws_raise(self, monkeypatch, spoil, match):
+        from carnotx import pucci
+
+        class Spoiled:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                g = self.rng.standard_normal(size)
+                if spoil == "normal":
+                    g[:, :, 1] = 0.0
+                return g
+
+            def uniform(self, low, high, size):
+                c = self.rng.uniform(low, high, size)
+                if spoil == "uniform":
+                    c[3, 0] = np.nan
+                return c
+
+        real = pucci.substream
+        monkeypatch.setattr(pucci, "substream", lambda *key: Spoiled(real(*key)))
+        with pytest.raises(RuntimeError, match=match):
+            pucci_oracle_check(random_sym(np.random.default_rng(12), 3), E13, 64, seed=0)
+
     def test_empty_stack_is_rejected(self):
         with pytest.raises(ValueError, match="at least one matrix"):
             pucci_oracle_check(np.zeros((0, 3, 3)), E13, n_samples=8, seed=0)
