@@ -83,32 +83,33 @@ class ScalarField:
         return np.asarray(self.smooth_domain(np.asarray(x, dtype=float)))
 
 
-_MAX_REDRAWS = 20
+# Rounds of the one rejection loop before it gives up.
+_MAX_ROUNDS = 10000
 
 
-def _sample_admissible(
-    u: ScalarField,
-    sampler: Callable[[int, np.random.Generator], np.ndarray],
+def _rejection_sample(
+    draw: Callable[[int, np.random.Generator], np.ndarray],
+    keep: Callable[[np.ndarray], np.ndarray],
     count: int,
     rng: np.random.Generator,
+    batch_floor: int = 1,
 ) -> np.ndarray:
-    """Draw sampler points, redrawing those outside u's smooth domain.
+    """The first `count` rows of ``draw(k, rng)`` that pass ``keep(rows)``, in draw order.
 
-    Gives up with RuntimeError when points are still outside after
-    _MAX_REDRAWS redraws.
+    Each round draws max(missing, batch_floor) rows; the floor fixes which
+    draws land in which sample, so changing it changes reports.  Raises
+    RuntimeError when rows are still missing after _MAX_ROUNDS rounds.
     """
-    pts = np.asarray(sampler(count, rng), dtype=float)
-    bad = ~u.in_domain(pts)
-    for _ in range(_MAX_REDRAWS):
-        if not np.any(bad):
-            break
-        pts[bad] = np.asarray(sampler(int(np.sum(bad)), rng), dtype=float)
-        bad = ~u.in_domain(pts)
-    if np.any(bad):
-        raise RuntimeError(
-            f"sampler kept producing points outside the domain of {u.name!r}"
-        )
-    return pts
+    kept, missing = [], count
+    for _ in range(_MAX_ROUNDS):
+        rows = np.asarray(draw(max(missing, batch_floor), rng), dtype=float)
+        kept.append(np.compress(keep(rows), rows, axis=0)[:missing])
+        missing -= len(kept[-1])
+        if missing == 0:
+            return np.concatenate(kept)
+    raise RuntimeError(
+        f"rejection sampling kept {count - missing} of {count} rows in {_MAX_ROUNDS} rounds"
+    )
 
 
 def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
@@ -462,31 +463,22 @@ def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
 
 
 def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict:
-    """Verify psi_prime / psi_second against 1-D differences of psi."""
+    """Verify psi_prime / psi_second against 1-D differences of psi.
+
+    The differences use the coefficient tables of the one stencil with the
+    fixed step _PROFILE_STEP; radii outside the smooth domain are skipped,
+    and a ValueError names the profile when none is left.
+    """
     radii = np.asarray(radii, dtype=float)
-    ok_mask = profile.radius_ok(radii)
-    r = radii[ok_mask]
+    r = radii[profile.radius_ok(radii)]
+    if r.size == 0:
+        raise ValueError(f"no radius lies in the smooth domain of profile {profile.name!r}")
     h = _PROFILE_STEP
-    # fourth-order central differences in one dimension
-    d1 = (
-        profile.psi(r - 2 * h)
-        - 8.0 * profile.psi(r - h)
-        + 8.0 * profile.psi(r + h)
-        - profile.psi(r + 2 * h)
-    ) / (12.0 * h)
-    d2 = (
-        -profile.psi(r - 2 * h)
-        + 16.0 * profile.psi(r - h)
-        - 30.0 * profile.psi(r)
-        + 16.0 * profile.psi(r + h)
-        - profile.psi(r + 2 * h)
-    ) / (12.0 * h**2)
-    e1 = np.max(
-        np.abs(d1 - profile.psi_prime(r)) / np.maximum(1.0, np.abs(profile.psi_prime(r)))
+    psi = {off: np.asarray(profile.psi(r + off * h), dtype=float) for off, _ in _D2}
+    d1 = sum(c * psi[off] for off, c in _D1) / h
+    d2 = sum(c * psi[off] for off, c in _D2) / h**2
+    e1, e2 = (
+        float(np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))))
+        for fd, exact in ((d1, profile.psi_prime(r)), (d2, profile.psi_second(r)))
     )
-    e2 = np.max(
-        np.abs(d2 - profile.psi_second(r))
-        / np.maximum(1.0, np.abs(profile.psi_second(r)))
-    )
-    ok = bool(e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL)
-    return {"ok": ok, "prime_err": float(e1), "second_err": float(e2)}
+    return {"ok": e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL, "prime_err": e1, "second_err": e2}

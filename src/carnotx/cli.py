@@ -5,7 +5,8 @@ scaling sweep, finite-difference validation of the radial calculus, the
 extremal-operator self-test, the convexity catalog, the pointwise trace
 bound, and gauge-ball volume estimation.  Exit status is 0 when every
 check passes, 1 when a check is falsified (the report is still written),
-and 2 on usage or I/O errors.
+and 2 on usage or I/O errors, on a result too large for a float, and when
+the engine gives up (a RuntimeError, such as an exhausted rejection loop).
 
 All randomness flows through counter-based substreams keyed by the seed
 and the work-unit identity, so reports are byte-identical for a given
@@ -33,8 +34,8 @@ from .convexity import check_semiconvex_eigen, check_semiconvex_lines
 from .estimates import (
     MAX_PULL,
     CounterexampleConfig,
-    IllPosedIntegrandError,
     QuadratureSpec,
+    _box_draw,
     _exact_ball_volume,
     _pull,
     ball_volume,
@@ -144,15 +145,6 @@ def _nonnegative_int(token: str) -> int:
 
 def _status(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
-
-
-def _unit_box(group: GroupDescriptor):
-    """Uniform points of the box [-1, 1]^n, the checkers' sampling region."""
-
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=(count, group.n))
-
-    return sampler
 
 
 # Options that only choose where output goes or how fast it is produced;
@@ -295,7 +287,7 @@ def _cmd_pucci(args: argparse.Namespace) -> int:
 
 def _cmd_convexity(args: argparse.Namespace) -> int:
     group = args.group
-    sampler = _unit_box(group)
+    sampler = _box_draw(group, 1.0)  # the box [-1, 1]^n
     rows = []
     overall = True
     for case in convexity_catalog(group):
@@ -342,7 +334,7 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
         f,
         c4=1.0,
         e=e,
-        sampler=_unit_box(group),
+        sampler=_box_draw(group, 1.0),
         count=args.count,
         seed=args.seed,
         tol=args.tol,
@@ -506,12 +498,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
-    except (ValueError, IllPosedIntegrandError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OverflowError as err:
+        # An overflow raises FloatingPointError instead of warning and
+        # carrying inf into the results.
+        with np.errstate(over="raise"):
+            return args.func(args)
+    except (OverflowError, FloatingPointError) as err:
         print(f"error: a result is too large for a float: {err}", file=sys.stderr)
+        return 2
+    except (ValueError, RuntimeError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"error: could not write output: {err}", file=sys.stderr)

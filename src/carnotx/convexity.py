@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .calculus import ScalarField, _sample_admissible, horizontal_hessian_sym
+from .calculus import ScalarField, _rejection_sample, horizontal_hessian_sym
 from .group import GroupDescriptor, _dot, _points
 from .pucci import sym_eigenvalues
 from .rng import substream
@@ -102,9 +102,9 @@ def check_semiconvex_lines(
     """Second-difference test 2u(x) - u(x(+s)) - u(x(-s)) <= c s^2 + 1e-9.
 
     Lines start at sampled points with uniformly random unit directions;
-    each is probed at the half-widths s = 2^-3, ..., 2^-8.  Endpoints that
-    leave the smooth domain cause the whole line to be redrawn (bounded
-    retries).
+    each is probed at the half-widths s = 2^-3, ..., 2^-8.  A candidate is
+    a start and then a Gaussian direction; one whose direction vanishes or
+    whose start or any endpoint leaves the smooth domain is redrawn.
     """
     c = float(c)
     if not np.isfinite(c):
@@ -113,25 +113,29 @@ def check_semiconvex_lines(
         raise ValueError(f"the line check needs at least one line, got {line_count}")
     rng = substream(seed, "semiconvex-lines")
     s = np.asarray(_STEP_SIZES, dtype=float)
-    rounds = []  # accepted (starts, directions, forward points, backward points)
-    filled = 0
-    for _ in range(40):
-        if filled == line_count:
-            break
-        need = line_count - filled
-        starts = _sample_admissible(u, sampler, need, rng)
-        gauss = rng.standard_normal((need, group.m))
+    n = group.n
+
+    def draw(k: int, rng: np.random.Generator) -> np.ndarray:
+        starts = np.asarray(sampler(k, rng), dtype=float)
+        return np.concatenate([starts, rng.standard_normal((k, group.m))], axis=1)
+
+    # Unit directions and endpoints of the kept candidates of every round, in
+    # draw order: the sampler returns the first line_count of those candidates.
+    kept = []
+
+    def keep(rows: np.ndarray) -> np.ndarray:
+        starts, gauss = rows[:, :n], rows[:, n:]
         norms = np.linalg.norm(gauss, axis=1)
-        ok = norms > 1e-12
-        starts, dirs = starts[ok], gauss[ok] / norms[ok, None]
-        fwd, bwd = (integrate_xline(group, starts, dirs, t) for t in (s, -s))
+        ok = (norms > 1e-12) & u.in_domain(starts)
+        dirs = gauss[ok] / norms[ok, None]
+        fwd, bwd = (integrate_xline(group, starts[ok], dirs, t) for t in (s, -s))
         inside = np.all(u.in_domain(fwd), axis=-1) & np.all(u.in_domain(bwd), axis=-1)
-        take = np.flatnonzero(inside)[:need]
-        rounds.append([arr[take] for arr in (starts, dirs, fwd, bwd)])
-        filled += len(take)
-    if filled < line_count:
-        raise RuntimeError("could not sample admissible lines inside the domain")
-    starts, dirs, fwd, bwd = (np.concatenate(parts) for parts in zip(*rounds))
+        kept.append((dirs[inside], fwd[inside], bwd[inside]))
+        ok[ok] = inside
+        return ok
+
+    starts = _rejection_sample(draw, keep, line_count, rng)[:, :n]
+    dirs, fwd, bwd = (np.concatenate(parts)[:line_count] for parts in zip(*kept))
 
     centers = np.asarray(u.evaluate(starts), dtype=float)
     slack = 2.0 * centers[:, None] - u.evaluate(fwd) - u.evaluate(bwd) - c * s[None, :] ** 2
@@ -162,7 +166,7 @@ def check_semiconvex_eigen(
     if point_count < 1:
         raise ValueError(f"the eigenvalue check needs at least one point, got {point_count}")
     rng = substream(seed, "semiconvex-eigen")
-    pts = _sample_admissible(u, sampler, point_count, rng)
+    pts = _rejection_sample(sampler, u.in_domain, point_count, rng)
     mats = horizontal_hessian_sym(group, u, pts)
     low = sym_eigenvalues(mats).eigenvalues[:, 0]
     slack = -c - low  # positive when the bound is violated

@@ -25,7 +25,7 @@ from .calculus import (
     ScalarField,
     _gauge_field,
     _radial_eigenvalues,
-    _sample_admissible,
+    _rejection_sample,
     field_from_profile,
     horizontal_hessian_sym,
     radial_hessian,
@@ -156,33 +156,12 @@ def _box_chunks(
         yield start, _sample_box(hw, rng, buf[: min(_CHUNK, count - start)])
 
 
-def _rejection_sample(
-    group: GroupDescriptor,
-    r: float,
-    count: int,
-    rng: np.random.Generator,
-    keep: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    batch_floor: int,
-) -> np.ndarray:
-    """Sample `count` points of box(B_r) passing `keep(rho, h2, pts)`.
-
-    Each draw takes at least `batch_floor` box points; the floor fixes which
-    substream draws land in which sample, so changing it changes reports.
-    """
+def _box_draw(
+    group: GroupDescriptor, r: float
+) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """Draws of uniform points of box(B_r), as ``_rejection_sample`` takes them."""
     hw = gauge_box_halfwidths(group, r)
-    out = np.empty((count, group.n))
-    got = 0
-    for _ in range(10000):
-        if got == count:
-            break
-        pts = _sample_box(hw, rng, np.empty((max(count - got, batch_floor), group.n)))
-        rho, h2, _ = _gauge_parts(group, pts)
-        pts = np.compress(keep(rho, h2, pts), pts, axis=0)[: count - got]
-        out[got : got + len(pts)] = pts
-        got += len(pts)
-    if got < count:
-        raise ValueError("rejection sampling failed to fill the sample")
-    return out
+    return lambda k, rng: _sample_box(hw, rng, np.empty((k, group.n)))
 
 
 def gauge_ball_sampler(
@@ -196,15 +175,25 @@ def gauge_ball_sampler(
 
     ``exclude_shells`` lists (radius, half-width) pairs; samples with
     |rho - radius| below the half-width are rejected.  Useful for keeping
-    finite-difference stencils away from splice radii.
+    finite-difference stencils away from splice radii.  An empty annulus,
+    unless 0 <= rho_min < rho_max and 0 <= min_horizontal < rho_max, is a
+    ValueError.
     """
-    def keep(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    if not (0.0 <= rho_min < rho_max and 0.0 <= min_horizontal < rho_max):
+        raise ValueError(
+            "an annulus needs 0 <= rho_min < rho_max and 0 <= min_horizontal < rho_max,"
+            f" got rho_min={rho_min}, rho_max={rho_max}, min_horizontal={min_horizontal}"
+        )
+    draw = _box_draw(group, rho_max)
+
+    def keep(pts: np.ndarray) -> np.ndarray:
+        rho, h2, _ = _gauge_parts(group, pts)
         mask = (rho < rho_max) & (rho >= rho_min) & (h2 >= min_horizontal**2)
         for center, width in exclude_shells:
             mask &= np.abs(rho - center) >= width
         return mask
 
-    return lambda count, rng: _rejection_sample(group, rho_max, count, rng, keep, 64)
+    return lambda count, rng: _rejection_sample(draw, keep, count, rng, 64)
 
 
 def _gauge_moment(group: GroupDescriptor, q: float) -> float:
@@ -246,19 +235,14 @@ def _values_inside(
     """`u` at the rows of `pts` inside B_r, gauging each row once.
 
     A field with `of_gauge` gets the gauge of the inside rows, any other
-    field the rows themselves.  Both are selected with np.compress, which
-    numpy runs several times faster than a boolean index, and the
-    full-chunk gauge is released one part at a time as it is compressed.
+    field the rows themselves.  Both are gathered with `take` at the inside
+    indices, which numpy runs several times faster than a boolean index.
     """
-    if u.of_gauge is None:
-        inside = _gauge_parts(group, pts)[0] < r
-        return np.asarray(u.evaluate(np.compress(inside, pts, axis=0)), dtype=float)
     rho, h2, g = _gauge_parts(group, pts)
-    inside = rho < r
-    rho = np.compress(inside, rho)
-    h2 = np.compress(inside, h2)
-    g = np.compress(inside, g)
-    return np.asarray(u.of_gauge(rho, h2, g), dtype=float)
+    inside = np.flatnonzero(rho < r)
+    if u.of_gauge is None:
+        return np.asarray(u.evaluate(pts.take(inside, axis=0)), dtype=float)
+    return np.asarray(u.of_gauge(rho.take(inside), h2.take(inside), g.take(inside)), dtype=float)
 
 
 def _box_masses(
@@ -571,8 +555,9 @@ def verify_pucci_annihilation(
 
     excluded = {"axis": 0, "shell": 0}
 
-    def keep_within(radius: float) -> Callable:
-        def keep(rho: np.ndarray, h2: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def keep_within(radius: float) -> Callable[[np.ndarray], np.ndarray]:
+        def keep(pts: np.ndarray) -> np.ndarray:
+            rho, h2, _ = _gauge_parts(group, pts)
             inside = rho < radius
             axis = h2 < AXIS_EXCLUSION**2
             shell = np.abs(rho - eps) < SPLICE_EXCLUSION
@@ -585,8 +570,8 @@ def verify_pucci_annihilation(
     n_ball = n_samples // 2
     pts = np.vstack(
         [
-            _rejection_sample(group, 1.0, n_ball, rng, keep_within(1.0), 256),
-            _rejection_sample(group, eps, n_samples - n_ball, rng, keep_within(eps), 256),
+            _rejection_sample(_box_draw(group, r), keep_within(r), k, rng, 256)
+            for r, k in ((1.0, n_ball), (eps, n_samples - n_ball))
         ]
     )
 
@@ -594,8 +579,7 @@ def verify_pucci_annihilation(
     inner = rho < eps
     eigs = _radial_eigenvalues(cfg.d, profile, rho, g)
     mplus = pucci_plus_of_eigenvalues(eigs, e)
-    f = counterexample_rhs_field(cfg, eps)
-    rhs = f.evaluate(pts) if f.of_gauge is None else f.of_gauge(rho, h2, g)
+    rhs = counterexample_rhs_field(cfg, eps).of_gauge(rho, h2, g)
     residual = np.abs(mplus - rhs) / scale
 
     worst = int(np.argmax(residual))
@@ -876,7 +860,7 @@ def pointwise_bound_check(
         raise ValueError(f"the bound needs at least one point, got count={count}")
     m = group.m
     rng = substream(seed, "pointwise-bound")
-    pts = _sample_admissible(u, sampler, count, rng)
+    pts = _rejection_sample(sampler, u.in_domain, count, rng)
 
     g0 = abs(float(gop(np.zeros((m, m)))))
     mats = horizontal_hessian_sym(group, u, pts)

@@ -171,8 +171,8 @@ def pucci_minus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
     return pucci_minus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
 
 
-def _haar_columns(g: np.ndarray) -> np.ndarray:
-    """Q factors with positive-diagonal R of a stack g (k, m, m), as columns (m, m, k).
+def _haar_columns(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Q factors with positive-diagonal R of a stack g (k, m, m), written to `cols` (m, m, k).
 
     Entry [j, i, n] is row i of column j of sample n's Q, so each column of
     every sample is one contiguous (m, k) slab.  Classical Gram-Schmidt,
@@ -182,7 +182,7 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
     g (Mezzadri 2007).  A zero or non-finite column norm raises
     RuntimeError.
     """
-    cols = np.ascontiguousarray(np.transpose(g, (2, 1, 0)), dtype=float)
+    np.copyto(cols, np.transpose(g, (2, 1, 0)))
     for j in range(cols.shape[0]):
         v, prev = cols[j], cols[:j]
         for _ in range(2 if j else 0):
@@ -194,19 +194,23 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _sampled_sup(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> float:
-    """Sampled max of Tr(A a); its chunks die on return, before the next matrix's.
+def _sampled_sup(
+    a: np.ndarray, e: Ellipticity, n_samples: int, seed: int, buf: np.ndarray
+) -> float:
+    """Sampled max of Tr(A a); its draws die on return, before the next matrix's.
 
     Tr(A a) = sum_j c_j u_j^T a u_j over the columns u_j of Haar U, so A is
     never formed; it depends on u_j only through u_j u_j^T, which is why a
-    column's sign does not matter.
+    column's sign does not matter.  The columns go to `buf`, which every
+    matrix of a stack shares: freeing a second chunk-sized array per matrix
+    can make glibc trim the heap and fault it back in for every matrix.
     """
     m = a.shape[0]
     rng = substream(seed, "pucci-oracle")
     sup = -np.inf
     for start in range(0, n_samples, 4096):
         k = min(4096, n_samples - start)
-        cols = _haar_columns(rng.standard_normal((k, m, m)))
+        cols = _haar_columns(rng.standard_normal((k, m, m)), buf[: k * m * m].reshape(m, m, k))
         coeffs = rng.uniform(e.lam, e.Lam, size=(k, m))
         traces = np.zeros(k)
         for j in range(m):
@@ -247,7 +251,10 @@ def pucci_oracle_check(
         raise ValueError("need at least one matrix")
     spec = sym_eigenvalues(a)
     formula = pucci_plus_of_eigenvalues(_clamped(spec.eigenvalues), e)
-    oracle_sup = np.array([_sampled_sup(aj, e, n_samples, seed + j) for j, aj in enumerate(a)])
+    buf = np.empty(min(4096, n_samples) * m * m)
+    oracle_sup = np.array(
+        [_sampled_sup(aj, e, n_samples, seed + j, buf) for j, aj in enumerate(a)]
+    )
     coeff_star = np.where(spec.eigenvalues > 0.0, e.Lam, e.lam)
     a_star = (spec.vectors * coeff_star[:, None, :]) @ np.swapaxes(spec.vectors, -1, -2)
     traces = np.einsum("nij,nji->n", a_star, a)

@@ -281,6 +281,8 @@ class TestFieldUtilities:
             psi_second=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
         )
         assert not check_profile_consistency(bad, radii)["ok"]
+        with pytest.raises(ValueError, match=r"power\[0\.5\]"):
+            check_profile_consistency(power_profile(0.5), -radii)
 
 
 def carnot_frame_hessian_sym(group, u, x):

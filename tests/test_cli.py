@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import carnotx
+import carnotx.calculus as calculus
 
 from carnotx import Ellipticity, pucci_oracle_check
 from carnotx.cli import _build_parser, _parse_eps_spec, _parse_q_spec, run
@@ -341,6 +342,8 @@ class TestOtherCommands:
             ],
             "too large for a float",
         ),
+        # an overflow inside the engine, not a RuntimeWarning and a traceback
+        (["pucci", "--lam", "1e300", "--Lam", "1.7e308"], "too large for a float"),
         # Monte-Carlo boxes whose volume overflows or underflows
         (["ball-volume", "--r", "1e200", "--samples", "2000"], "box volume"),
         (["ball-volume", "--r", "1e-200", "--samples", "2000"], "box volume"),
@@ -350,6 +353,21 @@ def test_degenerate_work_is_usage_error(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.err.count("error:") == 1
+    assert "overall:" not in captured.out
+
+
+def test_engine_runtime_error_exits_2(monkeypatch, capsys):
+    # Splice radii below the shell exclusion leave the inner annihilation
+    # region empty, so the rejection loop gives up with RuntimeError.
+    monkeypatch.setattr(calculus, "_MAX_ROUNDS", 3)
+    argv = [
+        "counterexample", "--eps", "2^-21..2^-24", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "2",
+    ]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rejection sampling kept 0 of 1 rows in 3 rounds\n"
     assert "overall:" not in captured.out
 
 

@@ -13,6 +13,7 @@ from carnotx import (
     check_semiconvex_lines,
     constant_field,
     convexity_catalog,
+    gauge_ball_sampler,
     gauge_quartic,
     group_multiply,
     heisenberg,
@@ -22,7 +23,10 @@ from carnotx import (
     pucci_minus,
     saddle_field,
 )
+import carnotx.calculus as calculus
+import carnotx.estimates as estimates
 from carnotx.calculus import ScalarField
+from carnotx.convexity import _STEP_SIZES
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -150,34 +154,65 @@ class TestCheckers:
         with pytest.raises(RuntimeError):
             check_semiconvex_eigen(H1, nowhere, 0.0, box_sampler(H1), 8, seed=1)
 
-    def test_last_allowed_redraw_is_accepted(self):
-        # 1 draw + 20 redraws: only the 21st call lands in the domain
-        # {x_1 > 0}, and its points must be checked rather than rejected.
+    def test_last_allowed_redraw_is_accepted(self, monkeypatch):
+        # Every caller shares one rejection loop and its cap.  With the cap
+        # at 5 rounds, a draw that first lands on round 5 is checked rather
+        # than rejected, and one that never lands raises after 5 draws.
+        rounds = 5
+        monkeypatch.setattr(calculus, "_MAX_ROUNDS", rounds)
         u = dataclasses.replace(
             horizontal_quadratic(H1, -1.0), smooth_domain=lambda x: x[..., 0] > 0.0
         )
         e = Ellipticity(lam=1.0, Lam=2.0)
         f = constant_field(-e.Lam * H1.m)
+
+        def ball(sampler):
+            # The box draws of gauge_ball_sampler come from the test sampler.
+            monkeypatch.setattr(
+                estimates, "_sample_box", lambda hw, rng, out: sampler(len(out), rng)
+            )
+            return len(gauge_ball_sampler(H1, rho_max=3.0)(8, np.random.default_rng(1)))
+
+        def flip(pts):  # outside the domain {x_1 > 0}, lines' endpoints too
+            pts[:, 0] *= -1.0
+            return pts
+
+        # caller -> (run returning the number of points or lines, a miss)
         runs = {
-            "eigen": lambda sampler: check_semiconvex_eigen(
-                H1, u, 1.0, sampler, 8, seed=1
-            ).n_checked,
-            "pointwise": lambda sampler: pointwise_bound_check(
-                H1, lambda mat: pucci_minus(mat, e), u, f,
-                c4=1.0, e=e, sampler=sampler, count=8, seed=1,
-            ).n_points,
+            "eigen": (
+                lambda sampler: check_semiconvex_eigen(H1, u, 1.0, sampler, 8, seed=1).n_checked,
+                flip,
+            ),
+            "pointwise": (
+                lambda sampler: pointwise_bound_check(
+                    H1, lambda mat: pucci_minus(mat, e), u, f,
+                    c4=1.0, e=e, sampler=sampler, count=8, seed=1,
+                ).n_points,
+                flip,
+            ),
+            "lines": (
+                lambda sampler: check_semiconvex_lines(
+                    H1, u, 1.0, sampler, 8, seed=1
+                ).n_checked // len(_STEP_SIZES),
+                flip,
+            ),
+            "gauge_ball_sampler": (ball, lambda pts: 100.0 * pts),  # far outside B_3
         }
-        for name, check in runs.items():
-            calls = []
+        for name, (check, miss) in runs.items():
+            for land in (rounds, None):
+                calls = []
 
-            def sampler(count, rng):
-                calls.append(count)
-                pts = rng.uniform(0.1, 1.0, size=(count, H1.n))
-                pts[:, 0] *= 1.0 if len(calls) > 20 else -1.0
-                return pts
+                def sampler(count, rng):
+                    calls.append(count)
+                    pts = rng.uniform(0.2, 1.0, size=(count, H1.n))
+                    return pts if land is not None and len(calls) >= land else miss(pts)
 
-            assert check(sampler) == 8, name
-            assert len(calls) == 21, name
+                if land is None:
+                    with pytest.raises(RuntimeError, match="rejection"):
+                        check(sampler)
+                else:
+                    assert check(sampler) == 8, name
+                assert len(calls) == rounds, (name, land)
 
     def test_negative_constant_acts_as_uniform_convexity(self):
         # c < 0 demands second differences strictly below -|c| s^2.

@@ -33,6 +33,7 @@ from carnotx import (
     sweep_scaling,
     verify_pucci_annihilation,
 )
+from carnotx.calculus import _gauge_field
 from carnotx.estimates import (
     _CHUNK,
     _box_chunks,
@@ -185,7 +186,7 @@ class TestAnnihilation:
 
         def shifted(cfg, r):
             f = real(cfg, r)
-            return ScalarField(name=f.name, evaluate=lambda x: f.evaluate(x) + scale)
+            return _gauge_field(H1, f.name, lambda rho, h2, g: f.of_gauge(rho, h2, g) + scale)
 
         monkeypatch.setattr(estimates, "counterexample_rhs_field", shifted)
         rep = verify_pucci_annihilation(CFG, eps, n_samples=400, seed=11)
@@ -289,6 +290,21 @@ class TestQuadrature:
         assert np.all(rho < 1.0) and np.all(rho >= 0.3)
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) >= 0.1)
         assert np.all(np.abs(rho - 0.5) >= 0.05)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"rho_max": 0.5, "rho_min": 0.6},
+            {"rho_max": 0.5, "rho_min": 0.5},
+            {"rho_max": 0.5, "rho_min": -0.1},
+            {"rho_max": 0.5, "min_horizontal": 0.5},
+            {"rho_max": 0.5, "min_horizontal": -0.1},
+            {"rho_max": math.nan},
+        ],
+    )
+    def test_empty_annulus_is_rejected_at_construction(self, bounds):
+        with pytest.raises(ValueError, match="annulus"):
+            gauge_ball_sampler(H1, **bounds)
 
 
 class TestSweep:

@@ -168,7 +168,7 @@ class TestOracle:
         signs = np.sign(np.einsum("nii->ni", r))
         signs[signs == 0.0] = 1.0
         want = q * signs[:, None, :]
-        got = np.transpose(_haar_columns(g), (2, 1, 0))
+        got = np.transpose(_haar_columns(g, np.empty((m, m, len(g)))), (2, 1, 0))
         assert np.abs(got - want).max() <= 1e-12
         assert np.abs(np.swapaxes(got, -1, -2) @ got - np.eye(m)).max() <= 1e-13
 
