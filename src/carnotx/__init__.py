@@ -14,19 +14,18 @@ from .calculus import (
     RadialProfile,
     ScalarField,
     SingularPointError,
-    add_horizontal_quadratic,
     check_field_consistency,
     check_profile_consistency,
     field_from_profile,
     horizontal_gradient,
     horizontal_hessian_sym,
-    radial_frame,
     radial_hessian,
     radial_hessian_eigenvalues,
     sublaplacian,
 )
 from .catalog import (
     ConvexityCase,
+    add_horizontal_quadratic,
     constant_field,
     convexity_catalog,
     coordinate_field,
@@ -51,7 +50,6 @@ from .estimates import (
     QuadratureSpec,
     SweepReport,
     SweepRow,
-    alpha_for_critical_q,
     ball_volume,
     counterexample_profile,
     counterexample_rhs_field,
@@ -69,7 +67,6 @@ from .group import (
     group_multiply,
     heisenberg,
     homogeneous_norm,
-    left_translation,
 )
 from .pucci import (
     Ellipticity,
@@ -98,7 +95,6 @@ __all__ = [
     "dilate",
     "group_multiply",
     "group_inverse",
-    "left_translation",
     "homogeneous_norm",
     # calculus
     "DomainError",
@@ -108,11 +104,9 @@ __all__ = [
     "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
-    "radial_frame",
     "radial_hessian",
     "radial_hessian_eigenvalues",
     "field_from_profile",
-    "add_horizontal_quadratic",
     "check_field_consistency",
     "check_profile_consistency",
     # pucci
@@ -137,6 +131,7 @@ __all__ = [
     "coordinate_field",
     "coordinate_product",
     "horizontal_quadratic",
+    "add_horizontal_quadratic",
     "saddle_field",
     "gauge_quartic",
     # estimates
@@ -153,7 +148,6 @@ __all__ = [
     "lq_norm",
     "gauge_ball_sampler",
     "q_star",
-    "alpha_for_critical_q",
     "counterexample_profile",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",

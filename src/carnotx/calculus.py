@@ -26,11 +26,9 @@ __all__ = [
     "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
-    "radial_frame",
     "radial_hessian",
     "radial_hessian_eigenvalues",
     "field_from_profile",
-    "add_horizontal_quadratic",
     "check_field_consistency",
     "check_profile_consistency",
 ]
@@ -215,23 +213,6 @@ def sublaplacian(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True)
-class HeisenbergRadialFrame:
-    """Ingredients of the gauge-radial calculus on H^d at each point of a stack.
-
-    ``eta / rho^3`` is the horizontal gradient of the gauge, and
-    ``grad_norm_sq = |x_H|^2 / rho^2`` is its squared length (at most one).
-    ``b_block``/``c_block`` are the d-by-d blocks assembling the rank-two
-    angular part of the radial Hessian.
-    """
-
-    rho: np.ndarray
-    grad_norm_sq: np.ndarray
-    eta: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
-
-
-@dataclass(frozen=True)
 class RadialProfile:
     """One-dimensional profile psi with its first two derivatives.
 
@@ -254,12 +235,7 @@ class RadialProfile:
 class RadialHessian:
     """Closed-form horizontal Hessians (..., 2d, 2d) of psi(rho) on H^d.
 
-    Per point, the eigenvalue multiset is {radial, tangential, flat x (2d-2)}
-    with
-
-        radial     = psi''(rho) |Drho|^2,
-        tangential = 3 psi'(rho) |Drho|^2 / rho,
-        flat       = psi'(rho) |Drho|^2 / rho.
+    Per point, the eigenvalue multiset is {radial, tangential, flat x (2d-2)}.
     """
 
     matrix: np.ndarray
@@ -268,15 +244,24 @@ class RadialHessian:
     eigen_flat: np.ndarray
     flat_multiplicity: int
 
-    def eigenvalues(self) -> np.ndarray:
-        """Full multisets, ascending, shape (..., 2d)."""
-        vals = [self.eigen_radial, self.eigen_tangential]
-        vals += [self.eigen_flat] * self.flat_multiplicity
-        return np.sort(np.stack(vals, axis=-1), axis=-1)
+
+def _radial_components(
+    psi1: np.ndarray, psi2: np.ndarray, rho: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(radial, tangential, flat) = (psi'' g, 3 psi' g / rho, psi' g / rho), g = |D rho|^2."""
+    return psi2 * g, 3.0 * psi1 * g / rho, psi1 * g / rho
 
 
-def radial_frame(group: GroupDescriptor, x: np.ndarray) -> HeisenbergRadialFrame:
-    """Gauge-radial frame of H^d at points (..., n); requires |x_H| > 0."""
+def radial_hessian(
+    group: GroupDescriptor, profile: RadialProfile, x: np.ndarray
+) -> RadialHessian:
+    """Horizontal Hessians of psi(rho) at points (..., n), with eigenvalue components.
+
+    With x = (a, b, t) and h2 = |x_H|^2, v = (a h2 + b t, b h2 - a t) / rho^3
+    is the horizontal gradient of the gauge; B = aa^T + bb^T and C = ab^T - ba^T
+    assemble the angular part.  Raises SingularPointError where x_H = 0 and
+    DomainError where the profile is not smooth.
+    """
     d = group.heisenberg_d
     x = _points(group, x)
     rho, h2, g = _gauge_parts(group, x)
@@ -284,43 +269,29 @@ def radial_frame(group: GroupDescriptor, x: np.ndarray) -> HeisenbergRadialFrame
         raise SingularPointError(
             "gauge-radial frame is singular where the horizontal part vanishes"
         )
-    a, b, t = x[..., :d], x[..., d : 2 * d], x[..., -1]
-    h2_, t_ = h2[..., None], t[..., None]
-    return HeisenbergRadialFrame(
-        rho=rho,
-        grad_norm_sq=g,
-        eta=np.concatenate([a * h2_ + b * t_, b * h2_ - a * t_], axis=-1),
-        b_block=_outer(a, a) + _outer(b, b),
-        c_block=_outer(a, b) - _outer(b, a),
-    )
-
-
-def radial_hessian(
-    group: GroupDescriptor, profile: RadialProfile, x: np.ndarray
-) -> RadialHessian:
-    """Horizontal Hessians of psi(rho) at points (..., n), with eigenvalue components."""
-    fr = radial_frame(group, x)
-    if not np.all(profile.radius_ok(fr.rho)):
-        raise DomainError(f"profile {profile.name!r} is not smooth at some rho in {fr.rho!r}")
-    d = group.heisenberg_d
-    rho, g = fr.rho, fr.grad_norm_sq
+    if not np.all(profile.radius_ok(rho)):
+        raise DomainError(f"profile {profile.name!r} is not smooth at some rho in {rho!r}")
     psi1 = np.asarray(profile.psi_prime(rho), dtype=float)
     psi2 = np.asarray(profile.psi_second(rho), dtype=float)
+    radial, tangential, flat = _radial_components(psi1, psi2, rho, g)
     rho3 = np.float_power(rho, 3)
 
-    angular = np.block([[fr.b_block, fr.c_block], [-fr.c_block, fr.b_block]])
-    v = fr.eta / rho3[..., None]
+    a, b, t = x[..., :d], x[..., d : 2 * d], x[..., -1]
+    h2_, t_ = h2[..., None], t[..., None]
+    v = np.concatenate([a * h2_ + b * t_, b * h2_ - a * t_], axis=-1) / rho3[..., None]
+    b_block, c_block = _outer(a, a) + _outer(b, b), _outer(a, b) - _outer(b, a)
+    angular = np.block([[b_block, c_block], [-c_block, b_block]])
     mat = (
-        (psi1 * g / rho)[..., None, None] * np.eye(2 * d)
+        flat[..., None, None] * np.eye(2 * d)
         + (2.0 * psi1 / rho3)[..., None, None] * angular
         + (psi2 - 3.0 * psi1 / rho)[..., None, None] * _outer(v, v)
     )
     mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
     return RadialHessian(
         matrix=mat,
-        eigen_radial=psi2 * g,
-        eigen_tangential=3.0 * psi1 * g / rho,
-        eigen_flat=psi1 * g / rho,
+        eigen_radial=radial,
+        eigen_tangential=tangential,
+        eigen_flat=flat,
         flat_multiplicity=2 * d - 2,
     )
 
@@ -350,9 +321,8 @@ def _radial_eigenvalues(
     rho_safe = np.where(safe, rho, 1.0)
     psi1 = np.where(safe, np.asarray(profile.psi_prime(rho_safe), dtype=float), 0.0)
     psi2 = np.where(safe, np.asarray(profile.psi_second(rho_safe), dtype=float), 0.0)
-    cols = [psi2 * g, 3.0 * psi1 * g / rho_safe]
-    cols += [psi1 * g / rho_safe] * (2 * d - 2)
-    return np.stack(cols, axis=-1)
+    radial, tangential, flat = _radial_components(psi1, psi2, rho_safe, g)
+    return np.stack([radial, tangential] + [flat] * (2 * d - 2), axis=-1)
 
 
 def _gauge_field(
@@ -386,49 +356,6 @@ def field_from_profile(group: GroupDescriptor, profile: RadialProfile) -> Scalar
         f"{profile.name}(rho)",
         lambda rho, h2, g: np.asarray(profile.psi(rho), dtype=float),
         smooth_domain=domain,
-    )
-
-
-def add_horizontal_quadratic(
-    group: GroupDescriptor, u: ScalarField, coeff: float
-) -> ScalarField:
-    """u + (coeff/2) * sum_{i<=m} x_i^2.
-
-    The added term has exact horizontal Hessian coeff * I_m, which shifts
-    every Hessian eigenvalue by exactly coeff.
-    """
-    m, n = group.m, group.n
-    coeff = float(coeff)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.asarray(u.evaluate(x), dtype=float) + 0.5 * coeff * np.sum(
-            x[..., :m] ** 2, axis=-1
-        )
-
-    grad = None
-    if u.euclid_gradient is not None:
-
-        def grad(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            out = np.array(u.euclid_gradient(x), dtype=float, copy=True)
-            out[..., :m] += coeff * x[..., :m]
-            return out
-
-    hess = None
-    if u.euclid_hessian is not None:
-        bump = np.zeros((n, n))
-        bump[:m, :m] = coeff * np.eye(m)
-
-        def hess(x: np.ndarray) -> np.ndarray:
-            return np.asarray(u.euclid_hessian(x), dtype=float) + bump
-
-    return ScalarField(
-        name=f"{u.name}+{coeff}/2*|x_H|^2",
-        evaluate=evaluate,
-        euclid_gradient=grad,
-        euclid_hessian=hess,
-        smooth_domain=u.smooth_domain,
     )
 
 

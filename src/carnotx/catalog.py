@@ -19,6 +19,7 @@ __all__ = [
     "constant_field",
     "coordinate_field",
     "horizontal_quadratic",
+    "add_horizontal_quadratic",
     "saddle_field",
     "gauge_quartic",
     "coordinate_product",
@@ -81,6 +82,27 @@ def horizontal_quadratic(group: GroupDescriptor, coeff: float = 1.0) -> ScalarFi
         euclid_hessian=lambda x: np.broadcast_to(
             bump, _points(group, x).shape[:-1] + (n, n)
         ),
+    )
+
+
+def add_horizontal_quadratic(group: GroupDescriptor, u: ScalarField, coeff: float) -> ScalarField:
+    """u + horizontal_quadratic(group, coeff), callback by callback.
+
+    The added term has exact horizontal Hessian coeff * I_m, which shifts
+    every Hessian eigenvalue by exactly coeff.  A callback that u lacks
+    stays absent, and u's smooth domain is kept.
+    """
+    q = horizontal_quadratic(group, coeff)
+
+    def plus(ours, theirs):
+        return None if ours is None else lambda x: np.asarray(ours(x), dtype=float) + theirs(x)
+
+    return ScalarField(
+        name=f"{u.name}+{q.name}",
+        evaluate=plus(u.evaluate, q.evaluate),
+        euclid_gradient=plus(u.euclid_gradient, q.euclid_gradient),
+        euclid_hessian=plus(u.euclid_hessian, q.euclid_hessian),
+        smooth_domain=u.smooth_domain,
     )
 
 

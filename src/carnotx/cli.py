@@ -32,6 +32,9 @@ from .calculus import (
 from .catalog import constant_field, convexity_catalog, horizontal_quadratic
 from .convexity import check_semiconvex_eigen, check_semiconvex_lines
 from .estimates import (
+    _FD_MIN_HORIZONTAL,
+    _FD_RHO_MAX,
+    _FD_RHO_MIN,
     MAX_PULL,
     CounterexampleConfig,
     QuadratureSpec,
@@ -184,11 +187,13 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         glue_mode=args.glue,
     )
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
-    report = sweep_scaling(cfg, quad, workers=args.workers, slope_tol=args.slope_tol)
+    # Annihilation first, so a radius it rejects fails before the sweep; each
+    # check and sweep radius has its own substream, so the order changes no bits.
     annihilation = [
         verify_pucci_annihilation(cfg, eps, args.annihilation_samples, args.seed)
         for eps in (cfg.eps_list if args.annihilation_samples > 0 else ())
     ]
+    report = sweep_scaling(cfg, quad, workers=args.workers, slope_tol=args.slope_tol)
     if args.csv:
         write_rows_csv(report.rows, args.csv)
 
@@ -234,7 +239,7 @@ def _quartic_profile() -> RadialProfile:
 def _cmd_verify_radial(args: argparse.Namespace) -> int:
     group = args.group
     sampler = gauge_ball_sampler(
-        group, rho_max=0.9, rho_min=0.15, min_horizontal=0.05
+        group, rho_max=_FD_RHO_MAX, rho_min=_FD_RHO_MIN, min_horizontal=_FD_MIN_HORIZONTAL
     )
     pts = sampler(args.points, substream(args.seed, "verify-radial"))
     results = []

@@ -54,7 +54,6 @@ __all__ = [
     "ball_volume",
     "lq_norm",
     "q_star",
-    "alpha_for_critical_q",
     "counterexample_profile",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",
@@ -65,6 +64,10 @@ __all__ = [
 # Exclusion half-widths for sets where derivative formulas degenerate.
 AXIS_EXCLUSION = 1e-8
 SPLICE_EXCLUSION = 1e-6
+# The annulus where a stencil sees a smooth gauge-radial field: rho in
+# (_FD_RHO_MIN, _FD_RHO_MAX) and |x_H| > _FD_MIN_HORIZONTAL.  The
+# annihilation check keeps _FD_SPLICE_GAP above the splice radius as well.
+_FD_RHO_MIN, _FD_RHO_MAX, _FD_MIN_HORIZONTAL, _FD_SPLICE_GAP = 0.15, 0.9, 0.05, 0.03
 
 
 class IllPosedIntegrandError(RuntimeError):
@@ -328,27 +331,6 @@ def q_star(alpha: float, homogeneous_dim: float) -> float:
     return float(homogeneous_dim) / (2.0 - float(alpha))
 
 
-def alpha_for_critical_q(q: float, homogeneous_dim: float) -> float:
-    """The profile exponent making a given q critical.
-
-    Solves Q / (2 - alpha) = q.  Only q in (Q/2, Q) is reachable: at or
-    below Q/2 the required alpha = 2 - Q/q would not be positive, so no
-    admissible profile exists and a ValueError explains that.
-    """
-    q = float(q)
-    big_q = float(homogeneous_dim)
-    if q <= big_q / 2.0:
-        raise ValueError(
-            f"q={q} is out of reach: criticality requires alpha = 2 - Q/q > 0,"
-            f" i.e. q > Q/2 = {big_q / 2.0}"
-        )
-    if q >= big_q:
-        raise ValueError(
-            f"q={q} is out of reach: alpha = 2 - Q/q must stay below 1, i.e. q < Q = {big_q}"
-        )
-    return 2.0 - big_q / q
-
-
 @dataclass(frozen=True)
 class CounterexampleConfig:
     """Parameters of the spliced gauge-power family on H^d.
@@ -368,8 +350,7 @@ class CounterexampleConfig:
     glue_mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        self.group()  # a ValueError unless d names a Heisenberg group
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
@@ -393,7 +374,7 @@ class CounterexampleConfig:
 
     @property
     def homogeneous_dim(self) -> int:
-        return 2 * self.d + 2
+        return self.group().homogeneous_dimension
 
     @property
     def inner_coefficient(self) -> float:
@@ -542,6 +523,11 @@ def verify_pucci_annihilation(
     scales with eps, so both regimes are exercised at any splice radius).
     Closed forms are cross-checked against a matrix eigendecomposition and
     against finite differences of the field itself on safe subsamples.
+
+    Samples within SPLICE_EXCLUSION of the splice are excluded, so eps must
+    exceed 2 SPLICE_EXCLUSION to leave an inner ball worth sampling, and it
+    must leave a finite-difference window above it (else ValueError).  A
+    sample with no point in that window is a RuntimeError.
     """
     if n_samples < 2:
         raise ValueError(
@@ -550,6 +536,16 @@ def verify_pucci_annihilation(
     group = cfg.group()
     e = cfg.ellipticity()
     profile = counterexample_profile(cfg, eps)
+    n_ball = n_samples // 2
+    # Building the draws first rejects a radius whose box degenerates.
+    regions = [(_box_draw(group, r), r, k) for r, k in ((1.0, n_ball), (eps, n_samples - n_ball))]
+    lo = max(_FD_RHO_MIN, eps + _FD_SPLICE_GAP)
+    if not (eps > 2.0 * SPLICE_EXCLUSION and lo < _FD_RHO_MAX):
+        raise ValueError(
+            f"splice radius {eps} is out of the annihilation check's reach: it needs"
+            f" eps > {2.0 * SPLICE_EXCLUSION}, as it excludes the shell |rho - eps| <"
+            f" {SPLICE_EXCLUSION}, and a finite-difference window {lo} < rho < {_FD_RHO_MAX}"
+        )
     scale = eps ** (cfg.alpha - 2.0)
     rng = substream(seed, "annihilation", repr(float(eps)))
 
@@ -567,12 +563,8 @@ def verify_pucci_annihilation(
 
         return keep
 
-    n_ball = n_samples // 2
     pts = np.vstack(
-        [
-            _rejection_sample(_box_draw(group, r), keep_within(r), k, rng, 256)
-            for r, k in ((1.0, n_ball), (eps, n_samples - n_ball))
-        ]
+        [_rejection_sample(draw, keep_within(r), k, rng, 256) for draw, r, k in regions]
     )
 
     rho, h2, g = _gauge_parts(group, pts)
@@ -594,9 +586,13 @@ def verify_pucci_annihilation(
     # Finite-difference cross-check on the outer branch, away from the
     # splice and the axis so the stencil sees a smooth function.
     u = field_from_profile(group, profile)
-    lo = max(0.15, eps + 0.03)
-    fd_ok = (~inner) & (rho > lo) & (rho < 0.9) & (h2 > 0.05**2)
+    fd_ok = (~inner) & (rho > lo) & (rho < _FD_RHO_MAX) & (h2 > _FD_MIN_HORIZONTAL**2)
     fd_idx = np.flatnonzero(fd_ok)
+    if len(fd_idx) == 0:
+        raise RuntimeError(
+            f"no annihilation sample at eps={eps} lies in the finite-difference window"
+            f" {lo} < rho < {_FD_RHO_MAX}, |x_H| > {_FD_MIN_HORIZONTAL}; more samples are needed"
+        )
     if len(fd_idx) > _FD_CHECKS:
         fd_idx = fd_idx[rng.choice(len(fd_idx), size=_FD_CHECKS, replace=False)]
     rel = _relative_frobenius(

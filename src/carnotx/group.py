@@ -15,7 +15,6 @@ verdict here runs on H^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "dilate",
     "group_multiply",
     "group_inverse",
-    "left_translation",
     "homogeneous_norm",
 ]
 
@@ -111,14 +109,6 @@ def group_multiply(group: GroupDescriptor, x: np.ndarray, y: np.ndarray) -> np.n
 def group_inverse(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     """Group inverse; in these coordinates simply -x."""
     return -_points(group, x)
-
-
-def left_translation(
-    group: GroupDescriptor, g: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> g o x."""
-    g = _points(group, g)
-    return lambda x: group_multiply(group, g, x)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from carnotx import (
     homogeneous_norm,
     horizontal_gradient,
     horizontal_hessian_sym,
-    radial_frame,
     radial_hessian,
     radial_hessian_eigenvalues,
     sublaplacian,
@@ -115,11 +114,13 @@ class TestFiniteDifferences:
             if np.hypot(x[0], x[1]) < 0.2:
                 continue
             grad = horizontal_gradient(H1, rho_field, x)
-            frame = radial_frame(H1, x)
-            assert np.allclose(grad, frame.eta / frame.rho**3, atol=1e-9)
+            (a, b, t), h2 = x, x[0] ** 2 + x[1] ** 2
+            rho = (h2**2 + t**2) ** 0.25
+            eta = np.array([a * h2 + b * t, b * h2 - a * t])
+            assert np.allclose(grad, eta / rho**3, atol=1e-9)
             g = float(grad @ grad)
             assert g <= 1.0 + 1e-12
-            assert g == pytest.approx(frame.grad_norm_sq, abs=1e-9)
+            assert g == pytest.approx(h2 / rho**2, abs=1e-9)
 
     def test_left_invariance_of_frame_derivatives(self):
         # X_j(u о L_g) at x equals (X_j u) at g x: the frame is left-invariant.
@@ -129,10 +130,11 @@ class TestFiniteDifferences:
         )
         g = np.array([0.3, -0.6, 0.8])
         x = np.array([-0.2, 0.4, 0.1])
-        from carnotx import group_multiply, left_translation
+        from carnotx import group_multiply
 
-        shift = left_translation(H1, g)
-        composed = ScalarField(name="u∘Lg", evaluate=lambda y: u.evaluate(shift(y)))
+        composed = ScalarField(
+            name="u∘Lg", evaluate=lambda y: u.evaluate(group_multiply(H1, g, y))
+        )
         lhs = horizontal_gradient(H1, composed, x)
         rhs = horizontal_gradient(H1, u, group_multiply(H1, g, x))
         assert np.allclose(lhs, rhs, atol=1e-9)
@@ -151,7 +153,7 @@ class TestRadialCalculus:
         )
         got = radial_hessian(H1, profile, point)
         assert np.allclose(got.matrix, expected, rtol=1e-13)
-        eigs = np.sort(got.eigenvalues())
+        eigs = np.sort(radial_hessian_eigenvalues(H1, profile, point))
         assert np.allclose(
             eigs, [-1.6057075573061956, 0.2676179262176993], rtol=1e-12
         )
@@ -170,7 +172,7 @@ class TestRadialCalculus:
         )
         got = radial_hessian(H2, profile, point)
         assert np.allclose(got.matrix, expected, rtol=1e-12, atol=1e-14)
-        eigs = np.sort(got.eigenvalues())
+        eigs = np.sort(radial_hessian_eigenvalues(H2, profile, point))
         frozen = [-1.2696814862573595, -0.4232271620857865, -0.4232271620857865, 0.29625901346005057]
         assert np.allclose(eigs, frozen, rtol=1e-10)
         assert got.flat_multiplicity == 2
@@ -183,8 +185,8 @@ class TestRadialCalculus:
             psi_prime=lambda r: 4.0 * np.asarray(r, dtype=float) ** 3,
             psi_second=lambda r: 12.0 * np.asarray(r, dtype=float) ** 2,
         )
-        got = radial_hessian(H1, profile, np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(np.sort(got.eigenvalues()), [12.0, 12.0], rtol=1e-14)
+        eigs = radial_hessian_eigenvalues(H1, profile, np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(np.sort(eigs), [12.0, 12.0], rtol=1e-14)
         # the quartic's Hessian on H^1 is 12 |x_H|^2 times the identity
         y = np.array([0.7, -0.3, 0.4])
         got2 = radial_hessian(H1, profile, y)
@@ -198,7 +200,9 @@ class TestRadialCalculus:
         batch = radial_hessian_eigenvalues(H1, profile, pts)
         for k, x in enumerate(pts):
             single = radial_hessian(H1, profile, x)
-            assert np.allclose(np.sort(batch[k]), np.sort(single.eigenvalues()), rtol=1e-12)
+            want = [single.eigen_radial, single.eigen_tangential]
+            want += [single.eigen_flat] * single.flat_multiplicity
+            assert np.allclose(np.sort(batch[k]), np.sort(want), rtol=1e-12)
 
     @pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
     def test_one_gauge_gives_the_same_bits_on_every_route(self, group):
@@ -231,8 +235,6 @@ class TestRadialCalculus:
 
     def test_singular_points_raise(self):
         profile = power_profile(0.5)
-        with pytest.raises(SingularPointError):
-            radial_frame(H1, np.array([0.0, 0.0, 0.5]))
         with pytest.raises(SingularPointError):
             radial_hessian(H1, profile, np.array([0.0, 0.0, 0.5]))
         u = field_from_profile(H1, profile)

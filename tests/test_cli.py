@@ -14,6 +14,7 @@ import pytest
 
 import carnotx
 import carnotx.calculus as calculus
+import carnotx.estimates as estimates
 
 from carnotx import Ellipticity, pucci_oracle_check
 from carnotx.cli import _build_parser, _parse_eps_spec, _parse_q_spec, run
@@ -347,6 +348,27 @@ class TestOtherCommands:
         # Monte-Carlo boxes whose volume overflows or underflows
         (["ball-volume", "--r", "1e200", "--samples", "2000"], "box volume"),
         (["ball-volume", "--r", "1e-200", "--samples", "2000"], "box volume"),
+        # annihilation radii inside the splice exclusion or without a
+        # finite-difference window, and a sample that misses that window;
+        # all fail before the sweep runs
+        (
+            [
+                "counterexample", "--eps", "2^-21..2^-24", "--q", "2", "--samples", "1000",
+                "--annihilation-samples", "2",
+            ],
+            "excludes the shell |rho - eps| < 1e-06",
+        ),
+        (
+            [
+                "counterexample", "--eps", "0.2,0.3,0.5,0.9", "--q", "2", "--samples", "1000",
+                "--annihilation-samples", "200",
+            ],
+            "finite-difference window 0.93 < rho < 0.9",
+        ),
+        (
+            ["counterexample", "--samples", "1000", "--annihilation-samples", "2"],
+            "more samples are needed",
+        ),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -358,17 +380,29 @@ def test_degenerate_work_is_usage_error(argv, message, capsys):
 
 
 def test_engine_runtime_error_exits_2(monkeypatch, capsys):
-    # Splice radii below the shell exclusion leave the inner annihilation
-    # region empty, so the rejection loop gives up with RuntimeError.
+    # An axis exclusion wider than the unit ball leaves no annihilation
+    # sample to keep, so the rejection loop gives up with RuntimeError.
     monkeypatch.setattr(calculus, "_MAX_ROUNDS", 3)
+    monkeypatch.setattr(estimates, "AXIS_EXCLUSION", 2.0)
     argv = [
-        "counterexample", "--eps", "2^-21..2^-24", "--q", "2", "--samples", "1000",
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
         "--annihilation-samples", "2",
     ]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: rejection sampling kept 0 of 1 rows in 3 rounds\n"
     assert "overall:" not in captured.out
+
+
+def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch, capsys):
+    import carnotx.cli as cli
+
+    monkeypatch.setattr(cli, "sweep_scaling", lambda *a, **k: pytest.fail("the sweep ran"))
+    argv = [
+        "counterexample", "--eps", "2^-21..2^-24", "--q", "2", "--annihilation-samples", "2",
+    ]
+    assert run(argv) == 2
+    assert "eps > 2e-06" in capsys.readouterr().err
 
 
 ENVELOPE_CASES = [

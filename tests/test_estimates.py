@@ -14,7 +14,6 @@ from carnotx import (
     McEstimate,
     QuadratureSpec,
     ScalarField,
-    alpha_for_critical_q,
     ball_volume,
     constant_field,
     counterexample_profile,
@@ -60,17 +59,6 @@ class TestCriticalExponents:
         assert q_star(0.5, 4) == pytest.approx(8.0 / 3.0, rel=1e-15)
         assert q_star(0.3, 6) == pytest.approx(6.0 / 1.7, rel=1e-15)
 
-    def test_alpha_round_trip(self):
-        a = alpha_for_critical_q(8.0 / 3.0, 4)
-        assert a == pytest.approx(0.5, rel=1e-14)
-        assert q_star(a, 4) == pytest.approx(8.0 / 3.0, rel=1e-14)
-
-    def test_unreachable_exponents_explained(self):
-        with pytest.raises(ValueError, match="Q/2"):
-            alpha_for_critical_q(2.0, 4)
-        with pytest.raises(ValueError, match="q < Q"):
-            alpha_for_critical_q(4.0, 4)
-
 
 class TestConfig:
     def test_ellipticity_window(self):
@@ -93,6 +81,7 @@ class TestConfig:
             dict(good, alpha=0.0),
             dict(good, alpha=1.0),
             dict(good, d=0),
+            dict(good, d=True),
             dict(good, eps_list=(1.5,)),
             dict(good, q_list=(1.0,)),
             dict(good, q_list=(4.0,)),

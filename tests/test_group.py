@@ -5,6 +5,7 @@ import pytest
 
 from carnotx import (
     GroupDescriptor,
+    add_horizontal_quadratic,
     check_field_consistency,
     constant_field,
     coordinate_field,
@@ -20,8 +21,6 @@ from carnotx import (
     horizontal_hessian_sym,
     horizontal_quadratic,
     integrate_xline,
-    left_translation,
-    radial_frame,
     radial_hessian,
     radial_hessian_eigenvalues,
     saddle_field,
@@ -98,12 +97,6 @@ class TestLaw:
         y = np.array([0.0, 1.0, 0.0])
         assert not np.allclose(group_multiply(G, x, y), group_multiply(G, y, x))
 
-    def test_left_translation_matches_product(self):
-        G = heisenberg(1)
-        g = np.array([0.4, -0.2, 0.9])
-        x = np.array([[0.1, 0.3, -0.5], [1.0, -1.0, 2.0]])
-        assert np.allclose(left_translation(G, g)(x), group_multiply(G, g, x))
-
 
 class TestDilationsAndGauge:
     def test_dilation_weights(self):
@@ -178,12 +171,9 @@ POINT_TAKERS = {
     "group_multiply_left": lambda G, x: group_multiply(G, x, np.zeros(G.n)),
     "group_multiply_right": lambda G, x: group_multiply(G, np.zeros(G.n), x),
     "group_inverse": group_inverse,
-    "left_translation_base": left_translation,
-    "left_translation_point": lambda G, x: left_translation(G, np.zeros(G.n))(x),
     "horizontal_gradient": lambda G, x: horizontal_gradient(G, constant_field(1.0), x),
     "horizontal_hessian_sym": lambda G, x: horizontal_hessian_sym(G, constant_field(1.0), x),
     "sublaplacian": lambda G, x: sublaplacian(G, constant_field(1.0), x),
-    "radial_frame": radial_frame,
     "radial_hessian": lambda G, x: radial_hessian(G, _PROFILE, x),
     "radial_hessian_eigenvalues": lambda G, x: radial_hessian_eigenvalues(G, _PROFILE, x),
     "field_from_profile": lambda G, x: field_from_profile(G, _PROFILE).evaluate(x),
@@ -199,6 +189,7 @@ _CATALOG_FIELDS = {
     "saddle_field": saddle_field,
     "gauge_quartic": gauge_quartic,
     "coordinate_product": lambda G: coordinate_product(G, 1, 2),
+    "add_horizontal_quadratic": lambda G: add_horizontal_quadratic(G, constant_field(0.0), 1.0),
 }
 for _name, _make in _CATALOG_FIELDS.items():
     for _callback in ("evaluate", "euclid_gradient", "euclid_hessian"):

@@ -1,6 +1,6 @@
-"""Source hygiene: every imported name is used (no linter runs on this tree),
-the package exports exactly what its modules export, and the README states
-the report schema the code writes."""
+"""Source hygiene: every imported name is used and every module-level private
+name is read (no linter runs on this tree), the package exports exactly what
+its modules export, and the README states the report schema the code writes."""
 
 import ast
 import importlib
@@ -48,6 +48,41 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names, as 'module:name', that no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def test_scanner_flags_an_unread_private_name():
+    sources = {
+        "a": "_A, _B = 1, 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+        "b": "from a import _C\nx = _C()\n",
+    }
+    assert unread_private_names(sources) == ["a:_B", "a:_f"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "carnotx").glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def test_package_exports_are_the_modules_exports():
