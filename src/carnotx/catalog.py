@@ -208,8 +208,9 @@ def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
 class ConvexityCase:
     """A catalog entry with its exact semiconvexity threshold.
 
-    The field is semiconvex with constant c precisely when
-    c >= threshold; threshold 0 means convex along X-lines.
+    For c >= 0 the field is semiconvex with constant c precisely when
+    c >= threshold; threshold 0 means convex along X-lines.  A negative c
+    asks for uniform convexity, which the threshold does not classify.
     """
 
     field: ScalarField

@@ -23,33 +23,26 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .calculus import (
-    RadialProfile,
-    field_from_profile,
-    horizontal_hessian_sym,
-    radial_hessian,
-)
+from .calculus import RadialProfile
 from .catalog import constant_field, convexity_catalog, horizontal_quadratic
 from .convexity import check_semiconvex_eigen, check_semiconvex_lines
 from .estimates import (
-    _FD_MIN_HORIZONTAL,
-    _FD_RHO_MAX,
-    _FD_RHO_MIN,
     MAX_PULL,
     CounterexampleConfig,
     QuadratureSpec,
     _box_draw,
     _exact_ball_volume,
     _pull,
+    _stencil_error,
+    _stencil_sampler,
     ball_volume,
-    gauge_ball_sampler,
     pointwise_bound_check,
     power_profile,
     sweep_scaling,
     verify_pucci_annihilation,
 )
 from .group import GroupDescriptor, heisenberg
-from .pucci import Ellipticity, _frobenius, _relative_frobenius, pucci_minus, pucci_oracle_check
+from .pucci import Ellipticity, _frobenius, pucci_minus, pucci_oracle_check
 from .report import SCHEMA_VERSION, write_json, write_rows_csv
 from .rng import substream
 
@@ -124,6 +117,14 @@ def _parse_q_spec(spec: str) -> tuple[float, ...]:
 
 def _parse_float_list(spec: str) -> tuple[float, ...]:
     return tuple(_finite_float(t) for t in spec.split(","))
+
+
+def _parse_c_list(spec: str) -> tuple[float, ...]:
+    """Semiconvexity constants, each >= 0: the catalog's thresholds classify no c < 0."""
+    values = _parse_float_list(spec)
+    if min(values) < 0.0:
+        raise argparse.ArgumentTypeError(f"semiconvexity constants must be >= 0, got {spec!r}")
+    return values
 
 
 def _int_at_least(token: str, low: int, what: str) -> int:
@@ -238,18 +239,11 @@ def _quartic_profile() -> RadialProfile:
 
 def _cmd_verify_radial(args: argparse.Namespace) -> int:
     group = args.group
-    sampler = gauge_ball_sampler(
-        group, rho_max=_FD_RHO_MAX, rho_min=_FD_RHO_MIN, min_horizontal=_FD_MIN_HORIZONTAL
-    )
-    pts = sampler(args.points, substream(args.seed, "verify-radial"))
+    pts = _stencil_sampler(group)(args.points, substream(args.seed, "verify-radial"))
     results = []
     overall = True
     for profile in (power_profile(args.alpha), _quartic_profile()):
-        rel = _relative_frobenius(
-            horizontal_hessian_sym(group, field_from_profile(group, profile), pts),
-            radial_hessian(group, profile, pts).matrix,
-        )
-        worst = float(np.max(rel, initial=0.0))
+        worst = float(np.max(_stencil_error(group, profile, pts)))
         ok = worst <= args.tol
         overall = overall and ok
         results.append({"profile": profile.name, "max_rel_error": worst, "passed": ok})
@@ -461,9 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--c",
-        type=_parse_float_list,
+        type=_parse_c_list,
         default=(0.0, 0.5, 1.0, 2.0),
-        help="semiconvexity constants to test, comma-separated",
+        help="non-negative semiconvexity constants to test, comma-separated",
     )
     p.add_argument("--lines", type=_positive_int, default=64)
     p.add_argument("--points", type=_positive_int, default=64)

@@ -64,9 +64,10 @@ __all__ = [
 # Exclusion half-widths for sets where derivative formulas degenerate.
 AXIS_EXCLUSION = 1e-8
 SPLICE_EXCLUSION = 1e-6
-# The annulus where a stencil sees a smooth gauge-radial field: rho in
-# (_FD_RHO_MIN, _FD_RHO_MAX) and |x_H| > _FD_MIN_HORIZONTAL.  The
-# annihilation check keeps _FD_SPLICE_GAP above the splice radius as well.
+# The annulus where a stencil sees a smooth gauge-radial field, as
+# `_stencil_sampler` draws it: _FD_RHO_MIN <= rho < _FD_RHO_MAX and |x_H| >=
+# _FD_MIN_HORIZONTAL.  The annihilation check keeps _FD_SPLICE_GAP above the
+# splice radius as well.
 _FD_RHO_MIN, _FD_RHO_MAX, _FD_MIN_HORIZONTAL, _FD_SPLICE_GAP = 0.15, 0.9, 0.05, 0.03
 
 
@@ -197,6 +198,21 @@ def gauge_ball_sampler(
         return mask
 
     return lambda count, rng: _rejection_sample(draw, keep, count, rng, 64)
+
+
+def _stencil_sampler(
+    group: GroupDescriptor, rho_min: float = _FD_RHO_MIN
+) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """Uniform draws of the stencil annulus, from `rho_min` out."""
+    return gauge_ball_sampler(group, _FD_RHO_MAX, rho_min, _FD_MIN_HORIZONTAL)
+
+
+def _stencil_error(group: GroupDescriptor, profile: RadialProfile, pts: np.ndarray) -> np.ndarray:
+    """Relative Frobenius distances of the profile's stencil Hessians from the closed form."""
+    return _relative_frobenius(
+        horizontal_hessian_sym(group, field_from_profile(group, profile), pts),
+        radial_hessian(group, profile, pts).matrix,
+    )
 
 
 def _gauge_moment(group: GroupDescriptor, q: float) -> float:
@@ -478,8 +494,8 @@ def counterexample_rhs_field(cfg: CounterexampleConfig, eps: float) -> ScalarFie
 # --- annihilation of the maximal operator ------------------------------------
 
 
-# Outer-branch points whose stencil Hessian is compared with the closed form,
-# and the relative Frobenius tolerance of that comparison.
+# Stencil points of the outer branch compared with the closed form, and the
+# relative Frobenius tolerance of that comparison.
 _FD_CHECKS, _FD_RTOL = 12, 1e-4
 
 
@@ -490,8 +506,8 @@ class AnnihilationReport:
     Residuals are reported relative to the natural scale eps**(alpha-2).
     ``matrix_route_dev`` is the worst disagreement between the closed-form
     eigenvalue multiset and a full matrix eigendecomposition;
-    ``fd_max_excess`` is the worst finite-difference Hessian deviation in
-    units of its tolerance (<= 1 is good).
+    ``fd_max_excess`` is the worst finite-difference Hessian deviation at
+    the _FD_CHECKS stencil points in units of its tolerance (<= 1 is good).
     """
 
     passed: bool
@@ -502,7 +518,6 @@ class AnnihilationReport:
     max_inner_residual: float
     witness: Optional[np.ndarray]
     matrix_route_dev: float
-    fd_points: int
     fd_max_excess: float
     n_excluded_axis: int
     n_excluded_shell: int
@@ -519,15 +534,17 @@ def verify_pucci_annihilation(
 
     Outside B_eps the maximal operator of the horizontal Hessian must
     vanish; inside it must equal the paired right-hand side.  Half the
-    samples cover the unit ball, half the inner ball (whose bounding box
-    scales with eps, so both regimes are exercised at any splice radius).
-    Closed forms are cross-checked against a matrix eigendecomposition and
-    against finite differences of the field itself on safe subsamples.
+    samples cover the annulus eps <= rho < 1, half the inner ball (whose
+    bounding box scales with eps, so both regimes are exercised at any
+    splice radius).  Closed forms are cross-checked against a matrix
+    eigendecomposition on a subsample, and against finite differences of
+    the field itself at _FD_CHECKS points drawn on their own substream from
+    the stencil annulus above the splice, max(_FD_RHO_MIN, eps +
+    _FD_SPLICE_GAP) <= rho < _FD_RHO_MAX.
 
     Samples within SPLICE_EXCLUSION of the splice are excluded, so eps must
     exceed 2 SPLICE_EXCLUSION to leave an inner ball worth sampling, and it
-    must leave a finite-difference window above it (else ValueError).  A
-    sample with no point in that window is a RuntimeError.
+    must leave a stencil annulus above it (else ValueError).
     """
     if n_samples < 2:
         raise ValueError(
@@ -536,25 +553,28 @@ def verify_pucci_annihilation(
     group = cfg.group()
     e = cfg.ellipticity()
     profile = counterexample_profile(cfg, eps)
-    n_ball = n_samples // 2
+    half = n_samples // 2
     # Building the draws first rejects a radius whose box degenerates.
-    regions = [(_box_draw(group, r), r, k) for r, k in ((1.0, n_ball), (eps, n_samples - n_ball))]
-    lo = max(_FD_RHO_MIN, eps + _FD_SPLICE_GAP)
-    if not (eps > 2.0 * SPLICE_EXCLUSION and lo < _FD_RHO_MAX):
+    regions = [
+        (_box_draw(group, hi), lo, hi, k)
+        for lo, hi, k in ((eps, 1.0, half), (0.0, eps, n_samples - half))
+    ]
+    fd_lo = max(_FD_RHO_MIN, eps + _FD_SPLICE_GAP)
+    if not (eps > 2.0 * SPLICE_EXCLUSION and fd_lo < _FD_RHO_MAX):
         raise ValueError(
             f"splice radius {eps} is out of the annihilation check's reach: it needs"
             f" eps > {2.0 * SPLICE_EXCLUSION}, as it excludes the shell |rho - eps| <"
-            f" {SPLICE_EXCLUSION}, and a finite-difference window {lo} < rho < {_FD_RHO_MAX}"
+            f" {SPLICE_EXCLUSION}, and a finite-difference window {fd_lo} < rho < {_FD_RHO_MAX}"
         )
     scale = eps ** (cfg.alpha - 2.0)
     rng = substream(seed, "annihilation", repr(float(eps)))
 
     excluded = {"axis": 0, "shell": 0}
 
-    def keep_within(radius: float) -> Callable[[np.ndarray], np.ndarray]:
+    def keep_within(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
         def keep(pts: np.ndarray) -> np.ndarray:
             rho, h2, _ = _gauge_parts(group, pts)
-            inside = rho < radius
+            inside = (rho >= lo) & (rho < hi)
             axis = h2 < AXIS_EXCLUSION**2
             shell = np.abs(rho - eps) < SPLICE_EXCLUSION
             excluded["axis"] += int(np.sum(inside & axis))
@@ -564,7 +584,7 @@ def verify_pucci_annihilation(
         return keep
 
     pts = np.vstack(
-        [_rejection_sample(draw, keep_within(r), k, rng, 256) for draw, r, k in regions]
+        [_rejection_sample(draw, keep_within(lo, hi), k, rng, 256) for draw, lo, hi, k in regions]
     )
 
     rho, h2, g = _gauge_parts(group, pts)
@@ -575,31 +595,18 @@ def verify_pucci_annihilation(
     residual = np.abs(mplus - rhs) / scale
 
     worst = int(np.argmax(residual))
-    outer_res = float(np.max(residual[~inner])) if np.any(~inner) else 0.0
-    inner_res = float(np.max(residual[inner])) if np.any(inner) else 0.0
+    outer_res = float(np.max(residual[~inner]))
+    inner_res = float(np.max(residual[inner]))
 
     # Route cross-check: full matrix + Jacobi eigensolver on a subsample.
     sub = rng.choice(len(pts), size=min(32, len(pts)), replace=False)
     via_matrix = pucci_plus(radial_hessian(group, profile, pts[sub]).matrix, e)
     matrix_dev = float(np.max(np.abs(via_matrix - mplus[sub]) / scale, initial=0.0))
 
-    # Finite-difference cross-check on the outer branch, away from the
-    # splice and the axis so the stencil sees a smooth function.
-    u = field_from_profile(group, profile)
-    fd_ok = (~inner) & (rho > lo) & (rho < _FD_RHO_MAX) & (h2 > _FD_MIN_HORIZONTAL**2)
-    fd_idx = np.flatnonzero(fd_ok)
-    if len(fd_idx) == 0:
-        raise RuntimeError(
-            f"no annihilation sample at eps={eps} lies in the finite-difference window"
-            f" {lo} < rho < {_FD_RHO_MAX}, |x_H| > {_FD_MIN_HORIZONTAL}; more samples are needed"
-        )
-    if len(fd_idx) > _FD_CHECKS:
-        fd_idx = fd_idx[rng.choice(len(fd_idx), size=_FD_CHECKS, replace=False)]
-    rel = _relative_frobenius(
-        horizontal_hessian_sym(group, u, pts[fd_idx]),
-        radial_hessian(group, profile, pts[fd_idx]).matrix,
+    fd_pts = _stencil_sampler(group, fd_lo)(
+        _FD_CHECKS, substream(seed, "annihilation-fd", repr(float(eps)))
     )
-    fd_excess = float(np.max(rel / _FD_RTOL, initial=0.0))
+    fd_excess = float(np.max(_stencil_error(group, profile, fd_pts) / _FD_RTOL))
 
     passed = (
         outer_res <= tol
@@ -616,7 +623,6 @@ def verify_pucci_annihilation(
         max_inner_residual=inner_res,
         witness=pts[worst].copy() if not passed else None,
         matrix_route_dev=matrix_dev,
-        fd_points=len(fd_idx),
         fd_max_excess=fd_excess,
         n_excluded_axis=excluded["axis"],
         n_excluded_shell=excluded["shell"],

@@ -13,7 +13,7 @@ import csv
 import dataclasses
 import json
 import math
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "write_rows_csv",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 CSV_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 
@@ -103,15 +103,10 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def write_rows_csv(rows: Iterable[SweepRow], path_or_file: str | TextIO) -> None:
+def write_rows_csv(rows: Iterable[SweepRow], path: str) -> None:
     """One CSV row per measured (eps, q) cell, fixed header, '\\n' endings."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", newline="") as fh:
-            write_rows_csv(rows, fh)
-        return
-    writer = csv.writer(path_or_file, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [_csv_cell(getattr(row, name)) for name in CSV_HEADER]
-        )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in rows:
+            writer.writerow([_csv_cell(getattr(row, name)) for name in CSV_HEADER])

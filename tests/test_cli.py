@@ -349,8 +349,7 @@ class TestOtherCommands:
         (["ball-volume", "--r", "1e200", "--samples", "2000"], "box volume"),
         (["ball-volume", "--r", "1e-200", "--samples", "2000"], "box volume"),
         # annihilation radii inside the splice exclusion or without a
-        # finite-difference window, and a sample that misses that window;
-        # all fail before the sweep runs
+        # finite-difference window; both fail before the sweep runs
         (
             [
                 "counterexample", "--eps", "2^-21..2^-24", "--q", "2", "--samples", "1000",
@@ -365,10 +364,8 @@ class TestOtherCommands:
             ],
             "finite-difference window 0.93 < rho < 0.9",
         ),
-        (
-            ["counterexample", "--samples", "1000", "--annihilation-samples", "2"],
-            "more samples are needed",
-        ),
+        # the catalog's thresholds classify no negative semiconvexity constant
+        (["convexity", "--c", "-1"], "semiconvexity constants must be >= 0"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -377,6 +374,54 @@ def test_degenerate_work_is_usage_error(argv, message, capsys):
     assert message in captured.err
     assert captured.err.count("error:") == 1
     assert "overall:" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(2, 1), (2, 2), (2, 3), (2, 7), (2, 42), (3, 42), (4, 7), (4, 42)]
+)
+def test_few_annihilation_samples_pass_at_every_seed(n, seed, tmp_path):
+    # The stencil points have their own sampler, so a small residual sample
+    # neither misses them nor leaves a region empty.
+    out = tmp_path / "report.json"
+    argv = [
+        "counterexample", "--samples", "1000", "--annihilation-samples", str(n),
+        "--seed", str(seed), "--out", str(out),
+    ]
+    assert run(argv) == 0
+    for entry in json.loads(out.read_text())["results"]["annihilation"]:
+        assert (entry["n_outer"], entry["n_inner"]) == (n // 2, n - n // 2)
+        assert entry["fd_max_excess"] <= 1.0
+
+
+def test_stencil_cross_check_has_teeth(monkeypatch, tmp_path, capsys):
+    # A stencil that differentiates psi (1 + 1e-3) in place of psi is off by
+    # a relative 1e-3, ten times the annihilation tolerance and a hundred
+    # times verify-radial's, and both commands must fail on it.
+    real = estimates.field_from_profile
+
+    def detuned(group, profile):
+        psi = profile.psi
+        return real(group, dataclasses.replace(profile, psi=lambda r: (1.0 + 1e-3) * psi(r)))
+
+    monkeypatch.setattr(estimates, "field_from_profile", detuned)
+    out = tmp_path / "counterexample.json"
+    argv = [
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "200", "--out", str(out),
+    ]
+    assert run(argv) == 1
+    entries = json.loads(out.read_text())["results"]["annihilation"]
+    assert len(entries) == 4
+    for entry in entries:
+        assert entry["passed"] is False
+        assert entry["fd_max_excess"] == pytest.approx(10.0, rel=1e-2)
+        assert entry["max_outer_residual"] <= 1e-8 and entry["max_inner_residual"] <= 1e-8
+    out = tmp_path / "verify-radial.json"
+    assert run(["verify-radial", "--points", "20", "--out", str(out)]) == 1
+    for entry in json.loads(out.read_text())["results"]:
+        assert entry["passed"] is False
+        assert entry["max_rel_error"] == pytest.approx(1e-3, rel=1e-2)
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
 
 
 def test_engine_runtime_error_exits_2(monkeypatch, capsys):

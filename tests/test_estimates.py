@@ -164,6 +164,16 @@ class TestAnnihilation:
             assert rep.max_inner_residual <= 1e-12
             assert rep.n_inner > 0 and rep.n_outer > 0
 
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.6])
+    def test_two_samples_check_both_regions(self, eps):
+        # The outer region is the annulus eps <= rho < 1, so whatever the
+        # seed one sample checks each identity, and the stencil points come
+        # from their own annulus sampler.
+        for seed in range(40):
+            rep = verify_pucci_annihilation(CFG, eps, n_samples=2, seed=seed)
+            assert rep.passed, (seed, rep)
+            assert (rep.n_outer, rep.n_inner) == (1, 1)
+
     def test_source_is_the_rhs_field(self, monkeypatch):
         # The identity is checked against `counterexample_rhs_field` itself,
         # so a shifted source shows up as a unit residual in both regions.
