@@ -16,6 +16,7 @@ seed no matter how many workers run the sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -370,6 +371,8 @@ def _cmd_ball_volume(args: argparse.Namespace) -> int:
     return _finish(args, results, all(oks))
 
 
+# Built once per process: parsing leaves no state on the parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carnotx",

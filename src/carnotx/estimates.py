@@ -544,7 +544,8 @@ def verify_pucci_annihilation(
 
     Samples within SPLICE_EXCLUSION of the splice are excluded, so eps must
     exceed 2 SPLICE_EXCLUSION to leave an inner ball worth sampling, and it
-    must leave a stencil annulus above it (else ValueError).
+    must leave a stencil annulus above it (else ValueError).  An annulus too
+    thin for the rejection sampler raises RuntimeError naming it and eps.
     """
     if n_samples < 2:
         raise ValueError(
@@ -603,9 +604,15 @@ def verify_pucci_annihilation(
     via_matrix = pucci_plus(radial_hessian(group, profile, pts[sub]).matrix, e)
     matrix_dev = float(np.max(np.abs(via_matrix - mplus[sub]) / scale, initial=0.0))
 
-    fd_pts = _stencil_sampler(group, fd_lo)(
-        _FD_CHECKS, substream(seed, "annihilation-fd", repr(float(eps)))
-    )
+    try:
+        fd_pts = _stencil_sampler(group, fd_lo)(
+            _FD_CHECKS, substream(seed, "annihilation-fd", repr(float(eps)))
+        )
+    except RuntimeError as err:
+        raise RuntimeError(
+            f"splice radius {eps}: the stencil annulus {fd_lo} <= rho < {_FD_RHO_MAX}"
+            f" is too thin to sample ({err})"
+        ) from err
     fd_excess = float(np.max(_stencil_error(group, profile, fd_pts) / _FD_RTOL))
 
     passed = (

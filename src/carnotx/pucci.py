@@ -194,31 +194,31 @@ def _haar_columns(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _sampled_sup(
-    a: np.ndarray, e: Ellipticity, n_samples: int, seed: int, buf: np.ndarray
-) -> float:
-    """Sampled max of Tr(A a); its draws die on return, before the next matrix's.
+def _sampled_sups(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> np.ndarray:
+    """Sampled max of Tr(A a_i) for each matrix a_i of a stack (N, m, m), over one sample set.
 
-    Tr(A a) = sum_j c_j u_j^T a u_j over the columns u_j of Haar U, so A is
-    never formed; it depends on u_j only through u_j u_j^T, which is why a
-    column's sign does not matter.  The columns go to `buf`, which every
-    matrix of a stack shares: freeing a second chunk-sized array per matrix
-    can make glibc trim the heap and fault it back in for every matrix.
+    Tr(A a_i) = sum_j c_j u_j^T a_i u_j over the columns u_j of Haar U, so A
+    is never formed; it depends on u_j only through u_j u_j^T, which is why
+    a column's sign does not matter.  Each chunk of samples is drawn once
+    and scored against every matrix in turn, so only the chunk and the (N,)
+    running maxima are held, and matrix i's bits are those of a stack of
+    a_i alone.
     """
-    m = a.shape[0]
+    m = a.shape[-1]
     rng = substream(seed, "pucci-oracle")
-    sup = -np.inf
+    sups = np.full(len(a), -np.inf)
     for start in range(0, n_samples, 4096):
         k = min(4096, n_samples - start)
-        cols = _haar_columns(rng.standard_normal((k, m, m)), buf[: k * m * m].reshape(m, m, k))
+        cols = _haar_columns(rng.standard_normal((k, m, m)), np.empty((m, m, k)))
         coeffs = rng.uniform(e.lam, e.Lam, size=(k, m))
-        traces = np.zeros(k)
-        for j in range(m):
-            traces += coeffs[:, j] * np.einsum("ik,ik->k", cols[j], a @ cols[j])
-        if not np.isfinite(traces).all():
-            raise RuntimeError("sampled trace Tr(A M) is not finite")
-        sup = max(sup, float(np.max(traces)))
-    return sup
+        for i, ai in enumerate(a):
+            traces = np.zeros(k)
+            for j in range(m):
+                traces += coeffs[:, j] * np.einsum("ik,ik->k", cols[j], ai @ cols[j])
+            if not np.isfinite(traces).all():
+                raise RuntimeError("sampled trace Tr(A M) is not finite")
+            sups[i] = max(sups[i], float(np.max(traces)))
+    return sups
 
 
 def pucci_oracle_check(
@@ -230,12 +230,14 @@ def pucci_oracle_check(
     coefficient matrices A = U diag(c) U^T with Haar U and spectra c
     uniform in [lam, Lam], maximizes Tr(A M) over the sample, and builds
     the optimizer A* sharing M's eigenvectors with coefficient Lam on
-    nonnegative eigendirections and lam elsewhere.  Matrix j of the
-    flattened stack draws from substream(seed + j, "pucci-oracle"): per
-    chunk of at most 4096 samples, the Gaussians whose twice-applied
-    Gram-Schmidt factor is U (_haar_columns), then c.  The sampled traces
-    are sums c_j u_j^T M u_j over the columns of U, and nothing here
-    shares code with the Jacobi solver that gives the formula.
+    nonnegative eigendirections and lam elsewhere.  One sample set, drawn
+    from substream(seed, "pucci-oracle"), serves every matrix of the
+    stack: per chunk of at most 4096 samples, the Gaussians whose
+    twice-applied Gram-Schmidt factor is U (_haar_columns), then c.  Each
+    matrix therefore gets the bits of a call on it alone with the same
+    seed.  The sampled traces are sums c_j u_j^T M u_j over the columns of
+    U, and nothing here shares code with the Jacobi solver that gives the
+    formula.
 
     Returns (oracle_sup, formula_value, attained), each of shape (...),
     where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to
@@ -251,10 +253,7 @@ def pucci_oracle_check(
         raise ValueError("need at least one matrix")
     spec = sym_eigenvalues(a)
     formula = pucci_plus_of_eigenvalues(_clamped(spec.eigenvalues), e)
-    buf = np.empty(min(4096, n_samples) * m * m)
-    oracle_sup = np.array(
-        [_sampled_sup(aj, e, n_samples, seed + j, buf) for j, aj in enumerate(a)]
-    )
+    oracle_sup = _sampled_sups(a, e, n_samples, seed)
     coeff_star = np.where(spec.eigenvalues > 0.0, e.Lam, e.lam)
     a_star = (spec.vectors * coeff_star[:, None, :]) @ np.swapaxes(spec.vectors, -1, -2)
     traces = np.einsum("nij,nji->n", a_star, a)

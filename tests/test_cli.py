@@ -172,14 +172,14 @@ class TestOtherCommands:
     @pytest.mark.parametrize("seed", [1, 42])
     def test_pucci_report_matches_per_matrix_loop(self, seed, tmp_path):
         # The reference is the per-matrix loop: one (dim, dim) draw, oracle
-        # call at seed + i and np.linalg.norm scale per matrix.
+        # call at the same seed and np.linalg.norm scale per matrix.
         e = Ellipticity(lam=1.0, Lam=3.0)
         rng = substream(seed, "pucci-cli")
         gaps, sups, formulas, attained = [], [], [], True
         for i in range(7):
             raw = rng.standard_normal((4, 4))
             mat = 0.5 * (raw + raw.T)
-            sup, formula, ok = pucci_oracle_check(mat, e, n_samples=300, seed=seed + i)
+            sup, formula, ok = pucci_oracle_check(mat, e, n_samples=300, seed=seed)
             gaps.append((sup - formula) / max(1.0, float(np.linalg.norm(mat))))
             sups.append(float(sup))
             formulas.append(float(formula))
@@ -222,10 +222,66 @@ class TestOtherCommands:
         assert run(["pucci", "--count", "5", "--samples", "16"]) == 0
         assert sorted(calls) == ["eig", "oracle"]
 
-    def test_pucci_memory_stays_flat(self):
-        # One stacked oracle call must still free each matrix's sample chunks
-        # before the next matrix draws its own.
-        argv = ["pucci", "--dim", "6", "--count", "64", "--samples", "1024"]
+    def test_pucci_draws_one_sample_set(self, monkeypatch):
+        import carnotx.pucci as pucci
+
+        keys, normals = [], []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                normals.append(size)
+                return self.rng.standard_normal(size)
+
+            def uniform(self, low, high, size):
+                return self.rng.uniform(low, high, size)
+
+        real = pucci.substream
+        monkeypatch.setattr(
+            pucci, "substream", lambda *key: keys.append(key[1:]) or Counted(real(*key))
+        )
+        assert run(["pucci", "--count", "64", "--samples", "1024"]) == 0
+        assert keys == [("pucci-oracle",)]
+        assert normals == [(1024, 4, 4)]
+
+    def test_pucci_flags_a_low_formula_on_any_matrix(self, monkeypatch, tmp_path):
+        # The formula reads 1% low on the matrix after matrix 0 whose sampled
+        # sup comes closest to it, so the shared sample set must reach above
+        # it there.
+        import carnotx.pucci as pucci
+
+        e = Ellipticity(lam=1.0, Lam=3.0)
+        raw = substream(42, "pucci-cli").standard_normal((64, 2, 2))
+        mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        sup, formula, _ = pucci_oracle_check(mats, e, n_samples=4096, seed=42)
+        shortfall = (formula - sup) / np.abs(formula)
+        low = 1 + int(np.argmin(shortfall[1:]))
+        assert shortfall[low] < 0.01
+        real = pucci.pucci_plus_of_eigenvalues
+
+        def lowered(eigs, e):
+            out = real(eigs, e)
+            out[low] -= 0.01 * abs(out[low])
+            return out
+
+        monkeypatch.setattr(pucci, "pucci_plus_of_eigenvalues", lowered)
+        out = tmp_path / "pucci.json"
+        argv = ["pucci", "--dim", "2", "--count", "64", "--samples", "4096", "--seed", "42"]
+        assert run(argv + ["--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["results"]["worst_index"] == low
+        assert payload["results"]["worst_gap"] > 0.0
+        assert payload["passed"] is False
+
+    @pytest.mark.parametrize("count", [64, 512])
+    def test_pucci_memory_stays_flat(self, count):
+        # The oracle holds one chunk of samples and an (N,) array of running
+        # maxima, never count x samples values; 512 x 1024 doubles are 4 MB.
+        # The warm-up run pays for lazy imports before the tracing starts.
+        assert run(["pucci", "--count", "1", "--samples", "1"]) == 0
+        argv = ["pucci", "--dim", "6", "--count", str(count), "--samples", "1024"]
         tracemalloc.start()
         try:
             assert run(argv) == 0
@@ -439,6 +495,23 @@ def test_engine_runtime_error_exits_2(monkeypatch, capsys):
     assert "overall:" not in captured.out
 
 
+def test_thin_stencil_annulus_names_itself(monkeypatch, capsys):
+    # max(0.15, eps + 0.03) = 0.89999999 passes the up-front radius rule,
+    # but leaves a stencil annulus too thin for the rejection sampler.
+    monkeypatch.setattr(calculus, "_MAX_ROUNDS", 3)
+    argv = [
+        "counterexample", "--eps", "0.2,0.3,0.5,0.86999999", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "2",
+    ]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: splice radius 0.86999999: the stencil annulus 0.89999999 <= rho < 0.9"
+        " is too thin to sample (rejection sampling kept 0 of 12 rows in 3 rounds)\n"
+    )
+    assert "overall:" not in captured.out
+
+
 def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch, capsys):
     import carnotx.cli as cli
 
@@ -480,6 +553,19 @@ def test_report_envelope(argv, tmp_path, capsys):
     assert payload["command"] == argv[0]
     assert payload["passed"] is True
     assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+def test_repeated_runs_write_the_same_reports(tmp_path):
+    # The parser is built once per process, so no run may leave state on it.
+    def reports(tag):
+        got = []
+        for i, argv in enumerate(ENVELOPE_CASES):
+            out = tmp_path / f"{tag}-{i}.json"
+            assert run(argv + ["--out", str(out)]) == 0
+            got.append(out.read_bytes())
+        return got
+
+    assert reports("first") == reports("second")
 
 
 def test_non_finite_numbers_are_usage_errors(capsys):

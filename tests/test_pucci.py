@@ -151,8 +151,7 @@ class TestOracle:
         sup, formula, attained = pucci_oracle_check(stack, E13, n_samples, seed=11)
         assert sup.shape == formula.shape == attained.shape == (2, 3)
         singles = [
-            pucci_oracle_check(mat, E13, n_samples, seed=11 + j)
-            for j, mat in enumerate(stack.reshape(-1, m, m))
+            pucci_oracle_check(mat, E13, n_samples, seed=11) for mat in stack.reshape(-1, m, m)
         ]
         want_sup, want_formula, want_attained = (np.array(x).reshape(2, 3) for x in zip(*singles))
         assert np.array_equal(sup.view(np.uint64), want_sup.view(np.uint64))
