@@ -14,13 +14,9 @@ from .calculus import (
     RadialProfile,
     ScalarField,
     SingularPointError,
-    check_field_consistency,
-    check_profile_consistency,
     field_from_profile,
-    horizontal_gradient,
     horizontal_hessian_sym,
     radial_hessian,
-    radial_hessian_eigenvalues,
     sublaplacian,
 )
 from .catalog import (
@@ -29,7 +25,6 @@ from .catalog import (
     constant_field,
     convexity_catalog,
     coordinate_field,
-    coordinate_product,
     gauge_quartic,
     horizontal_quadratic,
     saddle_field,
@@ -56,17 +51,12 @@ from .estimates import (
     gauge_ball_sampler,
     lq_norm,
     pointwise_bound_check,
-    q_star,
     sweep_scaling,
     verify_pucci_annihilation,
 )
 from .group import (
     GroupDescriptor,
-    dilate,
-    group_inverse,
-    group_multiply,
     heisenberg,
-    homogeneous_norm,
 )
 from .pucci import (
     Ellipticity,
@@ -92,23 +82,15 @@ __all__ = [
     # group
     "GroupDescriptor",
     "heisenberg",
-    "dilate",
-    "group_multiply",
-    "group_inverse",
-    "homogeneous_norm",
     # calculus
     "DomainError",
     "SingularPointError",
     "ScalarField",
     "RadialProfile",
-    "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
     "radial_hessian",
-    "radial_hessian_eigenvalues",
     "field_from_profile",
-    "check_field_consistency",
-    "check_profile_consistency",
     # pucci
     "Ellipticity",
     "Spectrum",
@@ -129,7 +111,6 @@ __all__ = [
     "convexity_catalog",
     "constant_field",
     "coordinate_field",
-    "coordinate_product",
     "horizontal_quadratic",
     "add_horizontal_quadratic",
     "saddle_field",
@@ -147,7 +128,6 @@ __all__ = [
     "ball_volume",
     "lq_norm",
     "gauge_ball_sampler",
-    "q_star",
     "counterexample_profile",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",

@@ -1,6 +1,6 @@
 """Horizontal differential calculus along the frame of H^d.
 
-Euclidean partials come from analytic callbacks when a field carries them
+Euclidean Hessians come from an analytic callback when a field carries one
 and from central finite differences otherwise; the frame coefficients are
 exact, so differencing only ever touches the scalar field itself.
 
@@ -23,14 +23,10 @@ __all__ = [
     "SingularPointError",
     "ScalarField",
     "RadialProfile",
-    "horizontal_gradient",
     "horizontal_hessian_sym",
     "sublaplacian",
     "radial_hessian",
-    "radial_hessian_eigenvalues",
     "field_from_profile",
-    "check_field_consistency",
-    "check_profile_consistency",
 ]
 
 
@@ -46,8 +42,8 @@ class SingularPointError(DomainError):
 
 # The one stencil: fourth-order central differences with step
 # 1e-3 * max(1, |x|_inf), Richardson-extrapolated from h and h/2.
-# Offset -> coefficient tables; first-derivative coefficients are divided
-# by h, second-derivative ones by h^2.
+# Offset -> coefficient tables: the second-derivative one gives the diagonal
+# entries, products of first-derivative ones the mixed entries, all over h^2.
 _D1 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
 _D2 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
 _FD_STEP = 1e-3
@@ -55,12 +51,11 @@ _FD_STEP = 1e-3
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function with optional analytic derivative callbacks.
+    """A scalar function with an optional analytic Hessian callback.
 
     ``evaluate`` must accept stacked points of shape (..., n) and return
-    shape (...).  When gradient or Hessian callbacks are present they are
-    trusted; ``check_field_consistency`` verifies them against finite
-    differences of ``evaluate``.  ``smooth_domain`` is a vectorized
+    shape (...).  A Hessian callback, when present, is trusted in place of
+    finite differences of ``evaluate``.  ``smooth_domain`` is a vectorized
     predicate for where derivative queries are legitimate (None means
     everywhere).  A field that is a function of the gauge on H^d carries
     ``of_gauge(rho, h2, g)``, mapping the stacks of ``group._gauge_parts``
@@ -70,7 +65,6 @@ class ScalarField:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    euclid_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     euclid_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     of_gauge: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
@@ -120,11 +114,10 @@ def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
 _FD_CHUNK = 16
 
 
-def _fd_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradients and Hessians at points (..., n).
+def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessians at points (..., n).
 
-    One stencil serves both: axis rows at the second-derivative offsets,
-    which include every first-derivative one, then rows at products of
+    Axis rows at the second-derivative offsets, then rows at products of
     first-derivative offsets for each pair k < l.  Each point's values are
     combined by BLAS dots of its own, so its bits do not depend on the stack.
     """
@@ -135,13 +128,12 @@ def _fd_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         [off * eye[k] for k in range(n) for off, _ in _D2]
         + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in _D1 for ob, _ in _D1]
     )
-    grad_cols = [[off for off, _ in _D2].index(off) for off, _ in _D1]
-    c1, c2 = np.array([c for _, c in _D1]), np.array([c for _, c in _D2])
+    c2 = np.array([c for _, c in _D2])
     c_mix = np.array([ca * cb for _, ca in _D1 for _, cb in _D1])
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
 
     flat = x.reshape(-1, n)
-    grad, hess = np.empty(flat.shape), np.empty(flat.shape + (n,))
+    hess = np.empty(flat.shape + (n,))
     for lo in range(0, len(flat), _FD_CHUNK):
         xc = flat[lo : lo + _FD_CHUNK]
         h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
@@ -154,38 +146,12 @@ def _fd_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
         H = np.empty(h.shape + (n, n))
         H[..., range(n), range(n)] = _dot(axis, c2) / h2
         H[..., rows, cols] = H[..., cols, rows] = _dot(mix, c_mix) / h2
-        g = axis[..., grad_cols] @ c1 / h[..., None]
         # Richardson: the fourth-order error of h against h/2 cancels.
-        grad[lo : lo + len(xc)], hess[lo : lo + len(xc)] = (
-            (16.0 * a[:, 1] - a[:, 0]) / 15.0 for a in (g, H)
-        )
-    return grad.reshape(x.shape), hess.reshape(x.shape + (n,))
-
-
-def _euclid_derivatives(u: ScalarField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients and Hessians at points (..., n).
-
-    The field's callbacks give what they can; one stencil gives the rest,
-    and none runs when both callbacks are present.
-    """
-    callbacks = (u.euclid_gradient, u.euclid_hessian)
-    fd_pair = _fd_derivatives(u, x) if None in callbacks else (None, None)
-    return tuple(
-        fd if callback is None else np.asarray(callback(x), dtype=float)
-        for callback, fd in zip(callbacks, fd_pair)
-    )
+        hess[lo : lo + len(xc)] = (16.0 * H[:, 1] - H[:, 0]) / 15.0
+    return hess.reshape(x.shape + (n,))
 
 
 # --- horizontal derivatives ------------------------------------------------
-
-
-def horizontal_gradient(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
-    """(X_1 u, ..., X_m u) at points (..., n); shape (..., m)."""
-    x = _points(group, x)
-    _require_in_domain(u, x)
-    grad = _euclid_derivatives(u, x)[0]
-    sigma = _frame(group, x)
-    return (np.swapaxes(sigma, -1, -2) @ grad[..., None])[..., 0]
 
 
 def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
@@ -198,7 +164,10 @@ def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray
     """
     x = _points(group, x)
     _require_in_domain(u, x)
-    hess = _euclid_derivatives(u, x)[1]
+    if u.euclid_hessian is None:
+        hess = _fd_hessian(u, x)
+    else:
+        hess = np.asarray(u.euclid_hessian(x), dtype=float)
     sigma = _frame(group, x)
     out = np.swapaxes(sigma, -1, -2) @ hess @ sigma
     return 0.5 * (out + np.swapaxes(out, -1, -2))
@@ -300,23 +269,14 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-def radial_hessian_eigenvalues(
-    group: GroupDescriptor, profile: RadialProfile, pts: np.ndarray
-) -> np.ndarray:
-    """Eigenvalue multisets of the radial Hessian at stacked points.
-
-    Vectorized companion of ``radial_hessian`` returning shape (..., 2d)
-    with columns (radial, tangential, flat, ..., flat).  Rows with a
-    vanishing horizontal part come out as zero (the continuous extension).
-    """
-    rho, _, g = _gauge_parts(group, pts)
-    return _radial_eigenvalues(group.heisenberg_d, profile, rho, g)
-
-
 def _radial_eigenvalues(
     d: int, profile: RadialProfile, rho: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
-    """``radial_hessian_eigenvalues`` on H^d from the gauge rho and |D rho|^2."""
+    """Eigenvalue multisets (..., 2d) of the radial Hessian from the gauge rho and |D rho|^2.
+
+    Columns are (radial, tangential, flat, ..., flat), the components of
+    ``radial_hessian``; rows with rho = 0 come out as zero.
+    """
     safe = rho > 0.0
     rho_safe = np.where(safe, rho, 1.0)
     psi1 = np.where(safe, np.asarray(profile.psi_prime(rho_safe), dtype=float), 0.0)
@@ -357,55 +317,3 @@ def field_from_profile(group: GroupDescriptor, profile: RadialProfile) -> Scalar
         lambda rho, h2, g: np.asarray(profile.psi(rho), dtype=float),
         smooth_domain=domain,
     )
-
-
-# --- consistency self-tests --------------------------------------------------
-
-
-# Callbacks agree with the stencil within atol + rtol * max(1, |value|).
-_CALLBACK_RTOL, _CALLBACK_ATOL = 1e-6, 1e-8
-# Step and relative tolerance of the one-dimensional profile check.
-_PROFILE_STEP, _PROFILE_RTOL = 1e-4, 1e-6
-
-
-def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
-    """Compare analytic derivative callbacks against finite differences.
-
-    Returns a report dict; ``ok`` is False when any callback deviates from
-    the differenced value beyond atol + rtol * scale.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = []
-    fd_pair = _fd_derivatives(u, points)
-    for callback, fd in zip((u.euclid_gradient, u.euclid_hessian), fd_pair):
-        a = fd if callback is None else np.asarray(callback(points), dtype=float)
-        scale = _CALLBACK_ATOL + _CALLBACK_RTOL * np.maximum(1.0, np.abs(a))
-        worst.append(float(np.max(np.abs(a - fd) / scale, initial=0.0)))
-    worst_grad, worst_hess = worst
-    return {
-        "ok": worst_grad <= 1.0 and worst_hess <= 1.0,
-        "gradient_excess": worst_grad,
-        "hessian_excess": worst_hess,
-    }
-
-
-def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict:
-    """Verify psi_prime / psi_second against 1-D differences of psi.
-
-    The differences use the coefficient tables of the one stencil with the
-    fixed step _PROFILE_STEP; radii outside the smooth domain are skipped,
-    and a ValueError names the profile when none is left.
-    """
-    radii = np.asarray(radii, dtype=float)
-    r = radii[profile.radius_ok(radii)]
-    if r.size == 0:
-        raise ValueError(f"no radius lies in the smooth domain of profile {profile.name!r}")
-    h = _PROFILE_STEP
-    psi = {off: np.asarray(profile.psi(r + off * h), dtype=float) for off, _ in _D2}
-    d1 = sum(c * psi[off] for off, c in _D1) / h
-    d2 = sum(c * psi[off] for off, c in _D2) / h**2
-    e1, e2 = (
-        float(np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))))
-        for fd, exact in ((d1, profile.psi_prime(r)), (d2, profile.psi_second(r)))
-    )
-    return {"ok": e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL, "prime_err": e1, "second_err": e2}

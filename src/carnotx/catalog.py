@@ -1,9 +1,9 @@
 """Reference scalar fields with exact derivative callbacks.
 
 These power the convexity catalog, the pointwise-bound harness, and many
-tests.  Every field is vectorized over stacked points and carries analytic
-Euclidean gradient and Hessian, so horizontal quantities computed from them
-are exact up to rounding.
+tests.  Every field is vectorized over stacked points and carries an
+analytic Euclidean Hessian, so horizontal Hessians computed from them are
+exact up to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "add_horizontal_quadratic",
     "saddle_field",
     "gauge_quartic",
-    "coordinate_product",
     "ConvexityCase",
     "convexity_catalog",
 ]
@@ -33,7 +32,6 @@ def constant_field(value: float, name: str | None = None) -> ScalarField:
     return ScalarField(
         name=name or f"const({value})",
         evaluate=lambda x: np.full(np.asarray(x).shape[:-1], value),
-        euclid_gradient=lambda x: np.zeros(np.asarray(x).shape),
         euclid_hessian=lambda x: np.zeros(
             np.asarray(x).shape + (np.asarray(x).shape[-1],)
         ),
@@ -45,16 +43,9 @@ def coordinate_field(group: GroupDescriptor, i: int) -> ScalarField:
     if not 1 <= i <= group.n:
         raise ValueError(f"coordinate index must lie in 1..{group.n}, got {i}")
     n, k = group.n, i - 1
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(_points(group, x).shape)
-        out[..., k] = 1.0
-        return out
-
     return ScalarField(
         name=f"x{i}",
         evaluate=lambda x: _points(group, x)[..., k],
-        euclid_gradient=gradient,
         euclid_hessian=lambda x: np.zeros(_points(group, x).shape + (n,)),
     )
 
@@ -64,12 +55,6 @@ def horizontal_quadratic(group: GroupDescriptor, coeff: float = 1.0) -> ScalarFi
     m, n = group.m, group.n
     coeff = float(coeff)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = _points(group, x)
-        out = np.zeros(x.shape)
-        out[..., :m] = coeff * x[..., :m]
-        return out
-
     bump = np.zeros((n, n))
     bump[:m, :m] = coeff * np.eye(m)
 
@@ -78,7 +63,6 @@ def horizontal_quadratic(group: GroupDescriptor, coeff: float = 1.0) -> ScalarFi
         evaluate=lambda x: 0.5
         * coeff
         * np.sum(_points(group, x)[..., :m] ** 2, axis=-1),
-        euclid_gradient=gradient,
         euclid_hessian=lambda x: np.broadcast_to(
             bump, _points(group, x).shape[:-1] + (n, n)
         ),
@@ -89,8 +73,8 @@ def add_horizontal_quadratic(group: GroupDescriptor, u: ScalarField, coeff: floa
     """u + horizontal_quadratic(group, coeff), callback by callback.
 
     The added term has exact horizontal Hessian coeff * I_m, which shifts
-    every Hessian eigenvalue by exactly coeff.  A callback that u lacks
-    stays absent, and u's smooth domain is kept.
+    every Hessian eigenvalue by exactly coeff.  A Hessian callback that u
+    lacks stays absent, and u's smooth domain is kept.
     """
     q = horizontal_quadratic(group, coeff)
 
@@ -100,7 +84,6 @@ def add_horizontal_quadratic(group: GroupDescriptor, u: ScalarField, coeff: floa
     return ScalarField(
         name=f"{u.name}+{q.name}",
         evaluate=plus(u.evaluate, q.evaluate),
-        euclid_gradient=plus(u.euclid_gradient, q.euclid_gradient),
         euclid_hessian=plus(u.euclid_hessian, q.euclid_hessian),
         smooth_domain=u.smooth_domain,
     )
@@ -112,13 +95,6 @@ def saddle_field(group: GroupDescriptor) -> ScalarField:
         raise ValueError("saddle needs at least two horizontal directions")
     n = group.n
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = _points(group, x)
-        out = np.zeros(x.shape)
-        out[..., 0] = -x[..., 0]
-        out[..., 1] = x[..., 1]
-        return out
-
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = _points(group, x)
         return 0.5 * (x[..., 1] ** 2 - x[..., 0] ** 2)
@@ -129,7 +105,6 @@ def saddle_field(group: GroupDescriptor) -> ScalarField:
     return ScalarField(
         name="(x2^2-x1^2)/2",
         evaluate=evaluate,
-        euclid_gradient=gradient,
         euclid_hessian=lambda x: np.broadcast_to(
             bump, _points(group, x).shape[:-1] + (n, n)
         ),
@@ -145,14 +120,6 @@ def gauge_quartic(group: GroupDescriptor) -> ScalarField:
         h2 = np.sum(x[..., :m] ** 2, axis=-1)
         return h2**2 + x[..., -1] ** 2
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = _points(group, x)
-        h2 = np.sum(x[..., :m] ** 2, axis=-1)
-        out = np.zeros(x.shape)
-        out[..., :m] = 4.0 * x[..., :m] * h2[..., None]
-        out[..., -1] = 2.0 * x[..., -1]
-        return out
-
     def hessian(x: np.ndarray) -> np.ndarray:
         x = _points(group, x)
         h2 = np.sum(x[..., :m] ** 2, axis=-1)
@@ -167,40 +134,7 @@ def gauge_quartic(group: GroupDescriptor) -> ScalarField:
     return ScalarField(
         name="rho^4",
         evaluate=evaluate,
-        euclid_gradient=gradient,
         euclid_hessian=hessian,
-    )
-
-
-def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
-    """The monomial x_i * x_j (1-based indices)."""
-    for idx in (i, j):
-        if not 1 <= idx <= group.n:
-            raise ValueError(f"coordinate index must lie in 1..{group.n}, got {idx}")
-    n, a, b = group.n, i - 1, j - 1
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = _points(group, x)
-        out = np.zeros(x.shape)
-        out[..., a] += x[..., b]
-        out[..., b] += x[..., a]
-        return out
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        x = _points(group, x)
-        return x[..., a] * x[..., b]
-
-    bump = np.zeros((n, n))
-    bump[a, b] += 1.0
-    bump[b, a] += 1.0
-
-    return ScalarField(
-        name=f"x{i}*x{j}",
-        evaluate=evaluate,
-        euclid_gradient=gradient,
-        euclid_hessian=lambda x: np.broadcast_to(
-            bump, _points(group, x).shape[:-1] + (n, n)
-        ),
     )
 
 

@@ -75,6 +75,14 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _nonnegative_float(token: str) -> float:
+    """A tolerance; a negative one would ask a check to fail by a margin."""
+    value = _finite_float(token)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {token!r}")
+    return value
+
+
 def _dyadic_exponent(token: str) -> int:
     """k of '2^k', limited to the exponents of finite, nonzero doubles."""
     k = int(token[2:])
@@ -139,7 +147,7 @@ def _int_at_least(token: str, low: int, what: str) -> int:
 
 
 def _positive_int(token: str) -> int:
-    """A count of work items; zero would make the check it sizes vacuous."""
+    """A count of work items or threads; zero would leave what it sizes vacuous or unrun."""
     return _int_at_least(token, 1, "positive")
 
 
@@ -412,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integrability exponents, fractions allowed (e.g. 2,8/3,3)",
     )
     p.add_argument("--samples", type=int, default=200000, help="MC samples per cell")
-    p.add_argument("--workers", type=int, default=1, help="thread count for sweep cells")
+    p.add_argument("--workers", type=_positive_int, default=1, help="thread count for sweep cells")
     p.add_argument("--glue", choices=("paper-literal", "c1-variant"), default="paper-literal")
     p.add_argument("--slope-tol", type=_finite_float, default=0.05, dest="slope_tol")
     p.add_argument(
@@ -432,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--alpha", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=200)
-    p.add_argument("--tol", type=_finite_float, default=1e-5)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-5)
     p.set_defaults(func=_cmd_verify_radial)
 
     p = sub.add_parser(
@@ -448,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_finite_float, default=1.0)
     p.add_argument("--Lam", type=_finite_float, default=3.0)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_pucci)
 
@@ -473,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_finite_float, default=1.0)
     p.add_argument("--Lam", type=_finite_float, default=2.0)
     p.add_argument("--count", type=_positive_int, default=64)
-    p.add_argument("--tol", type=_finite_float, default=1e-8)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-8)
     p.set_defaults(func=_cmd_pointwise_bound)
 
     p = sub.add_parser("ball-volume", help="Monte-Carlo gauge-ball volume")

@@ -53,7 +53,6 @@ __all__ = [
     "gauge_ball_sampler",
     "ball_volume",
     "lq_norm",
-    "q_star",
     "counterexample_profile",
     "counterexample_rhs_field",
     "verify_pucci_annihilation",
@@ -342,11 +341,6 @@ def lq_norm(
 # --- the spliced gauge-power family -----------------------------------------
 
 
-def q_star(alpha: float, homogeneous_dim: float) -> float:
-    """Critical integrability exponent Q / (2 - alpha)."""
-    return float(homogeneous_dim) / (2.0 - float(alpha))
-
-
 @dataclass(frozen=True)
 class CounterexampleConfig:
     """Parameters of the spliced gauge-power family on H^d.
@@ -414,7 +408,8 @@ class CounterexampleConfig:
         return heisenberg(self.d)
 
     def critical_q(self) -> float:
-        return q_star(self.alpha, self.homogeneous_dim)
+        """Critical integrability exponent Q / (2 - alpha)."""
+        return float(self.homogeneous_dim) / (2.0 - float(self.alpha))
 
 
 def power_profile(alpha: float) -> RadialProfile:
@@ -684,6 +679,11 @@ def _sweep_radius(cfg: CounterexampleConfig, quad: QuadratureSpec, eps: float) -
     return [_sweep_row(cfg, eps, q, f) for q, f in zip(cfg.q_list, fs)]
 
 
+def _is_critical(beta: float) -> bool:
+    """Whether the predicted exponent (alpha - 2) q + Q vanishes: q is the critical one."""
+    return abs(beta) < 1e-9
+
+
 def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -> SweepRow:
     group = cfg.group()
     big_q = float(cfg.homogeneous_dim)
@@ -696,7 +696,7 @@ def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -
     f_exact = cfg.rhs_amplitude**q * inner_moment
     hess_inner = (6.0 * cfg.inner_coefficient) ** q * inner_moment
     radial_integral = (
-        math.log(1.0 / eps) if abs(beta) < 1e-9 else (1.0 - eps**beta) / beta
+        math.log(1.0 / eps) if _is_critical(beta) else (1.0 - eps**beta) / beta
     )
     hess_outer = (3.0 * alpha) ** q * big_q * moment * radial_integral
 
@@ -763,7 +763,7 @@ def sweep_scaling(
     for j, q in enumerate(cfg.q_list):
         sub = [rows[i * len(cfg.q_list) + j] for i in range(len(cfg.eps_list))]
         beta = sub[0].predicted_exponent
-        if abs(beta) < 1e-9:
+        if _is_critical(beta):
             norms = np.array([row.f_norm for row in sub])
             ratio = float(np.max(norms) / np.min(norms))
             slope, intercept, r2 = _linear_fit(

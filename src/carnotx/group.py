@@ -6,8 +6,8 @@ Coordinates are (x_1, ..., x_2d, t) and the horizontal frame is
     X_{i+d} = d/dx_{i+d} - 2 x_i     d/dt,      i = 1..d,
 
 so m = 2d, n = 2d + 1 and the homogeneous dimension is Q = 2d + 2.  Points
-are plain numpy arrays whose last axis has length n; every operation
-broadcasts over leading axes and never mutates its inputs.  General Carnot
+are plain numpy arrays whose last axis has length n; the frame and the
+gauge broadcast over leading axes and never mutate their inputs.  General Carnot
 groups are out of scope: the paper's estimates hold on them, but every
 verdict here runs on H^d.
 """
@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "GroupDescriptor",
-    "heisenberg",
-    "dilate",
-    "group_multiply",
-    "group_inverse",
-    "homogeneous_norm",
-]
+__all__ = ["GroupDescriptor", "heisenberg"]
 
 
 @dataclass(frozen=True)
@@ -81,36 +74,6 @@ def _frame(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def dilate(group: GroupDescriptor, lam: float, x: np.ndarray) -> np.ndarray:
-    """Anisotropic dilation: coordinate i is scaled by lam**w_i."""
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    weights = np.array(group.dilation_weights, dtype=float)
-    return _points(group, x) * lam**weights
-
-
-def group_multiply(group: GroupDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Heisenberg product x o y (broadcasting over leading axes).
-
-    Horizontal parts add; the vertical part picks up twice the symplectic
-    area term, making left translation an isometry of the frame.
-    """
-    d = group.heisenberg_d
-    x, y = np.broadcast_arrays(_points(group, x), _points(group, y))
-    out = x + y
-    twist = np.sum(
-        x[..., d : 2 * d] * y[..., :d] - x[..., :d] * y[..., d : 2 * d], axis=-1
-    )
-    out[..., -1] = x[..., -1] + y[..., -1] + 2.0 * twist
-    return out
-
-
-def group_inverse(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
-    """Group inverse; in these coordinates simply -x."""
-    return -_points(group, x)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, each the very BLAS dot of a 1-D a @ b."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -150,7 +113,9 @@ def _gauge_parts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, |x_H|^2, |D rho|^2 = |x_H|^2 / rho^2) with the limit 0 at the origin.
 
-    This is the one definition of the gauge.  A single point goes through
+    This is the one definition of the Koranyi-type gauge
+    rho = (|x_H|^4 + t^2)^(1/4), homogeneous of degree one under the
+    dilations (x_H, t) -> (lam x_H, lam^2 t).  A single point goes through
     the stacked path: numpy's scalar ** rounds differently from its array
     loop, so a single call would not give the bits of a stacked one.
     """
@@ -162,12 +127,3 @@ def _gauge_parts(
     rho = (h2**2 + x[..., -1] ** 2) ** 0.25
     g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
     return rho, h2, g
-
-
-def homogeneous_norm(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
-    """Korányi-type gauge rho(x) = (|x_H|^4 + t^2)^(1/4) on H^d.
-
-    Homogeneous of degree one under dilations and smooth away from the
-    origin.
-    """
-    return _gauge_parts(group, x)[0]

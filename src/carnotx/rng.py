@@ -8,6 +8,8 @@ stream is a pure function of its identity.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["substream"]
@@ -37,10 +39,13 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Independent generator identified by (seed, *path).
 
     The same (seed, path) always yields the same stream; distinct paths give
-    statistically independent streams.
+    statistically independent streams.  The seed must lie in [0, 2^64), the
+    key's range, so that no two seeds share a stream.
     """
+    if not 0 <= operator.index(seed) <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     h = 0
     for part in path:
         h = _splitmix(h ^ _fold(part))
-    key = np.array([seed & _MASK64, h], dtype=np.uint64)
+    key = np.array([seed, h], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -1,0 +1,122 @@
+"""Test oracles: the group law, dilations, a gradient and callback checkers.
+
+No verdict of the package reads any of these; the tests use them to check
+the frame, the closed-form X-lines, the homogeneity of the gauge and the
+analytic Hessian callbacks of the catalog.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from carnotx.calculus import _D1, _D2, RadialProfile, ScalarField, _fd_hessian
+from carnotx.group import GroupDescriptor, _frame, _points
+
+
+def dilate(group: GroupDescriptor, lam: float, x: np.ndarray) -> np.ndarray:
+    """Anisotropic dilation: coordinate i is scaled by lam**w_i."""
+    lam = float(lam)
+    if not lam > 0.0:
+        raise ValueError(f"dilation factor must be positive, got {lam}")
+    weights = np.array(group.dilation_weights, dtype=float)
+    return _points(group, x) * lam**weights
+
+
+def group_multiply(group: GroupDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Heisenberg product x o y (broadcasting over leading axes).
+
+    Horizontal parts add; the vertical part picks up twice the symplectic
+    area term, making left translation an isometry of the frame.  The
+    inverse of x is -x.
+    """
+    d = group.heisenberg_d
+    x, y = np.broadcast_arrays(_points(group, x), _points(group, y))
+    out = x + y
+    twist = np.sum(
+        x[..., d : 2 * d] * y[..., :d] - x[..., :d] * y[..., d : 2 * d], axis=-1
+    )
+    out[..., -1] = x[..., -1] + y[..., -1] + 2.0 * twist
+    return out
+
+
+# Step of the first-order differences below.
+_GRADIENT_STEP = 1e-4
+
+
+def euclid_gradient(u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Euclidean gradients (..., n) of u by the fourth-order first-derivative table."""
+    x = np.asarray(x, dtype=float)
+    h, eye = _GRADIENT_STEP, np.eye(x.shape[-1])
+    return sum(c * u.evaluate(x[..., None, :] + off * h * eye) for off, c in _D1) / h
+
+
+def horizontal_gradient(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """(X_1 u, ..., X_m u) at points (..., n) from differences of u; shape (..., m)."""
+    sigma = _frame(group, x)
+    return (np.swapaxes(sigma, -1, -2) @ euclid_gradient(u, x)[..., None])[..., 0]
+
+
+def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
+    """The monomial x_i * x_j (1-based indices) with its Hessian callback."""
+    for idx in (i, j):
+        if not 1 <= idx <= group.n:
+            raise ValueError(f"coordinate index must lie in 1..{group.n}, got {idx}")
+    n, a, b = group.n, i - 1, j - 1
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        x = _points(group, x)
+        return x[..., a] * x[..., b]
+
+    bump = np.zeros((n, n))
+    bump[a, b] += 1.0
+    bump[b, a] += 1.0
+
+    return ScalarField(
+        name=f"x{i}*x{j}",
+        evaluate=evaluate,
+        euclid_hessian=lambda x: np.broadcast_to(
+            bump, _points(group, x).shape[:-1] + (n, n)
+        ),
+    )
+
+
+# Callbacks agree with the stencil within atol + rtol * max(1, |value|).
+_CALLBACK_RTOL, _CALLBACK_ATOL = 1e-6, 1e-8
+# Step and relative tolerance of the one-dimensional profile check.
+_PROFILE_STEP, _PROFILE_RTOL = 1e-4, 1e-6
+
+
+def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
+    """Compare a field's Hessian callback against the package's stencil.
+
+    Returns a report dict; ``ok`` is False when the callback deviates from
+    the differenced value beyond atol + rtol * scale.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    fd = _fd_hessian(u, points)
+    a = np.asarray(u.euclid_hessian(points), dtype=float)
+    scale = _CALLBACK_ATOL + _CALLBACK_RTOL * np.maximum(1.0, np.abs(a))
+    worst = float(np.max(np.abs(a - fd) / scale, initial=0.0))
+    return {"ok": worst <= 1.0, "hessian_excess": worst}
+
+
+def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict:
+    """Verify psi_prime / psi_second against 1-D differences of psi.
+
+    The differences use the coefficient tables of the package's stencil with
+    the fixed step _PROFILE_STEP; radii outside the smooth domain are
+    skipped, and a ValueError names the profile when none is left.
+    """
+    radii = np.asarray(radii, dtype=float)
+    r = radii[profile.radius_ok(radii)]
+    if r.size == 0:
+        raise ValueError(f"no radius lies in the smooth domain of profile {profile.name!r}")
+    h = _PROFILE_STEP
+    psi = {off: np.asarray(profile.psi(r + off * h), dtype=float) for off, _ in _D2}
+    d1 = sum(c * psi[off] for off, c in _D1) / h
+    d2 = sum(c * psi[off] for off, c in _D2) / h**2
+    e1, e2 = (
+        float(np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))))
+        for fd, exact in ((d1, profile.psi_prime(r)), (d2, profile.psi_second(r)))
+    )
+    return {"ok": e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL, "prime_err": e1, "second_err": e2}

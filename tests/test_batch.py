@@ -12,11 +12,11 @@ from carnotx import (
     pucci_minus,
     pucci_plus,
     radial_hessian,
-    radial_hessian_eigenvalues,
     sym_eigenvalues,
 )
-from carnotx.calculus import ScalarField
+from carnotx.calculus import ScalarField, _radial_eigenvalues
 from carnotx.estimates import power_profile
+from carnotx.group import _gauge_parts
 
 E13 = Ellipticity(lam=1.0, Lam=3.0)
 SPLIT = 37
@@ -101,10 +101,12 @@ def test_radial_hessian(d):
             return getattr(radial_hessian(group, profile, x), part)
 
         assert_stack_is_loop(get, get, pts)
-    whole = radial_hessian_eigenvalues(group, profile, pts)
-    assert np.array_equal(
-        whole, [radial_hessian_eigenvalues(group, profile, x) for x in pts]
-    )
+
+    def eigenvalues(x):
+        rho, _, g = _gauge_parts(group, x)
+        return _radial_eigenvalues(d, profile, rho, g)
+
+    assert np.array_equal(eigenvalues(pts), [eigenvalues(x) for x in pts])
 
 
 def test_empty_stacks():

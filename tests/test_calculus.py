@@ -10,6 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _oracles import (
+    check_field_consistency,
+    check_profile_consistency,
+    coordinate_product,
+    euclid_gradient,
+    group_multiply,
+    horizontal_gradient,
+)
 from carnotx import (
     CounterexampleConfig,
     DomainError,
@@ -17,24 +25,18 @@ from carnotx import (
     ScalarField,
     SingularPointError,
     add_horizontal_quadratic,
-    check_field_consistency,
-    check_profile_consistency,
     convexity_catalog,
     counterexample_profile,
     field_from_profile,
     gauge_ball_sampler,
     gauge_quartic,
     heisenberg,
-    homogeneous_norm,
-    horizontal_gradient,
     horizontal_hessian_sym,
     radial_hessian,
-    radial_hessian_eigenvalues,
     sublaplacian,
 )
-from carnotx.calculus import _euclid_derivatives
-from carnotx.catalog import coordinate_product
-from carnotx.group import _frame
+from carnotx.calculus import _fd_hessian, _radial_eigenvalues
+from carnotx.group import _frame, _gauge_parts
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -54,6 +56,12 @@ def power_profile(alpha: float) -> RadialProfile:
         psi_second=lambda r: alpha * (1.0 - alpha) * guard(r) ** (alpha - 2.0),
         smooth_radii=lambda r: np.asarray(r, dtype=float) > 0.0,
     )
+
+
+def radial_eigenvalues(group, profile, pts):
+    """The closed-form eigenvalue columns of ``radial_hessian`` at points (..., n)."""
+    rho, _, g = _gauge_parts(group, pts)
+    return _radial_eigenvalues(group.heisenberg_d, profile, rho, g)
 
 
 def evaluation_only(u: ScalarField) -> ScalarField:
@@ -83,7 +91,7 @@ class TestFiniteDifferences:
         expected = np.array([[-2.0, -0.6], [-0.6, 0.0]])
         exact_route = coordinate_product(H1, 1, 3)
         fd_route = evaluation_only(exact_route)
-        # With both callbacks no stencil runs, so the field is never evaluated.
+        # With a Hessian callback no stencil runs, so the field is never evaluated.
         callbacks_only = dataclasses.replace(exact_route, evaluate=None)
         assert np.allclose(
             horizontal_hessian_sym(H1, callbacks_only, point), expected, atol=1e-12
@@ -106,7 +114,7 @@ class TestFiniteDifferences:
     def test_horizontal_gradient_of_gauge(self):
         # D_X rho has squared length |x_H|^2 / rho^2 <= 1.
         rho_field = ScalarField(
-            name="rho", evaluate=lambda x: np.asarray(homogeneous_norm(H1, x))
+            name="rho", evaluate=lambda x: _gauge_parts(H1, x)[0]
         )
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -121,23 +129,25 @@ class TestFiniteDifferences:
             g = float(grad @ grad)
             assert g <= 1.0 + 1e-12
             assert g == pytest.approx(h2 / rho**2, abs=1e-9)
+            assert g == pytest.approx(_gauge_parts(H1, x)[2], abs=1e-9)
 
     def test_left_invariance_of_frame_derivatives(self):
-        # X_j(u о L_g) at x equals (X_j u) at g x: the frame is left-invariant.
+        # The symmetrized horizontal Hessian of u∘L_g at x equals that of u
+        # at g x: the frame is left-invariant.
         u = ScalarField(
             name="bump",
             evaluate=lambda x: np.sin(x[..., 0] + 0.5 * x[..., 2]) * np.cos(x[..., 1]),
         )
         g = np.array([0.3, -0.6, 0.8])
         x = np.array([-0.2, 0.4, 0.1])
-        from carnotx import group_multiply
-
         composed = ScalarField(
             name="u∘Lg", evaluate=lambda y: u.evaluate(group_multiply(H1, g, y))
         )
-        lhs = horizontal_gradient(H1, composed, x)
-        rhs = horizontal_gradient(H1, u, group_multiply(H1, g, x))
-        assert np.allclose(lhs, rhs, atol=1e-9)
+        lhs = horizontal_hessian_sym(H1, composed, x)
+        rhs = horizontal_hessian_sym(H1, u, group_multiply(H1, g, x))
+        assert np.allclose(lhs, rhs, atol=1e-8)
+        # Not by accident: the Euclidean Hessians differ.
+        assert not np.allclose(_fd_hessian(composed, x), _fd_hessian(u, group_multiply(H1, g, x)))
 
 
 class TestRadialCalculus:
@@ -153,7 +163,7 @@ class TestRadialCalculus:
         )
         got = radial_hessian(H1, profile, point)
         assert np.allclose(got.matrix, expected, rtol=1e-13)
-        eigs = np.sort(radial_hessian_eigenvalues(H1, profile, point))
+        eigs = np.sort(radial_eigenvalues(H1, profile, point))
         assert np.allclose(
             eigs, [-1.6057075573061956, 0.2676179262176993], rtol=1e-12
         )
@@ -172,7 +182,7 @@ class TestRadialCalculus:
         )
         got = radial_hessian(H2, profile, point)
         assert np.allclose(got.matrix, expected, rtol=1e-12, atol=1e-14)
-        eigs = np.sort(radial_hessian_eigenvalues(H2, profile, point))
+        eigs = np.sort(radial_eigenvalues(H2, profile, point))
         frozen = [-1.2696814862573595, -0.4232271620857865, -0.4232271620857865, 0.29625901346005057]
         assert np.allclose(eigs, frozen, rtol=1e-10)
         assert got.flat_multiplicity == 2
@@ -185,7 +195,7 @@ class TestRadialCalculus:
             psi_prime=lambda r: 4.0 * np.asarray(r, dtype=float) ** 3,
             psi_second=lambda r: 12.0 * np.asarray(r, dtype=float) ** 2,
         )
-        eigs = radial_hessian_eigenvalues(H1, profile, np.array([1.0, 0.0, 0.0]))
+        eigs = radial_eigenvalues(H1, profile, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(np.sort(eigs), [12.0, 12.0], rtol=1e-14)
         # the quartic's Hessian on H^1 is 12 |x_H|^2 times the identity
         y = np.array([0.7, -0.3, 0.4])
@@ -197,7 +207,7 @@ class TestRadialCalculus:
         rng = np.random.default_rng(12)
         pts = rng.uniform(-1, 1, (20, 3))
         pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 0.1]
-        batch = radial_hessian_eigenvalues(H1, profile, pts)
+        batch = radial_eigenvalues(H1, profile, pts)
         for k, x in enumerate(pts):
             single = radial_hessian(H1, profile, x)
             want = [single.eigen_radial, single.eigen_tangential]
@@ -213,10 +223,10 @@ class TestRadialCalculus:
         closed = radial_hessian(group, profile, pts)
         flat = [closed.eigen_flat] * closed.flat_multiplicity
         want = np.stack([closed.eigen_radial, closed.eigen_tangential] + flat, axis=-1)
-        got = radial_hessian_eigenvalues(group, profile, pts)
+        got = radial_eigenvalues(group, profile, pts)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        stacked = homogeneous_norm(group, pts)
-        single = np.array([homogeneous_norm(group, x) for x in pts])
+        stacked = _gauge_parts(group, pts)[0]
+        single = np.array([_gauge_parts(group, x)[0] for x in pts])
         assert np.array_equal(single.view(np.uint64), stacked.view(np.uint64))
 
     def test_fd_cross_check_of_closed_form(self):
@@ -226,7 +236,7 @@ class TestRadialCalculus:
         checked = 0
         while checked < 12:
             x = rng.uniform(-1.2, 1.2, 3)
-            if np.hypot(x[0], x[1]) < 0.2 or homogeneous_norm(H1, x) < 0.3:
+            if np.hypot(x[0], x[1]) < 0.2 or _gauge_parts(H1, x)[0] < 0.3:
                 continue
             fd = horizontal_hessian_sym(H1, u, x)
             closed = radial_hessian(H1, profile, x).matrix
@@ -261,13 +271,14 @@ class TestFieldUtilities:
         report = check_field_consistency(gauge_quartic(H1), pts)
         assert report["ok"], report
 
-    def test_consistency_checker_flags_wrong_gradient(self):
+    def test_consistency_checker_flags_wrong_hessian(self):
+        # x1^2 has Euclidean Hessian 2 e1 e1^T; the callback claims 3 e1 e1^T.
+        lying = np.zeros((3, 3))
+        lying[0, 0] = 3.0
         u = ScalarField(
             name="lying",
             evaluate=lambda x: x[..., 0] ** 2,
-            euclid_gradient=lambda x: np.stack(
-                [3.0 * x[..., 0], 0.0 * x[..., 1], 0.0 * x[..., 2]], axis=-1
-            ),
+            euclid_hessian=lambda x: np.broadcast_to(lying, x.shape + (3,)),
         )
         pts = np.random.default_rng(3).uniform(-1, 1, (8, 3))
         report = check_field_consistency(u, pts)
@@ -298,7 +309,8 @@ def carnot_frame_hessian_sym(group, u, x):
     for i in range(d):
         jac[i + d, n - 1, i] = 2.0
         jac[i, n - 1, i + d] = -2.0
-    grad, hess = _euclid_derivatives(u, x)
+    grad = euclid_gradient(u, x)
+    hess = _fd_hessian(u, x) if u.euclid_hessian is None else u.euclid_hessian(x)
     sigma = _frame(group, x)
     jac = np.broadcast_to(jac, x.shape[:-1] + (n, n, m))
     main = np.swapaxes(sigma, -1, -2) @ hess @ sigma

@@ -422,6 +422,14 @@ class TestOtherCommands:
         ),
         # the catalog's thresholds classify no negative semiconvexity constant
         (["convexity", "--c", "-1"], "semiconvexity constants must be >= 0"),
+        # the thread count is checked at parse time, before any work runs
+        (["counterexample", "--workers", "0"], "positive integer"),
+        # no relative error is below 0, so a negative tolerance only makes a false FAIL
+        (["verify-radial", "--tol", "-1"], "non-negative number"),
+        (["pointwise-bound", "--tol", "-1"], "non-negative number"),
+        (["pucci", "--tol", "-1", "--count", "4", "--samples", "64"], "non-negative number"),
+        # a seed outside the 64-bit key would alias one inside it
+        (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import group_multiply
 from carnotx import (
     Ellipticity,
     add_horizontal_quadratic,
@@ -15,7 +16,6 @@ from carnotx import (
     convexity_catalog,
     gauge_ball_sampler,
     gauge_quartic,
-    group_multiply,
     heisenberg,
     horizontal_quadratic,
     integrate_xline,

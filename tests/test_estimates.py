@@ -21,18 +21,15 @@ from carnotx import (
     field_from_profile,
     gauge_ball_sampler,
     heisenberg,
-    homogeneous_norm,
     horizontal_quadratic,
     lq_norm,
     pointwise_bound_check,
     pucci_minus,
     pucci_plus_of_eigenvalues,
-    q_star,
-    radial_hessian_eigenvalues,
     sweep_scaling,
     verify_pucci_annihilation,
 )
-from carnotx.calculus import _gauge_field
+from carnotx.calculus import _gauge_field, _radial_eigenvalues
 from carnotx.estimates import (
     _CHUNK,
     _box_chunks,
@@ -56,8 +53,9 @@ CFG = CounterexampleConfig(
 
 class TestCriticalExponents:
     def test_q_star_frozen(self):
-        assert q_star(0.5, 4) == pytest.approx(8.0 / 3.0, rel=1e-15)
-        assert q_star(0.3, 6) == pytest.approx(6.0 / 1.7, rel=1e-15)
+        assert CFG.critical_q() == pytest.approx(8.0 / 3.0, rel=1e-15)
+        cfg = CounterexampleConfig(d=2, alpha=0.3, eps_list=CFG.eps_list, q_list=(2.0,))
+        assert cfg.critical_q() == pytest.approx(6.0 / 1.7, rel=1e-15)
 
 
 class TestConfig:
@@ -135,9 +133,9 @@ class TestProfile:
         # off the axis, on the axis, and exactly on the splice shell rho = eps
         x = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.5], [eps, 0.0, 0.0]])
         vals = u.evaluate(x)
-        rho0 = float(homogeneous_norm(H1, x[0]))
+        rho0 = float(_gauge_parts(H1, x[0])[0])
         assert vals[0] == pytest.approx(1.0 - math.sqrt(rho0))
-        assert float(homogeneous_norm(H1, x[2])) == eps
+        assert float(_gauge_parts(H1, x[2])[0]) == eps
         assert u.in_domain(x).tolist() == [True, False, False]
 
 
@@ -201,9 +199,9 @@ class TestAnnihilation:
         profile = counterexample_profile(cfg, eps)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.6, 0.6, (500, 3))
-        rho = homogeneous_norm(H1, pts)
+        rho, _, g = _gauge_parts(H1, pts)
         keep = (rho > eps + 1e-3) & (rho < 1.0) & (np.hypot(pts[:, 0], pts[:, 1]) > 1e-3)
-        eigs = radial_hessian_eigenvalues(H1, profile, pts[keep])
+        eigs = _radial_eigenvalues(1, profile, rho[keep], g[keep])
         e = cfg.ellipticity()
         detuned = Ellipticity(lam=e.lam, Lam=1.1 * e.Lam)
         residual = np.abs(pucci_plus_of_eigenvalues(eigs, detuned))
@@ -285,7 +283,7 @@ class TestQuadrature:
             exclude_shells=((0.5, 0.05),),
         )
         pts = sampler(500, np.random.default_rng(2))
-        rho = homogeneous_norm(H1, pts)
+        rho = _gauge_parts(H1, pts)[0]
         assert np.all(rho < 1.0) and np.all(rho >= 0.3)
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) >= 0.1)
         assert np.all(np.abs(rho - 0.5) >= 0.05)
@@ -304,6 +302,15 @@ class TestQuadrature:
     def test_empty_annulus_is_rejected_at_construction(self, bounds):
         with pytest.raises(ValueError, match="annulus"):
             gauge_ball_sampler(H1, **bounds)
+
+
+def test_substream_rejects_seeds_outside_its_key():
+    # Keyed modulo 2^64, seed -1 would draw the stream of seed 2^64 - 1.
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            substream(seed, "box")
+    for seed in (0, 2**64 - 1):
+        assert substream(seed, "box").random() >= 0.0
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used and every module-level private
 name is read (no linter runs on this tree), the package exports exactly what
-its modules export, and the README states the report schema the code writes."""
+its modules export and nothing the code and the acceptance tests leave unread,
+and the README states the report schema the code writes."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ import carnotx
 from carnotx.report import SCHEMA_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "carnotx").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "carnotx").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,6 +52,16 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Names a tree reads, as a loaded Name or as any attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private names, as 'module:name', that no source reads."""
     defined, read = [], set()
@@ -64,11 +76,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= loaded_names(tree)
     return [f"{module}:{name}" for module, name in defined if name not in read]
 
 
@@ -81,8 +89,36 @@ def test_scanner_flags_an_unread_private_name():
 
 
 def test_every_private_name_is_read():
-    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "carnotx").glob("*.py")}
+    sources = {p.stem: p.read_text() for p in SRC}
     assert unread_private_names(sources) == []
+
+
+def unloaded_exports(exports: list[str], sources: list[str]) -> list[str]:
+    """Exported names that no source loads; importing a name does not load it."""
+    read = set().union(*(loaded_names(ast.parse(source)) for source in sources))
+    return [name for name in exports if name not in read]
+
+
+def test_scanner_flags_an_unloaded_export():
+    sources = ["from a import f, g, h\nf(1)\nimport b\nb.h\n", "__all__ = ['k']\n"]
+    assert unloaded_exports(["f", "g", "h", "k"], sources) == ["g", "k"]
+
+
+def test_every_export_is_read():
+    # The library is what the verdicts use: each export is read by another
+    # module of the package or by the acceptance tests, with no exceptions.
+    sources = [p.read_text() for p in SRC if p.name != "__init__.py"]
+    sources.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    exports = [name for name in carnotx.__all__ if name != "__version__"]
+    assert unloaded_exports(exports, sources) == []
+
+
+def test_no_source_imports_the_test_oracles():
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any("_oracles" in name for name in names), path.name
 
 
 def test_package_exports_are_the_modules_exports():
