@@ -116,7 +116,7 @@ def check_semiconvex_lines(
     n = group.n
 
     def draw(k: int, rng: np.random.Generator) -> np.ndarray:
-        starts = np.asarray(sampler(k, rng), dtype=float)
+        starts = _points(group, sampler(k, rng))
         return np.concatenate([starts, rng.standard_normal((k, group.m))], axis=1)
 
     # Unit directions and endpoints of the kept candidates of every round, in

@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
-from _oracles import check_field_consistency, coordinate_product, dilate, group_multiply
+from _oracles import (
+    check_field_consistency,
+    coordinate_product,
+    dilate,
+    group_multiply,
+    horizontal_gradient,
+)
 from carnotx import (
+    CounterexampleConfig,
     GroupDescriptor,
     add_horizontal_quadratic,
+    check_semiconvex_eigen,
+    check_semiconvex_lines,
     constant_field,
     coordinate_field,
+    counterexample_rhs_field,
     field_from_profile,
     gauge_quartic,
     heisenberg,
@@ -155,17 +165,38 @@ def test_gauge_parts_bits_match_row_sum(d):
 
 _PROFILE = power_profile(0.5)
 
+
+def _sampler_of(x):
+    """A sampler that hands the checkers rows of x's length."""
+    return lambda k, rng: np.broadcast_to(x, (k, x.shape[-1]))
+
 # Every function, public or test oracle, that takes points of the group, as
 # f(group, x).
 POINT_TAKERS = {
     "_gauge_parts": _gauge_parts,
+    "_frame": _frame,
     "dilate": lambda G, x: dilate(G, 2.0, x),
     "group_multiply_left": lambda G, x: group_multiply(G, x, np.zeros(G.n)),
     "group_multiply_right": lambda G, x: group_multiply(G, np.zeros(G.n), x),
+    "horizontal_gradient": lambda G, x: horizontal_gradient(G, constant_field(1.0), x),
     "horizontal_hessian_sym": lambda G, x: horizontal_hessian_sym(G, constant_field(1.0), x),
+    # field_from_profile has no Hessian callback, so this is the stencil path.
+    "horizontal_hessian_sym_stencil": lambda G, x: horizontal_hessian_sym(
+        G, field_from_profile(G, _PROFILE), x
+    ),
     "sublaplacian": lambda G, x: sublaplacian(G, constant_field(1.0), x),
     "radial_hessian": lambda G, x: radial_hessian(G, _PROFILE, x),
     "field_from_profile": lambda G, x: field_from_profile(G, _PROFILE).evaluate(x),
+    "field_from_profile.in_domain": lambda G, x: field_from_profile(G, _PROFILE).in_domain(x),
+    "counterexample_rhs_field": lambda G, x: counterexample_rhs_field(
+        CounterexampleConfig(G.heisenberg_d, 0.5, (0.5,), (2.0,)), 0.5
+    ).evaluate(x),
+    "check_semiconvex_eigen": lambda G, x: check_semiconvex_eigen(
+        G, horizontal_quadratic(G), 1.0, _sampler_of(x), 4, 1
+    ),
+    "check_semiconvex_lines": lambda G, x: check_semiconvex_lines(
+        G, horizontal_quadratic(G), 1.0, _sampler_of(x), 4, 1
+    ),
     "integrate_xline": lambda G, x: integrate_xline(G, x, np.ones(G.m), 0.5),
     "check_field_consistency": lambda G, x: check_field_consistency(
         horizontal_quadratic(G), x
