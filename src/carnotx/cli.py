@@ -31,6 +31,7 @@ from .estimates import (
     MAX_PULL,
     CounterexampleConfig,
     QuadratureSpec,
+    _annihilation_reach,
     _box_draw,
     _exact_ball_volume,
     _pull,
@@ -40,7 +41,6 @@ from .estimates import (
     pointwise_bound_check,
     power_profile,
     sweep_scaling,
-    verify_pucci_annihilation,
 )
 from .group import GroupDescriptor, heisenberg
 from .pucci import Ellipticity, _frobenius, pucci_minus, pucci_oracle_check
@@ -197,13 +197,20 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         glue_mode=args.glue,
     )
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
-    # Annihilation first, so a radius it rejects fails before the sweep; each
-    # check and sweep radius has its own substream, so the order changes no bits.
-    annihilation = [
-        verify_pucci_annihilation(cfg, eps, args.annihilation_samples, args.seed)
-        for eps in (cfg.eps_list if args.annihilation_samples > 0 else ())
-    ]
-    report = sweep_scaling(cfg, quad, workers=args.workers, slope_tol=args.slope_tol)
+    # The annihilation check's radius rules are cheap, so they run first and a
+    # radius they reject fails before any box pass.  The checks and the sweep
+    # radii are then units of one pool, each on its own substream, so neither
+    # their order nor the worker count changes a bit.
+    if args.annihilation_samples > 0:
+        for eps in cfg.eps_list:
+            _annihilation_reach(cfg, eps, args.annihilation_samples)
+    report = sweep_scaling(
+        cfg,
+        quad,
+        workers=args.workers,
+        slope_tol=args.slope_tol,
+        annihilation_samples=args.annihilation_samples,
+    )
     if args.csv:
         write_rows_csv(report.rows, args.csv)
 
@@ -216,7 +223,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             f"  [{_status(verdict['passed'])}] q={verdict['q']:.17g}"
             f" ({verdict['kind']}): {verdict['detail']}"
         )
-    for ann in annihilation:
+    for ann in report.annihilation:
         print(
             f"  [{_status(ann.passed)}] annihilation eps={ann.eps:.17g}:"
             f" outer residual {ann.max_outer_residual:.3g},"
@@ -230,11 +237,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         "rows": report.rows,
         "fits": report.fits,
         "verdicts": report.verdicts,
-        "annihilation": annihilation,
+        "annihilation": report.annihilation,
     }
-    return _finish(
-        args, results, report.passed and all(ann.passed for ann in annihilation)
-    )
+    return _finish(args, results, report.passed)
 
 
 def _quartic_profile() -> RadialProfile:
@@ -420,9 +425,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integrability exponents, fractions allowed (e.g. 2,8/3,3)",
     )
     p.add_argument("--samples", type=int, default=200000, help="MC samples per cell")
-    p.add_argument("--workers", type=_positive_int, default=1, help="thread count for sweep cells")
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="thread count for sweep radii and annihilation checks",
+    )
     p.add_argument("--glue", choices=("paper-literal", "c1-variant"), default="paper-literal")
-    p.add_argument("--slope-tol", type=_finite_float, default=0.05, dest="slope_tol")
+    p.add_argument("--slope-tol", type=_nonnegative_float, default=0.05, dest="slope_tol")
     p.add_argument(
         "--annihilation-samples",
         type=_nonnegative_int,

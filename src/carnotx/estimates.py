@@ -13,6 +13,8 @@ estimate of the sweep an exact value to be compared with.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -136,12 +138,16 @@ def _sample_box(hw: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np
     """Fill `out` (k, n) in place with uniform points of the box with half-widths `hw`.
 
     Same bits as ``rng.uniform(-1, 1, out.shape) * hw``: numpy computes that
-    uniform as ``-1 + 2 u``.
+    uniform as ``-1 + 2 u``.  Each column is scaled by its own scalar, the
+    same products as ``out *= hw``, whose broadcast over a few columns runs
+    numpy's inner loop n elements at a time and takes about three times as
+    long on H^1.
     """
     rng.random(out=out)
     out *= 2.0
     out -= 1.0
-    out *= hw
+    for j, h in enumerate(hw):
+        out[:, j] *= h
     return out
 
 
@@ -518,6 +524,30 @@ class AnnihilationReport:
     n_excluded_shell: int
 
 
+def _annihilation_reach(cfg: CounterexampleConfig, eps: float, n_samples: int) -> float:
+    """The up-front rules of `verify_pucci_annihilation`, cheap enough to run first.
+
+    A ValueError unless there are 2 samples, both regions have a box, and
+    eps leaves an inner ball and a stencil window; returns the window's
+    lower edge.
+    """
+    if n_samples < 2:
+        raise ValueError(
+            f"annihilation needs at least 2 samples (one per region), got {n_samples}"
+        )
+    group = cfg.group()
+    for hi in (1.0, eps):
+        gauge_box_halfwidths(group, hi)
+    fd_lo = max(_FD_RHO_MIN, eps + _FD_SPLICE_GAP)
+    if not (eps > 2.0 * SPLICE_EXCLUSION and fd_lo < _FD_RHO_MAX):
+        raise ValueError(
+            f"splice radius {eps} is out of the annihilation check's reach: it needs"
+            f" eps > {2.0 * SPLICE_EXCLUSION}, as it excludes the shell |rho - eps| <"
+            f" {SPLICE_EXCLUSION}, and a finite-difference window {fd_lo} < rho < {_FD_RHO_MAX}"
+        )
+    return fd_lo
+
+
 def verify_pucci_annihilation(
     cfg: CounterexampleConfig,
     eps: float,
@@ -539,29 +569,19 @@ def verify_pucci_annihilation(
 
     Samples within SPLICE_EXCLUSION of the splice are excluded, so eps must
     exceed 2 SPLICE_EXCLUSION to leave an inner ball worth sampling, and it
-    must leave a stencil annulus above it (else ValueError).  An annulus too
-    thin for the rejection sampler raises RuntimeError naming it and eps.
+    must leave a stencil annulus above it (else ValueError, from
+    `_annihilation_reach`).  An annulus too thin for the rejection sampler
+    raises RuntimeError naming it and eps.
     """
-    if n_samples < 2:
-        raise ValueError(
-            f"annihilation needs at least 2 samples (one per region), got {n_samples}"
-        )
+    fd_lo = _annihilation_reach(cfg, eps, n_samples)
     group = cfg.group()
     e = cfg.ellipticity()
     profile = counterexample_profile(cfg, eps)
     half = n_samples // 2
-    # Building the draws first rejects a radius whose box degenerates.
     regions = [
         (_box_draw(group, hi), lo, hi, k)
         for lo, hi, k in ((eps, 1.0, half), (0.0, eps, n_samples - half))
     ]
-    fd_lo = max(_FD_RHO_MIN, eps + _FD_SPLICE_GAP)
-    if not (eps > 2.0 * SPLICE_EXCLUSION and fd_lo < _FD_RHO_MAX):
-        raise ValueError(
-            f"splice radius {eps} is out of the annihilation check's reach: it needs"
-            f" eps > {2.0 * SPLICE_EXCLUSION}, as it excludes the shell |rho - eps| <"
-            f" {SPLICE_EXCLUSION}, and a finite-difference window {fd_lo} < rho < {_FD_RHO_MAX}"
-        )
     scale = eps ** (cfg.alpha - 2.0)
     rng = substream(seed, "annihilation", repr(float(eps)))
 
@@ -667,9 +687,15 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The sweep's rows, fits and verdicts, and its annihilation checks in eps order.
+
+    ``passed`` needs every verdict and every check to pass.
+    """
+
     rows: list[SweepRow]
     fits: list[dict]
     verdicts: list[dict]
+    annihilation: list[AnnihilationReport]
     passed: bool
 
 
@@ -735,15 +761,23 @@ def sweep_scaling(
     quad: QuadratureSpec,
     workers: int = 1,
     slope_tol: float = 0.05,
+    annihilation_samples: int = 0,
 ) -> SweepReport:
-    """Measure the (eps, q) grid and fit the scaling laws.
+    """Measure the (eps, q) grid, fit the scaling laws, and check annihilation.
 
-    Each radius is one work unit, a box pass on its own counter-based
-    substream for all exponents, so the report is bit-identical for any
-    worker count.  Noncritical exponents get a log-log slope fit of the
-    source mass against the predicted (alpha-2) q + Q; the critical
-    exponent instead checks that the source norm stays level while the
-    outer Hessian mass grows affinely in log(1/eps).  Either verdict also
+    Each radius is one work unit, a box pass for all exponents; with
+    `annihilation_samples` > 0 each radius's `verify_pucci_annihilation`
+    at seed quad.seed is one more unit of the same pool, submitted after
+    the longer box passes.  Every unit draws from its own substream and
+    results are collected in eps order, so the report is bit-identical for
+    any worker count.  Units run in a copy of the caller's context, which
+    holds numpy's error state.  The CLI applies the check's radius rules
+    (`_annihilation_reach`) before the sweep, so they fail before any box pass.
+
+    Noncritical exponents get a log-log slope fit of the source mass
+    against the predicted (alpha-2) q + Q; the critical exponent instead
+    checks that the source norm stays level while the outer Hessian mass
+    grows affinely in log(1/eps).  Either verdict also
     fails when a measured source mass is more than MAX_PULL standard
     errors from its exact value.
     """
@@ -753,9 +787,18 @@ def sweep_scaling(
     if hi / lo < 4.0:
         raise ValueError("splice radii must span at least two dyadic decades")
 
+    units = [functools.partial(_sweep_radius, cfg, quad, eps) for eps in cfg.eps_list]
+    if annihilation_samples > 0:
+        units += [
+            functools.partial(verify_pucci_annihilation, cfg, eps, annihilation_samples, quad.seed)
+            for eps in cfg.eps_list
+        ]
+    contexts = [contextvars.copy_context() for _ in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_radius = pool.map(lambda eps: _sweep_radius(cfg, quad, eps), cfg.eps_list)
-        rows = [row for radius_rows in per_radius for row in radius_rows]
+        results = list(pool.map(contextvars.Context.run, contexts, units))
+    n_radii = len(cfg.eps_list)
+    rows = [row for radius_rows in results[:n_radii] for row in radius_rows]
+    annihilation = results[n_radii:]
 
     fits: list[dict] = []
     verdicts: list[dict] = []
@@ -817,7 +860,8 @@ def sweep_scaling(
         rows=rows,
         fits=fits,
         verdicts=verdicts,
-        passed=all(v["passed"] for v in verdicts),
+        annihilation=annihilation,
+        passed=all(v["passed"] for v in verdicts) and all(a.passed for a in annihilation),
     )
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -430,6 +431,8 @@ class TestOtherCommands:
         (["pucci", "--tol", "-1", "--count", "4", "--samples", "64"], "non-negative number"),
         # a seed outside the 64-bit key would alias one inside it
         (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
+        # no fitted slope is within a negative distance of its prediction
+        (["counterexample", "--slope-tol", "-1"], "non-negative number"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -506,18 +509,21 @@ def test_engine_runtime_error_exits_2(monkeypatch, capsys):
 def test_thin_stencil_annulus_names_itself(monkeypatch, capsys):
     # max(0.15, eps + 0.03) = 0.89999999 passes the up-front radius rule,
     # but leaves a stencil annulus too thin for the rejection sampler.
+    # The check runs as a unit of the sweep's pool, so its error must come
+    # out the same at every worker count.
     monkeypatch.setattr(calculus, "_MAX_ROUNDS", 3)
-    argv = [
-        "counterexample", "--eps", "0.2,0.3,0.5,0.86999999", "--q", "2", "--samples", "1000",
-        "--annihilation-samples", "2",
-    ]
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "error: splice radius 0.86999999: the stencil annulus 0.89999999 <= rho < 0.9"
-        " is too thin to sample (rejection sampling kept 0 of 12 rows in 3 rounds)\n"
-    )
-    assert "overall:" not in captured.out
+    for workers in ("1", "2"):
+        argv = [
+            "counterexample", "--eps", "0.2,0.3,0.5,0.86999999", "--q", "2", "--samples", "1000",
+            "--annihilation-samples", "2", "--workers", workers,
+        ]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: splice radius 0.86999999: the stencil annulus 0.89999999 <= rho < 0.9"
+            " is too thin to sample (rejection sampling kept 0 of 12 rows in 3 rounds)\n"
+        )
+        assert "overall:" not in captured.out
 
 
 def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch, capsys):
@@ -529,6 +535,43 @@ def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch, capsys):
     ]
     assert run(argv) == 2
     assert "eps > 2e-06" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_annihilation_checks_run_in_the_sweep_pool(workers, monkeypatch):
+    # Every check is a unit of the sweep's thread pool, also at one worker.
+    real = estimates.verify_pucci_annihilation
+    on_main = []
+
+    def recording(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "verify_pucci_annihilation", recording)
+    argv = [
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "2", "--workers", workers,
+    ]
+    assert run(argv) == 0
+    assert on_main == [False] * 4
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_pool_units_keep_the_overflow_guard(workers, monkeypatch, capsys):
+    # numpy's error state is a context variable that new threads do not
+    # inherit, so a unit must run in the caller's context to raise on overflow.
+    def overflowing(cfg, quad, eps):
+        return [np.exp(np.float64(1000.0))]
+
+    monkeypatch.setattr(estimates, "_sweep_radius", overflowing)
+    argv = [
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "0", "--workers", workers,
+    ]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "too large for a float" in captured.err
+    assert "overall:" not in captured.out
 
 
 ENVELOPE_CASES = [

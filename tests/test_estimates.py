@@ -1,5 +1,6 @@
 """Quadrature, the spliced family, and the verification harnesses."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -33,6 +34,7 @@ from carnotx.calculus import _gauge_field, _radial_eigenvalues
 from carnotx.estimates import (
     _CHUNK,
     _box_chunks,
+    _box_draw,
     _gauge_moment,
     _sweep_radius,
     gauge_box_halfwidths,
@@ -320,6 +322,28 @@ class TestSweep:
         b = dumps(sweep_scaling(CFG, quad, workers=3))
         assert a == b
 
+    def test_annihilation_units_are_the_direct_checks(self, monkeypatch):
+        # The checks run in the sweep's pool, each on its own substream: the
+        # same reports as direct calls, in eps order, at any worker count.
+        import carnotx.estimates as estimates
+
+        quad = QuadratureSpec(n_samples=2000, seed=21)
+        rep = sweep_scaling(CFG, quad, workers=1, annihilation_samples=40)
+        assert dumps(rep) == dumps(sweep_scaling(CFG, quad, workers=3, annihilation_samples=40))
+        direct = [verify_pucci_annihilation(CFG, eps, 40, 21) for eps in CFG.eps_list]
+        assert dumps(rep.annihilation) == dumps(direct)
+        assert rep.passed
+        assert sweep_scaling(CFG, quad).annihilation == []
+
+        real = estimates.verify_pucci_annihilation
+
+        def failing(cfg, eps, *args):
+            return dataclasses.replace(real(cfg, eps, *args), passed=eps != CFG.eps_list[-1])
+
+        monkeypatch.setattr(estimates, "verify_pucci_annihilation", failing)
+        failed = sweep_scaling(CFG, quad, workers=2, annihilation_samples=40)
+        assert all(v["passed"] for v in failed.verdicts) and not failed.passed
+
     def test_verdict_structure(self):
         quad = QuadratureSpec(n_samples=20000, seed=21)
         rep = sweep_scaling(CFG, quad)
@@ -433,14 +457,19 @@ class TestChunkedSampling:
         "count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
     )
     def test_chunks_concatenate_to_one_draw(self, count):
-        want = _whole_box(H2, 0.7, count, substream(3, "box"))
-        starts, parts = [], []
-        for start, pts in _box_chunks(H2, 0.7, count, substream(3, "box")):
-            starts.append(start)
-            parts.append(pts.copy())
-        assert starts == list(range(0, count, _CHUNK))
-        got = np.concatenate(parts)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # The column-wise box fill must give numpy's uniform-times-half-widths
+        # bits on every column count, chunked and in one draw.
+        for group in (H1, H2, heisenberg(3)):
+            want = _whole_box(group, 0.7, count, substream(3, "box"))
+            starts, parts = [], []
+            for start, pts in _box_chunks(group, 0.7, count, substream(3, "box")):
+                starts.append(start)
+                parts.append(pts.copy())
+            assert starts == list(range(0, count, _CHUNK))
+            got = np.concatenate(parts)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            drawn = _box_draw(group, 0.7)(count, substream(3, "box"))
+            assert np.array_equal(drawn.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("group", [H1, H2])
     def test_ball_volume_matches_whole_array(self, group):
