@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .calculus import RadialProfile
 from .catalog import constant_field, convexity_catalog, horizontal_quadratic
-from .convexity import check_semiconvex_eigen, check_semiconvex_lines
+from .convexity import _semiconvex_eigen, _semiconvex_lines
 from .estimates import (
     MAX_PULL,
     CounterexampleConfig,
@@ -129,10 +129,13 @@ def _parse_float_list(spec: str) -> tuple[float, ...]:
 
 
 def _parse_c_list(spec: str) -> tuple[float, ...]:
-    """Semiconvexity constants, each >= 0: the catalog's thresholds classify no c < 0."""
+    """Distinct semiconvexity constants, each >= 0: the catalog's thresholds classify no c < 0."""
     values = _parse_float_list(spec)
     if min(values) < 0.0:
         raise argparse.ArgumentTypeError(f"semiconvexity constants must be >= 0, got {spec!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"semiconvexity constant {value!r} is repeated")
     return values
 
 
@@ -304,14 +307,10 @@ def _cmd_convexity(args: argparse.Namespace) -> int:
     rows = []
     overall = True
     for case in convexity_catalog(group):
-        for c in args.c:
+        every_lines = _semiconvex_lines(group, case.field, args.c, sampler, args.lines, args.seed)
+        every_eigen = _semiconvex_eigen(group, case.field, args.c, sampler, args.points, args.seed)
+        for c, lines, eigen in zip(args.c, every_lines, every_eigen):
             expected = case.threshold <= c + 1e-12
-            lines = check_semiconvex_lines(
-                group, case.field, c, sampler, line_count=args.lines, seed=args.seed
-            )
-            eigen = check_semiconvex_eigen(
-                group, case.field, c, sampler, point_count=args.points, seed=args.seed
-            )
             ok = lines.passed == expected and eigen.passed == expected
             overall = overall and ok
             rows.append(

@@ -104,11 +104,19 @@ def check_semiconvex_lines(
     Lines start at sampled points with uniformly random unit directions;
     each is probed at the half-widths s = 2^-3, ..., 2^-8.  A candidate is
     a start and then a Gaussian direction; one whose direction vanishes or
-    whose start or any endpoint leaves the smooth domain is redrawn.
+    whose start or any endpoint leaves the smooth domain is redrawn.  The
+    lines depend on (sampler, line_count, seed, u.in_domain), never on c.
     """
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError(f"semiconvexity constant must be finite, got {c}")
+    return _semiconvex_lines(group, u, (c,), sampler, line_count, seed)[0]
+
+
+def _semiconvex_lines(
+    group: GroupDescriptor, u: ScalarField, constants, sampler, line_count: int, seed: int
+) -> list[SemiconvexityReport]:
+    """One ``check_semiconvex_lines`` report per constant, all from one draw of lines."""
+    constants = tuple(float(c) for c in constants)
+    if not np.all(np.isfinite(constants)):
+        raise ValueError(f"semiconvexity constants must be finite, got {constants}")
     if line_count < 1:
         raise ValueError(f"the line check needs at least one line, got {line_count}")
     rng = substream(seed, "semiconvex-lines")
@@ -138,17 +146,16 @@ def check_semiconvex_lines(
     dirs, fwd, bwd = (np.concatenate(parts)[:line_count] for parts in zip(*kept))
 
     centers = np.asarray(u.evaluate(starts), dtype=float)
-    slack = 2.0 * centers[:, None] - u.evaluate(fwd) - u.evaluate(bwd) - c * s[None, :] ** 2
-    flat = int(np.argmax(slack))
-    i, j = divmod(flat, s.size)
-    worst = float(slack[i, j])
-    return SemiconvexityReport(
-        constant=c,
-        passed=worst <= _SLACK_TOL,
-        worst_slack=worst,
-        witness={"start": starts[i].copy(), "direction": dirs[i].copy(), "s": float(s[j])},
-        n_checked=line_count * s.size,
-    )
+    base = 2.0 * centers[:, None] - u.evaluate(fwd) - u.evaluate(bwd)
+
+    def score(c: float) -> SemiconvexityReport:
+        slack = base - c * s[None, :] ** 2
+        i, j = divmod(int(np.argmax(slack)), s.size)
+        worst = float(slack[i, j])
+        witness = {"start": starts[i].copy(), "direction": dirs[i].copy(), "s": float(s[j])}
+        return SemiconvexityReport(c, worst <= _SLACK_TOL, worst, witness, line_count * s.size)
+
+    return [score(c) for c in constants]
 
 
 def check_semiconvex_eigen(
@@ -159,23 +166,32 @@ def check_semiconvex_eigen(
     point_count: int,
     seed: int,
 ) -> SemiconvexityReport:
-    """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - 1e-9."""
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError(f"semiconvexity constant must be finite, got {c}")
+    """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - 1e-9.
+
+    The points depend on (sampler, point_count, seed, u.in_domain), never on c.
+    """
+    return _semiconvex_eigen(group, u, (c,), sampler, point_count, seed)[0]
+
+
+def _semiconvex_eigen(
+    group: GroupDescriptor, u: ScalarField, constants, sampler, point_count: int, seed: int
+) -> list[SemiconvexityReport]:
+    """One ``check_semiconvex_eigen`` report per constant, all from one draw of points."""
+    constants = tuple(float(c) for c in constants)
+    if not np.all(np.isfinite(constants)):
+        raise ValueError(f"semiconvexity constants must be finite, got {constants}")
     if point_count < 1:
         raise ValueError(f"the eigenvalue check needs at least one point, got {point_count}")
     rng = substream(seed, "semiconvex-eigen")
     pts = _rejection_sample(sampler, u.in_domain, point_count, rng)
     mats = horizontal_hessian_sym(group, u, pts)
     low = sym_eigenvalues(mats).eigenvalues[:, 0]
-    slack = -c - low  # positive when the bound is violated
-    i = int(np.argmax(slack))
-    worst = float(slack[i])
-    return SemiconvexityReport(
-        constant=c,
-        passed=worst <= _SLACK_TOL,
-        worst_slack=float(worst),
-        witness={"point": pts[i].copy(), "min_eigenvalue": float(low[i])},
-        n_checked=point_count,
-    )
+
+    def score(c: float) -> SemiconvexityReport:
+        slack = -c - low  # positive when the bound is violated
+        i = int(np.argmax(slack))
+        worst = float(slack[i])
+        witness = {"point": pts[i].copy(), "min_eigenvalue": float(low[i])}
+        return SemiconvexityReport(c, worst <= _SLACK_TOL, worst, witness, point_count)
+
+    return [score(c) for c in constants]

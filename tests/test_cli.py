@@ -306,6 +306,19 @@ class TestOtherCommands:
             assert set(row["eigen"]["witness"]) == {"point", "min_eigenvalue"}
             assert row["lines"]["worst_slack"] is not None
 
+    def test_convexity_draws_once_per_field(self, monkeypatch):
+        # Neither checker's draw depends on the constant, so each of the 6
+        # catalog fields opens one substream per checker for all 4 constants.
+        import carnotx.convexity as convexity
+
+        paths = []
+        real = convexity.substream
+        monkeypatch.setattr(
+            convexity, "substream", lambda seed, *path: paths.append(path) or real(seed, *path)
+        )
+        assert run(["convexity"]) == 0
+        assert sorted(paths) == [("semiconvex-eigen",)] * 6 + [("semiconvex-lines",)] * 6
+
     def test_pointwise_bound(self, tmp_path):
         out = tmp_path / "bound.json"
         assert run(["pointwise-bound", "--count", "16", "--out", str(out)]) == 0
@@ -433,6 +446,8 @@ class TestOtherCommands:
         (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
         # no fitted slope is within a negative distance of its prediction
         (["counterexample", "--slope-tol", "-1"], "non-negative number"),
+        # a repeated constant would only print its rows twice
+        (["convexity", "--c", "1,0.5,1"], "semiconvexity constant 1.0 is repeated"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

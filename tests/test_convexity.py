@@ -26,7 +26,7 @@ from carnotx import (
 import carnotx.calculus as calculus
 import carnotx.estimates as estimates
 from carnotx.calculus import ScalarField
-from carnotx.convexity import _STEP_SIZES
+from carnotx.convexity import _STEP_SIZES, _semiconvex_eigen, _semiconvex_lines
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -250,3 +250,42 @@ def test_non_finite_constant_is_rejected(c):
     for check in (check_semiconvex_lines, check_semiconvex_eigen):
         with pytest.raises(ValueError, match="finite"):
             check(H1, horizontal_quadratic(H1), c, box_sampler(H1), 8, seed=1)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("group", [H1, H2], ids=["H1", "H2"])
+def test_batched_cores_match_single_constant_calls(group):
+    # One draw scored against every constant gives, for each constant, the
+    # report of its own call; -0.9 is the uniform-convexity case.
+    constants = (0.0, 0.5, 1.0, 2.0, -0.9)
+    sampler = box_sampler(group)
+    cores = (
+        (_semiconvex_lines, check_semiconvex_lines),
+        (_semiconvex_eigen, check_semiconvex_eigen),
+    )
+    for case in convexity_catalog(group):
+        for core, single in cores:
+            batch = core(group, case.field, constants, sampler, 24, 3)
+            assert len(batch) == len(constants)
+            for c, got in zip(constants, batch):
+                want = single(group, case.field, c, sampler, 24, seed=3)
+                assert (got.constant, got.passed, got.n_checked) == (
+                    want.constant, want.passed, want.n_checked
+                ), (case.field.name, c)
+                assert bits(got.worst_slack) == bits(want.worst_slack)
+                assert got.witness.keys() == want.witness.keys()
+                for key, value in want.witness.items():
+                    assert np.array_equal(bits(got.witness[key]), bits(value)), (key, c)
+
+
+@pytest.mark.parametrize("core", [_semiconvex_lines, _semiconvex_eigen])
+def test_non_finite_constant_anywhere_raises_before_drawing(core):
+    def sampler(count, rng):
+        raise AssertionError("drew before checking the constants")
+
+    for constants in ((math.nan, 0.0), (0.0, 1.0, math.inf), (0.5, -math.inf, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            core(H1, horizontal_quadratic(H1), constants, sampler, 8, 1)
