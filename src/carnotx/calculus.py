@@ -11,6 +11,7 @@ A single point is the one-element case of a stack of points (..., n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,14 +54,16 @@ _FD_STEP = 1e-3
 class ScalarField:
     """A scalar function with an optional analytic Hessian callback.
 
-    ``evaluate`` must accept stacked points of shape (..., n) and return
-    shape (...).  A Hessian callback, when present, is trusted in place of
-    finite differences of ``evaluate``.  ``smooth_domain`` is a vectorized
-    predicate for where derivative queries are legitimate (None means
-    everywhere).  A field that is a function of the gauge on H^d carries
-    ``of_gauge(rho, h2, g)``, mapping the stacks of ``group._gauge_parts``
-    to values; its ``evaluate`` is then ``of_gauge`` of those parts
-    (``_gauge_field``), so a caller holding the gauge need not recompute it.
+    ``evaluate`` must accept stacked points (..., n) in any memory layout,
+    column-major views included, and return shape (...); it must not keep
+    them, as the stencil reuses its buffer.  A Hessian callback, when
+    present, is trusted in place of finite differences of ``evaluate``.
+    ``smooth_domain`` is a vectorized predicate for where derivative
+    queries are legitimate (None means everywhere).  A field that is a
+    function of the gauge on H^d carries ``of_gauge(rho, h2, g)``, mapping
+    the stacks of ``group._gauge_parts`` to values; its ``evaluate`` is then
+    ``of_gauge`` of those parts (``_gauge_field``), so a caller holding the
+    gauge need not recompute it.
     """
 
     name: str
@@ -114,14 +117,15 @@ def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
 _FD_CHUNK = 16
 
 
-def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessians at points (..., n).
+@functools.cache
+def _fd_stencil(n: int) -> tuple[np.ndarray, ...]:
+    """The stencil for points of length n: (offsets (n, K), c2, c_mix, rows, cols).
 
-    Axis rows at the second-derivative offsets, then rows at products of
-    first-derivative offsets for each pair k < l.  Each point's values are
-    combined by BLAS dots of its own, so its bits do not depend on the stack.
+    Columns of ``offsets`` are the K stencil rows: axis rows at the
+    second-derivative offsets, then rows at products of first-derivative
+    offsets for each pair (rows[p], cols[p]), rows[p] < cols[p].  The arrays
+    are shared between calls, so they are read-only.
     """
-    n = x.shape[-1]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     eye = np.eye(n)
     table = np.array(
@@ -131,17 +135,39 @@ def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
     c2 = np.array([c for _, c in _D2])
     c_mix = np.array([ca * cb for _, ca in _D1 for _, cb in _D1])
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    parts = (np.ascontiguousarray(table.T), c2, c_mix, rows, cols)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
+
+def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessians at points (..., n).
+
+    The stencil points of a chunk are laid out coordinate by coordinate in
+    one buffer reused across chunks, each entry x_j + h * offset as in
+    ``x + h * table``, and ``u.evaluate`` gets the buffer's (points, n)
+    transpose.  Each point's values are combined by BLAS dots of its own,
+    so its bits do not depend on the stack or the chunking.
+    """
+    n = x.shape[-1]
+    offsets, c2, c_mix, rows, cols = _fd_stencil(n)
     flat = x.reshape(-1, n)
     hess = np.empty(flat.shape + (n,))
+    buf = np.empty((n, _FD_CHUNK, 2, offsets.shape[1]))
     for lo in range(0, len(flat), _FD_CHUNK):
         xc = flat[lo : lo + _FD_CHUNK]
         h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
         h = np.concatenate([h, h / 2.0], axis=1)
-        vals = u.evaluate((xc[:, None, None, :] + h[..., None, None] * table).reshape(-1, n))
-        vals = np.asarray(vals, dtype=float).reshape(h.shape + (len(table),))
+        pts = buf[:, : len(xc)]
+        for j, row in enumerate(pts):
+            np.multiply(h[..., None], offsets[j], out=row)
+            row += xc[:, None, None, j]
+        # Contiguous values: a strided operand changes how _dot sums.
+        vals = np.ascontiguousarray(u.evaluate(pts.reshape(n, -1).T), dtype=float)
+        vals = vals.reshape(h.shape + (-1,))
         axis = vals[..., : n * len(_D2)].reshape(h.shape + (n, len(_D2)))
-        mix = vals[..., n * len(_D2) :].reshape(h.shape + (len(pairs), len(c_mix)))
+        mix = vals[..., n * len(_D2) :].reshape(h.shape + (len(rows), len(c_mix)))
         h2 = np.float_power(h, 2)[..., None]  # the C library's pow, as a scalar h**2
         H = np.empty(h.shape + (n, n))
         H[..., range(n), range(n)] = _dot(axis, c2) / h2
@@ -160,9 +186,13 @@ def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray
     Takes points (..., n) and returns shape (..., m, m), the symmetric part
     of sigma^T D^2u sigma.  The first-order part of X_i X_j u is 2 u_t in
     the (i+d, i) slot and -2 u_t in (i, i+d): antisymmetric, so the
-    symmetrization removes it exactly.
+    symmetrization removes it exactly.  ValueError names the first point
+    with a non-finite coordinate.
     """
     x = _points(group, x)
+    bad = ~np.isfinite(x).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"point {x[bad][0]!r} is not finite")
     _require_in_domain(u, x)
     if u.euclid_hessian is None:
         hess = _fd_hessian(u, x)

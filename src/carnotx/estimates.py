@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -767,12 +768,13 @@ def sweep_scaling(
 
     Each radius is one work unit, a box pass for all exponents; with
     `annihilation_samples` > 0 each radius's `verify_pucci_annihilation`
-    at seed quad.seed is one more unit of the same pool, submitted after
+    at seed quad.seed is one more unit of the same pool, submitted before
     the longer box passes.  Every unit draws from its own substream and
     results are collected in eps order, so the report is bit-identical for
     any worker count.  Units run in a copy of the caller's context, which
-    holds numpy's error state.  The CLI applies the check's radius rules
-    (`_annihilation_reach`) before the sweep, so they fail before any box pass.
+    holds numpy's error state.  A unit that starts after another raised is
+    skipped, so at one worker a failing check runs no box pass.  The CLI
+    applies the check's radius rules (`_annihilation_reach`) first.
 
     Noncritical exponents get a log-log slope fit of the source mass
     against the predicted (alpha-2) q + Q; the critical exponent instead
@@ -787,18 +789,29 @@ def sweep_scaling(
     if hi / lo < 4.0:
         raise ValueError("splice radii must span at least two dyadic decades")
 
-    units = [functools.partial(_sweep_radius, cfg, quad, eps) for eps in cfg.eps_list]
-    if annihilation_samples > 0:
-        units += [
-            functools.partial(verify_pucci_annihilation, cfg, eps, annihilation_samples, quad.seed)
-            for eps in cfg.eps_list
-        ]
+    units = [
+        functools.partial(verify_pucci_annihilation, cfg, eps, annihilation_samples, quad.seed)
+        for eps in cfg.eps_list
+        if annihilation_samples > 0
+    ]
+    n_checks = len(units)
+    units += [functools.partial(_sweep_radius, cfg, quad, eps) for eps in cfg.eps_list]
+    failed = threading.Event()
+
+    def guarded(context: contextvars.Context, unit: Callable) -> object:
+        if failed.is_set():
+            return None
+        try:
+            return context.run(unit)
+        except BaseException:
+            failed.set()
+            raise
+
     contexts = [contextvars.copy_context() for _ in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(contextvars.Context.run, contexts, units))
-    n_radii = len(cfg.eps_list)
-    rows = [row for radius_rows in results[:n_radii] for row in radius_rows]
-    annihilation = results[n_radii:]
+        results = list(pool.map(guarded, contexts, units))
+    annihilation = results[:n_checks]
+    rows = [row for radius_rows in results[n_checks:] for row in radius_rows]
 
     fits: list[dict] = []
     verdicts: list[dict] = []

@@ -29,7 +29,8 @@ HERE = Path(__file__).resolve().parent
 
 # Each case is one ``carnotx`` call; ``files`` maps an output option to the
 # file it writes.  The six subcommands at their defaults come first, then
-# every call of the benchmark's workloads at the default seed.
+# every call of the benchmark's workloads at the default seed, then cases
+# that pin a path the others miss.
 CASES = {
     "counterexample": (
         ["counterexample"],
@@ -55,6 +56,11 @@ CASES = {
     "bench-pucci-dim6": (
         ["pucci", "--dim", "6", "--count", "64", "--samples", "1024"],
         {"--out": "bench-pucci-dim6.json"},
+    ),
+    # The stencil on H^3 (n = 7); the cases above reach only n = 3 and n = 5.
+    "verify-radial-h3": (
+        ["verify-radial", "--group", "h:3", "--points", "50"],
+        {"--out": "verify-radial-h3.json"},
     ),
 }
 

@@ -6,6 +6,7 @@ in exact arithmetic) and are frozen here as literals.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from carnotx import (
     radial_hessian,
     sublaplacian,
 )
+from carnotx import calculus
 from carnotx.calculus import _fd_hessian, _radial_eigenvalues
 from carnotx.group import _frame, _gauge_parts
 
@@ -334,3 +336,82 @@ def test_hessian_sym_equals_carnot_frame_formula(group):
     for u in fields:
         got = horizontal_hessian_sym(group, u, pts)
         assert np.array_equal(got, carnot_frame_hessian_sym(group, u, pts)), u.name
+
+
+@pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
+@pytest.mark.parametrize("branch", ["callback", "stencil"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_points_raise(group, branch, bad):
+    u = gauge_quartic(group)
+    if branch == "stencil":
+        u = evaluation_only(u)
+    pts = np.full((3, group.n), 0.25)
+    pts[1, 0] = pts[2, -1] = bad
+    with pytest.raises(ValueError, match=r"point array\(\[ *-?(nan|inf), 0\.25") as info:
+        horizontal_hessian_sym(group, u, pts)
+    assert "not finite" in str(info.value)
+    with pytest.raises(ValueError, match="not finite"):
+        horizontal_hessian_sym(group, u, pts[2])
+
+
+def legacy_stencil_points(x: np.ndarray) -> np.ndarray:
+    """Every chunk's stencil points as ``xc + h * table``, one (K, n) table per call."""
+    n = x.shape[-1]
+    d1 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
+    d2 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
+    eye = np.eye(n)
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    table = np.array(
+        [off * eye[k] for k in range(n) for off, _ in d2]
+        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in d1 for ob, _ in d1]
+    )
+    flat = x.reshape(-1, n)
+    out = []
+    for lo in range(0, len(flat), calculus._FD_CHUNK):
+        xc = flat[lo : lo + calculus._FD_CHUNK]
+        h = calculus._FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
+        h = np.concatenate([h, h / 2.0], axis=1)
+        out.append((xc[:, None, None, :] + h[..., None, None] * table).reshape(-1, n))
+    return np.concatenate(out)
+
+
+def recording(u: ScalarField, calls: list, contiguous: bool) -> ScalarField:
+    """u without callbacks, recording a copy of each stack ``evaluate`` receives."""
+
+    def evaluate(pts):
+        calls.append(np.array(pts))
+        return u.evaluate(np.ascontiguousarray(pts) if contiguous else pts)
+
+    return ScalarField(name=u.name, evaluate=evaluate)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1,), (15,), (16,), (17,), (200,), (2, 3)])
+def test_stencil_points_and_hessians_keep_their_bits(d, shape):
+    group = heisenberg(d)
+    sampler = gauge_ball_sampler(group, rho_max=0.95, rho_min=0.05, min_horizontal=0.01)
+    x = sampler(int(np.prod(shape)), np.random.default_rng(7)).reshape(shape + (group.n,))
+    fields = [gauge_quartic(group), field_from_profile(group, power_profile(0.5))]
+    fields += [case.field for case in convexity_catalog(group)]
+    want = legacy_stencil_points(x).view(np.uint64)
+    for u in fields:
+        seen, copied = [], []
+        got = _fd_hessian(recording(u, seen, contiguous=False), x)
+        ref = _fd_hessian(recording(u, copied, contiguous=True), x)
+        assert got.shape == x.shape + (group.n,)
+        assert np.array_equal(np.concatenate(seen).view(np.uint64), want), u.name
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), u.name
+
+
+@pytest.mark.parametrize("count", [64, 4096])
+def test_stencil_memory_stays_at_one_chunk(count):
+    u = evaluation_only(gauge_quartic(H2))
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, (count, H2.n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _fd_hessian(u, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 1 << 20
