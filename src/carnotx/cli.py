@@ -8,7 +8,7 @@ check passes, 1 when a check is falsified (the report is still written),
 and 2 on usage or I/O errors, on a result too large for a float, and when
 the engine gives up (a RuntimeError, such as an exhausted rejection loop).
 
-All randomness flows through counter-based substreams keyed by the seed
+All randomness flows through substreams keyed by the seed
 and the work-unit identity, so reports are byte-identical for a given
 seed no matter how many workers run the sweep.
 """

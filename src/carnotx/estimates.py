@@ -1,7 +1,7 @@
 """Quadrature and verification harnesses on gauge balls of H^d.
 
 Monte-Carlo integration samples the bounding box of a gauge ball with
-counter-based substreams, so every estimate is a pure function of
+keyed substreams, so every estimate is a pure function of
 (seed, work-unit identity) and reports are bit-identical across worker
 counts.  What is known exactly is not sampled: radially separable
 integrands reduce in polar coordinates to the exact moment of |D rho|^(2q)
@@ -138,17 +138,18 @@ _CHUNK = 2**15
 def _sample_box(hw: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill `out` (k, n) in place with uniform points of the box with half-widths `hw`.
 
-    Same bits as ``rng.uniform(-1, 1, out.shape) * hw``: numpy computes that
-    uniform as ``-1 + 2 u``.  Each column is scaled by its own scalar, the
-    same products as ``out *= hw``, whose broadcast over a few columns runs
-    numpy's inner loop n elements at a time and takes about three times as
-    long on H^1.
+    Same bits as ``rng.uniform(-1, 1, out.shape) * hw``, in two passes over
+    the draw ``u``: ``u - 0.5``, then each column times ``2 h``.  Both are
+    exact in floating point, so the one rounding of the product is that of
+    ``(2 u - 1) h``, and numpy computes the uniform as ``-1 + 2 u``.  Each
+    column is scaled by its own scalar, the same products as ``out *= 2 hw``,
+    whose broadcast over a few columns runs numpy's inner loop n elements at
+    a time and takes about three times as long on H^1.
     """
     rng.random(out=out)
-    out *= 2.0
-    out -= 1.0
+    out -= 0.5
     for j, h in enumerate(hw):
-        out[:, j] *= h
+        out[:, j] *= 2.0 * h
     return out
 
 
@@ -681,8 +682,6 @@ class SweepRow:
     f_norm_stderr: float
     hess_mass_inner: float
     hess_mass_outer: float
-    hess_norm_ball: float
-    hess_norm_outer: float
     u_sup: float
 
 
@@ -740,8 +739,6 @@ def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -
         f_norm_stderr=f.norm_stderr,
         hess_mass_inner=hess_inner,
         hess_mass_outer=hess_outer,
-        hess_norm_ball=(hess_inner + hess_outer) ** (1.0 / q),
-        hess_norm_outer=hess_outer ** (1.0 / q),
         # The profile decreases in rho, so its sup is psi(0).
         u_sup=1.0 - (1.0 - cfg.inner_coefficient) * eps**alpha,
     )
