@@ -208,11 +208,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         for eps in cfg.eps_list:
             _annihilation_reach(cfg, eps, args.annihilation_samples)
     report = sweep_scaling(
-        cfg,
-        quad,
-        workers=args.workers,
-        slope_tol=args.slope_tol,
-        annihilation_samples=args.annihilation_samples,
+        cfg, quad, workers=args.workers, annihilation_samples=args.annihilation_samples
     )
     if args.csv:
         write_rows_csv(report.rows, args.csv)
@@ -431,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="thread count for sweep radii and annihilation checks",
     )
     p.add_argument("--glue", choices=("paper-literal", "c1-variant"), default="paper-literal")
-    p.add_argument("--slope-tol", type=_nonnegative_float, default=0.05, dest="slope_tol")
     p.add_argument(
         "--annihilation-samples",
         type=_nonnegative_int,

@@ -744,21 +744,21 @@ def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -
     )
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept, and R^2."""
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+def _linear_fit(x: np.ndarray, y: np.ndarray, sd: np.ndarray) -> tuple[float, float, float, float]:
+    """Least squares weighted by 1/sd^2: slope, its standard error, intercept and R^2."""
+    w = 1.0 / np.square(sd)
+    xm, ym = np.average(x, weights=w), np.average(y, weights=w)
+    sxx = float(np.sum(w * (x - xm) ** 2))
+    slope = float(np.sum(w * (x - xm) * (y - ym))) / sxx
+    intercept = float(ym - slope * xm)
+    r2 = 1.0 - float(np.sum(w * (y - slope * x - intercept) ** 2) / np.sum(w * (y - ym) ** 2))
+    return slope, 1.0 / math.sqrt(sxx), intercept, r2
 
 
 def sweep_scaling(
     cfg: CounterexampleConfig,
     quad: QuadratureSpec,
     workers: int = 1,
-    slope_tol: float = 0.05,
     annihilation_samples: int = 0,
 ) -> SweepReport:
     """Measure the (eps, q) grid, fit the scaling laws, and check annihilation.
@@ -773,12 +773,12 @@ def sweep_scaling(
     skipped, so at one worker a failing check runs no box pass.  The CLI
     applies the check's radius rules (`_annihilation_reach`) first.
 
-    Noncritical exponents get a log-log slope fit of the source mass
-    against the predicted (alpha-2) q + Q; the critical exponent instead
-    checks that the source norm stays level while the outer Hessian mass
-    grows affinely in log(1/eps).  Either verdict also
-    fails when a measured source mass is more than MAX_PULL standard
-    errors from its exact value.
+    Noncritical exponents fit log(source mass) against log(eps), weighted
+    by the masses' relative standard errors, and pass when the slope is
+    within MAX_PULL of its standard errors of the predicted (alpha-2) q + Q.
+    The critical exponent checks that the source norm stays level while the
+    outer Hessian mass grows affinely in log(1/eps).  Either verdict also
+    fails when a source mass is more than MAX_PULL standard errors from exact.
     """
     if len(cfg.eps_list) < 4:
         raise ValueError("scaling fits need at least four splice radii")
@@ -819,9 +819,8 @@ def sweep_scaling(
         if _is_critical(beta):
             norms = np.array([row.f_norm for row in sub])
             ratio = float(np.max(norms) / np.min(norms))
-            slope, intercept, r2 = _linear_fit(
-                np.log(1.0 / eps_arr), np.array([row.hess_mass_outer for row in sub])
-            )
+            outer = np.array([row.hess_mass_outer for row in sub])
+            slope, _, intercept, r2 = _linear_fit(np.log(1 / eps_arr), outer, np.ones_like(outer))
             passed = ratio <= NORM_RATIO_MAX and r2 >= R2_MIN
             fit = {
                 "q": q,
@@ -836,21 +835,25 @@ def sweep_scaling(
                 f" outer Hessian mass affine in log(1/eps) with R^2={r2:.6g}"
             )
         else:
-            slope, intercept, r2 = _linear_fit(
-                np.log(eps_arr), np.log(np.array([row.f_mass for row in sub]))
+            mass = np.array([row.f_mass for row in sub])
+            slope, slope_se, intercept, r2 = _linear_fit(
+                np.log(eps_arr), np.log(mass), np.array([row.f_mass_stderr for row in sub]) / mass
             )
-            passed = abs(slope - beta) <= slope_tol
+            slope_pull = _pull(slope, slope_se, beta)
+            passed = abs(slope_pull) <= MAX_PULL
             fit = {
                 "q": q,
                 "kind": "power",
                 "fitted_slope": slope,
+                "slope_stderr": slope_se,
+                "slope_pull": slope_pull,
                 "predicted_slope": beta,
                 "intercept": intercept,
                 "r2": r2,
             }
             detail = (
-                f"fitted log-log slope {slope:.6g} vs predicted {beta:.6g}"
-                f" (tolerance {slope_tol})"
+                f"fitted log-log slope {slope:.6g} vs predicted {beta:.6g},"
+                f" slope pull {slope_pull:.3g} (limit {MAX_PULL:g})"
             )
         worst_pull = max((row.f_pull for row in sub), key=abs)
         fits.append(fit)

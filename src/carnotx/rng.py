@@ -32,18 +32,20 @@ def _fold(part: int | str) -> int:
         for b in part.encode("utf-8"):
             h = ((h ^ b) * 0x100000001B3) & _MASK64
         return h
-    return part & _MASK64
+    if not 0 <= operator.index(part) <= _MASK64:
+        raise ValueError(f"integer path parts must lie in [0, 2^64), got {part}")
+    return part
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Independent generator identified by (seed, *path).
 
     The same (seed, path) always yields the same stream; distinct paths give
-    statistically independent streams.  The seed must lie in [0, 2^64), the
-    key's range, so that no two seeds share a stream.  The generator is
-    SFC64 seeded by ``SeedSequence((seed, h))``, ``h`` a hash of the path:
-    it fills doubles over twice as fast as Philox, and numpy guarantees that
-    distinct seeds do not run into each other for at least 2^64 draws.
+    statistically independent streams.  The seed and each integer path part
+    must lie in [0, 2^64), the key's range, so no two keys share a stream.
+    The generator is SFC64 seeded by ``SeedSequence((seed, h))``, ``h`` a
+    hash of the path: it fills doubles over twice as fast as Philox, and
+    numpy guarantees that distinct seeds do not overlap within 2^64 draws.
     """
     if not 0 <= operator.index(seed) <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")

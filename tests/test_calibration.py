@@ -1,10 +1,11 @@
 """Pulls over many seeds are standard normal: the standard errors are calibrated.
 
 A pull gate (``|pull| <= MAX_PULL``) is only as sound as the standard error
-it divides by.  Over 400 pinned seeds, the sweep's source-mass pulls and
-``ball-volume``'s pulls must have mean near 0, standard deviation near 1 and
-a Kolmogorov-Smirnov p-value against N(0, 1) that is not tiny.  scipy is the
-oracle for the KS test only.  A standard error halved on purpose must fail.
+it divides by.  Over 400 pinned seeds, the sweep's source-mass pulls, its
+weighted-slope pull and ``ball-volume``'s pulls must have mean near 0,
+standard deviation near 1 and a Kolmogorov-Smirnov p-value against N(0, 1)
+that is not tiny.  scipy is the oracle for the KS test only.  A standard
+error halved on purpose must fail.
 """
 
 import numpy as np
@@ -18,20 +19,28 @@ from carnotx import (
     ball_volume,
     estimates,
     heisenberg,
+    sweep_scaling,
 )
-from carnotx.estimates import _exact_ball_volume, _pull, _sweep_radius
+from carnotx.estimates import _exact_ball_volume, _pull
 
 SEEDS = range(400)
-EPS = 1.0 / 8.0
 # On H^1 (Q = 4) with alpha = 1/2, q = 8/3 is the critical exponent.
-CFG = CounterexampleConfig(d=1, alpha=0.5, eps_list=(EPS,), q_list=(2.0, 8.0 / 3.0))
+CFG = CounterexampleConfig(
+    d=1, alpha=0.5, eps_list=(2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6), q_list=(2.0, 8.0 / 3.0)
+)
 
 
 def source_pulls() -> np.ndarray:
-    """`f_pull` at 1,000 samples: one row per seed, one column per exponent."""
-    return np.array(
-        [[row.f_pull for row in _sweep_radius(CFG, QuadratureSpec(1000, s), EPS)] for s in SEEDS]
-    )
+    """Sweeps at 1,000 samples, one row per seed.
+
+    The columns are `f_pull` at eps = 1/8 for each exponent, then the slope
+    pull of the q = 2 power fit.
+    """
+    out = []
+    for s in SEEDS:
+        report = sweep_scaling(CFG, QuadratureSpec(1000, s))
+        out.append([row.f_pull for row in report.rows[:2]] + [report.fits[0]["slope_pull"]])
+    return np.array(out)
 
 
 def volume_pulls(d: int) -> np.ndarray:
@@ -57,6 +66,11 @@ def sweep_pulls():
 @pytest.mark.parametrize("j", [0, 1], ids=["q=2", "q=8/3"])
 def test_source_mass_pulls_are_standard_normal(sweep_pulls, j):
     ok, summary = calibrated(sweep_pulls[:, j])
+    assert ok, summary
+
+
+def test_weighted_slope_pulls_are_standard_normal(sweep_pulls):
+    ok, summary = calibrated(sweep_pulls[:, 2])
     assert ok, summary
 
 

@@ -68,8 +68,8 @@ class TestCounterexampleCommand:
         assert payload["passed"] is True
         config, results = payload["config"], payload["results"]
         assert set(config) >= {"group", "alpha", "eps", "q", "seed"}
-        # Both options decide the verdict, so both are recorded.
-        assert config["slope_tol"] == 0.05 and config["annihilation_samples"] == 1200
+        # The option decides the verdict, so it is recorded.
+        assert config["annihilation_samples"] == 1200
         assert not {"workers", "out", "csv"} & set(config)
         assert set(results) >= {"lam", "Lam", "critical_q", "fits", "verdicts"}
         assert len(results["rows"]) == 8
@@ -101,23 +101,41 @@ class TestCounterexampleCommand:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_falsified_run_still_writes_report(self, tmp_path):
+    def test_falsified_run_still_writes_report(self, monkeypatch, tmp_path):
+        # A negative control: every row predicts an exponent 0.01 too large.
+        # At the default samples and radii that is about 11 standard errors of
+        # the weighted slope, so the power verdict fails.  A fixed window of
+        # 0.05 around the slope passed this run.
+        real = estimates._sweep_row
+
+        def shifted(*args):
+            row = real(*args)
+            return dataclasses.replace(row, predicted_exponent=row.predicted_exponent + 0.01)
+
+        monkeypatch.setattr(estimates, "_sweep_row", shifted)
         out = tmp_path / "failing.json"
-        code = run(
-            [
-                "counterexample",
-                "--eps", "2^-3..2^-6",
-                "--q", "2",
-                "--samples", "2000",
-                "--annihilation-samples", "0",
-                "--slope-tol", "1e-9",
-                "--out", str(out),
-            ]
-        )
-        assert code == 1
+        argv = ["counterexample", "--q", "2", "--annihilation-samples", "0", "--out", str(out)]
+        assert run(argv) == 1
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
         assert payload["results"]["annihilation"] == []
+        (fit,) = payload["results"]["fits"]
+        assert fit["slope_pull"] < -estimates.MAX_PULL
+        assert abs(fit["fitted_slope"] - fit["predicted_slope"]) <= 0.05
+        assert all(abs(row["f_pull"]) <= estimates.MAX_PULL for row in payload["results"]["rows"])
+
+    def test_a_slope_within_its_error_bars_passes_at_few_samples(self, capsys):
+        # The slope is 2.47 of its standard errors from 1 but 0.056 away, so
+        # the fixed window of 0.05 around the slope failed this run.
+        argv = [
+            "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
+            "--annihilation-samples", "0", "--seed", "23",
+        ]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        slope = float(re.search(r"fitted log-log slope (\S+)", out).group(1))
+        pull = float(re.search(r"slope pull (\S+)", out).group(1))
+        assert abs(slope - 1.0) > 0.05 and abs(pull) <= estimates.MAX_PULL
 
     def test_source_mass_far_from_exact_fails(self, monkeypatch, capsys):
         import carnotx.estimates as estimates
@@ -140,10 +158,10 @@ class TestCounterexampleCommand:
         ]
         assert run(argv) == 1
         out = capsys.readouterr().out
-        # The slope still passes; the pull alone fails the verdict.
-        slope = float(re.search(r"fitted log-log slope (\S+)", out).group(1))
+        # The slope still passes; the source-mass pull alone fails the verdict.
+        slope_pull = float(re.search(r"slope pull (\S+)", out).group(1))
         pull = float(re.search(r"worst source-mass pull (\S+)", out).group(1))
-        assert abs(slope - 1.0) <= 0.05 and pull > 5.0
+        assert abs(slope_pull) <= estimates.MAX_PULL and pull > 5.0
         assert out.splitlines()[-1] == "overall: FAIL"
 
     def test_bad_alpha_is_usage_error(self):
@@ -444,8 +462,6 @@ class TestOtherCommands:
         (["pucci", "--tol", "-1", "--count", "4", "--samples", "64"], "non-negative number"),
         # a seed outside the 64-bit key would alias one inside it
         (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
-        # no fitted slope is within a negative distance of its prediction
-        (["counterexample", "--slope-tol", "-1"], "non-negative number"),
         # a repeated constant would only print its rows twice
         (["convexity", "--c", "1,0.5,1"], "semiconvexity constant 1.0 is repeated"),
     ],

@@ -32,10 +32,12 @@ from carnotx import (
 )
 from carnotx.calculus import _gauge_field, _radial_eigenvalues
 from carnotx.estimates import (
+    MAX_PULL,
     _CHUNK,
     _box_chunks,
     _box_draw,
     _gauge_moment,
+    _linear_fit,
     _sweep_radius,
     gauge_box_halfwidths,
 )
@@ -354,6 +356,30 @@ class TestSweep:
         for row in rep.rows:
             assert row.u_sup <= 1.0
             assert row.f_mass > 0
+
+    def test_one_weighted_fit_serves_both_verdicts(self):
+        # numpy's polyfit, weighted by 1/sd with the unscaled covariance, is the oracle.
+        x, y = np.log([0.5, 0.25, 0.125, 0.0625]), np.array([0.3, 0.9, 1.2, 2.1])
+        sd = np.array([0.1, 0.2, 0.05, 0.4])
+        slope, se, intercept, _ = _linear_fit(x, y, sd)
+        want, cov = np.polyfit(x, y, 1, w=1.0 / sd, cov="unscaled")
+        assert (slope, intercept) == pytest.approx(tuple(want), rel=1e-12)
+        assert se == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+
+        rep = sweep_scaling(CFG, QuadratureSpec(n_samples=2000, seed=21))
+        power, critical = rep.fits
+        eps = np.array(CFG.eps_list)
+        mass = np.array([row.f_mass for row in rep.rows[0::2]])
+        stderr = np.array([row.f_mass_stderr for row in rep.rows[0::2]])
+        slope, se, intercept, r2 = _linear_fit(np.log(eps), np.log(mass), stderr / mass)
+        assert (power["fitted_slope"], power["slope_stderr"]) == (slope, se)
+        assert (power["intercept"], power["r2"]) == (intercept, r2)
+        assert power["slope_pull"] == (slope - power["predicted_slope"]) / se
+        assert rep.verdicts[0]["passed"] == (abs(power["slope_pull"]) <= MAX_PULL)
+        # Unit weights give the critical fit the ordinary R^2.
+        outer = [row.hess_mass_outer for row in rep.rows[1::2]]
+        want_r2 = np.corrcoef(np.log(1.0 / eps), outer)[0, 1] ** 2
+        assert critical["r2"] == pytest.approx(want_r2, abs=1e-12)
 
     def test_requires_enough_radii(self):
         quad = QuadratureSpec(n_samples=2000, seed=1)

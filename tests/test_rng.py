@@ -40,3 +40,11 @@ def test_a_key_always_gives_the_same_stream():
 )
 def test_changing_one_part_of_the_key_changes_the_first_draw(other):
     assert substream(*other).random() != substream(7, "box", "rhs", 3).random()
+
+
+@pytest.mark.parametrize("part", [-1, 2**64, 3 + 2**64])
+def test_an_integer_part_outside_the_key_range_is_rejected(part):
+    # Reduced mod 2^64, -1 would draw the stream of 2^64 - 1, and 3 + 2^64 that of 3.
+    with pytest.raises(ValueError, match=r"integer path parts must lie in \[0, 2\^64\)"):
+        substream(0, "a", part)
+    substream(0, "a", 2**64 - 1)  # the top of the range stays a valid part
