@@ -62,6 +62,11 @@ CASES = {
         ["verify-radial", "--group", "h:3", "--points", "50"],
         {"--out": "verify-radial-h3.json"},
     ),
+    # The sweep on H^2 (d = 2, critical q* = 4), where a fifth of the box is inside.
+    "counterexample-h2": (
+        ["counterexample", "--group", "h:2", "--q", "2,4"],
+        {"--out": "counterexample-h2.json"},
+    ),
 }
 
 
