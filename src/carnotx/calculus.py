@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import GroupDescriptor, _dot, _frame, _gauge_parts, _points
+from .group import GroupDescriptor, _dot, _frame, _gauge, _gauge_parts, _points
 
 __all__ = [
     "DomainError",
@@ -61,9 +61,9 @@ class ScalarField:
     ``smooth_domain`` is a vectorized predicate for where derivative
     queries are legitimate (None means everywhere).  A field that is a
     function of the gauge on H^d carries ``of_gauge(rho, h2, g)``, mapping
-    the stacks of ``group._gauge_parts`` to values; its ``evaluate`` is then
-    ``of_gauge`` of those parts (``_gauge_field``), so a caller holding the
-    gauge need not recompute it.
+    the stacks of ``group._gauge_parts`` to values and keeping none of them;
+    its ``evaluate`` then gives the values of ``of_gauge`` on the gauge of
+    its points, so a caller holding the gauge need not recompute it.
     """
 
     name: str
@@ -334,16 +334,21 @@ def field_from_profile(group: GroupDescriptor, profile: RadialProfile) -> Scalar
     """The gauge-radial field psi(rho(x)) without analytic callbacks.
 
     Deliberately evaluation-only so finite differences of the field remain
-    an independent check of the closed-form radial Hessian.
+    an independent check of the closed-form radial Hessian.  It reads rho
+    alone, so neither ``evaluate``, which is every stencil evaluation, nor
+    the smooth domain computes |D rho|^2.
     """
 
+    def psi(rho: np.ndarray, *_: np.ndarray) -> np.ndarray:
+        return np.asarray(profile.psi(rho), dtype=float)
+
     def domain(x: np.ndarray) -> np.ndarray:
-        rho, h2, _ = _gauge_parts(group, x)
+        rho, h2 = _gauge(group, x)
         return (h2 > 0.0) & profile.radius_ok(rho)
 
-    return _gauge_field(
-        group,
-        f"{profile.name}(rho)",
-        lambda rho, h2, g: np.asarray(profile.psi(rho), dtype=float),
+    return ScalarField(
+        name=f"{profile.name}(rho)",
+        evaluate=lambda x: psi(_gauge(group, x)[0]),
         smooth_domain=domain,
+        of_gauge=psi,
     )

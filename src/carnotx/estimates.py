@@ -26,6 +26,7 @@ import numpy as np
 from .calculus import (
     RadialProfile,
     ScalarField,
+    _MAX_ROUNDS,
     _gauge_field,
     _radial_eigenvalues,
     _rejection_sample,
@@ -33,7 +34,7 @@ from .calculus import (
     horizontal_hessian_sym,
     radial_hessian,
 )
-from .group import GroupDescriptor, _gauge_parts, heisenberg
+from .group import GroupDescriptor, _gauge, _gauge_parts, _gauge_slope, heisenberg
 from .pucci import (
     Ellipticity,
     _relative_frobenius,
@@ -71,6 +72,8 @@ SPLICE_EXCLUSION = 1e-6
 # _FD_MIN_HORIZONTAL.  The annihilation check keeps _FD_SPLICE_GAP above the
 # splice radius as well.
 _FD_RHO_MIN, _FD_RHO_MAX, _FD_MIN_HORIZONTAL, _FD_SPLICE_GAP = 0.15, 0.9, 0.05, 0.03
+# The batch floor of `gauge_ball_sampler`'s rejection rounds.
+_BALL_BATCH = 64
 
 
 class IllPosedIntegrandError(RuntimeError):
@@ -198,13 +201,13 @@ def gauge_ball_sampler(
     draw = _box_draw(group, rho_max)
 
     def keep(pts: np.ndarray) -> np.ndarray:
-        rho, h2, _ = _gauge_parts(group, pts)
+        rho, h2 = _gauge(group, pts)
         mask = (rho < rho_max) & (rho >= rho_min) & (h2 >= min_horizontal**2)
         for center, width in exclude_shells:
             mask &= np.abs(rho - center) >= width
         return mask
 
-    return lambda count, rng: _rejection_sample(draw, keep, count, rng, 64)
+    return lambda count, rng: _rejection_sample(draw, keep, count, rng, _BALL_BATCH)
 
 
 def _stencil_sampler(
@@ -255,30 +258,19 @@ def _pull(value: float, stderr: float, exact: float) -> float:
     return (value - exact) / stderr if stderr > 0.0 else math.inf
 
 
-def _values_inside(
-    u: ScalarField, group: GroupDescriptor, r: float, pts: np.ndarray
-) -> np.ndarray:
-    """`u` at the rows of `pts` inside B_r, gauging each row once.
-
-    A field with `of_gauge` gets the gauge of the inside rows, any other
-    field the rows themselves.  Both are gathered with `take` at the inside
-    indices, which numpy runs several times faster than a boolean index.
-    """
-    rho, h2, g = _gauge_parts(group, pts)
-    inside = np.flatnonzero(rho < r)
-    if u.of_gauge is None:
-        return np.asarray(u.evaluate(pts.take(inside, axis=0)), dtype=float)
-    return np.asarray(u.of_gauge(rho.take(inside), h2.take(inside), g.take(inside)), dtype=float)
-
-
 def _box_masses(
     u: ScalarField, group: GroupDescriptor, r: float, qs: Sequence[float], quad: QuadratureSpec
 ) -> tuple[list[McEstimate], float, int]:
     """The Monte-Carlo integrator: masses of |u|^q over B_r for every q in `qs`.
 
-    One box pass, keyed by (seed, u.name, r), evaluates `u` once per chunk
-    on the points inside B_r (`_values_inside`).  Per q, chunk means and
-    sums of squared deviations merge in chunk order by Chan, Golub &
+    One box pass, keyed by (seed, u.name, r), draws `_CHUNK` points at a
+    time and gauges every row; only the rows inside B_r are read after
+    that.  Their indices are taken once, with `take`, which numpy runs
+    several times faster than a boolean index.  A field with `of_gauge`
+    gets rho and |x_H|^2 gathered at them and |D rho|^2 computed there
+    alone; any other field gets the rows themselves.  Points, gauge and
+    weights live in buffers allocated once per pass.  Per q, chunk means
+    and sums of squared deviations merge in chunk order by Chan, Golub &
     LeVeque's pairwise update (Am. Stat. 1983); standard errors use
     ddof = 1.  Non-finite values count as rejected, and above 1e-3 of the
     inside points they raise IllPosedIntegrandError; a finite |u|^q whose
@@ -287,25 +279,36 @@ def _box_masses(
     """
     rng = substream(quad.seed, "box-mass", u.name, repr(float(r)))
     n = quad.n_samples
+    size = min(n, _CHUNK)
+    gauge_buf, (mag_buf, w_buf) = np.empty((3, size)), np.empty((2, size))
     mean, m2 = [0.0] * len(qs), [0.0] * len(qs)
     n_inside = n_bad = 0
     for start, pts in _box_chunks(group, r, n, rng):
         k = len(pts)
-        vals = _values_inside(u, group, r, pts)
-        k_in = len(vals)
-        bad = ~np.isfinite(vals)
+        rho, h2 = _gauge(group, pts, out=gauge_buf[:, :k])
+        inside = np.flatnonzero(rho < r)
+        if u.of_gauge is None:
+            vals = u.evaluate(pts.take(inside, axis=0))
+        else:
+            rho_in, h2_in = rho.take(inside), h2.take(inside)
+            vals = u.of_gauge(rho_in, h2_in, _gauge_slope(rho_in, h2_in))
+        k_in = len(inside)
+        mag = np.abs(np.asarray(vals, dtype=float), out=mag_buf[:k_in])
+        bad = ~np.isfinite(mag)
         chunk_bad = int(np.count_nonzero(bad))
         n_inside += k_in
         n_bad += chunk_bad
-        mag = np.abs(vals)
+        w = w_buf[:k_in]
         for j, q in enumerate(qs):
             with np.errstate(over="ignore", invalid="ignore"):
-                w = mag**q
+                # What mag ** q computes: numpy's ** takes q = 2 to np.square.
+                np.square(mag, out=w) if q == 2.0 else np.power(mag, q, out=w)
                 if chunk_bad:
-                    w = np.where(bad, 0.0, w)
+                    w[bad] = 0.0
                 m = float(np.sum(w)) / k
+                np.square(np.subtract(w, m, out=w), out=w)
                 # Each of the k - k_in outside zeros deviates from m by m.
-                ss = float(np.sum((w - m) ** 2)) + (k - k_in) * m * m
+                ss = float(np.sum(w)) + (k - k_in) * m * m
             delta = m - mean[j]
             mean[j] += delta * k / (start + k)
             m2[j] += ss + delta * delta * start * k / (start + k)
@@ -530,8 +533,12 @@ def _annihilation_reach(cfg: CounterexampleConfig, eps: float, n_samples: int) -
     """The up-front rules of `verify_pucci_annihilation`, cheap enough to run first.
 
     A ValueError unless there are 2 samples, both regions have a box, and
-    eps leaves an inner ball and a stencil window; returns the window's
-    lower edge.
+    eps leaves an inner ball and a stencil window wide enough to draw;
+    returns the window's lower edge.  The box of B_hi keeps at most the
+    share |B_1| (1 - (lo/hi)^Q) / vol(box(B_1)) of its draws in the window
+    [lo, hi), and the stencil sampler makes at least _MAX_ROUNDS batches of
+    _BALL_BATCH draws before it gives up; a window expected to keep fewer
+    than 100 _FD_CHECKS rows of those is too thin.
     """
     if n_samples < 2:
         raise ValueError(
@@ -546,6 +553,18 @@ def _annihilation_reach(cfg: CounterexampleConfig, eps: float, n_samples: int) -
             f"splice radius {eps} is out of the annihilation check's reach: it needs"
             f" eps > {2.0 * SPLICE_EXCLUSION}, as it excludes the shell |rho - eps| <"
             f" {SPLICE_EXCLUSION}, and a finite-difference window {fd_lo} < rho < {_FD_RHO_MAX}"
+        )
+    share = (
+        _exact_ball_volume(group, 1.0)
+        * (1.0 - (fd_lo / _FD_RHO_MAX) ** group.homogeneous_dimension)
+        / float(np.prod(2.0 * gauge_box_halfwidths(group, 1.0)))
+    )
+    expected = share * _MAX_ROUNDS * _BALL_BATCH
+    if expected < 100 * _FD_CHECKS:
+        raise ValueError(
+            f"splice radius {eps}: the stencil window {fd_lo} <= rho < {_FD_RHO_MAX} is too"
+            f" thin to sample: {_MAX_ROUNDS * _BALL_BATCH} box draws are expected to keep"
+            f" {expected:.3g} rows there, and the check asks for {100 * _FD_CHECKS}"
         )
     return fd_lo
 
@@ -571,9 +590,9 @@ def verify_pucci_annihilation(
 
     Samples within SPLICE_EXCLUSION of the splice are excluded, so eps must
     exceed 2 SPLICE_EXCLUSION to leave an inner ball worth sampling, and it
-    must leave a stencil annulus above it (else ValueError, from
-    `_annihilation_reach`).  An annulus too thin for the rejection sampler
-    raises RuntimeError naming it and eps.
+    must leave a stencil annulus above it wide enough to draw (else
+    ValueError, from `_annihilation_reach`).  Should the stencil draw still
+    fail, its RuntimeError names the annulus and eps.
     """
     fd_lo = _annihilation_reach(cfg, eps, n_samples)
     group = cfg.group()
@@ -591,12 +610,12 @@ def verify_pucci_annihilation(
 
     def keep_within(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
         def keep(pts: np.ndarray) -> np.ndarray:
-            rho, h2, _ = _gauge_parts(group, pts)
+            rho, h2 = _gauge(group, pts)
             inside = (rho >= lo) & (rho < hi)
             axis = h2 < AXIS_EXCLUSION**2
             shell = np.abs(rho - eps) < SPLICE_EXCLUSION
-            excluded["axis"] += int(np.sum(inside & axis))
-            excluded["shell"] += int(np.sum(inside & shell & ~axis))
+            excluded["axis"] += int(np.count_nonzero(inside & axis))
+            excluded["shell"] += int(np.count_nonzero(inside & shell & ~axis))
             return inside & ~axis & ~shell
 
         return keep
@@ -765,13 +784,15 @@ def sweep_scaling(
 
     Each radius is one work unit, a box pass for all exponents; with
     `annihilation_samples` > 0 each radius's `verify_pucci_annihilation`
-    at seed quad.seed is one more unit of the same pool, submitted before
-    the longer box passes.  Every unit draws from its own substream and
-    results are collected in eps order, so the report is bit-identical for
-    any worker count.  Units run in a copy of the caller's context, which
-    holds numpy's error state.  A unit that starts after another raised is
-    skipped, so at one worker a failing check runs no box pass.  The CLI
-    applies the check's radius rules (`_annihilation_reach`) first.
+    at seed quad.seed is one more unit of the same pool, submitted after
+    the box passes: the checks are short and mostly Python, and two of them
+    at once contend for the GIL.  Every unit draws from its own substream
+    and results are collected in eps order, so the report is bit-identical
+    for any worker count.  Units run in a copy of the caller's context,
+    which holds numpy's error state.  A unit that starts after another
+    raised is skipped, and the first error in submission order is raised.
+    The CLI applies the check's radius rules (`_annihilation_reach`) first,
+    so a radius they reject runs no unit at all.
 
     Noncritical exponents fit log(source mass) against log(eps), weighted
     by the masses' relative standard errors, and pass when the slope is
@@ -786,13 +807,12 @@ def sweep_scaling(
     if hi / lo < 4.0:
         raise ValueError("splice radii must span at least two dyadic decades")
 
-    units = [
+    units = [functools.partial(_sweep_radius, cfg, quad, eps) for eps in cfg.eps_list]
+    units += [
         functools.partial(verify_pucci_annihilation, cfg, eps, annihilation_samples, quad.seed)
         for eps in cfg.eps_list
         if annihilation_samples > 0
     ]
-    n_checks = len(units)
-    units += [functools.partial(_sweep_radius, cfg, quad, eps) for eps in cfg.eps_list]
     failed = threading.Event()
 
     def guarded(context: contextvars.Context, unit: Callable) -> object:
@@ -807,8 +827,9 @@ def sweep_scaling(
     contexts = [contextvars.copy_context() for _ in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(guarded, contexts, units))
-    annihilation = results[:n_checks]
-    rows = [row for radius_rows in results[n_checks:] for row in radius_rows]
+    n_radii = len(cfg.eps_list)
+    rows = [row for radius_rows in results[:n_radii] for row in radius_rows]
+    annihilation = results[n_radii:]
 
     fits: list[dict] = []
     verdicts: list[dict] = []

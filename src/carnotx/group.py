@@ -15,6 +15,7 @@ verdict here runs on H^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,51 +80,92 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _sum_squares(x: np.ndarray, k: int) -> np.ndarray:
-    """np.sum(x[..., :k] ** 2, axis=-1) with the same bits, column by column.
+def _row_sums(
+    x: np.ndarray,
+    k: int,
+    term: Callable[..., np.ndarray],
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """np.sum(term(x[..., :k]), axis=-1) with the same bits, column by column.
 
-    numpy reduces each row of k <= 128 terms sequentially below 8 terms and
-    with eight interleaved accumulators, combined pairwise, from 8 on; this
-    repeats that order over whole columns instead of one short row at a
-    time, squaring each column on its own rather than the strided block,
-    which is about five times as fast for the few columns of H^d.
+    ``term(column, out=None)`` is elementwise and returns a new array
+    unless given ``out``, like ``np.square``.  numpy reduces each
+    C-contiguous row of k <= 128 terms from the identity +0: sequentially
+    below 8 terms, and from 8 on with eight interleaved accumulators
+    combined pairwise.  This repeats that order over whole columns instead
+    of one short row at a time, which is several times as fast for a few
+    columns, and ends by adding +0, so that -0 terms sum to +0 as in numpy.
+    ``out`` receives the sums; below 8 terms ``scratch``, of the same
+    shape, holds each column's term, and then nothing is allocated.
     """
-
-    def sq(j: int) -> np.ndarray:
-        return x[..., j] ** 2
-
-    if k < 8:
-        acc = sq(0)
-        for j in range(1, k):
-            acc += sq(j)
+    shape = x.shape[:-1]
+    acc = np.empty(shape) if out is None else out
+    if k == 0:
+        acc.fill(0.0)
         return acc
-    r = [sq(j) for j in range(8)]
-    top = k - k % 8
-    for i in range(8, top, 8):
-        for j in range(8):
-            r[j] += sq(i + j)
-    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(top, k):
-        acc += sq(i)
+    if k < 8:
+        term(x[..., 0], out=acc)
+        tmp = np.empty(shape) if scratch is None else scratch
+        for j in range(1, k):
+            acc += term(x[..., j], out=tmp)
+    else:
+        r = [term(x[..., j]) for j in range(8)]
+        top = k - k % 8
+        for i in range(8, top, 8):
+            for j in range(8):
+                r[j] += term(x[..., i + j])
+        np.add((r[0] + r[1]) + (r[2] + r[3]), (r[4] + r[5]) + (r[6] + r[7]), out=acc)
+        for i in range(top, k):
+            acc += term(x[..., i])
+    acc += 0.0
     return acc
+
+
+def _gauge(
+    group: GroupDescriptor, x: np.ndarray, out: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, |x_H|^2) at points (..., n): rho = (|x_H|^4 + t^2)^(1/4).
+
+    This is the one definition of the Koranyi-type gauge, homogeneous of
+    degree one under the dilations (x_H, t) -> (lam x_H, lam^2 t).  ``out``,
+    a float array (3, ...) over the leading axes of x, receives rho and
+    |x_H|^2 in its first two rows and uses the third as scratch, so a
+    caller that gauges stack after stack allocates nothing per stack.  A
+    single point goes through the stacked path: numpy's scalar ** rounds
+    differently from its array loop, so a single call would not give the
+    bits of a stacked one.
+    """
+    d = group.heisenberg_d
+    x = _points(group, x)
+    if x.ndim == 1:
+        return tuple(part[0] for part in _gauge(group, x[None]))
+    rho, h2, tmp = np.empty((3,) + x.shape[:-1]) if out is None else out
+    _row_sums(x, 2 * d, np.square, out=h2, scratch=tmp)
+    # (h2**2 + t**2) ** 0.25, each step into a buffer.
+    np.square(h2, out=rho)
+    rho += np.square(x[..., -1], out=tmp)
+    return np.power(rho, 0.25, out=rho), h2
+
+
+def _gauge_slope(rho: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """|D rho|^2 = |x_H|^2 / rho^2 from the parts of ``_gauge``, with the limit 0 at the origin.
+
+    It is a function of rho and |x_H|^2 alone, so a caller that reads it on
+    some rows only gathers those parts and computes it there.
+    """
+    positive = rho > 0.0
+    if positive.all():  # numpy's masked divide is about twice as slow
+        return h2 / rho**2
+    return np.divide(h2, rho**2, out=np.zeros_like(h2), where=positive)
 
 
 def _gauge_parts(
     group: GroupDescriptor, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, |x_H|^2, |D rho|^2 = |x_H|^2 / rho^2) with the limit 0 at the origin.
-
-    This is the one definition of the Koranyi-type gauge
-    rho = (|x_H|^4 + t^2)^(1/4), homogeneous of degree one under the
-    dilations (x_H, t) -> (lam x_H, lam^2 t).  A single point goes through
-    the stacked path: numpy's scalar ** rounds differently from its array
-    loop, so a single call would not give the bits of a stacked one.
-    """
-    d = group.heisenberg_d
+    """(rho, |x_H|^2, |D rho|^2) at points (..., n): ``_gauge`` and then ``_gauge_slope``."""
     x = _points(group, x)
     if x.ndim == 1:
         return tuple(part[0] for part in _gauge_parts(group, x[None]))
-    h2 = _sum_squares(x, 2 * d)
-    rho = (h2**2 + x[..., -1] ** 2) ** 0.25
-    g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
-    return rho, h2, g
+    rho, h2 = _gauge(group, x)
+    return rho, h2, _gauge_slope(rho, h2)

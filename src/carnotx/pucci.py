@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .group import _dot
+from .group import _dot, _row_sums
 from .rng import substream
 
 __all__ = [
@@ -145,20 +145,30 @@ def _clamped(eigs: np.ndarray) -> np.ndarray:
     return np.where(np.abs(eigs) < _ZERO_CLAMP * scale, 0.0, eigs)
 
 
+def _part_sums(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the positive and of the negative parts over the last axis of eigs (..., k).
+
+    The bits of np.sum(np.maximum(eigs, 0.0), axis=-1) and its np.minimum
+    twin, column by column (``group._row_sums``).
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    k = eigs.shape[-1]
+    return (
+        _row_sums(eigs, k, lambda col, out=None: np.maximum(col, 0.0, out=out)),
+        _row_sums(eigs, k, lambda col, out=None: np.minimum(col, 0.0, out=out)),
+    )
+
+
 def pucci_plus_of_eigenvalues(eigs: np.ndarray, e: Ellipticity) -> np.ndarray:
     """Maximal operator from eigenvalue arrays of shape (..., k)."""
-    eigs = np.asarray(eigs, dtype=float)
-    return e.Lam * np.sum(np.maximum(eigs, 0.0), axis=-1) + e.lam * np.sum(
-        np.minimum(eigs, 0.0), axis=-1
-    )
+    positive, negative = _part_sums(eigs)
+    return e.Lam * positive + e.lam * negative
 
 
 def pucci_minus_of_eigenvalues(eigs: np.ndarray, e: Ellipticity) -> np.ndarray:
     """Minimal operator from eigenvalue arrays of shape (..., k)."""
-    eigs = np.asarray(eigs, dtype=float)
-    return e.lam * np.sum(np.maximum(eigs, 0.0), axis=-1) + e.Lam * np.sum(
-        np.minimum(eigs, 0.0), axis=-1
-    )
+    positive, negative = _part_sums(eigs)
+    return e.lam * positive + e.Lam * negative
 
 
 def pucci_plus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:

@@ -538,13 +538,10 @@ def test_engine_runtime_error_exits_2(monkeypatch, capsys):
 
 
 def test_thin_stencil_annulus_names_itself(monkeypatch, capsys):
-    # max(0.15, eps + 0.03) = 0.89999999 passes the up-front radius rule,
-    # but leaves a stencil annulus too thin for the rejection sampler.
-    # The check runs as a unit of the sweep's pool, so its error must come
-    # out the same at every worker count.  The checks are submitted first
-    # and a raising unit skips the units not yet started, so at one worker
-    # the failure runs no box pass.
-    monkeypatch.setattr(calculus, "_MAX_ROUNDS", 3)
+    # max(0.15, eps + 0.03) = 0.89999999 leaves a stencil window that the
+    # sampler's whole budget is expected to hit 0.0175 times on H^1, so the
+    # up-front radius rule rejects it, by name, before any unit of the pool
+    # starts: no box pass runs at any worker count.
     real, passes = estimates._sweep_radius, []
 
     def counting(*args):
@@ -560,12 +557,12 @@ def test_thin_stencil_annulus_names_itself(monkeypatch, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: splice radius 0.86999999: the stencil annulus 0.89999999 <= rho < 0.9"
-            " is too thin to sample (rejection sampling kept 0 of 12 rows in 3 rounds)\n"
+            "error: splice radius 0.86999999: the stencil window 0.89999999 <= rho < 0.9 is too"
+            " thin to sample: 640000 box draws are expected to keep 0.0175 rows there, and the"
+            " check asks for 1200\n"
         )
         assert "overall:" not in captured.out
-        if workers == "1":
-            assert passes == []
+        assert passes == []
 
 
 def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch, capsys):

@@ -22,6 +22,7 @@ from carnotx import (
     field_from_profile,
     gauge_ball_sampler,
     heisenberg,
+    horizontal_hessian_sym,
     horizontal_quadratic,
     lq_norm,
     pointwise_bound_check,
@@ -34,10 +35,12 @@ from carnotx.calculus import _gauge_field, _radial_eigenvalues
 from carnotx.estimates import (
     MAX_PULL,
     _CHUNK,
+    _FD_CHECKS,
     _box_chunks,
     _box_draw,
     _gauge_moment,
     _linear_fit,
+    _stencil_sampler,
     _sweep_radius,
     gauge_box_halfwidths,
 )
@@ -210,6 +213,36 @@ class TestAnnihilation:
         detuned = Ellipticity(lam=e.lam, Lam=1.1 * e.Lam)
         residual = np.abs(pucci_plus_of_eigenvalues(eigs, detuned))
         assert float(np.max(residual)) > 1e-3
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_thin_stencil_window_is_rejected_up_front(self, d):
+        # The window [0.89999999, 0.9) is expected to keep about 0.02, 0.009
+        # and 0.003 rows of the sampler's 640000 draws on H^1-H^3; the
+        # narrowest window eps = 0.85 leaves, [0.88, 0.9), thousands.
+        cfg = CounterexampleConfig(d=d, alpha=0.5, eps_list=(0.5,), q_list=(2.0,))
+        thin = r"stencil window 0\.89999999 <= rho < 0\.9 is too thin"
+        with pytest.raises(ValueError, match=thin):
+            verify_pucci_annihilation(cfg, 0.86999999, n_samples=2, seed=1)
+        assert verify_pucci_annihilation(cfg, 0.85, n_samples=2, seed=1).passed
+
+    def test_a_failed_stencil_draw_names_its_window(self, monkeypatch):
+        # The up-front rule is a bound; the draw's RuntimeError stays the last guard.
+        import carnotx.estimates as estimates
+
+        def exhausted(group, rho_min):
+            def draw(count, rng):
+                raise RuntimeError(f"rejection sampling kept 0 of {count} rows in 3 rounds")
+
+            return draw
+
+        monkeypatch.setattr(estimates, "_stencil_sampler", exhausted)
+        with pytest.raises(RuntimeError) as err:
+            verify_pucci_annihilation(CFG, 0.5, n_samples=2, seed=1)
+        assert str(err.value) == (
+            "splice radius 0.5: the stencil annulus 0.53 <= rho < 0.9 is too thin to sample"
+            " (rejection sampling kept 0 of 12 rows in 3 rounds)"
+        )
 
 
 class TestQuadrature:
@@ -642,7 +675,7 @@ def _reference_lq(u, group, r, qs, quad):
 
 class TestGaugeReuse:
     @pytest.mark.parametrize("count", [_CHUNK - 1, STRADDLE])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("glue", ["paper-literal", "c1-variant"])
     def test_rhs_lq_norm_equals_row_gather_reference(self, count, d, glue):
         # The integrator hands the rhs the compressed gauge; a reference that
@@ -700,33 +733,62 @@ class TestGaugeReuse:
 
     @pytest.fixture
     def gauged(self, monkeypatch):
-        """Point counts of every `_gauge_parts` call from estimates or calculus."""
+        """(piece, rows) of every call of either gauge piece, whoever makes it.
+
+        "rho" is `_gauge` (rho and |x_H|^2 from points), "slope" is
+        `_gauge_slope` (|D rho|^2 from those two); `_gauge_parts` calls both.
+        """
         import carnotx.calculus as calculus
         import carnotx.estimates as estimates
+        import carnotx.group as group_module
 
         seen = []
 
-        def counting(group, x):
-            seen.append(int(np.prod(np.shape(x)[:-1])))
-            return _gauge_parts(group, x)
+        def counting(piece, real):
+            def wrapper(*args, **kwargs):
+                rows = np.shape(args[1])[:-1] if piece == "rho" else np.shape(args[0])
+                seen.append((piece, int(np.prod(rows))))
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimates, "_gauge_parts", counting)
-        monkeypatch.setattr(calculus, "_gauge_parts", counting)
+            return wrapper
+
+        for piece, name in (("rho", "_gauge"), ("slope", "_gauge_slope")):
+            wrapper = counting(piece, getattr(group_module, name))
+            for module in (group_module, calculus, estimates):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         return seen
 
     def test_sweep_radius_gauges_each_box_point_once(self, gauged):
-        # The inside points are not gauged a second time by the rhs field.
+        # rho on every box point, |D rho|^2 on the inside points only, and
+        # neither a second time by the rhs field.
         n = STRADDLE
         rows = _sweep_radius(CFG, QuadratureSpec(n_samples=n, seed=4), CFG.eps_list[0])
         assert 0 < rows[0].n_inside < n
-        assert sum(gauged) == n
+        assert sum(k for piece, k in gauged if piece == "rho") == n
+        assert sum(k for piece, k in gauged if piece == "slope") == rows[0].n_inside
 
     def test_annihilation_gauges_its_sample_once(self, gauged):
         # The residual's rhs and closed-form eigenvalues share one gauge of
-        # the final sample.
+        # the final sample; the draws' keep tests never compute |D rho|^2.
         rep = verify_pucci_annihilation(CFG, 0.125, n_samples=400, seed=11)
         assert rep.passed
-        assert gauged.count(400) == 1
+        assert gauged.count(("rho", 400)) == gauged.count(("slope", 400)) == 1
+        # Besides the sample, only the closed-form Hessians of the 32-point
+        # route subsample and the 12 stencil points read |D rho|^2.
+        assert sorted(k for piece, k in gauged if piece == "slope") == [_FD_CHECKS, 32, 400]
+
+    def test_profile_field_never_computes_the_slope(self, gauged):
+        # field_from_profile reads rho alone: neither its values, nor its
+        # domain, nor the stencil built on them compute |D rho|^2.
+        for d in (1, 2):
+            group = heisenberg(d)
+            u = field_from_profile(group, counterexample_profile(_glue_cfg(d, "c1-variant"), 0.125))
+            pts = _stencil_sampler(group)(20, substream(6, "profile"))
+            u.evaluate(pts)
+            u.in_domain(pts)
+            horizontal_hessian_sym(group, u, pts)
+        assert gauged and {piece for piece, _ in gauged} == {"rho"}
 
 
 def _traced_peak(fn) -> int:

@@ -30,7 +30,7 @@ from carnotx import (
     sublaplacian,
 )
 from carnotx.estimates import power_profile
-from carnotx.group import _frame, _gauge_parts
+from carnotx.group import _frame, _gauge_parts, _row_sums
 
 
 class TestDescriptor:
@@ -161,6 +161,26 @@ def test_gauge_parts_bits_match_row_sum(d):
         assert np.array_equal(_bits(got), _bits(want))
     for want, got in zip((rho, h2, g), _gauge_parts(G, x[200])):
         assert _bits(got) == _bits(want[200])
+
+
+@pytest.mark.parametrize("k", range(0, 10))
+def test_row_sums_have_the_bits_of_np_sum(k):
+    """Every term and buffer option gives np.sum's bits, -0 rows summing to +0 as there."""
+    rng = np.random.default_rng(70 + k)
+    x = rng.standard_normal((3000, k + 2)) * 10.0 ** rng.uniform(-8, 8, (3000, k + 2))
+    x[rng.random(x.shape) < 0.3] = -0.0
+    x[0], x[1] = -0.0, 0.0
+    terms = {
+        "identity": lambda col, out=None: np.positive(col, out=out),
+        "square": np.square,
+        "negative part": lambda col, out=None: np.minimum(col, 0.0, out=out),
+    }
+    for name, term in terms.items():
+        want = np.sum(term(x[:, :k]), axis=-1)
+        out, scratch = np.empty(3000), np.empty(3000)
+        for got in (_row_sums(x, k, term), _row_sums(x, k, term, out=out, scratch=scratch)):
+            assert np.array_equal(_bits(got), _bits(want)), name
+        assert _row_sums(x, k, term, out=out) is out
 
 
 _PROFILE = power_profile(0.5)

@@ -115,6 +115,27 @@ class TestFormulas:
         assert np.allclose(pucci_plus_of_eigenvalues(eigs, E13), [5.0, 13.0])
         assert np.allclose(pucci_minus_of_eigenvalues(eigs, E13), [-1.0, -1.0])
 
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_eigenvalue_forms_have_the_bits_of_row_sums(self, k):
+        # Column sums in numpy's row-reduction order, on both sides of 8
+        # terms, against np.sum(axis=-1): signed zeros, rows of zeros of
+        # either sign, and magnitudes whose sums depend on the order.
+        rng = np.random.default_rng(40 + k)
+        eigs = rng.standard_normal((5000, k)) * 10.0 ** rng.uniform(-8, 8, (5000, k))
+        eigs[rng.random((5000, k)) < 0.2] = 0.0
+        eigs[rng.random((5000, k)) < 0.2] = -0.0
+        eigs[:3] = [[0.0] * k, [-0.0] * k, [(-1.0) ** j * 0.0 for j in range(k)]]
+        e = Ellipticity(lam=0.3, Lam=1.7)
+        pos = np.sum(np.maximum(eigs, 0.0), axis=-1)
+        neg = np.sum(np.minimum(eigs, 0.0), axis=-1)
+        for got, want in (
+            (pucci_plus_of_eigenvalues(eigs, e), e.Lam * pos + e.lam * neg),
+            (pucci_minus_of_eigenvalues(eigs, e), e.lam * pos + e.Lam * neg),
+        ):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            one = np.array([pucci_plus_of_eigenvalues(row, e) for row in eigs[:50]])
+            assert np.array_equal(one, pucci_plus_of_eigenvalues(eigs[:50], e))
+
     def test_ellipticity_validation(self):
         with pytest.raises(ValueError):
             Ellipticity(lam=0.0, Lam=1.0)
