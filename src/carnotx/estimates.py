@@ -34,7 +34,7 @@ from .calculus import (
     horizontal_hessian_sym,
     radial_hessian,
 )
-from .group import GroupDescriptor, _gauge, _gauge_parts, _gauge_slope, heisenberg
+from .group import GroupDescriptor, _gauge, _gauge_fourth, _gauge_parts, _gauge_slope, heisenberg
 from .pucci import (
     Ellipticity,
     _relative_frobenius,
@@ -144,15 +144,19 @@ def _sample_box(hw: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np
     Same bits as ``rng.uniform(-1, 1, out.shape) * hw``, in two passes over
     the draw ``u``: ``u - 0.5``, then each column times ``2 h``.  Both are
     exact in floating point, so the one rounding of the product is that of
-    ``(2 u - 1) h``, and numpy computes the uniform as ``-1 + 2 u``.  Each
-    column is scaled by its own scalar, the same products as ``out *= 2 hw``,
-    whose broadcast over a few columns runs numpy's inner loop n elements at
-    a time and takes about three times as long on H^1.
+    ``(2 u - 1) h``, and numpy computes the uniform as ``-1 + 2 u``.  Both
+    passes run over rows of m = gcd(k, 256) points at once, against ``2 hw``
+    tiled m times: the same
+    products as ``out *= 2 hw``, whose broadcast over a few columns runs
+    numpy's inner loop n elements at a time and takes about three times as
+    long on H^1.
     """
     rng.random(out=out)
-    out -= 0.5
-    for j, h in enumerate(hw):
-        out[:, j] *= 2.0 * h
+    k, n = out.shape
+    m = math.gcd(k, 256)
+    rows = out.reshape(k // m, m * n)
+    rows -= 0.5
+    rows *= np.tile(2.0 * hw, m)
     return out
 
 
@@ -264,12 +268,14 @@ def _box_masses(
     """The Monte-Carlo integrator: masses of |u|^q over B_r for every q in `qs`.
 
     One box pass, keyed by (seed, u.name, r), draws `_CHUNK` points at a
-    time and gauges every row; only the rows inside B_r are read after
-    that.  Their indices are taken once, with `take`, which numpy runs
-    several times faster than a boolean index.  A field with `of_gauge`
-    gets rho and |x_H|^2 gathered at them and |D rho|^2 computed there
-    alone; any other field gets the rows themselves.  Points, gauge and
-    weights live in buffers allocated once per pass.  Per q, chunk means
+    time and computes rho^4 and |x_H|^2 on every row (`_gauge_fourth`).
+    Only the rows inside B_r are read after that.  Their indices are taken
+    once, with `take`, which numpy runs several times faster than a boolean
+    index: the rows whose rho^4 is within reach of r^4, where rho is taken
+    and compared with r.  A field with `of_gauge` gets rho, |x_H|^2
+    gathered at them and |D rho|^2 computed there alone; any other field
+    gets the rows themselves.  Points, rho^4, |x_H|^2 and the weights live
+    in buffers allocated once per pass.  Per q, chunk means
     and sums of squared deviations merge in chunk order by Chan, Golub &
     LeVeque's pairwise update (Am. Stat. 1983); standard errors use
     ddof = 1.  Non-finite values count as rejected, and above 1e-3 of the
@@ -278,19 +284,29 @@ def _box_masses(
     rejected fraction and n_inside.
     """
     rng = substream(quad.seed, "box-mass", u.name, repr(float(r)))
+    vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
     n = quad.n_samples
     size = min(n, _CHUNK)
     gauge_buf, (mag_buf, w_buf) = np.empty((3, size)), np.empty((2, size))
+    # rho < r needs rho^4 < r^4, and the margin covers the rounding of r^4
+    # and of the fourth root many times over.  Below 1e-300 r^4 may be
+    # subnormal, and every row is in reach.
+    r4 = float(r) ** 4
+    reach = r4 * (1.0 + 1e-9) if r4 >= 1e-300 else math.inf
     mean, m2 = [0.0] * len(qs), [0.0] * len(qs)
     n_inside = n_bad = 0
     for start, pts in _box_chunks(group, r, n, rng):
         k = len(pts)
-        rho, h2 = _gauge(group, pts, out=gauge_buf[:, :k])
-        inside = np.flatnonzero(rho < r)
+        rho4, h2 = _gauge_fourth(group, pts, out=gauge_buf[:, :k])
+        inside = np.flatnonzero(rho4 < reach)
+        rho_in = np.power(rho4.take(inside), 0.25)  # rho, as `_gauge` takes it
+        within = rho_in < r
+        if not within.all():  # rows in the margin
+            inside, rho_in = inside[within], rho_in[within]
         if u.of_gauge is None:
             vals = u.evaluate(pts.take(inside, axis=0))
         else:
-            rho_in, h2_in = rho.take(inside), h2.take(inside)
+            h2_in = h2.take(inside)
             vals = u.of_gauge(rho_in, h2_in, _gauge_slope(rho_in, h2_in))
         k_in = len(inside)
         mag = np.abs(np.asarray(vals, dtype=float), out=mag_buf[:k_in])
@@ -319,7 +335,6 @@ def _box_masses(
         raise IllPosedIntegrandError(
             f"{u.name!r} was unevaluable on {rejected:.2%} of samples in B_{r}"
         )
-    vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
     masses = [
         McEstimate(value=vbox * m, stderr=vbox * math.sqrt(s / (n - 1)) / math.sqrt(n))
         for m, s in zip(mean, m2)

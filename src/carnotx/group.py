@@ -122,30 +122,41 @@ def _row_sums(
     return acc
 
 
-def _gauge(
+def _gauge_fourth(
     group: GroupDescriptor, x: np.ndarray, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(rho^4, |x_H|^2) at stacked points (..., n), rho^4 = |x_H|^4 + t^2.
+
+    The gauge rho is the fourth root ``np.power(rho^4, 0.25)`` (``_gauge``),
+    the pow being most of its cost, so a caller that reads rho on some rows
+    only takes it there.  ``out``, a float array (3, ...) over the leading
+    axes of x, receives rho^4 and |x_H|^2 in its first two rows and uses the
+    third as scratch, so a caller that gauges stack after stack allocates
+    nothing per stack.
+    """
+    x = _points(group, x)
+    rho4, h2, tmp = np.empty((3,) + x.shape[:-1]) if out is None else out
+    _row_sums(x, group.m, np.square, out=h2, scratch=tmp)
+    # h2**2 + t**2, each step into a buffer.
+    np.square(h2, out=rho4)
+    rho4 += np.square(x[..., -1], out=tmp)
+    return rho4, h2
+
+
+def _gauge(group: GroupDescriptor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho, |x_H|^2) at points (..., n): rho = (|x_H|^4 + t^2)^(1/4).
 
     This is the one definition of the Koranyi-type gauge, homogeneous of
-    degree one under the dilations (x_H, t) -> (lam x_H, lam^2 t).  ``out``,
-    a float array (3, ...) over the leading axes of x, receives rho and
-    |x_H|^2 in its first two rows and uses the third as scratch, so a
-    caller that gauges stack after stack allocates nothing per stack.  A
-    single point goes through the stacked path: numpy's scalar ** rounds
+    degree one under the dilations (x_H, t) -> (lam x_H, lam^2 t).  A single
+    point goes through the stacked path: numpy's scalar ** rounds
     differently from its array loop, so a single call would not give the
     bits of a stacked one.
     """
-    d = group.heisenberg_d
     x = _points(group, x)
     if x.ndim == 1:
         return tuple(part[0] for part in _gauge(group, x[None]))
-    rho, h2, tmp = np.empty((3,) + x.shape[:-1]) if out is None else out
-    _row_sums(x, 2 * d, np.square, out=h2, scratch=tmp)
-    # (h2**2 + t**2) ** 0.25, each step into a buffer.
-    np.square(h2, out=rho)
-    rho += np.square(x[..., -1], out=tmp)
-    return np.power(rho, 0.25, out=rho), h2
+    rho4, h2 = _gauge_fourth(group, x)
+    return np.power(rho4, 0.25, out=rho4), h2
 
 
 def _gauge_slope(rho: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -154,10 +165,7 @@ def _gauge_slope(rho: np.ndarray, h2: np.ndarray) -> np.ndarray:
     It is a function of rho and |x_H|^2 alone, so a caller that reads it on
     some rows only gathers those parts and computes it there.
     """
-    positive = rho > 0.0
-    if positive.all():  # numpy's masked divide is about twice as slow
-        return h2 / rho**2
-    return np.divide(h2, rho**2, out=np.zeros_like(h2), where=positive)
+    return np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
 
 
 def _gauge_parts(

@@ -735,8 +735,9 @@ class TestGaugeReuse:
     def gauged(self, monkeypatch):
         """(piece, rows) of every call of either gauge piece, whoever makes it.
 
-        "rho" is `_gauge` (rho and |x_H|^2 from points), "slope" is
-        `_gauge_slope` (|D rho|^2 from those two); `_gauge_parts` calls both.
+        "fourth" is `_gauge_fourth` (rho^4 and |x_H|^2 from points), which
+        `_gauge` and `_gauge_parts` go through; "slope" is `_gauge_slope`
+        (|D rho|^2 from rho and |x_H|^2).
         """
         import carnotx.calculus as calculus
         import carnotx.estimates as estimates
@@ -746,13 +747,13 @@ class TestGaugeReuse:
 
         def counting(piece, real):
             def wrapper(*args, **kwargs):
-                rows = np.shape(args[1])[:-1] if piece == "rho" else np.shape(args[0])
+                rows = np.shape(args[1])[:-1] if piece == "fourth" else np.shape(args[0])
                 seen.append((piece, int(np.prod(rows))))
                 return real(*args, **kwargs)
 
             return wrapper
 
-        for piece, name in (("rho", "_gauge"), ("slope", "_gauge_slope")):
+        for piece, name in (("fourth", "_gauge_fourth"), ("slope", "_gauge_slope")):
             wrapper = counting(piece, getattr(group_module, name))
             for module in (group_module, calculus, estimates):
                 if hasattr(module, name):
@@ -760,12 +761,12 @@ class TestGaugeReuse:
         return seen
 
     def test_sweep_radius_gauges_each_box_point_once(self, gauged):
-        # rho on every box point, |D rho|^2 on the inside points only, and
-        # neither a second time by the rhs field.
+        # rho^4 and |x_H|^2 on every box point, |D rho|^2 on the inside
+        # points only, and neither a second time by the rhs field.
         n = STRADDLE
         rows = _sweep_radius(CFG, QuadratureSpec(n_samples=n, seed=4), CFG.eps_list[0])
         assert 0 < rows[0].n_inside < n
-        assert sum(k for piece, k in gauged if piece == "rho") == n
+        assert sum(k for piece, k in gauged if piece == "fourth") == n
         assert sum(k for piece, k in gauged if piece == "slope") == rows[0].n_inside
 
     def test_annihilation_gauges_its_sample_once(self, gauged):
@@ -773,7 +774,7 @@ class TestGaugeReuse:
         # the final sample; the draws' keep tests never compute |D rho|^2.
         rep = verify_pucci_annihilation(CFG, 0.125, n_samples=400, seed=11)
         assert rep.passed
-        assert gauged.count(("rho", 400)) == gauged.count(("slope", 400)) == 1
+        assert gauged.count(("fourth", 400)) == gauged.count(("slope", 400)) == 1
         # Besides the sample, only the closed-form Hessians of the 32-point
         # route subsample and the 12 stencil points read |D rho|^2.
         assert sorted(k for piece, k in gauged if piece == "slope") == [_FD_CHECKS, 32, 400]
@@ -788,7 +789,35 @@ class TestGaugeReuse:
             u.evaluate(pts)
             u.in_domain(pts)
             horizontal_hessian_sym(group, u, pts)
-        assert gauged and {piece for piece, _ in gauged} == {"rho"}
+        assert gauged and {piece for piece, _ in gauged} == {"fourth"}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_at_the_rim_are_inside_by_rho(self, d, monkeypatch):
+        # The integrator takes rho only where rho^4 is within reach of r^4.
+        # Box points a few ulps and 1e-13 to 1e-9 from the sphere rho = r
+        # must still be inside exactly where rho < r, with those rho.
+        import carnotx.estimates as estimates
+
+        group, r, n = heisenberg(d), 0.3, 6000
+        rng = np.random.default_rng(60 + d)
+        pts = rng.uniform(-1.0, 1.0, (n, group.n))
+        rel = rng.choice([0.0, 1e-9, 1e-13, 1e-15, 2.0**-52, 2.0**-53], n) * rng.choice([-1, 1], n)
+        scale = r * (1.0 + rel) / _gauge_parts(group, pts)[0]
+        pts *= scale[:, None] ** np.array(group.dilation_weights, dtype=float)
+        rho = _gauge_parts(group, pts)[0]
+        assert 0 < np.count_nonzero(rho < r) < n and np.count_nonzero(rho == r) > 0
+
+        monkeypatch.setattr(estimates, "_sample_box", lambda hw, rng, out: pts[: len(out)])
+        seen = []
+
+        def record(rho, h2, g):
+            seen.append(rho.copy())
+            return np.ones(len(rho))
+
+        one = _gauge_field(group, "one", record)
+        (est,) = lq_norm(one, group, r, (2.0,), QuadratureSpec(n_samples=n, seed=1))
+        assert est.n_inside == np.count_nonzero(rho < r)
+        assert np.array_equal(np.concatenate(seen), rho[rho < r])
 
 
 def _traced_peak(fn) -> int:
