@@ -145,11 +145,10 @@ def _sample_box(hw: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np
     the draw ``u``: ``u - 0.5``, then each column times ``2 h``.  Both are
     exact in floating point, so the one rounding of the product is that of
     ``(2 u - 1) h``, and numpy computes the uniform as ``-1 + 2 u``.  Both
-    passes run over rows of m = gcd(k, 256) points at once, against ``2 hw``
-    tiled m times: the same
-    products as ``out *= 2 hw``, whose broadcast over a few columns runs
-    numpy's inner loop n elements at a time and takes about three times as
-    long on H^1.
+    passes run over rows of m = gcd(k, 256) points, the second against
+    ``2 hw`` tiled m times: the products of ``out *= 2 hw``, whose broadcast
+    over a few columns runs numpy's inner loop n elements at a time and
+    takes about three times as long on H^1.
     """
     rng.random(out=out)
     k, n = out.shape
@@ -268,26 +267,27 @@ def _box_masses(
     """The Monte-Carlo integrator: masses of |u|^q over B_r for every q in `qs`.
 
     One box pass, keyed by (seed, u.name, r), draws `_CHUNK` points at a
-    time and computes rho^4 and |x_H|^2 on every row (`_gauge_fourth`).
-    Only the rows inside B_r are read after that.  Their indices are taken
-    once, with `take`, which numpy runs several times faster than a boolean
-    index: the rows whose rho^4 is within reach of r^4, where rho is taken
-    and compared with r.  A field with `of_gauge` gets rho, |x_H|^2
-    gathered at them and |D rho|^2 computed there alone; any other field
-    gets the rows themselves.  Points, rho^4, |x_H|^2 and the weights live
-    in buffers allocated once per pass.  Per q, chunk means
-    and sums of squared deviations merge in chunk order by Chan, Golub &
-    LeVeque's pairwise update (Am. Stat. 1983); standard errors use
-    ddof = 1.  Non-finite values count as rejected, and above 1e-3 of the
-    inside points they raise IllPosedIntegrandError; a finite |u|^q whose
-    moments overflow a float raises OverflowError.  Also returns the
-    rejected fraction and n_inside.
+    time and computes rho^4 and |x_H|^2 of every row (`_gauge_fourth`).
+    Everything after that runs on the rows inside B_r only.  One
+    `flatnonzero` finds the rows whose rho^4 is within reach of r^4; rho,
+    the costly fourth root, is taken there and compared with r, so the rows
+    kept are exactly those with rho < r.  A field with `of_gauge` gets
+    their rho and |x_H|^2 and |D rho|^2 computed on them alone; any other
+    field gets the rows themselves.  Rows are gathered with `take`, which
+    numpy runs several times faster than a boolean index.  Points, rho^4,
+    |x_H|^2 and the weights live in buffers allocated once per pass.  Per
+    q, chunk means and sums of squared deviations merge in chunk order by
+    Chan, Golub & LeVeque's pairwise update (Am. Stat. 1983); standard
+    errors use ddof = 1.  Non-finite values count as rejected, and above
+    1e-3 of the inside points they raise IllPosedIntegrandError; a finite
+    |u|^q whose moments overflow a float raises OverflowError.  Also returns
+    the rejected fraction and n_inside.
     """
     rng = substream(quad.seed, "box-mass", u.name, repr(float(r)))
     vbox = float(np.prod(2.0 * gauge_box_halfwidths(group, r)))
     n = quad.n_samples
     size = min(n, _CHUNK)
-    gauge_buf, (mag_buf, w_buf) = np.empty((3, size)), np.empty((2, size))
+    gauge_buf, w_buf = np.empty((3, size)), np.empty(size)
     # rho < r needs rho^4 < r^4, and the margin covers the rounding of r^4
     # and of the fourth root many times over.  Below 1e-300 r^4 may be
     # subnormal, and every row is in reach.
@@ -308,17 +308,17 @@ def _box_masses(
         else:
             h2_in = h2.take(inside)
             vals = u.of_gauge(rho_in, h2_in, _gauge_slope(rho_in, h2_in))
+        vals = np.asarray(vals, dtype=float)
         k_in = len(inside)
-        mag = np.abs(np.asarray(vals, dtype=float), out=mag_buf[:k_in])
-        bad = ~np.isfinite(mag)
+        bad = ~np.isfinite(vals)
         chunk_bad = int(np.count_nonzero(bad))
         n_inside += k_in
         n_bad += chunk_bad
         w = w_buf[:k_in]
         for j, q in enumerate(qs):
             with np.errstate(over="ignore", invalid="ignore"):
-                # What mag ** q computes: numpy's ** takes q = 2 to np.square.
-                np.square(mag, out=w) if q == 2.0 else np.power(mag, q, out=w)
+                np.abs(vals, out=w)
+                w **= q  # numpy's ** on arrays, which takes q = 2 to np.square
                 if chunk_bad:
                     w[bad] = 0.0
                 m = float(np.sum(w)) / k

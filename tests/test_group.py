@@ -30,7 +30,7 @@ from carnotx import (
     sublaplacian,
 )
 from carnotx.estimates import power_profile
-from carnotx.group import _frame, _gauge_parts, _row_sums
+from carnotx.group import _frame, _gauge, _gauge_fourth, _gauge_parts, _row_sums
 
 
 class TestDescriptor:
@@ -193,6 +193,8 @@ def _sampler_of(x):
 # Every function, public or test oracle, that takes points of the group, as
 # f(group, x).
 POINT_TAKERS = {
+    "_gauge": _gauge,
+    "_gauge_fourth": _gauge_fourth,
     "_gauge_parts": _gauge_parts,
     "_frame": _frame,
     "dilate": lambda G, x: dilate(G, 2.0, x),
