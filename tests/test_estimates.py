@@ -214,12 +214,11 @@ class TestAnnihilation:
         residual = np.abs(pucci_plus_of_eigenvalues(eigs, detuned))
         assert float(np.max(residual)) > 1e-3
 
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_thin_stencil_window_is_rejected_up_front(self, d):
         # The window [0.89999999, 0.9) is expected to keep about 0.02, 0.009
         # and 0.003 rows of the sampler's 640000 draws on H^1-H^3; the
-        # narrowest window eps = 0.85 leaves, [0.88, 0.9), thousands.
+        # window [0.88, 0.9) of eps = 0.85 is expected to keep thousands.
         cfg = CounterexampleConfig(d=d, alpha=0.5, eps_list=(0.5,), q_list=(2.0,))
         thin = r"stencil window 0\.89999999 <= rho < 0\.9 is too thin"
         with pytest.raises(ValueError, match=thin):

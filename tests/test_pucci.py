@@ -133,8 +133,10 @@ class TestFormulas:
             (pucci_minus_of_eigenvalues(eigs, e), e.lam * pos + e.Lam * neg),
         ):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            one = np.array([pucci_plus_of_eigenvalues(row, e) for row in eigs[:50]])
-            assert np.array_equal(one, pucci_plus_of_eigenvalues(eigs[:50], e))
+        # A single eigenvalue row is the one-row case of the stack.
+        one = np.array([pucci_plus_of_eigenvalues(row, e) for row in eigs[:50]])
+        stacked = pucci_plus_of_eigenvalues(eigs[:50], e)
+        assert np.array_equal(one.view(np.uint64), stacked.view(np.uint64))
 
     def test_ellipticity_validation(self):
         with pytest.raises(ValueError):
