@@ -34,6 +34,10 @@ _ZERO_CLAMP = 1e-14
 _OFFDIAG_TOL = 1e-14
 _MAX_SWEEPS = 64
 _SANDWICH_TOL = 1e-9
+# Matrices the oracle scores per stacked product.  The traced peak of
+# `pucci --dim 6 --count 512 --samples 1024` is 1.50 MB at 8 and 2.02 MB at
+# 16, against a 2 MB bound.
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -209,10 +213,11 @@ def _sampled_sups(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> n
 
     Tr(A a_i) = sum_j c_j u_j^T a_i u_j over the columns u_j of Haar U, so A
     is never formed; it depends on u_j only through u_j u_j^T, which is why
-    a column's sign does not matter.  Each chunk of samples is drawn once
-    and scored against every matrix in turn, so only the chunk and the (N,)
-    running maxima are held, and matrix i's bits are those of a stack of
-    a_i alone.
+    a column's sign does not matter.  Only one chunk of samples, one
+    (_BLOCK, m, k) product and the (N,) running maxima are held: each chunk
+    is drawn once and scored against _BLOCK matrices at a time.  A stacked
+    @ runs the same product per matrix as a_i @ u_j, and the einsum sums
+    over the same axis, so matrix i's bits are those of a stack of a_i alone.
     """
     m = a.shape[-1]
     rng = substream(seed, "pucci-oracle")
@@ -221,13 +226,14 @@ def _sampled_sups(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> n
         k = min(4096, n_samples - start)
         cols = _haar_columns(rng.standard_normal((k, m, m)), np.empty((m, m, k)))
         coeffs = rng.uniform(e.lam, e.Lam, size=(k, m))
-        for i, ai in enumerate(a):
-            traces = np.zeros(k)
+        for lo in range(0, len(a), _BLOCK):
+            block, best = a[lo : lo + _BLOCK], sups[lo : lo + _BLOCK]
+            traces = np.zeros((len(block), k))
             for j in range(m):
-                traces += coeffs[:, j] * np.einsum("ik,ik->k", cols[j], ai @ cols[j])
+                traces += coeffs[:, j] * np.einsum("ik,nik->nk", cols[j], block @ cols[j])
             if not np.isfinite(traces).all():
                 raise RuntimeError("sampled trace Tr(A M) is not finite")
-            sups[i] = max(sups[i], float(np.max(traces)))
+            np.maximum(best, traces.max(axis=1), out=best)
     return sups
 
 

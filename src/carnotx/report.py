@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from typing import Any, Iterable
@@ -37,10 +38,22 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# What json.dumps(str) calls with its default arguments.
+_quote = json.encoder.encode_basestring_ascii
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(kind))
+
+
 def _write(obj: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
+    kind = type(obj)  # the exact float and str of most leaves go first
+    if kind is float:
+        out.append(_fmt_float(obj))
+    elif kind is str:
+        out.append(_quote(obj))
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
@@ -49,24 +62,21 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out, indent)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _write(
-            {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
-            out,
-            indent,
-        )
+        _write({name: getattr(obj, name) for name in _field_names(kind)}, out, indent)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        pad, inner = "  " * indent, "  " * (indent + 1)
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(f"{inner}{json.dumps(key)}: ")
+            out.append(f"{inner}{_quote(key)}: ")
             _write(value, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
@@ -74,6 +84,7 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
         if not obj:
             out.append("[]")
             return
+        pad, inner = "  " * indent, "  " * (indent + 1)
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(inner)

@@ -1,11 +1,17 @@
-"""Test oracles: the group law, dilations, a gradient and callback checkers.
+"""Test oracles: the group law, dilations, a gradient, callback checkers and
+a reference report writer.
 
 No verdict of the package reads any of these; the tests use them to check
-the frame, the closed-form X-lines, the homogeneity of the gauge and the
-analytic Hessian callbacks of the catalog.
+the frame, the closed-form X-lines, the homogeneity of the gauge, the
+analytic Hessian callbacks of the catalog and the bytes of `report.dumps`.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
+import math
+from typing import Any
 
 import numpy as np
 
@@ -120,3 +126,61 @@ def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict
         for fd, exact in ((d1, profile.psi_prime(r)), (d2, profile.psi_second(r)))
     )
     return {"ok": e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL, "prime_err": e1, "second_err": e2}
+
+
+def _reference_write(obj: Any, out: list[str], indent: int) -> None:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(format(x, ".17g") if math.isfinite(x) else "null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        _reference_write(obj.tolist(), out, indent)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _reference_write(
+            {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
+            out,
+            indent,
+        )
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out.append(f"{inner}{json.dumps(key)}: ")
+            _reference_write(value, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(inner)
+            _reference_write(value, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def reference_dumps(obj: Any) -> str:
+    """`report.dumps` as a plain recursive writer: isinstance tests in a fixed
+    order, `json.dumps` for every key and string, and a dataclass's fields
+    looked up on every visit."""
+    out: list[str] = []
+    _reference_write(obj, out, 0)
+    out.append("\n")
+    return "".join(out)

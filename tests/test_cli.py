@@ -296,8 +296,9 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("count", [64, 512])
     def test_pucci_memory_stays_flat(self, count):
-        # The oracle holds one chunk of samples and an (N,) array of running
-        # maxima, never count x samples values; 512 x 1024 doubles are 4 MB.
+        # The oracle holds one chunk of samples, one (8, 6, 1024) product of a
+        # block of matrices and an (N,) array of running maxima, never count x
+        # samples values; 512 x 1024 doubles are 4 MB.
         # The warm-up run pays for lazy imports before the tracing starts.
         assert run(["pucci", "--count", "1", "--samples", "1"]) == 0
         argv = ["pucci", "--dim", "6", "--count", str(count), "--samples", "1024"]

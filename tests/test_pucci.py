@@ -167,19 +167,23 @@ class TestOracle:
             pucci_oracle_check(np.eye(2), E13, n_samples=0, seed=0)
 
     @pytest.mark.parametrize("n_samples", [1, 4097])  # 4097: two sample chunks
-    @pytest.mark.parametrize("m", [2, 6])
+    @pytest.mark.parametrize("m", [1, 2, 6])
     def test_stack_matches_single_calls(self, m, n_samples):
+        # Stacks of 1, B - 1, B, B + 1 and 2B + 3 matrices end inside, on and
+        # past the blocks of B matrices that the oracle scores together.
+        from carnotx.pucci import _BLOCK as B
+
         rng = np.random.default_rng(m)
-        stack = np.array([random_sym(rng, m) for _ in range(6)]).reshape(2, 3, m, m)
-        sup, formula, attained = pucci_oracle_check(stack, E13, n_samples, seed=11)
-        assert sup.shape == formula.shape == attained.shape == (2, 3)
-        singles = [
-            pucci_oracle_check(mat, E13, n_samples, seed=11) for mat in stack.reshape(-1, m, m)
-        ]
-        want_sup, want_formula, want_attained = (np.array(x).reshape(2, 3) for x in zip(*singles))
-        assert np.array_equal(sup.view(np.uint64), want_sup.view(np.uint64))
-        assert np.array_equal(formula.view(np.uint64), want_formula.view(np.uint64))
-        assert np.array_equal(attained, want_attained) and attained.all()
+        mats = np.array([random_sym(rng, m) for _ in range(2 * B + 3)])
+        singles = [pucci_oracle_check(mat, E13, n_samples, seed=11) for mat in mats]
+        want_sup, want_formula, want_attained = (np.array(x) for x in zip(*singles))
+        for count in (1, B - 1, B, B + 1, 2 * B + 3):
+            stack = mats[:count].reshape(1, count, m, m)
+            sup, formula, attained = pucci_oracle_check(stack, E13, n_samples, seed=11)
+            assert sup.shape == formula.shape == attained.shape == (1, count)
+            assert np.array_equal(sup[0].view(np.uint64), want_sup[:count].view(np.uint64))
+            assert np.array_equal(formula[0].view(np.uint64), want_formula[:count].view(np.uint64))
+            assert np.array_equal(attained[0], want_attained[:count]) and attained.all()
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_haar_columns_match_sign_fixed_lapack_qr(self, m):
