@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 from typing import Any, Iterable
@@ -42,31 +41,27 @@ def _fmt_float(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-@functools.cache
-def _field_names(kind: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(kind))
-
-
 def _write(obj: Any, out: list[str], indent: int) -> None:
-    kind = type(obj)  # the exact float and str of most leaves go first
-    if kind is float:
-        out.append(_fmt_float(obj))
-    elif kind is str:
+    # Strings and floats, most of the leaves, go first; neither is ever a
+    # bool, an int or an np.bool_.
+    if isinstance(obj, str):
         out.append(_quote(obj))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(float(obj)))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out, indent)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _write({name: getattr(obj, name) for name in _field_names(kind)}, out, indent)
+        _write(
+            {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
+            out,
+            indent,
+        )
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
