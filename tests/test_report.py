@@ -1,5 +1,6 @@
 """The report writer against the recursive reference in `_oracles`."""
 
+import enum
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,12 +24,25 @@ class Outer:
     rows: tuple
 
 
+class Tag(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
 EDGES = {
     "numpy scalars": [np.float32(0.1), np.float64(1 / 3), np.int64(-7), np.bool_(True)],
     "bool and int": [True, False, 1, 0, -1, 2**70],
     "non-finite": [float("inf"), float("-inf"), float("nan"), np.float64(np.nan)],
     "zeros": [0.0, -0.0, np.float64(-0.0), 5e-324, 1e308],
     "empty": [{}, [], ()],
+    "subclasses": [Tag("tag\n"), Ratio(0.25), Ratio("nan"), Level.HIGH],
     "nested": Outer(
         name="outer",
         inner=Inner(values=np.array([[1.5, -0.0], [np.inf, 2.0]]), missing=None),
