@@ -55,9 +55,11 @@ class ScalarField:
     """A scalar function with an optional analytic Hessian callback.
 
     ``evaluate`` must accept stacked points (..., n) in any memory layout,
-    column-major views included, and return shape (...); it must not keep
-    them, as the stencil reuses its buffer.  A Hessian callback, when
-    present, is trusted in place of finite differences of ``evaluate``.
+    column-major views included, and return shape (...), or (F..., ...)
+    for F... values per point, which one stencil pass differences
+    together; it must not keep the points, as the stencil reuses its
+    buffer.  A Hessian callback, when present, is trusted in place of
+    finite differences of ``evaluate``.
     ``smooth_domain`` is a vectorized predicate for where derivative
     queries are legitimate (None means everywhere).  A field that is a
     function of the gauge on H^d carries ``of_gauge(rho, h2, g)``, mapping
@@ -119,12 +121,19 @@ _FD_CHUNK = 16
 
 @functools.cache
 def _fd_stencil(n: int) -> tuple[np.ndarray, ...]:
-    """The stencil for points of length n: (offsets (n, K), c2, c_mix, rows, cols).
+    """The stencil for points of length n: (steps (n, U), index, c2, c_mix, rows, cols).
 
-    Columns of ``offsets`` are the K stencil rows: axis rows at the
+    The stencil has K rows per level, at steps h and h/2: axis rows at the
     second-derivative offsets, then rows at products of first-derivative
-    offsets for each pair (rows[p], cols[p]), rows[p] < cols[p].  The arrays
-    are shared between calls, so they are read-only.
+    offsets for each pair (rows[p], cols[p]), rows[p] < cols[p].  Columns of
+    ``steps`` are its U distinct rows in units of h, ``offset / 2`` on the
+    h/2 level; ``index`` (2K,) puts each back in its (level, row) place.
+    The h/2 level's offsets +-2 are the h level's +-1 and the centre
+    repeats 2n times, so U = 1 + 6n + 28 n(n-1)/2 of 2K = 10n + 16 n(n-1).
+    Products of h with 0, +-0.5, +-1 and +-2 are exact, so h * step has the
+    bits of the level's step times its offset, and a point x + h * step
+    the bits of the stencil row it stands for.  The arrays are shared
+    between calls, so they are read-only.
     """
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     eye = np.eye(n)
@@ -132,49 +141,64 @@ def _fd_stencil(n: int) -> tuple[np.ndarray, ...]:
         [off * eye[k] for k in range(n) for off, _ in _D2]
         + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in _D1 for ob, _ in _D1]
     )
+    both = np.vstack([table, 0.5 * table])
+    # Keyed by bytes, so that steps differing in the sign of a zero stay apart.
+    first: dict[bytes, int] = {}
+    index = np.array([first.setdefault(step.tobytes(), len(first)) for step in both])
+    steps = both[np.unique(index, return_index=True)[1]]
     c2 = np.array([c for _, c in _D2])
     c_mix = np.array([ca * cb for _, ca in _D1 for _, cb in _D1])
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    parts = (np.ascontiguousarray(table.T), c2, c_mix, rows, cols)
+    parts = (np.ascontiguousarray(steps.T), index, c2, c_mix, rows, cols)
     for part in parts:
         part.flags.writeable = False
     return parts
 
 
 def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessians at points (..., n).
+    """Central-difference Hessians at points (..., n); shape (F..., ..., n, n).
 
-    The stencil points of a chunk are laid out coordinate by coordinate in
-    one buffer reused across chunks, each entry x_j + h * offset as in
-    ``x + h * table``, and ``u.evaluate`` gets the buffer's (points, n)
-    transpose.  Each point's values are combined by BLAS dots of its own,
-    so its bits do not depend on the stack or the chunking.
+    F... are the leading value axes of ``u.evaluate`` (none for a scalar
+    field), so F fields sharing one ``evaluate`` are differenced in one
+    pass.  The distinct stencil points of a chunk are laid out coordinate
+    by coordinate in one buffer reused across chunks, each entry
+    x_j + h * step, and ``u.evaluate`` gets the buffer's (points, n)
+    transpose.  Each point's values are gathered back into both levels
+    and combined by BLAS dots of their own, so its bits do not depend on
+    the stack, the chunking or the other fields.  An empty stack is still
+    evaluated once, for the value axes.
     """
     n = x.shape[-1]
-    offsets, c2, c_mix, rows, cols = _fd_stencil(n)
+    steps, index, c2, c_mix, rows, cols = _fd_stencil(n)
+    k = len(index) // 2
     flat = x.reshape(-1, n)
-    hess = np.empty(flat.shape + (n,))
-    buf = np.empty((n, _FD_CHUNK, 2, offsets.shape[1]))
-    for lo in range(0, len(flat), _FD_CHUNK):
+    buf = np.empty((n, _FD_CHUNK, steps.shape[1]))
+    for lo in range(0, max(len(flat), 1), _FD_CHUNK):
         xc = flat[lo : lo + _FD_CHUNK]
-        h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
-        h = np.concatenate([h, h / 2.0], axis=1)
+        h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))
         pts = buf[:, : len(xc)]
-        for j, row in enumerate(pts):
-            np.multiply(h[..., None], offsets[j], out=row)
-            row += xc[:, None, None, j]
-        # Contiguous values: a strided operand changes how _dot sums.
-        vals = np.ascontiguousarray(u.evaluate(pts.reshape(n, -1).T), dtype=float)
-        vals = vals.reshape(h.shape + (-1,))
-        axis = vals[..., : n * len(_D2)].reshape(h.shape + (n, len(_D2)))
-        mix = vals[..., n * len(_D2) :].reshape(h.shape + (len(rows), len(c_mix)))
-        h2 = np.float_power(h, 2)[..., None]  # the C library's pow, as a scalar h**2
-        H = np.empty(h.shape + (n, n))
-        H[..., range(n), range(n)] = _dot(axis, c2) / h2
-        H[..., rows, cols] = H[..., cols, rows] = _dot(mix, c_mix) / h2
-        # Richardson: the fourth-order error of h against h/2 cancels.
-        hess[lo : lo + len(xc)] = (16.0 * H[:, 1] - H[:, 0]) / 15.0
-    return hess.reshape(x.shape + (n,))
+        np.multiply(h[:, None], steps[:, None, :], out=pts)
+        pts += xc.T[:, :, None]
+        vals = np.asarray(u.evaluate(pts.reshape(n, -1).T), dtype=float)
+        lead = vals.shape[:-1]
+        # take copies: contiguous values, as a strided operand changes how _dot sums.
+        vals = np.take(vals.reshape(lead + pts.shape[1:]), index, axis=-1)
+        vals = vals.reshape(lead + (len(xc), 2, k))
+        axis = vals[..., : n * len(_D2)].reshape(vals.shape[:-1] + (n, len(_D2)))
+        mix = vals[..., n * len(_D2) :].reshape(vals.shape[:-1] + (len(rows), len(c_mix)))
+        # The C library's pow, as a scalar h**2.
+        h2 = np.float_power(np.stack([h, h / 2.0], axis=-1), 2)[..., None]
+        # Richardson on each entry: the fourth-order error of h against h/2 cancels.
+        diag, off = (
+            (16.0 * e[..., 1, :] - e[..., 0, :]) / 15.0
+            for e in (_dot(axis, c2) / h2, _dot(mix, c_mix) / h2)
+        )
+        if lo == 0:
+            hess = np.empty(lead + flat.shape + (n,))
+        block = hess[..., lo : lo + len(xc), :, :]
+        block[..., range(n), range(n)] = diag
+        block[..., rows, cols] = block[..., cols, rows] = off
+    return hess.reshape(lead + x.shape + (n,))
 
 
 # --- horizontal derivatives ------------------------------------------------
@@ -183,8 +207,9 @@ def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
 def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """Symmetrized horizontal Hessians ((X_i X_j + X_j X_i) u / 2).
 
-    Takes points (..., n) and returns shape (..., m, m), the symmetric part
-    of sigma^T D^2u sigma.  The first-order part of X_i X_j u is 2 u_t in
+    Takes points (..., n) and returns shape (F..., ..., m, m), the symmetric
+    part of sigma^T D^2u sigma, with the value axes F... of a stencil field
+    (see ``_fd_hessian``).  The first-order part of X_i X_j u is 2 u_t in
     the (i+d, i) slot and -2 u_t in (i, i+d): antisymmetric, so the
     symmetrization removes it exactly.  ValueError names the first point
     with a non-finite coordinate.

@@ -128,15 +128,36 @@ def _parse_float_list(spec: str) -> tuple[float, ...]:
     return tuple(_finite_float(t) for t in spec.split(","))
 
 
+def _distinct(values: tuple[float, ...], what: str) -> tuple[float, ...]:
+    """values, if no two are equal: a repeated one would only repeat its rows."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{what} {value!r} is repeated")
+    return values
+
+
 def _parse_c_list(spec: str) -> tuple[float, ...]:
     """Distinct semiconvexity constants, each >= 0: the catalog's thresholds classify no c < 0."""
     values = _parse_float_list(spec)
     if min(values) < 0.0:
         raise argparse.ArgumentTypeError(f"semiconvexity constants must be >= 0, got {spec!r}")
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise argparse.ArgumentTypeError(f"semiconvexity constant {value!r} is repeated")
-    return values
+    return _distinct(values, "semiconvexity constant")
+
+
+def _parse_r_list(spec: str) -> tuple[float, ...]:
+    """Distinct ball radii: a repeated radius draws the same substream twice."""
+    return _distinct(_parse_float_list(spec), "ball radius")
+
+
+def _profile_exponent(token: str) -> float:
+    """verify-radial's alpha; at 0 the profile 1 - rho^0 vanishes and every Hessian is zero."""
+    value = _finite_float(token)
+    if value == 0.0:
+        raise argparse.ArgumentTypeError(
+            f"alpha {token!r} makes psi = 1 - rho^0 identically zero,"
+            " which leaves no Hessian to check"
+        )
+    return value
 
 
 def _int_at_least(token: str, low: int, what: str) -> int:
@@ -253,10 +274,11 @@ def _quartic_profile() -> RadialProfile:
 def _cmd_verify_radial(args: argparse.Namespace) -> int:
     group = args.group
     pts = _stencil_sampler(group)(args.points, substream(args.seed, "verify-radial"))
+    profiles = (power_profile(args.alpha), _quartic_profile())
     results = []
     overall = True
-    for profile in (power_profile(args.alpha), _quartic_profile()):
-        worst = float(np.max(_stencil_error(group, profile, pts)))
+    for profile, errors in zip(profiles, _stencil_error(group, profiles, pts)):
+        worst = float(np.max(errors))
         ok = worst <= args.tol
         overall = overall and ok
         results.append({"profile": profile.name, "max_rel_error": worst, "passed": ok})
@@ -442,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finite differences against the closed-form radial Hessian",
     )
     add_common(p)
-    p.add_argument("--alpha", type=_finite_float, default=0.5)
+    p.add_argument("--alpha", type=_profile_exponent, default=0.5)
     p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--tol", type=_nonnegative_float, default=1e-5)
     p.set_defaults(func=_cmd_verify_radial)
@@ -492,9 +514,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--r",
-        type=_parse_float_list,
+        type=_parse_r_list,
         default=(1.0,),
-        help="ball radii, comma-separated",
+        help="distinct ball radii, comma-separated",
     )
     p.add_argument("--samples", type=int, default=1000000)
     p.set_defaults(func=_cmd_ball_volume)

@@ -1,9 +1,10 @@
-"""Test oracles: the group law, dilations, a gradient, callback checkers and
-a reference report writer.
+"""Test oracles: the group law, dilations, a gradient, callback checkers, a
+reference stencil and a reference report writer.
 
 No verdict of the package reads any of these; the tests use them to check
 the frame, the closed-form X-lines, the homogeneity of the gauge, the
-analytic Hessian callbacks of the catalog and the bytes of `report.dumps`.
+analytic Hessian callbacks of the catalog, the bits of `calculus._fd_hessian`
+and the bytes of `report.dumps`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from carnotx.calculus import _D1, _D2, RadialProfile, ScalarField, _fd_hessian
-from carnotx.group import GroupDescriptor, _frame, _points
+from carnotx.calculus import _D1, _D2, _FD_CHUNK, _FD_STEP, RadialProfile, ScalarField, _fd_hessian
+from carnotx.group import GroupDescriptor, _dot, _frame, _points
 
 
 def dilate(group: GroupDescriptor, lam: float, x: np.ndarray) -> np.ndarray:
@@ -126,6 +127,49 @@ def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict
         for fd, exact in ((d1, profile.psi_prime(r)), (d2, profile.psi_second(r)))
     )
     return {"ok": e1 <= _PROFILE_RTOL and e2 <= _PROFILE_RTOL, "prime_err": e1, "second_err": e2}
+
+
+def reference_fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """`calculus._fd_hessian` for a scalar field, with every stencil row evaluated.
+
+    The table has K rows: the axis rows at the second-derivative offsets,
+    then the rows at products of first-derivative offsets for each pair
+    (rows[p], cols[p]), rows[p] < cols[p].  Each chunk of points (c, n)
+    hands ``u.evaluate`` all 2K rows per point, ``xc + h * table`` at h and
+    h/2 in (point, level, row) order, repeats included; the values are
+    combined by the same dots and Richardson step.
+    """
+    n = x.shape[-1]
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    eye = np.eye(n)
+    offsets = np.array(
+        [off * eye[k] for k in range(n) for off, _ in _D2]
+        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in _D1 for ob, _ in _D1]
+    ).T.copy()
+    c2 = np.array([c for _, c in _D2])
+    c_mix = np.array([ca * cb for _, ca in _D1 for _, cb in _D1])
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    flat = x.reshape(-1, n)
+    hess = np.empty(flat.shape + (n,))
+    buf = np.empty((n, _FD_CHUNK, 2, offsets.shape[1]))
+    for lo in range(0, len(flat), _FD_CHUNK):
+        xc = flat[lo : lo + _FD_CHUNK]
+        h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
+        h = np.concatenate([h, h / 2.0], axis=1)
+        pts = buf[:, : len(xc)]
+        for j, row in enumerate(pts):
+            np.multiply(h[..., None], offsets[j], out=row)
+            row += xc[:, None, None, j]
+        vals = np.ascontiguousarray(u.evaluate(pts.reshape(n, -1).T), dtype=float)
+        vals = vals.reshape(h.shape + (-1,))
+        axis = vals[..., : n * len(_D2)].reshape(h.shape + (n, len(_D2)))
+        mix = vals[..., n * len(_D2) :].reshape(h.shape + (len(rows), len(c_mix)))
+        h2 = np.float_power(h, 2)[..., None]
+        H = np.empty(h.shape + (n, n))
+        H[..., range(n), range(n)] = _dot(axis, c2) / h2
+        H[..., rows, cols] = H[..., cols, rows] = _dot(mix, c_mix) / h2
+        hess[lo : lo + len(xc)] = (16.0 * H[:, 1] - H[:, 0]) / 15.0
+    return hess.reshape(x.shape + (n,))
 
 
 def _reference_write(obj: Any, out: list[str], indent: int) -> None:

@@ -18,6 +18,7 @@ from _oracles import (
     euclid_gradient,
     group_multiply,
     horizontal_gradient,
+    reference_fd_hessian,
 )
 from carnotx import (
     CounterexampleConfig,
@@ -36,7 +37,6 @@ from carnotx import (
     radial_hessian,
     sublaplacian,
 )
-from carnotx import calculus
 from carnotx.calculus import _fd_hessian, _radial_eigenvalues
 from carnotx.group import _frame, _gauge_parts
 
@@ -354,27 +354,6 @@ def test_non_finite_points_raise(group, branch, bad):
         horizontal_hessian_sym(group, u, pts[2])
 
 
-def legacy_stencil_points(x: np.ndarray) -> np.ndarray:
-    """Every chunk's stencil points as ``xc + h * table``, one (K, n) table per call."""
-    n = x.shape[-1]
-    d1 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
-    d2 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
-    eye = np.eye(n)
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    table = np.array(
-        [off * eye[k] for k in range(n) for off, _ in d2]
-        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in d1 for ob, _ in d1]
-    )
-    flat = x.reshape(-1, n)
-    out = []
-    for lo in range(0, len(flat), calculus._FD_CHUNK):
-        xc = flat[lo : lo + calculus._FD_CHUNK]
-        h = calculus._FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
-        h = np.concatenate([h, h / 2.0], axis=1)
-        out.append((xc[:, None, None, :] + h[..., None, None] * table).reshape(-1, n))
-    return np.concatenate(out)
-
-
 def recording(u: ScalarField, calls: list, contiguous: bool) -> ScalarField:
     """u without callbacks, recording a copy of each stack ``evaluate`` receives."""
 
@@ -385,22 +364,37 @@ def recording(u: ScalarField, calls: list, contiguous: bool) -> ScalarField:
     return ScalarField(name=u.name, evaluate=evaluate)
 
 
+def distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """The bit patterns of the rows of pts, each distinct one once, sorted."""
+    row = np.dtype((np.void, pts.itemsize * pts.shape[-1]))
+    return np.unique(np.ascontiguousarray(pts).view(row))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(1,), (15,), (16,), (17,), (200,), (2, 3)])
 def test_stencil_points_and_hessians_keep_their_bits(d, shape):
+    # The stencil evaluates each distinct point of the reference's stencil
+    # once, and its Hessians keep the reference's bits.  A coordinate -0.0
+    # checks that every point keeps the sign of zero the reference gives it.
     group = heisenberg(d)
     sampler = gauge_ball_sampler(group, rho_max=0.95, rho_min=0.05, min_horizontal=0.01)
     x = sampler(int(np.prod(shape)), np.random.default_rng(7)).reshape(shape + (group.n,))
+    x.reshape(-1, group.n)[0, 0] = -0.0
     fields = [gauge_quartic(group), field_from_profile(group, power_profile(0.5))]
     fields += [case.field for case in convexity_catalog(group)]
-    want = legacy_stencil_points(x).view(np.uint64)
     for u in fields:
-        seen, copied = [], []
+        seen, copied, legacy = [], [], []
         got = _fd_hessian(recording(u, seen, contiguous=False), x)
         ref = _fd_hessian(recording(u, copied, contiguous=True), x)
+        want = reference_fd_hessian(recording(u, legacy, contiguous=False), x)
         assert got.shape == x.shape + (group.n,)
-        assert np.array_equal(np.concatenate(seen).view(np.uint64), want), u.name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), u.name
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), u.name
+    # The points do not depend on the field: check the last one's.
+    assert len(seen) == len(legacy)
+    for pts, full in zip(seen, legacy):
+        assert len(pts) == len(distinct_rows(pts)) < len(full)
+        assert np.array_equal(distinct_rows(pts), distinct_rows(full))
 
 
 @pytest.mark.parametrize("count", [64, 4096])

@@ -465,6 +465,10 @@ class TestOtherCommands:
         (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
         # a repeated constant would only print its rows twice
         (["convexity", "--c", "1,0.5,1"], "semiconvexity constant 1.0 is repeated"),
+        # psi = 1 - rho^0 vanishes, so both routes would agree on zero Hessians
+        (["verify-radial", "--alpha", "0"], "identically zero"),
+        # a repeated radius would draw the same substream and print its row twice
+        (["ball-volume", "--r", "1,1", "--samples", "2000"], "ball radius 1.0 is repeated"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

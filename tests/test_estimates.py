@@ -31,7 +31,8 @@ from carnotx import (
     sweep_scaling,
     verify_pucci_annihilation,
 )
-from carnotx.calculus import _gauge_field, _radial_eigenvalues
+from carnotx.calculus import _gauge_field, _radial_eigenvalues, radial_hessian
+from carnotx.cli import _quartic_profile, run
 from carnotx.estimates import (
     MAX_PULL,
     _CHUNK,
@@ -40,11 +41,14 @@ from carnotx.estimates import (
     _box_draw,
     _gauge_moment,
     _linear_fit,
+    _stencil_error,
     _stencil_sampler,
     _sweep_radius,
     gauge_box_halfwidths,
+    power_profile,
 )
 from carnotx.group import _gauge_parts
+from carnotx.pucci import _relative_frobenius
 from carnotx.report import dumps
 from carnotx.rng import substream
 
@@ -672,6 +676,26 @@ def _reference_lq(u, group, r, qs, quad):
     return out
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 200])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
+    # One stencil pass for every profile; each row has the bits of the
+    # profile alone, through the stack and through its own field.
+    group = heisenberg(d)
+    profiles = (power_profile(0.3), _quartic_profile(), power_profile(0.7))
+    pts = _stencil_sampler(group)(n, substream(5, "stack"))
+    got = _stencil_error(group, profiles, pts)
+    assert got.shape == (len(profiles), n)
+    for row, profile in zip(got, profiles):
+        alone = _stencil_error(group, (profile,), pts)[0]
+        own = _relative_frobenius(
+            horizontal_hessian_sym(group, field_from_profile(group, profile), pts),
+            radial_hessian(group, profile, pts).matrix,
+        )
+        assert np.array_equal(row.view(np.uint64), alone.view(np.uint64)), profile.name
+        assert np.array_equal(row.view(np.uint64), own.view(np.uint64)), profile.name
+
+
 class TestGaugeReuse:
     @pytest.mark.parametrize("count", [_CHUNK - 1, STRADDLE])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -789,6 +813,27 @@ class TestGaugeReuse:
             u.in_domain(pts)
             horizontal_hessian_sym(group, u, pts)
         assert gauged and {piece for piece, _ in gauged} == {"fourth"}
+
+    @pytest.mark.parametrize("d, distinct", [(1, 103), (2, 311), (3, 631)])
+    def test_verify_radial_gauges_each_stencil_point_once(self, d, distinct, gauged, monkeypatch):
+        # Both profiles share one stencil pass, which gauges each distinct
+        # stencil row of a point once: U of its 2K rows at h and h/2.
+        import carnotx.calculus as calculus
+
+        real, spans = calculus._fd_hessian, []
+
+        def spanned(u, x):
+            start = len(gauged)
+            out = real(u, x)
+            spans.append((start, len(gauged)))
+            return out
+
+        monkeypatch.setattr(calculus, "_fd_hessian", spanned)
+        n = 40
+        assert run(["verify-radial", "--group", f"h:{d}", "--points", str(n)]) == 0
+        assert len(spans) == 1
+        lo, hi = spans[0]
+        assert sum(k for piece, k in gauged[lo:hi] if piece == "fourth") == n * distinct
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rows_at_the_rim_are_inside_by_rho(self, d, monkeypatch):
