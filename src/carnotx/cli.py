@@ -31,7 +31,6 @@ from .estimates import (
     MAX_PULL,
     CounterexampleConfig,
     QuadratureSpec,
-    _annihilation_reach,
     _box_draw,
     _exact_ball_volume,
     _pull,
@@ -72,14 +71,6 @@ def _finite_float(token: str) -> float:
     value = float(token)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {token!r}")
-    return value
-
-
-def _nonnegative_float(token: str) -> float:
-    """A tolerance; a negative one would ask a check to fail by a margin."""
-    value = _finite_float(token)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {token!r}")
     return value
 
 
@@ -180,6 +171,12 @@ def _nonnegative_int(token: str) -> int:
     return _int_at_least(token, 0, "non-negative")
 
 
+# verify-radial's bound on the relative Hessian error, and pucci's on the
+# oracle's gap above the formula, scaled by max(1, ||M||).
+_RADIAL_TOL = 1e-5
+_PUCCI_TOL = 1e-10
+
+
 def _status(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
@@ -221,13 +218,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         glue_mode=args.glue,
     )
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
-    # The annihilation check's radius rules are cheap, so they run first and a
-    # radius they reject fails before any box pass.  The checks and the sweep
-    # radii are then units of one pool, each on its own substream, so neither
-    # their order nor the worker count changes a bit.
-    if args.annihilation_samples > 0:
-        for eps in cfg.eps_list:
-            _annihilation_reach(cfg, eps, args.annihilation_samples)
     report = sweep_scaling(
         cfg, quad, workers=args.workers, annihilation_samples=args.annihilation_samples
     )
@@ -279,12 +269,12 @@ def _cmd_verify_radial(args: argparse.Namespace) -> int:
     overall = True
     for profile, errors in zip(profiles, _stencil_error(group, profiles, pts)):
         worst = float(np.max(errors))
-        ok = worst <= args.tol
+        ok = worst <= _RADIAL_TOL
         overall = overall and ok
         results.append({"profile": profile.name, "max_rel_error": worst, "passed": ok})
         print(
             f"  [{_status(ok)}] {profile.name}: worst relative Hessian error"
-            f" {worst:.3g} over {len(pts)} points (tol {args.tol:.3g})"
+            f" {worst:.3g} over {len(pts)} points (tol {_RADIAL_TOL:.3g})"
         )
     return _finish(args, results, overall)
 
@@ -300,14 +290,14 @@ def _cmd_pucci(args: argparse.Namespace) -> int:
     worst = int(np.argmax(gaps))
     worst_gap = float(gaps[worst])
     all_attained = bool(np.all(attained))
-    ok = all_attained and worst_gap <= args.tol
+    ok = all_attained and worst_gap <= _PUCCI_TOL
     print(
         f"extremal operator self-test: {args.count} matrices of size {args.dim},"
         f" {args.samples} admissible samples each"
     )
     print(
         f"  [{_status(ok)}] worst scaled (oracle - formula) gap {worst_gap:.3g}"
-        f" (must stay below {args.tol:.3g}); optimizer attained: {all_attained}"
+        f" (must stay below {_PUCCI_TOL:.3g}); optimizer attained: {all_attained}"
     )
     results = {
         "worst_gap": worst_gap,
@@ -367,7 +357,6 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
         sampler=_box_draw(group, 1.0),
         count=args.count,
         seed=args.seed,
-        tol=args.tol,
     )
     print(
         "pointwise trace bound, tight configuration"
@@ -411,11 +400,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"carnotx {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_group: str = "h:1") -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--group",
             type=_parse_group,
-            default=_parse_group(default_group),
+            default=_parse_group("h:1"),
             help="group token, e.g. h:1 for the first Heisenberg group",
         )
         p.add_argument("--seed", type=int, default=42, help="master RNG seed")
@@ -466,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--alpha", type=_profile_exponent, default=0.5)
     p.add_argument("--points", type=_positive_int, default=200)
-    p.add_argument("--tol", type=_nonnegative_float, default=1e-5)
     p.set_defaults(func=_cmd_verify_radial)
 
     p = sub.add_parser(
@@ -482,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_finite_float, default=1.0)
     p.add_argument("--Lam", type=_finite_float, default=3.0)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_pucci)
 
@@ -507,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_finite_float, default=1.0)
     p.add_argument("--Lam", type=_finite_float, default=2.0)
     p.add_argument("--count", type=_positive_int, default=64)
-    p.add_argument("--tol", type=_nonnegative_float, default=1e-8)
     p.set_defaults(func=_cmd_pointwise_bound)
 
     p = sub.add_parser("ball-volume", help="Monte-Carlo gauge-ball volume")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -37,7 +36,7 @@ from .calculus import (
 from .group import GroupDescriptor, _gauge, _gauge_fourth, _gauge_parts, _gauge_slope, heisenberg
 from .pucci import (
     Ellipticity,
-    _relative_frobenius,
+    _frobenius,
     pucci_plus,
     pucci_plus_of_eigenvalues,
     sym_eigenvalues,
@@ -228,7 +227,8 @@ def _stencil_error(
     The profiles are stacked into one whose psi, psi' and psi'' carry them
     on a leading axis, so one stencil pass gauges each distinct stencil
     point once for all of them.  Every profile keeps the bits of a call on
-    it alone.
+    it alone.  A profile with a non-finite error, or with an exact Hessian
+    whose norm is zero or subnormal, leaves nothing to compare: ValueError.
     """
 
     def stacked(attr: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -241,10 +241,22 @@ def _stencil_error(
         psi_second=stacked("psi_second"),
         smooth_radii=lambda r: np.logical_and.reduce([p.radius_ok(r) for p in profiles]),
     )
-    return _relative_frobenius(
-        horizontal_hessian_sym(group, field_from_profile(group, profile), pts),
-        radial_hessian(group, profile, pts).matrix,
-    )
+    # A product like inf * 0 in psi'' is caught below as a NaN, not warned about.
+    with np.errstate(invalid="ignore"):
+        exact = radial_hessian(group, profile, pts).matrix
+        diffs = _frobenius(
+            horizontal_hessian_sym(group, field_from_profile(group, profile), pts) - exact
+        )
+    norms = _frobenius(exact)
+    for p, diff, norm in zip(profiles, diffs, norms):
+        if not (np.isfinite(diff).all() and np.isfinite(norm).all()):
+            raise ValueError(f"profile {p.name}: a relative Hessian error is not finite")
+        if not (norm >= np.finfo(float).tiny).all():
+            raise ValueError(
+                f"profile {p.name}: an exact Hessian has zero or subnormal Frobenius norm,"
+                " so no relative error can be formed against it"
+            )
+    return diffs / norms
 
 
 def _gauge_moment(group: GroupDescriptor, q: float) -> float:
@@ -820,13 +832,13 @@ def sweep_scaling(
     `annihilation_samples` > 0 each radius's `verify_pucci_annihilation`
     at seed quad.seed is one more unit of the same pool, submitted after
     the box passes: the checks are short and mostly Python, and two of them
-    at once contend for the GIL.  Every unit draws from its own substream
-    and results are collected in eps order, so the report is bit-identical
-    for any worker count.  Units run in a copy of the caller's context,
-    which holds numpy's error state.  A unit that starts after another
-    raised is skipped, and the first error in submission order is raised.
-    The CLI applies the check's radius rules (`_annihilation_reach`) first,
-    so a radius they reject runs no unit at all.
+    at once contend for the GIL.  The check's radius rules
+    (`_annihilation_reach`) run on every radius before any unit is built,
+    so a radius they reject runs no unit at all.  Every unit draws from its
+    own substream and results are collected in eps order, so the report is
+    bit-identical for any worker count, and the error raised is the first
+    failing unit's in submission order.  Units run in a copy of the
+    caller's context, which holds numpy's error state.
 
     Noncritical exponents fit log(source mass) against log(eps), weighted
     by the masses' relative standard errors, and pass when the slope is
@@ -840,6 +852,9 @@ def sweep_scaling(
     lo, hi = min(cfg.eps_list), max(cfg.eps_list)
     if hi / lo < 4.0:
         raise ValueError("splice radii must span at least two dyadic decades")
+    if annihilation_samples > 0:
+        for eps in cfg.eps_list:
+            _annihilation_reach(cfg, eps, annihilation_samples)
 
     units = [functools.partial(_sweep_radius, cfg, quad, eps) for eps in cfg.eps_list]
     units += [
@@ -847,20 +862,9 @@ def sweep_scaling(
         for eps in cfg.eps_list
         if annihilation_samples > 0
     ]
-    failed = threading.Event()
-
-    def guarded(context: contextvars.Context, unit: Callable) -> object:
-        if failed.is_set():
-            return None
-        try:
-            return context.run(unit)
-        except BaseException:
-            failed.set()
-            raise
-
     contexts = [contextvars.copy_context() for _ in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(guarded, contexts, units))
+        results = list(pool.map(contextvars.Context.run, contexts, units))
     n_radii = len(cfg.eps_list)
     rows = [row for radius_rows in results[:n_radii] for row in radius_rows]
     annihilation = results[n_radii:]

@@ -81,11 +81,6 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(flat, flat))
 
 
-def _relative_frobenius(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """||approx - exact|| / ||exact|| per stacked matrix, guarding ||exact|| = 0."""
-    return _frobenius(approx - exact) / np.maximum(_frobenius(exact), 1e-30)
-
-
 def sym_eigenvalues(matrix: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix or a stack (..., m, m).
 

@@ -6,8 +6,9 @@ Run from the root of a checkout:
 
 It runs every case below in process, writes its report files into this
 directory, and records the platform they were made on in ``platform.json``.
-The bits of a report depend on numpy's BLAS dots and the C library's
-``pow``, so goldens made elsewhere may legitimately differ in last digits.
+The bits of a report depend on numpy's BLAS dots, its SIMD ``pow`` and the
+C library's ``pow``, so goldens made elsewhere may legitimately differ in
+last digits.
 Regenerate only when a change means to alter report bytes (a schema bump,
 or a value change it states), never to make a failing comparison pass.
 """
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath as umath
 
 from carnotx.cli import run
 
@@ -81,13 +83,21 @@ def run_case(name: str, directory: Path) -> int:
 
 
 def environment() -> dict:
-    """What the report bits depend on beyond the code itself."""
+    """What the report bits depend on beyond the code itself.
+
+    numpy picks its SIMD loops (``pow`` among them) at run time from the
+    targets its build was compiled for and this CPU supports, so those are
+    recorded too: its baseline and the dispatch targets found here.
+    """
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
     return {
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "system": platform.system(),
         "libc": " ".join(platform.libc_ver()),
+        "simd_baseline": list(umath.__cpu_baseline__),
+        "simd_dispatch_found": found,
     }
 
 

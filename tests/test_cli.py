@@ -211,7 +211,7 @@ class TestOtherCommands:
             "command": "pucci",
             "config": {
                 "dim": 4, "count": 7, "samples": 300, "lam": 1.0, "Lam": 3.0,
-                "seed": seed, "tol": 1e-10,
+                "seed": seed,
             },
             "results": {
                 "worst_gap": worst,
@@ -457,10 +457,12 @@ class TestOtherCommands:
         (["convexity", "--c", "-1"], "semiconvexity constants must be >= 0"),
         # the thread count is checked at parse time, before any work runs
         (["counterexample", "--workers", "0"], "positive integer"),
-        # no relative error is below 0, so a negative tolerance only makes a false FAIL
-        (["verify-radial", "--tol", "-1"], "non-negative number"),
-        (["pointwise-bound", "--tol", "-1"], "non-negative number"),
-        (["pucci", "--tol", "-1", "--count", "4", "--samples", "64"], "non-negative number"),
+        # a relative error needs a finite error and an exact Hessian of normal
+        # norm: rho^1e-300 rounds to 1 and its Hessian's norm to 0, 1e300 (1 -
+        # 1e300) * 0 is NaN, and rho^398 underflows on the stencil annulus
+        (["verify-radial", "--alpha", "1e-300"], "power[1e-300]: an exact Hessian has zero"),
+        (["verify-radial", "--alpha", "1e300"], "power[1e+300]: a relative Hessian error is not"),
+        (["verify-radial", "--alpha", "400"], "power[400.0]: an exact Hessian has zero"),
         # a seed outside the 64-bit key would alias one inside it
         (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
         # a repeated constant would only print its rows twice
@@ -469,6 +471,8 @@ class TestOtherCommands:
         (["verify-radial", "--alpha", "0"], "identically zero"),
         # a repeated radius would draw the same substream and print its row twice
         (["ball-volume", "--r", "1,1", "--samples", "2000"], "ball radius 1.0 is repeated"),
+        # verdict tolerances are module constants, not options
+        (["verify-radial", "--tol", "1"], "unrecognized arguments: --tol 1"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -494,6 +498,18 @@ def test_few_annihilation_samples_pass_at_every_seed(n, seed, tmp_path):
     for entry in json.loads(out.read_text())["results"]["annihilation"]:
         assert (entry["n_outer"], entry["n_inner"]) == (n // 2, n - n // 2)
         assert entry["fd_max_excess"] <= 1.0
+
+
+def test_tiny_exact_hessians_are_no_vacuous_pass(tmp_path):
+    # At alpha = 1e-40, rho^alpha rounds to 1, so the stencil sees psi = 0,
+    # while the exact Hessians have norms near 1e-39: normal floats, so the
+    # error is measured against them and reads 1, not 1e-39 over a floor.
+    out = tmp_path / "verify-radial.json"
+    assert run(["verify-radial", "--alpha", "1e-40", "--points", "20", "--out", str(out)]) == 1
+    power = json.loads(out.read_text())["results"][0]
+    assert (power["profile"], power["max_rel_error"], power["passed"]) == (
+        "power[1e-40]", 1.0, False
+    )
 
 
 def test_stencil_cross_check_has_teeth(monkeypatch, tmp_path, capsys):
@@ -570,15 +586,49 @@ def test_thin_stencil_annulus_names_itself(monkeypatch, capsys):
         assert passes == []
 
 
-def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch, capsys):
-    import carnotx.cli as cli
+def test_annihilation_radius_rules_fail_before_the_sweep(monkeypatch):
+    # The sweep applies the check's radius rules itself, to every radius,
+    # before it builds a unit: neither a box pass nor a check starts.
+    def unit(*args, **kwargs):
+        pytest.fail("a unit ran")
 
-    monkeypatch.setattr(cli, "sweep_scaling", lambda *a, **k: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(estimates, "_sweep_radius", unit)
+    monkeypatch.setattr(estimates, "verify_pucci_annihilation", unit)
+    cfg = estimates.CounterexampleConfig(
+        d=1, alpha=0.5, eps_list=tuple(2.0**-k for k in range(21, 25)), q_list=(2.0,)
+    )
+    quad = estimates.QuadratureSpec(n_samples=1000, seed=42)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"eps > 2e-06"):
+            estimates.sweep_scaling(cfg, quad, workers=workers, annihilation_samples=2)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "16"])
+def test_first_failing_unit_in_order_raises(workers, monkeypatch, capsys):
+    # Radius units 1 and 3 fail, and unit 1 waits until unit 3 has raised
+    # whenever they can run at once: the error is still unit 1's.
+    third_failed = threading.Event()
+
+    def planted(cfg, quad, eps):
+        i = cfg.eps_list.index(eps)
+        if i == 1:
+            if int(workers) > 1:
+                assert third_failed.wait(timeout=10.0)
+            raise ValueError("radius unit 1 failed")
+        if i == 3:
+            third_failed.set()
+            raise ValueError("radius unit 3 failed")
+        return []
+
+    monkeypatch.setattr(estimates, "_sweep_radius", planted)
     argv = [
-        "counterexample", "--eps", "2^-21..2^-24", "--q", "2", "--annihilation-samples", "2",
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "0", "--workers", workers,
     ]
     assert run(argv) == 2
-    assert "eps > 2e-06" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: radius unit 1 failed\n"
+    assert "overall:" not in captured.out
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -85,8 +85,19 @@ def _environment_note() -> str:
     parts = ", ".join(f"{k} {a} -> {b}" for k, (a, b) in changed.items())
     return (
         f"The goldens were made on another platform ({parts}); report bits depend on"
-        " BLAS dots and the C library's pow, so last-digit drift may come from that."
+        " BLAS dots, numpy's SIMD pow (chosen from the CPU's SIMD targets) and the"
+        " C library's pow, so last-digit drift may come from that."
     )
+
+
+def test_environment_note_names_a_simd_change(monkeypatch):
+    # A CPU without the recorded dispatch targets runs other pow loops.
+    recorded = json.loads((GOLDEN / "platform.json").read_text())
+    fewer = dict(recorded, simd_dispatch_found=recorded["simd_dispatch_found"][:1])
+    monkeypatch.setattr(regenerate, "environment", lambda: fewer)
+    note = _environment_note()
+    assert f"simd_dispatch_found {recorded['simd_dispatch_found']} ->" in note
+    assert "numpy's SIMD pow" in note
 
 
 def test_differences_name_paths_and_values():
