@@ -215,7 +215,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         eps_list=args.eps,
         q_list=args.q,
-        glue_mode=args.glue,
     )
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
     report = sweep_scaling(
@@ -224,10 +223,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if args.csv:
         write_rows_csv(report.rows, args.csv)
 
-    print(
-        f"counterexample sweep: group=h:{cfg.d} alpha={cfg.alpha:.17g}"
-        f" glue={cfg.glue_mode} cells={len(report.rows)}"
-    )
+    print(f"counterexample sweep: group=h:{cfg.d} alpha={cfg.alpha:.17g} cells={len(report.rows)}")
     for verdict in report.verdicts:
         print(
             f"  [{_status(verdict['passed'])}] q={verdict['q']:.17g}"
@@ -437,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="thread count for sweep radii and annihilation checks",
     )
-    p.add_argument("--glue", choices=("paper-literal", "c1-variant"), default="paper-literal")
     p.add_argument(
         "--annihilation-samples",
         type=_nonnegative_int,

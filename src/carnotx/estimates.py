@@ -402,19 +402,18 @@ def lq_norm(
 class CounterexampleConfig:
     """Parameters of the spliced gauge-power family on H^d.
 
-    The profile is 1 - rho^alpha outside radius eps and a matched parabola
-    inside.  ``paper-literal`` glue keeps the inner coefficient alpha
-    (continuous but with a derivative kink at the splice); ``c1-variant``
-    halves it, which makes the splice C^1.  The ellipticity window is
-    lam = 1/(Q-1), Lam = 1/(1-alpha): exactly the window in which the
-    maximal operator annihilates the outer branch.
+    The profile is 1 - rho^alpha outside radius eps and the parabola with
+    coefficient alpha/2 inside, which matches value and slope at the splice:
+    a slope jump would put a measure on rho = eps into the horizontal
+    Hessian.  The ellipticity window is lam = 1/(Q-1), Lam = 1/(1-alpha):
+    exactly the window in which the maximal operator annihilates the outer
+    branch.
     """
 
     d: int
     alpha: float
     eps_list: tuple[float, ...]
     q_list: tuple[float, ...]
-    glue_mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
         self.group()  # a ValueError unless d names a Heisenberg group
@@ -434,8 +433,6 @@ class CounterexampleConfig:
         # A repeated radius or exponent would repeat rows and inflate a fit.
         if any(len(set(v)) < len(v) for v in (self.eps_list, self.q_list)):
             raise ValueError("splice radii and exponents must be distinct")
-        if self.glue_mode not in ("paper-literal", "c1-variant"):
-            raise ValueError(f"unknown glue mode {self.glue_mode!r}")
         if not self.ellipticity().Lam > self.ellipticity().lam:
             raise ValueError("degenerate ellipticity window")
 
@@ -445,14 +442,14 @@ class CounterexampleConfig:
 
     @property
     def inner_coefficient(self) -> float:
-        return self.alpha if self.glue_mode == "paper-literal" else 0.5 * self.alpha
+        return 0.5 * self.alpha
 
     @property
     def rhs_amplitude(self) -> float:
         """Magnitude coefficient of the inner right-hand side.
 
-        Equals 2 a Q / (Q - 1) where a is the inner parabola coefficient;
-        with literal glue this is 2 alpha Q / (Q - 1).
+        Equals 2 a Q / (Q - 1) where a = alpha/2 is the inner parabola
+        coefficient, so alpha Q / (Q - 1).
         """
         big_q = self.homogeneous_dim
         return 2.0 * self.inner_coefficient * big_q / (big_q - 1.0)
@@ -527,7 +524,7 @@ def counterexample_profile(cfg: CounterexampleConfig, eps: float) -> RadialProfi
         return np.where(r >= eps, outer.psi_second(r), inner)
 
     return RadialProfile(
-        name=f"splice[alpha={alpha},eps={eps},{cfg.glue_mode}]",
+        name=f"splice[alpha={alpha},eps={eps}]",
         psi=psi,
         psi_prime=psi_prime,
         psi_second=psi_second,
@@ -785,11 +782,13 @@ def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -
     moment = _gauge_moment(group, q)
     inner_moment = eps ** ((alpha - 2.0) * q) * eps**big_q * moment
     f_exact = cfg.rhs_amplitude**q * inner_moment
-    hess_inner = (6.0 * cfg.inner_coefficient) ** q * inner_moment
+    # The inner Hessian constant 6a equals the outer 3 alpha, bit for bit.
+    hess_scale = (3.0 * alpha) ** q
+    hess_inner = hess_scale * inner_moment
     radial_integral = (
         math.log(1.0 / eps) if _is_critical(beta) else (1.0 - eps**beta) / beta
     )
-    hess_outer = (3.0 * alpha) ** q * big_q * moment * radial_integral
+    hess_outer = hess_scale * big_q * moment * radial_integral
 
     return SweepRow(
         eps=eps,

@@ -473,6 +473,8 @@ class TestOtherCommands:
         (["ball-volume", "--r", "1,1", "--samples", "2000"], "ball radius 1.0 is repeated"),
         # verdict tolerances are module constants, not options
         (["verify-radial", "--tol", "1"], "unrecognized arguments: --tol 1"),
+        # one splice, so no option chooses it
+        (["counterexample", "--glue", "c1-variant"], "unrecognized arguments"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

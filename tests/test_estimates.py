@@ -24,11 +24,13 @@ from carnotx import (
     heisenberg,
     horizontal_hessian_sym,
     horizontal_quadratic,
+    integrate_xline,
     lq_norm,
     pointwise_bound_check,
     pucci_minus,
     pucci_plus_of_eigenvalues,
     sweep_scaling,
+    sym_eigenvalues,
     verify_pucci_annihilation,
 )
 from carnotx.calculus import _gauge_field, _radial_eigenvalues, radial_hessian
@@ -62,6 +64,14 @@ CFG = CounterexampleConfig(
 )
 
 
+def _on_gauge(group, x, rho):
+    """The points x dilated onto the gauge spheres of radii rho."""
+    lam = rho / _gauge_parts(group, x)[0]
+    x = x * lam[:, None]
+    x[:, -1] *= lam
+    return x
+
+
 class TestCriticalExponents:
     def test_q_star_frozen(self):
         assert CFG.critical_q() == pytest.approx(8.0 / 3.0, rel=1e-15)
@@ -76,12 +86,8 @@ class TestConfig:
         assert e.Lam == pytest.approx(2.0, rel=1e-15)
 
     def test_rhs_amplitude_frozen(self):
-        # 2 a Q / (Q - 1) with a = alpha = 1/2 and Q = 4.
-        assert CFG.rhs_amplitude == pytest.approx(4.0 / 3.0, rel=1e-15)
-        half = CounterexampleConfig(
-            d=1, alpha=0.5, eps_list=CFG.eps_list, q_list=CFG.q_list, glue_mode="c1-variant"
-        )
-        assert half.rhs_amplitude == pytest.approx(2.0 / 3.0, rel=1e-15)
+        # 2 a Q / (Q - 1) with a = alpha / 2 = 1/4 and Q = 4.
+        assert CFG.rhs_amplitude == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_validation(self):
         good = dict(d=1, alpha=0.5, eps_list=(0.125,), q_list=(2.0,))
@@ -94,7 +100,6 @@ class TestConfig:
             dict(good, eps_list=(1.5,)),
             dict(good, q_list=(1.0,)),
             dict(good, q_list=(4.0,)),
-            dict(good, glue_mode="smooth"),
             dict(good, eps_list=(0.125, 0.25, 0.125)),
             dict(good, q_list=(2.0, 2.0)),
         ):
@@ -104,32 +109,78 @@ class TestConfig:
 
 class TestProfile:
     def test_value_continuity_at_splice(self):
-        for mode in ("paper-literal", "c1-variant"):
-            cfg = CounterexampleConfig(
-                d=1, alpha=0.5, eps_list=CFG.eps_list, q_list=CFG.q_list, glue_mode=mode
-            )
-            for eps in cfg.eps_list:
-                profile = counterexample_profile(cfg, eps)
-                inner = float(profile.psi(eps * (1.0 - 1e-13)))
-                outer = float(profile.psi(eps))
-                assert inner == pytest.approx(outer, abs=1e-12)
+        for eps in CFG.eps_list:
+            profile = counterexample_profile(CFG, eps)
+            inner = float(profile.psi(eps * (1.0 - 1e-13)))
+            outer = float(profile.psi(eps))
+            assert inner == pytest.approx(outer, abs=1e-12)
 
-    def test_derivative_kink_ratio(self):
-        # Literal glue: inner slope is exactly twice the outer slope at the
-        # splice; the C^1 variant removes the kink.
-        eps = 0.125
-        lit = counterexample_profile(CFG, eps)
-        ratio = float(lit.psi_prime(eps * (1 - 1e-13))) / float(lit.psi_prime(eps))
-        assert ratio == pytest.approx(2.0, rel=1e-10)
-        c1 = counterexample_profile(
-            CounterexampleConfig(
-                d=1, alpha=0.5, eps_list=CFG.eps_list, q_list=CFG.q_list,
-                glue_mode="c1-variant",
-            ),
-            eps,
-        )
-        ratio = float(c1.psi_prime(eps * (1 - 1e-13))) / float(c1.psi_prime(eps))
-        assert ratio == pytest.approx(1.0, rel=1e-10)
+    def test_splice_has_no_slope_jump(self):
+        # The slopes of the two branches meet at the splice, and, as an
+        # independent check on the field, centred second differences along
+        # horizontal lines across rho = eps stay level as the step halves.
+        # A slope jump would make them grow like 1/s: the negative control
+        # is the splice with inner coefficient alpha, which has one.
+        eps, s = 0.125, 1e-3
+        for d in (1, 2, 3):
+            group = heisenberg(d)
+            rng = np.random.default_rng(7)
+            x0 = _on_gauge(group, rng.standard_normal((400, group.n)), eps)
+            directions = rng.standard_normal((400, group.m))
+            for alpha in (0.3, 0.5, 0.9):
+                profile = counterexample_profile(dataclasses.replace(CFG, d=d, alpha=alpha), eps)
+                slope_in, slope_out = profile.psi_prime(np.array([eps * (1 - 1e-13), eps]))
+                assert slope_in / slope_out == pytest.approx(1.0, rel=1e-10)
+
+                def kinked(r, outer=profile.psi, alpha=alpha):
+                    r = np.asarray(r, dtype=float)
+                    inner = 1.0 - alpha * eps ** (alpha - 2.0) * r**2 - (1.0 - alpha) * eps**alpha
+                    return np.where(r >= eps, outer(r), inner)
+
+                # field_from_profile reads psi alone.
+                kink = dataclasses.replace(profile, name="kink", psi=kinked)
+                ratios = []
+                for p in (profile, kink):
+                    u = field_from_profile(group, p)
+                    second = []
+                    for h in (s, s / 2):
+                        line = integrate_xline(group, x0, directions, np.array([-h, 0.0, h]))
+                        v = u.evaluate(line)
+                        second.append(np.abs(v[:, 0] - 2.0 * v[:, 1] + v[:, 2]) / h**2)
+                    ratios.append(float(np.median(second[1] / second[0])))
+                assert abs(ratios[0] - 1.0) <= 0.02, (d, alpha, ratios)
+                assert ratios[1] >= 1.9, (d, alpha, ratios)
+
+    def test_semiconvexity_constant_is_closed_form(self):
+        # With a = alpha / 2 the lowest horizontal Hessian eigenvalue of u_eps
+        # is -c(eps), c(eps) = 3 alpha eps^(alpha - 2): the tangential one,
+        # constant inside B_eps and largest in size at rho = eps outside, and
+        # attained where |D rho| = 1, on the t = 0 plane.
+        def matches(lowest, c):
+            return -c * (1.0 + 1e-12) <= lowest <= -c * (1.0 - 1e-12)
+
+        n = 2000
+        for d in (1, 2):
+            group = heisenberg(d)
+            for alpha in (0.3, 0.5, 0.7):
+                for eps in (2.0**-3, 2.0**-6, 2.0**-9):
+                    rng = np.random.default_rng(3)
+                    x = rng.standard_normal((n, group.n))
+                    x[: n // 2, -1] = 0.0
+                    x = _on_gauge(group, x, rng.uniform(eps / 2, 2 * eps, n))
+                    cfg = dataclasses.replace(CFG, d=d, alpha=alpha)
+                    profile = counterexample_profile(cfg, eps)
+                    rho, _, g = _gauge_parts(group, x)
+                    eigs = _radial_eigenvalues(d, profile, rho, g)
+                    c = 3.0 * alpha * eps ** (alpha - 2.0)
+                    lowest = float(np.min(eigs))
+                    assert matches(lowest, c), (d, alpha, eps, lowest / c)
+                    assert not matches(lowest, 0.99 * c) and not matches(lowest, 1.01 * c)
+                    # The closed-form multiset against the Hessian matrices.
+                    exact = sym_eigenvalues(radial_hessian(group, profile, x[:64]).matrix)
+                    err = np.abs(np.sort(eigs[:64], axis=-1) - exact.eigenvalues)
+                    scale = np.max(np.abs(exact.eigenvalues), axis=-1, keepdims=True)
+                    assert np.all(err <= 1e-12 * scale), (d, alpha, eps)
 
     def test_profile_bounded_by_one(self):
         r = np.linspace(0.0, 1.0, 4097)
@@ -154,7 +205,7 @@ class TestRhs:
     def test_frozen_inner_value(self):
         f = counterexample_rhs_field(CFG, 0.125)
         got = float(f.evaluate(np.array([0.01, 0.02, 0.001])))
-        assert got == pytest.approx(-13.492384683385085, rel=1e-14)
+        assert got == pytest.approx(-6.7461923416925424, rel=1e-14)
 
     def test_zero_outside(self):
         f = counterexample_rhs_field(CFG, 0.125)
@@ -162,16 +213,12 @@ class TestRhs:
 
 
 class TestAnnihilation:
-    def test_passes_both_glue_modes(self):
-        for mode in ("paper-literal", "c1-variant"):
-            cfg = CounterexampleConfig(
-                d=1, alpha=0.5, eps_list=CFG.eps_list, q_list=CFG.q_list, glue_mode=mode
-            )
-            rep = verify_pucci_annihilation(cfg, 0.125, n_samples=3000, seed=11)
-            assert rep.passed, rep
-            assert rep.max_outer_residual <= 1e-12
-            assert rep.max_inner_residual <= 1e-12
-            assert rep.n_inner > 0 and rep.n_outer > 0
+    def test_passes_with_vanishing_residuals(self):
+        rep = verify_pucci_annihilation(CFG, 0.125, n_samples=3000, seed=11)
+        assert rep.passed, rep
+        assert rep.max_outer_residual <= 1e-12
+        assert rep.max_inner_residual <= 1e-12
+        assert rep.n_inner > 0 and rep.n_outer > 0
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.6])
     def test_two_samples_check_both_regions(self, eps):
@@ -593,24 +640,23 @@ class TestChunkedSampling:
         assert (row.f_mass, row.f_mass_stderr, row.n_inside) == (
             f.mass, f.mass_stderr, f.n_inside
         )
-        # Exact masses: Q = 4, a = alpha, and beta = 0 at the critical q = 8/3.
+        # Exact masses: Q = 4, a = alpha / 2, and beta = 0 at the critical q = 8/3.
         moment = _gauge_moment(H1, q)
         inner = eps ** ((CFG.alpha - 2.0) * q) * eps**4.0 * moment
         beta = row.predicted_exponent
         radial = math.log(1.0 / eps) if i_q == 1 else (1.0 - eps**beta) / beta
         assert row.f_mass_exact == CFG.rhs_amplitude**q * inner
         assert row.f_pull == (row.f_mass - row.f_mass_exact) / row.f_mass_stderr
-        assert row.hess_mass_inner == (6.0 * CFG.alpha) ** q * inner
+        assert row.hess_mass_inner == (6.0 * CFG.inner_coefficient) ** q * inner
         assert row.hess_mass_outer == (3.0 * CFG.alpha) ** q * 4.0 * moment * radial
 
-    @pytest.mark.parametrize("glue", ["paper-literal", "c1-variant"])
-    def test_u_sup_is_the_profile_maximum(self, glue):
+    def test_u_sup_is_the_profile_maximum(self):
         # The closed form psi(0) against the maximum on a fine grid of [0, 1].
         grid = np.linspace(0.0, 1.0, 8193)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             cfg = CounterexampleConfig(
                 d=1, alpha=alpha, eps_list=(2.0**-3, 2.0**-8, 0.6, 0.25),
-                q_list=(2.0,), glue_mode=glue,
+                q_list=(2.0,),
             )
             quad = QuadratureSpec(n_samples=1000, seed=1)
             for eps in cfg.eps_list:
@@ -636,12 +682,6 @@ class TestChunkedSampling:
         rep = sweep_scaling(cfg, QuadratureSpec(n_samples=n, seed=3), workers=2)
         assert len(rep.rows) == 4 * 3
         assert drawn == {eps: n for eps in cfg.eps_list}
-
-
-def _glue_cfg(d, glue):
-    return CounterexampleConfig(
-        d=d, alpha=0.5, eps_list=CFG.eps_list, q_list=(2.0, 8.0 / 3.0), glue_mode=glue
-    )
 
 
 def _reference_lq(u, group, r, qs, quad):
@@ -699,11 +739,10 @@ def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
 class TestGaugeReuse:
     @pytest.mark.parametrize("count", [_CHUNK - 1, STRADDLE])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("glue", ["paper-literal", "c1-variant"])
-    def test_rhs_lq_norm_equals_row_gather_reference(self, count, d, glue):
+    def test_rhs_lq_norm_equals_row_gather_reference(self, count, d):
         # The integrator hands the rhs the compressed gauge; a reference that
         # gathers the inside rows and evaluates them gives the same bits.
-        cfg = _glue_cfg(d, glue)
+        cfg = dataclasses.replace(CFG, d=d)
         quad = QuadratureSpec(n_samples=count, seed=31)
         for eps in (cfg.eps_list[0], cfg.eps_list[-1]):
             u = counterexample_rhs_field(cfg, eps)
@@ -739,13 +778,12 @@ class TestGaugeReuse:
 
         monkeypatch.setattr(estimates, "_box_masses", capture)
         ball_volume(group, 1.0, QuadratureSpec(n_samples=1000, seed=1))
-        fields = [seen[0]]
-        for glue in ("paper-literal", "c1-variant"):
-            cfg = _glue_cfg(d, glue)
-            fields += [
-                counterexample_rhs_field(cfg, eps),
-                field_from_profile(group, counterexample_profile(cfg, eps)),
-            ]
+        cfg = dataclasses.replace(CFG, d=d)
+        fields = [
+            seen[0],
+            counterexample_rhs_field(cfg, eps),
+            field_from_profile(group, counterexample_profile(cfg, eps)),
+        ]
         for u in fields:
             assert u.of_gauge is not None
             for pts in (x, x[5]):
@@ -807,7 +845,8 @@ class TestGaugeReuse:
         # domain, nor the stencil built on them compute |D rho|^2.
         for d in (1, 2):
             group = heisenberg(d)
-            u = field_from_profile(group, counterexample_profile(_glue_cfg(d, "c1-variant"), 0.125))
+            profile = counterexample_profile(dataclasses.replace(CFG, d=d), 0.125)
+            u = field_from_profile(group, profile)
             pts = _stencil_sampler(group)(20, substream(6, "profile"))
             u.evaluate(pts)
             u.in_domain(pts)

@@ -1,8 +1,10 @@
 """Source hygiene: every imported name is used and every module-level private
 name is read (no linter runs on this tree), the package exports exactly what
 its modules export and nothing the code and the acceptance tests leave unread,
-and the README states the report schema the code writes."""
+and the README states the report schema the code writes and names only options
+the CLI has."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import carnotx
+from carnotx.cli import _build_parser
 from carnotx.report import SCHEMA_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,3 +137,33 @@ def test_package_exports_are_the_modules_exports():
 def test_readme_states_the_schema_version():
     stated = re.findall(r"`schema_version` (\d+)", (ROOT / "README.md").read_text())
     assert stated and all(int(v) == SCHEMA_VERSION for v in stated)
+
+
+def unknown_options(readme: str, parser) -> list[str]:
+    """``--flags`` the text names that are options of no parser or subparser.
+
+    The ``pip install`` line is skipped: its flags are pip's.
+    """
+    parsers, known = [parser], set()
+    while parsers:
+        p = parsers.pop()
+        for action in p._actions:
+            known.update(action.option_strings)
+            if action.nargs == argparse.PARSER:
+                parsers.extend(action.choices.values())
+    named = {
+        flag
+        for line in readme.splitlines()
+        if "pip install" not in line
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+    }
+    return sorted(named - known)
+
+
+def test_scanner_flags_an_unknown_option():
+    text = "`--samples` and `--no-such-flag`, a `---` rule\npip install --no-build-isolation\n"
+    assert unknown_options(text, _build_parser()) == ["--no-such-flag"]
+
+
+def test_readme_names_only_cli_options():
+    assert unknown_options((ROOT / "README.md").read_text(), _build_parser()) == []
