@@ -344,13 +344,11 @@ def _gauge_field(
     group: GroupDescriptor,
     name: str,
     of_gauge: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    smooth_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ScalarField:
     """The field ``of_gauge(rho, h2, g)`` on H^d; ``evaluate`` gauges its points first."""
     return ScalarField(
         name=name,
         evaluate=lambda x: of_gauge(*_gauge_parts(group, x)),
-        smooth_domain=smooth_domain,
         of_gauge=of_gauge,
     )
 

@@ -809,13 +809,22 @@ def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray, sd: np.ndarray) -> tuple[float, float, float, float]:
-    """Least squares weighted by 1/sd^2: slope, its standard error, intercept and R^2."""
-    w = 1.0 / np.square(sd)
+    """Least squares weighted by 1/sd^2: slope, its standard error, intercept and R^2.
+
+    A ValueError where an sd^2 or the weighted spread of y is 0 (underflow).
+    """
+    var = np.square(sd)
+    if not np.all(var > 0.0):
+        raise ValueError("a fitted value's standard error squares to 0, so it has no weight")
+    w = 1.0 / var
     xm, ym = np.average(x, weights=w), np.average(y, weights=w)
     sxx = float(np.sum(w * (x - xm) ** 2))
     slope = float(np.sum(w * (x - xm) * (y - ym))) / sxx
     intercept = float(ym - slope * xm)
-    r2 = 1.0 - float(np.sum(w * (y - slope * x - intercept) ** 2) / np.sum(w * (y - ym) ** 2))
+    total = float(np.sum(w * (y - ym) ** 2))
+    if not total > 0.0:
+        raise ValueError("the weighted spread of the fitted values is 0, so the fit has no R^2")
+    r2 = 1.0 - float(np.sum(w * (y - slope * x - intercept) ** 2)) / total
     return slope, 1.0 / math.sqrt(sxx), intercept, r2
 
 
@@ -831,13 +840,14 @@ def sweep_scaling(
     `annihilation_samples` > 0 each radius's `verify_pucci_annihilation`
     at seed quad.seed is one more unit of the same pool, submitted after
     the box passes: the checks are short and mostly Python, and two of them
-    at once contend for the GIL.  The check's radius rules
-    (`_annihilation_reach`) run on every radius before any unit is built,
-    so a radius they reject runs no unit at all.  Every unit draws from its
-    own substream and results are collected in eps order, so the report is
-    bit-identical for any worker count, and the error raised is the first
-    failing unit's in submission order.  Units run in a copy of the
-    caller's context, which holds numpy's error state.
+    at once contend for the GIL.  For any count but 0, which is "off", the
+    check's rules (`_annihilation_reach`) run on every radius before any
+    unit is built, so a count below 2 or a radius they reject runs no unit
+    at all.  Every unit draws from its own substream and results are
+    collected in eps order, so the report is bit-identical for any worker
+    count, and the error raised is the first failing unit's in submission
+    order.  Units run in a copy of the caller's context, which holds
+    numpy's error state.
 
     Noncritical exponents fit log(source mass) against log(eps), weighted
     by the masses' relative standard errors, and pass when the slope is
@@ -851,7 +861,7 @@ def sweep_scaling(
     lo, hi = min(cfg.eps_list), max(cfg.eps_list)
     if hi / lo < 4.0:
         raise ValueError("splice radii must span at least two dyadic decades")
-    if annihilation_samples > 0:
+    if annihilation_samples != 0:
         for eps in cfg.eps_list:
             _annihilation_reach(cfg, eps, annihilation_samples)
 
@@ -874,6 +884,8 @@ def sweep_scaling(
     for j, q in enumerate(cfg.q_list):
         sub = [rows[i * len(cfg.q_list) + j] for i in range(len(cfg.eps_list))]
         beta = sub[0].predicted_exponent
+        if min(row.f_mass for row in sub) <= 0.0:
+            raise ValueError(f"a source mass at q={q:g} underflows to 0: no scaling law to fit")
         if _is_critical(beta):
             norms = np.array([row.f_norm for row in sub])
             ratio = float(np.max(norms) / np.min(norms))

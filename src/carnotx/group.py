@@ -87,37 +87,24 @@ def _row_sums(
     out: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """np.sum(term(x[..., :k]), axis=-1) with the same bits, column by column.
+    """np.sum(term(x[..., :k]), axis=-1) with the same bits.
 
     ``term(column, out=None)`` is elementwise and returns a new array
-    unless given ``out``, like ``np.square``.  numpy reduces each
-    C-contiguous row of k <= 128 terms from the identity +0: sequentially
-    below 8 terms, and from 8 on with eight interleaved accumulators
-    combined pairwise.  This repeats that order over whole columns instead
-    of one short row at a time, which is several times as fast for a few
-    columns, and ends by adding +0, so that -0 terms sum to +0 as in numpy.
-    ``out`` receives the sums; below 8 terms ``scratch``, of the same
-    shape, holds each column's term, and then nothing is allocated.
+    unless given ``out``, like ``np.square``.  For 1 <= k < 8 numpy adds a
+    row's terms in order, so this adds whole columns in that order, which
+    is several times as fast for a few columns, and ends by adding +0, so
+    that -0 terms sum to +0 as in numpy; ``scratch``, of the sums' shape,
+    then holds each column's term, and nothing is allocated.  Any other k
+    is one np.sum call.  ``out`` receives the sums.
     """
+    if not 0 < k < 8:
+        return np.sum(term(x[..., :k]), axis=-1, out=out)
     shape = x.shape[:-1]
     acc = np.empty(shape) if out is None else out
-    if k == 0:
-        acc.fill(0.0)
-        return acc
-    if k < 8:
-        term(x[..., 0], out=acc)
-        tmp = np.empty(shape) if scratch is None else scratch
-        for j in range(1, k):
-            acc += term(x[..., j], out=tmp)
-    else:
-        r = [term(x[..., j]) for j in range(8)]
-        top = k - k % 8
-        for i in range(8, top, 8):
-            for j in range(8):
-                r[j] += term(x[..., i + j])
-        np.add((r[0] + r[1]) + (r[2] + r[3]), (r[4] + r[5]) + (r[6] + r[7]), out=acc)
-        for i in range(top, k):
-            acc += term(x[..., i])
+    term(x[..., 0], out=acc)
+    tmp = np.empty(shape) if scratch is None else scratch
+    for j in range(1, k):
+        acc += term(x[..., j], out=tmp)
     acc += 0.0
     return acc
 

@@ -148,7 +148,7 @@ def _part_sums(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the positive and of the negative parts over the last axis of eigs (..., k).
 
     The bits of np.sum(np.maximum(eigs, 0.0), axis=-1) and its np.minimum
-    twin, column by column (``group._row_sums``).
+    twin for every k (``group._row_sums``).
     """
     eigs = np.asarray(eigs, dtype=float)
     k = eigs.shape[-1]

@@ -475,6 +475,23 @@ class TestOtherCommands:
         (["verify-radial", "--tol", "1"], "unrecognized arguments: --tol 1"),
         # one splice, so no option chooses it
         (["counterexample", "--glue", "c1-variant"], "unrecognized arguments"),
+        # an alpha so small that a fit's inputs underflow: a source mass of 0,
+        # a standard error that squares to 0, or outer masses whose spread
+        # squares to 0
+        *(
+            (
+                [
+                    "counterexample", "--alpha", alpha, "--q", q, "--eps", "2^-3..2^-6",
+                    "--samples", "1000", "--annihilation-samples", "0",
+                ],
+                message,
+            )
+            for alpha, q, message in [
+                ("1e-200", "2", "a source mass at q=2 underflows to 0"),
+                ("1e-120", "8/3", "standard error squares to 0"),
+                ("1e-100", "2", "so the fit has no R^2"),
+            ]
+        ),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

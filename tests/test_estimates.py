@@ -472,6 +472,13 @@ class TestSweep:
                 quad,
             )
 
+    def test_negative_annihilation_samples_are_rejected(self):
+        # 0 switches the check off; a negative count is an error, not "off".
+        quad = QuadratureSpec(n_samples=2000, seed=1)
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                sweep_scaling(CFG, quad, annihilation_samples=n)
+
     def test_predicted_exponents_frozen(self):
         quad = QuadratureSpec(n_samples=2000, seed=2)
         rep = sweep_scaling(CFG, quad)

@@ -163,9 +163,13 @@ def test_gauge_parts_bits_match_row_sum(d):
         assert _bits(got) == _bits(want[200])
 
 
-@pytest.mark.parametrize("k", range(0, 10))
+@pytest.mark.parametrize("k", [*range(0, 10), 128, 129, 200])
 def test_row_sums_have_the_bits_of_np_sum(k):
-    """Every term and buffer option gives np.sum's bits, -0 rows summing to +0 as there."""
+    """Every term and buffer option gives np.sum's bits, -0 rows summing to +0 as there.
+
+    Past 128 terms numpy sums a row in blocks, so k = 129 and 200 catch a
+    copy of its order that holds only within one block.
+    """
     rng = np.random.default_rng(70 + k)
     x = rng.standard_normal((3000, k + 2)) * 10.0 ** rng.uniform(-8, 8, (3000, k + 2))
     x[rng.random(x.shape) < 0.3] = -0.0
@@ -181,6 +185,15 @@ def test_row_sums_have_the_bits_of_np_sum(k):
         for got in (_row_sums(x, k, term), _row_sums(x, k, term, out=out, scratch=scratch)):
             assert np.array_equal(_bits(got), _bits(want)), name
         assert _row_sums(x, k, term, out=out) is out
+
+
+def test_gauge_sums_130_horizontal_squares_like_np_sum():
+    """On H^65, |x_H|^2 is a row sum of 130 squares, past numpy's 128-term block."""
+    G = heisenberg(65)
+    rng = np.random.default_rng(65)
+    x = rng.standard_normal((2000, G.n)) * 10.0 ** rng.uniform(-8, 8, (2000, G.n))
+    want = np.sum(np.square(x[:, :130]), axis=-1)
+    assert np.array_equal(_bits(_gauge_fourth(G, x)[1]), _bits(want))
 
 
 _PROFILE = power_profile(0.5)

@@ -115,10 +115,10 @@ class TestFormulas:
         assert np.allclose(pucci_plus_of_eigenvalues(eigs, E13), [5.0, 13.0])
         assert np.allclose(pucci_minus_of_eigenvalues(eigs, E13), [-1.0, -1.0])
 
-    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("k", [*range(1, 10), 129])
     def test_eigenvalue_forms_have_the_bits_of_row_sums(self, k):
-        # Column sums in numpy's row-reduction order, on both sides of 8
-        # terms, against np.sum(axis=-1): signed zeros, rows of zeros of
+        # The sums against np.sum(axis=-1), on both sides of 8 terms and
+        # past numpy's 128-term block: signed zeros, rows of zeros of
         # either sign, and magnitudes whose sums depend on the order.
         rng = np.random.default_rng(40 + k)
         eigs = rng.standard_normal((5000, k)) * 10.0 ** rng.uniform(-8, 8, (5000, k))
