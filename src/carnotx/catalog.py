@@ -155,7 +155,7 @@ def convexity_catalog(group: GroupDescriptor) -> list[ConvexityCase]:
     """Six classified cases: three X-convex, two semiconvex-only, one worse.
 
     Thresholds are exact (the fields are quadratics or the gauge quartic),
-    so expected verdicts at any tested constant follow by comparison.
+    so the expected outcome at any tested constant follows by comparison.
     """
     return [
         ConvexityCase(horizontal_quadratic(group, 1.0), threshold=0.0),

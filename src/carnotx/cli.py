@@ -29,6 +29,7 @@ from .catalog import constant_field, convexity_catalog, horizontal_quadratic
 from .convexity import _semiconvex_eigen, _semiconvex_lines
 from .estimates import (
     MAX_PULL,
+    NORM_RATIO_MAX,
     CounterexampleConfig,
     QuadratureSpec,
     _box_draw,
@@ -140,17 +141,6 @@ def _parse_r_list(spec: str) -> tuple[float, ...]:
     return _distinct(_parse_float_list(spec), "ball radius")
 
 
-def _profile_exponent(token: str) -> float:
-    """verify-radial's alpha; at 0 the profile 1 - rho^0 vanishes and every Hessian is zero."""
-    value = _finite_float(token)
-    if value == 0.0:
-        raise argparse.ArgumentTypeError(
-            f"alpha {token!r} makes psi = 1 - rho^0 identically zero,"
-            " which leaves no Hessian to check"
-        )
-    return value
-
-
 def _int_at_least(token: str, low: int, what: str) -> int:
     try:
         value = int(token)
@@ -224,10 +214,21 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         write_rows_csv(report.rows, args.csv)
 
     print(f"counterexample sweep: group=h:{cfg.d} alpha={cfg.alpha:.17g} cells={len(report.rows)}")
-    for verdict in report.verdicts:
+    for fit in report.fits:
+        if fit["kind"] == "critical":
+            detail = (
+                f"source norm ratio {fit['f_norm_ratio']:.6g} (max {NORM_RATIO_MAX}),"
+                f" outer Hessian mass affine in log(1/eps) with R^2={fit['r2']:.6g}"
+            )
+        else:
+            detail = (
+                f"fitted log-log slope {fit['fitted_slope']:.6g}"
+                f" vs predicted {fit['predicted_slope']:.6g},"
+                f" slope pull {fit['slope_pull']:.3g} (limit {MAX_PULL:g})"
+            )
         print(
-            f"  [{_status(verdict['passed'])}] q={verdict['q']:.17g}"
-            f" ({verdict['kind']}): {verdict['detail']}"
+            f"  [{_status(fit['passed'])}] q={fit['q']:.17g} ({fit['kind']}): {detail},"
+            f" worst source-mass pull {fit['worst_f_pull']:.3g} (limit {MAX_PULL:g})"
         )
     for ann in report.annihilation:
         print(
@@ -242,7 +243,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         "critical_q": cfg.critical_q(),
         "rows": report.rows,
         "fits": report.fits,
-        "verdicts": report.verdicts,
         "annihilation": report.annihilation,
     }
     return _finish(args, results, report.passed)
@@ -262,17 +262,15 @@ def _cmd_verify_radial(args: argparse.Namespace) -> int:
     pts = _stencil_sampler(group)(args.points, substream(args.seed, "verify-radial"))
     profiles = (power_profile(args.alpha), _quartic_profile())
     results = []
-    overall = True
     for profile, errors in zip(profiles, _stencil_error(group, profiles, pts)):
         worst = float(np.max(errors))
         ok = worst <= _RADIAL_TOL
-        overall = overall and ok
         results.append({"profile": profile.name, "max_rel_error": worst, "passed": ok})
         print(
             f"  [{_status(ok)}] {profile.name}: worst relative Hessian error"
             f" {worst:.3g} over {len(pts)} points (tol {_RADIAL_TOL:.3g})"
         )
-    return _finish(args, results, overall)
+    return _finish(args, results, all(row["passed"] for row in results))
 
 
 def _cmd_pucci(args: argparse.Namespace) -> int:
@@ -309,14 +307,12 @@ def _cmd_convexity(args: argparse.Namespace) -> int:
     group = args.group
     sampler = _box_draw(group, 1.0)  # the box [-1, 1]^n
     rows = []
-    overall = True
     for case in convexity_catalog(group):
         every_lines = _semiconvex_lines(group, case.field, args.c, sampler, args.lines, args.seed)
         every_eigen = _semiconvex_eigen(group, case.field, args.c, sampler, args.points, args.seed)
         for c, lines, eigen in zip(args.c, every_lines, every_eigen):
             expected = case.threshold <= c + 1e-12
             ok = lines.passed == expected and eigen.passed == expected
-            overall = overall and ok
             rows.append(
                 {
                     "field": case.field.name,
@@ -334,7 +330,7 @@ def _cmd_convexity(args: argparse.Namespace) -> int:
                 f" lines {'pass' if lines.passed else 'fail'},"
                 f" eigenvalues {'pass' if eigen.passed else 'fail'}"
             )
-    return _finish(args, rows, overall)
+    return _finish(args, rows, all(row["agreed"] for row in rows))
 
 
 def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
@@ -370,20 +366,27 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
 def _cmd_ball_volume(args: argparse.Namespace) -> int:
     group = args.group
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
-    results, oks = [], []
+    results = []
     for r in args.r:
         est = ball_volume(group, r, quad)
         exact = _exact_ball_volume(group, r)
         pull = _pull(est.value, est.stderr, exact)
-        oks.append(abs(pull) <= MAX_PULL)
+        ok = abs(pull) <= MAX_PULL
         results.append(
-            {"r": r, "volume": est.value, "stderr": est.stderr, "exact": exact, "pull": pull}
+            {
+                "r": r,
+                "volume": est.value,
+                "stderr": est.stderr,
+                "exact": exact,
+                "pull": pull,
+                "passed": ok,
+            }
         )
         print(
-            f"  [{_status(oks[-1])}] r={r:.17g}: volume {est.value:.17g}"
+            f"  [{_status(ok)}] r={r:.17g}: volume {est.value:.17g}"
             f" (stderr {est.stderr:.3g}), exact {exact:.17g}, pull {pull:.3g}"
         )
-    return _finish(args, results, all(oks))
+    return _finish(args, results, all(row["passed"] for row in results))
 
 
 # Built once per process: parsing leaves no state on the parser.
@@ -448,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finite differences against the closed-form radial Hessian",
     )
     add_common(p)
-    p.add_argument("--alpha", type=_profile_exponent, default=0.5)
+    p.add_argument("--alpha", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_verify_radial)
 

@@ -5,7 +5,7 @@ x'(t) = sigma(x(t)) alpha; on H^d it is the group translate x0 o (t alpha, 0),
 computed in closed form.  A function is semiconvex with constant c along
 X-lines when every centered second difference is at most c s^2; the
 equivalent pointwise statement bounds the symmetrized horizontal Hessian
-below by -c I.  Both checkers share one sampling protocol so their verdicts
+below by -c I.  Both checkers share one sampling protocol so their results
 can be compared directly.
 """
 

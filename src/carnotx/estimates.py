@@ -472,7 +472,8 @@ def power_profile(alpha: float) -> RadialProfile:
     def psi(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         rr = np.where(r > 0.0, r, 1.0)
-        return np.where(r > 0.0, 1.0 - rr**alpha, 1.0)
+        # expm1 keeps the digits that 1 - rho^alpha cancels away at small alpha.
+        return np.where(r > 0.0, -np.expm1(alpha * np.log(rr)), 1.0)
 
     def psi_prime(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -749,14 +750,15 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """The sweep's rows, fits and verdicts, and its annihilation checks in eps order.
+    """The sweep's rows, one fit per exponent, and its annihilation checks in eps order.
 
-    ``passed`` needs every verdict and every check to pass.
+    Each fit carries its numbers, ``worst_f_pull`` (the row ``f_pull`` of
+    largest magnitude) and ``passed``; the report's ``passed`` needs every
+    fit and every check to pass.
     """
 
     rows: list[SweepRow]
     fits: list[dict]
-    verdicts: list[dict]
     annihilation: list[AnnihilationReport]
     passed: bool
 
@@ -879,7 +881,6 @@ def sweep_scaling(
     annihilation = results[n_radii:]
 
     fits: list[dict] = []
-    verdicts: list[dict] = []
     eps_arr = np.array(cfg.eps_list)
     for j, q in enumerate(cfg.q_list):
         sub = [rows[i * len(cfg.q_list) + j] for i in range(len(cfg.eps_list))]
@@ -900,10 +901,6 @@ def sweep_scaling(
                 "hess_outer_intercept": intercept,
                 "r2": r2,
             }
-            detail = (
-                f"source norm ratio {ratio:.6g} (max {NORM_RATIO_MAX}),"
-                f" outer Hessian mass affine in log(1/eps) with R^2={r2:.6g}"
-            )
         else:
             mass = np.array([row.f_mass for row in sub])
             slope, slope_se, intercept, r2 = _linear_fit(
@@ -921,30 +918,15 @@ def sweep_scaling(
                 "intercept": intercept,
                 "r2": r2,
             }
-            detail = (
-                f"fitted log-log slope {slope:.6g} vs predicted {beta:.6g},"
-                f" slope pull {slope_pull:.3g} (limit {MAX_PULL:g})"
-            )
-        worst_pull = max((row.f_pull for row in sub), key=abs)
+        fit["worst_f_pull"] = max((row.f_pull for row in sub), key=abs)
+        fit["passed"] = passed and abs(fit["worst_f_pull"]) <= MAX_PULL
         fits.append(fit)
-        verdicts.append(
-            {
-                "q": q,
-                "kind": fit["kind"],
-                "passed": passed and abs(worst_pull) <= MAX_PULL,
-                "detail": (
-                    f"{detail}, worst source-mass pull {worst_pull:.3g}"
-                    f" (limit {MAX_PULL:g})"
-                ),
-            }
-        )
 
     return SweepReport(
         rows=rows,
         fits=fits,
-        verdicts=verdicts,
         annihilation=annihilation,
-        passed=all(v["passed"] for v in verdicts) and all(a.passed for a in annihilation),
+        passed=all(fit["passed"] for fit in fits) and all(a.passed for a in annihilation),
     )
 
 

@@ -119,9 +119,12 @@ def _gauge_fourth(
     only takes it there.  ``out``, a float array (3, ...) over the leading
     axes of x, receives rho^4 and |x_H|^2 in its first two rows and uses the
     third as scratch, so a caller that gauges stack after stack allocates
-    nothing per stack.
+    nothing per stack.  A single point goes through a one-row stack.
     """
     x = _points(group, x)
+    if x.ndim == 1:
+        lifted = _gauge_fourth(group, x[None], None if out is None else out[:, None])
+        return tuple(part[0] for part in lifted)
     rho4, h2, tmp = np.empty((3,) + x.shape[:-1]) if out is None else out
     _row_sums(x, group.m, np.square, out=h2, scratch=tmp)
     # h2**2 + t**2, each step into a buffer.

@@ -71,7 +71,11 @@ class TestCounterexampleCommand:
         # The option decides the verdict, so it is recorded.
         assert config["annihilation_samples"] == 1200
         assert not {"workers", "out", "csv"} & set(config)
-        assert set(results) >= {"lam", "Lam", "critical_q", "fits", "verdicts"}
+        # Each fit carries its own verdict; there is no parallel list of them.
+        assert set(results) == {"lam", "Lam", "critical_q", "rows", "fits", "annihilation"}
+        for fit in results["fits"]:
+            assert fit["passed"] is True
+            assert abs(fit["worst_f_pull"]) <= estimates.MAX_PULL
         assert len(results["rows"]) == 8
         assert len(results["annihilation"]) == 4
         for entry in results["annihilation"]:
@@ -121,6 +125,7 @@ class TestCounterexampleCommand:
         assert payload["results"]["annihilation"] == []
         (fit,) = payload["results"]["fits"]
         assert fit["slope_pull"] < -estimates.MAX_PULL
+        assert fit["passed"] is False
         assert abs(fit["fitted_slope"] - fit["predicted_slope"]) <= 0.05
         assert all(abs(row["f_pull"]) <= estimates.MAX_PULL for row in payload["results"]["rows"])
 
@@ -137,7 +142,7 @@ class TestCounterexampleCommand:
         pull = float(re.search(r"slope pull (\S+)", out).group(1))
         assert abs(slope - 1.0) > 0.05 and abs(pull) <= estimates.MAX_PULL
 
-    def test_source_mass_far_from_exact_fails(self, monkeypatch, capsys):
+    def test_source_mass_far_from_exact_fails(self, monkeypatch, capsys, tmp_path):
         import carnotx.estimates as estimates
 
         real = estimates.lq_norm
@@ -156,13 +161,17 @@ class TestCounterexampleCommand:
             "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "2000",
             "--annihilation-samples", "0",
         ]
-        assert run(argv) == 1
+        report = tmp_path / "failing.json"
+        assert run(argv + ["--out", str(report)]) == 1
         out = capsys.readouterr().out
         # The slope still passes; the source-mass pull alone fails the verdict.
         slope_pull = float(re.search(r"slope pull (\S+)", out).group(1))
         pull = float(re.search(r"worst source-mass pull (\S+)", out).group(1))
         assert abs(slope_pull) <= estimates.MAX_PULL and pull > 5.0
         assert out.splitlines()[-1] == "overall: FAIL"
+        (fit,) = json.loads(report.read_text())["results"]["fits"]
+        assert fit["passed"] is False
+        assert f"{fit['worst_f_pull']:.3g}" == f"{pull:.3g}"
 
     def test_bad_alpha_is_usage_error(self):
         assert run(["counterexample", "--alpha", "1.5"]) == 2
@@ -364,9 +373,10 @@ class TestOtherCommands:
         for r in (0.5, 2.0):
             est = ball_volume(G, r, quad)
             exact = _exact_ball_volume(G, r)
+            pull = _pull(est.value, est.stderr, exact)
             want.append(
                 {"r": r, "volume": est.value, "stderr": est.stderr,
-                 "exact": exact, "pull": _pull(est.value, est.stderr, exact)}
+                 "exact": exact, "pull": pull, "passed": abs(pull) <= estimates.MAX_PULL}
             )
         assert out.read_text() == dumps(
             {
@@ -379,7 +389,7 @@ class TestOtherCommands:
             }
         )
 
-    def test_ball_volume_far_from_exact_fails(self, monkeypatch, capsys):
+    def test_ball_volume_far_from_exact_fails(self, monkeypatch, capsys, tmp_path):
         import math
 
         import carnotx.cli as cli
@@ -389,10 +399,46 @@ class TestOtherCommands:
         monkeypatch.setattr(
             cli, "ball_volume", lambda group, r, quad: McEstimate(exact + 0.1, 0.01)
         )
-        assert run(["ball-volume", "--r", "1"]) == 1
+        report = tmp_path / "ball.json"
+        assert run(["ball-volume", "--r", "1", "--out", str(report)]) == 1
         out = capsys.readouterr().out
         assert "pull 10" in out
         assert out.splitlines()[-1] == "overall: FAIL"
+        (row,) = json.loads(report.read_text())["results"]
+        assert row["passed"] is False
+
+    def test_convexity_flags_a_wrong_threshold(self, monkeypatch, tmp_path):
+        # The quadratic -|x_H|^2/2 has threshold 1; claiming 0 makes both
+        # checkers disagree with the catalog at every c below 1.
+        import carnotx.cli as cli
+        from carnotx.catalog import ConvexityCase, horizontal_quadratic
+
+        monkeypatch.setattr(
+            cli,
+            "convexity_catalog",
+            lambda group: [ConvexityCase(horizontal_quadratic(group, -1.0), threshold=0.0)],
+        )
+        report = tmp_path / "conv.json"
+        argv = ["convexity", "--lines", "24", "--points", "24", "--out", str(report)]
+        assert run(argv) == 1
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is False
+        agreed = {row["c"]: row["agreed"] for row in payload["results"]}
+        assert agreed == {0.0: False, 0.5: False, 1.0: True, 2.0: True}
+
+    def test_pointwise_bound_flags_a_field_past_c4(self, monkeypatch, tmp_path):
+        # -3|x_H|^2/2 is semiconvex with constant 3, above the check's c4 = 1.
+        import carnotx.cli as cli
+
+        real = cli.horizontal_quadratic
+        monkeypatch.setattr(
+            cli, "horizontal_quadratic", lambda group, coeff: real(group, 3.0 * coeff)
+        )
+        report = tmp_path / "bound.json"
+        assert run(["pointwise-bound", "--count", "16", "--out", str(report)]) == 1
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is False
+        assert payload["results"]["semiconvex_ok"] is False
 
 
 @pytest.mark.parametrize(
@@ -468,7 +514,7 @@ class TestOtherCommands:
         # a repeated constant would only print its rows twice
         (["convexity", "--c", "1,0.5,1"], "semiconvexity constant 1.0 is repeated"),
         # psi = 1 - rho^0 vanishes, so both routes would agree on zero Hessians
-        (["verify-radial", "--alpha", "0"], "identically zero"),
+        (["verify-radial", "--alpha", "0"], "power[0.0]: an exact Hessian has zero"),
         # a repeated radius would draw the same substream and print its row twice
         (["ball-volume", "--r", "1,1", "--samples", "2000"], "ball radius 1.0 is repeated"),
         # verdict tolerances are module constants, not options
@@ -519,16 +565,48 @@ def test_few_annihilation_samples_pass_at_every_seed(n, seed, tmp_path):
         assert entry["fd_max_excess"] <= 1.0
 
 
-def test_tiny_exact_hessians_are_no_vacuous_pass(tmp_path):
-    # At alpha = 1e-40, rho^alpha rounds to 1, so the stencil sees psi = 0,
-    # while the exact Hessians have norms near 1e-39: normal floats, so the
-    # error is measured against them and reads 1, not 1e-39 over a floor.
+def test_tiny_exact_hessians_are_no_vacuous_pass(monkeypatch, tmp_path):
+    # A planted profile whose stencil sees psi = 0 while its exact Hessians,
+    # those of rho^1e-40, have norms near 1e-39: normal floats, so the error
+    # is measured against them and reads 1, not 1e-39 over a floor.
+    import carnotx.cli as cli
+
+    real = cli.power_profile
+    monkeypatch.setattr(
+        cli,
+        "power_profile",
+        lambda alpha: dataclasses.replace(real(alpha), psi=lambda r: np.zeros(np.shape(r))),
+    )
     out = tmp_path / "verify-radial.json"
     assert run(["verify-radial", "--alpha", "1e-40", "--points", "20", "--out", str(out)]) == 1
     power = json.loads(out.read_text())["results"][0]
     assert (power["profile"], power["max_rel_error"], power["passed"]) == (
         "power[1e-40]", 1.0, False
     )
+
+
+@pytest.mark.parametrize("group", ["h:1", "h:3"])
+@pytest.mark.parametrize("alpha", ["1e-40", "1e-12", "1e-6", "1e-3"])
+def test_small_alpha_stencil_passes(group, alpha, tmp_path):
+    # psi = -expm1(alpha log rho) keeps the digits that 1 - rho^alpha loses
+    # to cancellation, about log10(1/alpha) of them, so the stencil agrees.
+    out = tmp_path / "verify-radial.json"
+    assert run(["verify-radial", "--group", group, "--alpha", alpha, "--out", str(out)]) == 0
+    power = json.loads(out.read_text())["results"][0]
+    assert power["max_rel_error"] <= 1e-7
+
+
+def test_small_alpha_counterexample_passes(tmp_path):
+    # At alpha = 1e-9 the cancellation in 1 - rho^alpha failed every radius's
+    # finite-difference check.
+    out = tmp_path / "counterexample.json"
+    argv = [
+        "counterexample", "--alpha", "1e-9", "--samples", "2000",
+        "--annihilation-samples", "200", "--out", str(out),
+    ]
+    assert run(argv) == 0
+    for entry in json.loads(out.read_text())["results"]["annihilation"]:
+        assert entry["fd_max_excess"] <= 1.0
 
 
 def test_stencil_cross_check_has_teeth(monkeypatch, tmp_path, capsys):

@@ -427,13 +427,13 @@ class TestSweep:
 
         monkeypatch.setattr(estimates, "verify_pucci_annihilation", failing)
         failed = sweep_scaling(CFG, quad, workers=2, annihilation_samples=40)
-        assert all(v["passed"] for v in failed.verdicts) and not failed.passed
+        assert all(fit["passed"] for fit in failed.fits) and not failed.passed
 
     def test_verdict_structure(self):
         quad = QuadratureSpec(n_samples=20000, seed=21)
         rep = sweep_scaling(CFG, quad)
         assert len(rep.rows) == len(CFG.eps_list) * len(CFG.q_list)
-        kinds = {v["q"]: v["kind"] for v in rep.verdicts}
+        kinds = {fit["q"]: fit["kind"] for fit in rep.fits}
         assert kinds[2.0] == "power"
         assert kinds[8.0 / 3.0] == "critical"
         for row in rep.rows:
@@ -458,7 +458,12 @@ class TestSweep:
         assert (power["fitted_slope"], power["slope_stderr"]) == (slope, se)
         assert (power["intercept"], power["r2"]) == (intercept, r2)
         assert power["slope_pull"] == (slope - power["predicted_slope"]) / se
-        assert rep.verdicts[0]["passed"] == (abs(power["slope_pull"]) <= MAX_PULL)
+        worst = max((row.f_pull for row in rep.rows[0::2]), key=abs)
+        assert power["worst_f_pull"] == worst
+        assert power["passed"] == (
+            abs(power["slope_pull"]) <= MAX_PULL and abs(worst) <= MAX_PULL
+        )
+        assert rep.passed == (power["passed"] and critical["passed"])
         # Unit weights give the critical fit the ordinary R^2.
         outer = [row.hess_mass_outer for row in rep.rows[1::2]]
         want_r2 = np.corrcoef(np.log(1.0 / eps), outer)[0, 1] ** 2

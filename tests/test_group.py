@@ -196,6 +196,21 @@ def test_gauge_sums_130_horizontal_squares_like_np_sum():
     assert np.array_equal(_bits(_gauge_fourth(G, x)[1]), _bits(want))
 
 
+@pytest.mark.parametrize("d", [1, 2, 65])
+def test_single_point_gauge_fourth_has_the_bits_of_its_row(d):
+    G = heisenberg(d)
+    x = np.random.default_rng(d).standard_normal((5, G.n)) * 3.0
+    rows = np.array(_gauge_fourth(G, x))
+    for i, point in enumerate(x):
+        single = _gauge_fourth(G, point)
+        assert all(np.shape(part) == () for part in single)
+        assert np.array_equal(_bits(single), _bits(rows[:, i]))
+        # out, of shape (3,) for a single point, receives the same bits.
+        out = np.full(3, np.nan)
+        _gauge_fourth(G, point, out=out)
+        assert np.array_equal(_bits(out[:2]), _bits(rows[:, i]))
+
+
 _PROFILE = power_profile(0.5)
 
 
