@@ -111,7 +111,7 @@ def _parse_q_spec(spec: str) -> tuple[float, ...]:
     for token in spec.split(","):
         try:
             out.append(float(Fraction(token.strip())))
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise argparse.ArgumentTypeError(f"bad exponent {token.strip()!r}: {err}")
     return tuple(out)
 

@@ -679,7 +679,7 @@ def verify_pucci_annihilation(
     outer_res = float(np.max(residual[~inner]))
     inner_res = float(np.max(residual[inner]))
 
-    # Route cross-check: full matrix + Jacobi eigensolver on a subsample.
+    # Route cross-check: full matrix + LAPACK eigensolver on a subsample.
     sub = rng.choice(len(pts), size=min(32, len(pts)), replace=False)
     via_matrix = pucci_plus(radial_hessian(group, profile, pts[sub]).matrix, e)
     matrix_dev = float(np.max(np.abs(via_matrix - mplus[sub]) / scale, initial=0.0))

@@ -3,9 +3,9 @@
 The maximal operator is the supremum of Tr(A M) over symmetric A with
 spectrum in [lam, Lam]; in eigenvalues it is Lam * (positive part sum) +
 lam * (negative part sum), with the minimal operator as its dual.
-Eigenvalues come from a hand-rolled cyclic Jacobi sweep so that results are
-bit-for-bit deterministic across platforms and thread counts.  A single
-matrix is the one-element case of a stack (..., m, m).
+Eigenvalues come from one LAPACK call per stack (np.linalg.eigh), whose
+bits do not depend on the stack or the thread count on a given platform.
+A single matrix is the one-element case of a stack (..., m, m).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 _ZERO_CLAMP = 1e-14
-_OFFDIAG_TOL = 1e-14
-_MAX_SWEEPS = 64
 _SANDWICH_TOL = 1e-9
 # Matrices the oracle scores per stacked product.  The traced peak of
 # `pucci --dim 6 --count 512 --samples 1024` is 1.50 MB at 8 and 2.02 MB at
@@ -84,58 +82,19 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
 def sym_eigenvalues(matrix: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix or a stack (..., m, m).
 
-    Cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5): each matrix
-    sweeps its strict upper triangle in a fixed row-major order until its
-    off-diagonal Frobenius mass falls below 1e-14 times its norm, and is
-    then frozen, so its bits do not depend on the rest of the stack.  Still
-    unconverged after _MAX_SWEEPS sweeps, it raises RuntimeError.  The
-    reconstruction V diag(e) V^T matches the input to 1e-12 * ||M||.
+    One LAPACK call (np.linalg.eigh, syevd) on the whole stack, which
+    decomposes each matrix on its own: a matrix gets the bits of a call on
+    it alone, whatever the stack or the thread count, though the bits may
+    differ between LAPACK builds.  Eigenvalues come in ascending order; each
+    eigenvector column is signed so that its largest-magnitude component is
+    positive.  LAPACK's failure to converge raises numpy's LinAlgError, a
+    ValueError.
     """
     a = _as_symmetric(matrix)
-    lead, m = a.shape[:-2], a.shape[-1]
-    a = a.reshape((-1, m, m))
-    av = np.empty((len(a), 2 * m, m))  # a on top of v: columns rotate together
-    av[:, :m], av[:, m:] = a, np.eye(m)
-    norm = _frobenius(a)
-    bar = np.where(norm == 0.0, np.inf, _OFFDIAG_TOL * norm)  # zero: done at once
-    live, work = np.arange(len(a)), av
-    for sweep in range(_MAX_SWEEPS + 1):
-        done = _frobenius(work[:, :m] * (1.0 - np.eye(m))) < bar
-        if np.count_nonzero(done):
-            av[live[done]] = work[done]
-            live, work, bar = live[~done], work[~done], bar[~done]
-        if not len(live):
-            break
-        if sweep == _MAX_SWEEPS:
-            raise RuntimeError(f"Jacobi did not converge in {sweep} sweeps")
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = work[:, p, q]
-                # rotate only where a[p, q] != 0, by views when that is everywhere
-                k = slice(None) if np.count_nonzero(apq) == len(apq) else apq != 0.0
-                apq = apq[k]
-                # tau + 0.0 is +0 at tau = -0, where t = 1 as at +0; otherwise
-                # t has the bits of sign(tau) / (|tau| + hypot(1, tau)).
-                tau = (work[k, q, q] - work[k, p, p]) / (2.0 * apq) + 0.0
-                t = 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s, c = (t * c)[:, None], c[:, None]
-                col_p, col_q = work[k, :, p], work[k, :, q]
-                work[k, :, p], work[k, :, q] = c * col_p - s * col_q, s * col_p + c * col_q
-                row_p, row_q = work[k, p, :], work[k, q, :]
-                work[k, p, :], work[k, q, :] = c * row_p - s * row_q, s * row_p + c * row_q
-                work[k, p, q] = work[k, q, p] = 0.0
-
-    rows = np.arange(len(av))[:, None]
-    eig = np.diagonal(av[:, :m], axis1=-2, axis2=-1)
-    order = np.argsort(eig, axis=-1, kind="stable")
-    eig = eig[rows, order]
-    vt = np.swapaxes(av[:, m:], -1, -2)[rows, order]  # eigenvectors as rows
+    eig, v = np.linalg.eigh(a)
     # Deterministic sign convention: largest-magnitude component positive.
-    lead_entry = vt[rows, np.arange(m), np.argmax(np.abs(vt), axis=-1)]
-    vt = np.where(lead_entry[..., None] < 0.0, -vt, vt)
-    v = np.ascontiguousarray(np.swapaxes(vt, -1, -2))
-    return Spectrum(eigenvalues=eig.reshape(lead + (m,)), vectors=v.reshape(lead + (m, m)))
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    return Spectrum(eigenvalues=eig, vectors=np.where(lead < 0.0, -v, v))
 
 
 def _clamped(eigs: np.ndarray) -> np.ndarray:
@@ -247,8 +206,8 @@ def pucci_oracle_check(
     twice-applied Gram-Schmidt factor is U (_haar_columns), then c.  Each
     matrix therefore gets the bits of a call on it alone with the same
     seed.  The sampled traces are sums c_j u_j^T M u_j over the columns of
-    U, and nothing here shares code with the Jacobi solver that gives the
-    formula.
+    U, and nothing here shares code with the LAPACK eigensolver that gives
+    the formula.
 
     Returns (oracle_sup, formula_value, attained), each of shape (...),
     where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to

@@ -6,9 +6,9 @@ Run from the root of a checkout:
 
 It runs every case below in process, writes its report files into this
 directory, and records the platform they were made on in ``platform.json``.
-The bits of a report depend on numpy's BLAS dots, its SIMD ``pow`` and the
-C library's ``pow``, so goldens made elsewhere may legitimately differ in
-last digits.
+The bits of a report depend on numpy's BLAS dots, its LAPACK eigensolver,
+its SIMD ``pow`` and the C library's ``pow``, so goldens made elsewhere may
+legitimately differ in last digits.
 Regenerate only when a change means to alter report bytes (a schema bump,
 or a value change it states), never to make a failing comparison pass.
 """
@@ -87,9 +87,11 @@ def environment() -> dict:
 
     numpy picks its SIMD loops (``pow`` among them) at run time from the
     targets its build was compiled for and this CPU supports, so those are
-    recorded too: its baseline and the dispatch targets found here.
+    recorded too: its baseline and the dispatch targets found here.  So is
+    the LAPACK build that numpy links, whose eigensolver gives the spectra.
     """
     found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     return {
         "numpy": np.__version__,
         "python": platform.python_version(),
@@ -98,6 +100,7 @@ def environment() -> dict:
         "libc": " ".join(platform.libc_ver()),
         "simd_baseline": list(umath.__cpu_baseline__),
         "simd_dispatch_found": found,
+        "lapack": {"name": lapack["name"], "version": lapack["version"]},
     }
 
 

@@ -538,6 +538,9 @@ class TestOtherCommands:
                 ("1e-100", "2", "so the fit has no R^2"),
             ]
         ),
+        # an exponent past the largest double
+        (["counterexample", "--q", "1e400"], "bad exponent '1e400'"),
+        (["counterexample", "--q", "2,1e309"], "bad exponent '1e309'"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):

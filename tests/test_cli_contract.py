@@ -32,7 +32,7 @@ _dyadic_range = st.tuples(st.integers(-8, 1), st.integers(-8, 1)).map(
     lambda k: f"2^{k[0]}..2^{k[1]}"
 )
 _q_list = st.lists(
-    st.sampled_from(["1", "2", "8/3", "3", "4", "0", "-1", "1/0"]), min_size=1, max_size=3
+    st.sampled_from(["1", "2", "8/3", "3", "4", "0", "-1", "1/0", "1e400"]), min_size=1, max_size=3
 ).map(",".join)
 
 

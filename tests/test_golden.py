@@ -85,8 +85,8 @@ def _environment_note() -> str:
     parts = ", ".join(f"{k} {a} -> {b}" for k, (a, b) in changed.items())
     return (
         f"The goldens were made on another platform ({parts}); report bits depend on"
-        " BLAS dots, numpy's SIMD pow (chosen from the CPU's SIMD targets) and the"
-        " C library's pow, so last-digit drift may come from that."
+        " BLAS dots, LAPACK's eigensolver, numpy's SIMD pow (chosen from the CPU's"
+        " SIMD targets) and the C library's pow, so last-digit drift may come from that."
     )
 
 
@@ -98,6 +98,12 @@ def test_environment_note_names_a_simd_change(monkeypatch):
     note = _environment_note()
     assert f"simd_dispatch_found {recorded['simd_dispatch_found']} ->" in note
     assert "numpy's SIMD pow" in note
+    # Another LAPACK build may round the eigensolver's last bits differently.
+    other = dict(recorded, lapack=dict(recorded["lapack"], version="0.0.0"))
+    monkeypatch.setattr(regenerate, "environment", lambda: other)
+    note = _environment_note()
+    assert "lapack {" in note and "'version': '0.0.0'}" in note
+    assert "LAPACK's eigensolver" in note
 
 
 def test_differences_name_paths_and_values():

@@ -1,7 +1,10 @@
 """Extremal operators: frozen values, algebraic laws, and the sampled sup."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from carnotx import (
     pucci_plus_of_eigenvalues,
     sym_eigenvalues,
 )
+from carnotx.cli import run
 
 E13 = Ellipticity(lam=1.0, Lam=3.0)
 
@@ -25,18 +29,20 @@ def random_sym(rng, k):
 
 
 class TestEigensolver:
-    def test_against_lapack_oracle(self):
+    def test_against_mpmath_oracle(self):
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            k = int(rng.integers(1, 7))
-            mat = random_sym(rng, k) * float(rng.uniform(0.1, 50.0))
-            spec = sym_eigenvalues(mat)
-            want = np.linalg.eigvalsh(mat)
-            scale = max(1.0, float(np.linalg.norm(mat)))
-            assert np.allclose(spec.eigenvalues, want, atol=1e-12 * scale)
-            # vectors diagonalize: M v = e v columnwise
-            recon = spec.vectors @ np.diag(spec.eigenvalues) @ spec.vectors.T
-            assert np.allclose(recon, mat, atol=1e-12 * scale)
+        with mpmath.workdps(30):
+            for _ in range(200):
+                k = int(rng.integers(1, 7))
+                mat = random_sym(rng, k) * float(rng.uniform(0.1, 50.0))
+                spec = sym_eigenvalues(mat)
+                exact = mpmath.eigsy(mpmath.matrix(mat.tolist()), eigvals_only=True)
+                want = sorted(float(x) for x in exact)
+                scale = max(1.0, float(np.linalg.norm(mat)))
+                assert np.allclose(spec.eigenvalues, want, atol=1e-12 * scale)
+                # vectors diagonalize: M v = e v columnwise
+                recon = spec.vectors @ np.diag(spec.eigenvalues) @ spec.vectors.T
+                assert np.allclose(recon, mat, atol=1e-12 * scale)
 
     def test_rejects_nonsymmetric_and_nonsquare(self):
         with pytest.raises(ValueError):
@@ -46,12 +52,33 @@ class TestEigensolver:
         with pytest.raises(ValueError):
             sym_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_non_convergence_raises(self, monkeypatch):
-        from carnotx import pucci
+    def test_non_convergence_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(pucci, "_MAX_SWEEPS", 1)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            sym_eigenvalues(random_sym(np.random.default_rng(10), 4))
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        out = tmp_path / "report.json"
+        assert run(["pucci", "--count", "2", "--samples", "8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "did not converge" in err
+        assert not out.exists()
+
+    def test_concurrent_calls_have_the_bits_of_one_call(self):
+        # The sweep's pool runs LAPACK from several threads at once.
+        raw = np.random.default_rng(18).standard_normal((2000, 4, 4))
+        mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        want = sym_eigenvalues(mats)
+        start = threading.Barrier(8)
+
+        def call(_):
+            start.wait()
+            return sym_eigenvalues(mats)
+
+        with ThreadPoolExecutor(8) as pool:
+            for got in pool.map(call, range(8)):
+                for field in ("eigenvalues", "vectors"):
+                    bits = [getattr(x, field).view(np.uint64) for x in (got, want)]
+                    assert np.array_equal(*bits)
 
     def test_diagonal_and_identity(self):
         spec = sym_eigenvalues(np.diag([3.0, -1.0, 2.0]))
