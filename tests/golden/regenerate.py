@@ -4,8 +4,8 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It runs every case below in process, writes its report files into this
-directory, and records the platform they were made on in ``platform.json``.
+It runs every case below in process, writes its report files and its
+standard output (``<case>.stdout``) into this directory, and records the platform they were made on in ``platform.json``.
 The bits of a report depend on numpy's BLAS dots, its LAPACK eigensolver,
 its SIMD ``pow`` and the C library's ``pow``, so goldens made elsewhere may
 legitimately differ in last digits.
@@ -73,13 +73,19 @@ CASES = {
 
 
 def run_case(name: str, directory: Path) -> int:
-    """Run one case with its report files written into ``directory``; the exit code."""
+    """Run one case with its report files and ``<name>.stdout`` written into ``directory``.
+
+    Returns the exit code.
+    """
     argv, files = CASES[name]
     argv = list(argv)
     for option, filename in files.items():
         argv += [option, str(directory / filename)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        return run(argv)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run(argv)
+    (directory / f"{name}.stdout").write_text(stdout.getvalue())
+    return code
 
 
 def environment() -> dict:

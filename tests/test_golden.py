@@ -1,8 +1,9 @@
-"""Golden reports: every report file must match its committed bytes exactly.
+"""Golden reports: every report file and every case's stdout must match its
+committed bytes exactly.
 
 The cases and the script that regenerates them live in ``tests/golden/``.
-A mismatch names each differing JSON path (or CSV cell) with both values,
-so a last-bit float drift reads differently from a structural change.
+A mismatch names each differing JSON path (CSV cell, stdout line) with both
+values, so a last-bit float drift reads differently from a structural change.
 """
 
 import csv
@@ -76,6 +77,18 @@ def csv_differences(want: str, got: str) -> list[str]:
     return diffs or ["same cells, different line endings or quoting"]
 
 
+def stdout_differences(want: str, got: str) -> list[str]:
+    lines_a, lines_b = want.splitlines(), got.splitlines()
+    if len(lines_a) != len(lines_b):
+        return [f"line count {len(lines_a)} != {len(lines_b)}"]
+    diffs = [
+        f"line {i + 1}: golden {a!r}, now {b!r}"
+        for i, (a, b) in enumerate(zip(lines_a, lines_b))
+        if a != b
+    ]
+    return diffs or ["same lines, different line endings"]
+
+
 def _environment_note() -> str:
     recorded = json.loads((GOLDEN / "platform.json").read_text())
     current = regenerate.environment()
@@ -117,16 +130,20 @@ def test_differences_name_paths_and_values():
         "<root>: keys ['a', 'b'] != ['b', 'a']"
     ]
     assert csv_differences("x,y\n1,2\n", "x,y\n1,3\n") == ["row 1, y: golden '2', now '3'"]
+    assert stdout_differences("a\nb 1\n", "a\nb 2\n") == ["line 2: golden 'b 1', now 'b 2'"]
 
 
 @pytest.mark.parametrize("name", sorted(regenerate.CASES))
 def test_report_bytes_match_golden(name, tmp_path):
     assert regenerate.run_case(name, tmp_path) == 0
-    for option, filename in regenerate.CASES[name][1].items():
+    outputs = dict(regenerate.CASES[name][1], stdout=f"{name}.stdout")
+    for option, filename in outputs.items():
         want = (GOLDEN / filename).read_bytes()
         got = (tmp_path / filename).read_bytes()
         if got != want:
-            differ = csv_differences if option == "--csv" else json_differences
+            differ = {"--csv": csv_differences, "stdout": stdout_differences}.get(
+                option, json_differences
+            )
             lines = differ(want.decode(), got.decode())
             pytest.fail(
                 f"{filename} differs from its golden in {len(lines)} place(s):\n  "
