@@ -30,21 +30,15 @@ from .catalog import (
     saddle_field,
 )
 from .convexity import (
-    SemiconvexityReport,
     check_semiconvex_eigen,
     check_semiconvex_lines,
     integrate_xline,
 )
 from .estimates import (
-    AnnihilationReport,
     CounterexampleConfig,
     IllPosedIntegrandError,
-    LqEstimate,
     McEstimate,
-    PointwiseBoundReport,
     QuadratureSpec,
-    SweepReport,
-    SweepRow,
     ball_volume,
     counterexample_profile,
     counterexample_rhs_field,
@@ -60,7 +54,6 @@ from .group import (
 )
 from .pucci import (
     Ellipticity,
-    Spectrum,
     isaacs_gap,
     pucci_minus,
     pucci_minus_of_eigenvalues,
@@ -93,7 +86,6 @@ __all__ = [
     "field_from_profile",
     # pucci
     "Ellipticity",
-    "Spectrum",
     "sym_eigenvalues",
     "pucci_plus",
     "pucci_minus",
@@ -103,7 +95,6 @@ __all__ = [
     "isaacs_gap",
     # convexity
     "integrate_xline",
-    "SemiconvexityReport",
     "check_semiconvex_lines",
     "check_semiconvex_eigen",
     # catalog
@@ -118,13 +109,8 @@ __all__ = [
     # estimates
     "QuadratureSpec",
     "McEstimate",
-    "LqEstimate",
     "IllPosedIntegrandError",
     "CounterexampleConfig",
-    "AnnihilationReport",
-    "PointwiseBoundReport",
-    "SweepRow",
-    "SweepReport",
     "ball_volume",
     "lq_norm",
     "gauge_ball_sampler",

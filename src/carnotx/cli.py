@@ -24,28 +24,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .calculus import RadialProfile
-from .catalog import constant_field, convexity_catalog, horizontal_quadratic
-from .convexity import _semiconvex_eigen, _semiconvex_lines
+from .convexity import catalog_check
 from .estimates import (
     MAX_PULL,
     NORM_RATIO_MAX,
+    RADIAL_TOL,
     CounterexampleConfig,
     QuadratureSpec,
-    _box_draw,
-    _exact_ball_volume,
-    _pull,
-    _stencil_error,
-    _stencil_sampler,
-    ball_volume,
-    pointwise_bound_check,
-    power_profile,
+    ball_volume_check,
+    radial_hessian_check,
     sweep_scaling,
+    tight_pointwise_bound,
 )
 from .group import GroupDescriptor, heisenberg
-from .pucci import Ellipticity, _frobenius, pucci_minus, pucci_oracle_check
+from .pucci import PUCCI_TOL, Ellipticity, pucci_formula_check
 from .report import SCHEMA_VERSION, write_json, write_rows_csv
-from .rng import substream
 
 __all__ = ["run", "main"]
 
@@ -161,12 +154,6 @@ def _nonnegative_int(token: str) -> int:
     return _int_at_least(token, 0, "non-negative")
 
 
-# verify-radial's bound on the relative Hessian error, and pucci's on the
-# oracle's gap above the formula, scaled by max(1, ||M||).
-_RADIAL_TOL = 1e-5
-_PUCCI_TOL = 1e-10
-
-
 def _status(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
@@ -236,123 +223,51 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             f" outer residual {ann.max_outer_residual:.3g},"
             f" inner residual {ann.max_inner_residual:.3g}"
         )
-    e = cfg.ellipticity()
-    results = {
-        "lam": e.lam,
-        "Lam": e.Lam,
-        "critical_q": cfg.critical_q(),
-        "rows": report.rows,
-        "fits": report.fits,
-        "annihilation": report.annihilation,
-    }
-    return _finish(args, results, report.passed)
-
-
-def _quartic_profile() -> RadialProfile:
-    return RadialProfile(
-        name="quartic",
-        psi=lambda r: np.asarray(r, dtype=float) ** 4,
-        psi_prime=lambda r: 4.0 * np.asarray(r, dtype=float) ** 3,
-        psi_second=lambda r: 12.0 * np.asarray(r, dtype=float) ** 2,
-    )
+    return _finish(args, report, report.passed)
 
 
 def _cmd_verify_radial(args: argparse.Namespace) -> int:
-    group = args.group
-    pts = _stencil_sampler(group)(args.points, substream(args.seed, "verify-radial"))
-    profiles = (power_profile(args.alpha), _quartic_profile())
-    results = []
-    for profile, errors in zip(profiles, _stencil_error(group, profiles, pts)):
-        worst = float(np.max(errors))
-        ok = worst <= _RADIAL_TOL
-        results.append({"profile": profile.name, "max_rel_error": worst, "passed": ok})
+    rows = radial_hessian_check(args.group, args.alpha, args.points, args.seed)
+    for row in rows:
         print(
-            f"  [{_status(ok)}] {profile.name}: worst relative Hessian error"
-            f" {worst:.3g} over {len(pts)} points (tol {_RADIAL_TOL:.3g})"
+            f"  [{_status(row.passed)}] {row.profile}: worst relative Hessian error"
+            f" {row.max_rel_error:.3g} over {args.points} points (tol {RADIAL_TOL:.3g})"
         )
-    return _finish(args, results, all(row["passed"] for row in results))
+    return _finish(args, rows, all(row.passed for row in rows))
 
 
 def _cmd_pucci(args: argparse.Namespace) -> int:
     e = Ellipticity(lam=args.lam, Lam=args.Lam)
-    raw = substream(args.seed, "pucci-cli").standard_normal((args.count, args.dim, args.dim))
-    mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-    oracle_sup, formula, attained = pucci_oracle_check(
-        mats, e, n_samples=args.samples, seed=args.seed
-    )
-    gaps = (oracle_sup - formula) / np.maximum(1.0, _frobenius(mats))
-    worst = int(np.argmax(gaps))
-    worst_gap = float(gaps[worst])
-    all_attained = bool(np.all(attained))
-    ok = all_attained and worst_gap <= _PUCCI_TOL
+    rep = pucci_formula_check(e, args.dim, args.count, args.samples, args.seed)
     print(
         f"extremal operator self-test: {args.count} matrices of size {args.dim},"
         f" {args.samples} admissible samples each"
     )
     print(
-        f"  [{_status(ok)}] worst scaled (oracle - formula) gap {worst_gap:.3g}"
-        f" (must stay below {_PUCCI_TOL:.3g}); optimizer attained: {all_attained}"
+        f"  [{_status(rep.passed)}] worst scaled (oracle - formula) gap {rep.worst_gap:.3g}"
+        f" (must stay below {PUCCI_TOL:.3g}); optimizer attained: {rep.attained}"
     )
-    results = {
-        "worst_gap": worst_gap,
-        "worst_index": worst,
-        "oracle_sup": float(oracle_sup[worst]),
-        "formula": float(formula[worst]),
-        "attained": all_attained,
-    }
-    return _finish(args, results, ok)
+    return _finish(args, rep, rep.passed)
 
 
 def _cmd_convexity(args: argparse.Namespace) -> int:
-    group = args.group
-    sampler = _box_draw(group, 1.0)  # the box [-1, 1]^n
-    rows = []
-    for case in convexity_catalog(group):
-        every_lines = _semiconvex_lines(group, case.field, args.c, sampler, args.lines, args.seed)
-        every_eigen = _semiconvex_eigen(group, case.field, args.c, sampler, args.points, args.seed)
-        for c, lines, eigen in zip(args.c, every_lines, every_eigen):
-            expected = case.threshold <= c + 1e-12
-            ok = lines.passed == expected and eigen.passed == expected
-            rows.append(
-                {
-                    "field": case.field.name,
-                    "threshold": case.threshold,
-                    "c": c,
-                    "expected": expected,
-                    "lines": lines,
-                    "eigen": eigen,
-                    "agreed": ok,
-                }
-            )
-            print(
-                f"  [{_status(ok)}] {case.field.name} at c={c:.17g}:"
-                f" expected {'pass' if expected else 'fail'},"
-                f" lines {'pass' if lines.passed else 'fail'},"
-                f" eigenvalues {'pass' if eigen.passed else 'fail'}"
-            )
-    return _finish(args, rows, all(row["agreed"] for row in rows))
+    rows = catalog_check(args.group, args.c, args.lines, args.points, args.seed)
+    for row in rows:
+        print(
+            f"  [{_status(row.agreed)}] {row.field} at c={row.c:.17g}:"
+            f" expected {'pass' if row.expected else 'fail'},"
+            f" lines {'pass' if row.lines.passed else 'fail'},"
+            f" eigenvalues {'pass' if row.eigen.passed else 'fail'}"
+        )
+    return _finish(args, rows, all(row.agreed for row in rows))
 
 
 def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
-    group = args.group
     e = Ellipticity(lam=args.lam, Lam=args.Lam)
-    m = group.m
-    u = horizontal_quadratic(group, -1.0)
-    f = constant_field(-e.Lam * m, name="tight-rhs")
-    rep = pointwise_bound_check(
-        group,
-        lambda mat: pucci_minus(mat, e),
-        u,
-        f,
-        c4=1.0,
-        e=e,
-        sampler=_box_draw(group, 1.0),
-        count=args.count,
-        seed=args.seed,
-    )
+    rep = tight_pointwise_bound(args.group, e, args.count, args.seed)
     print(
         "pointwise trace bound, tight configuration"
-        f" (lam={e.lam:.17g}, Lam={e.Lam:.17g}, m={m}):"
+        f" (lam={e.lam:.17g}, Lam={e.Lam:.17g}, m={args.group.m}):"
     )
     print(
         f"  [{_status(rep.passed)}] lower margin {rep.lower_margin:.3g},"
@@ -364,29 +279,14 @@ def _cmd_pointwise_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_ball_volume(args: argparse.Namespace) -> int:
-    group = args.group
     quad = QuadratureSpec(n_samples=args.samples, seed=args.seed)
-    results = []
-    for r in args.r:
-        est = ball_volume(group, r, quad)
-        exact = _exact_ball_volume(group, r)
-        pull = _pull(est.value, est.stderr, exact)
-        ok = abs(pull) <= MAX_PULL
-        results.append(
-            {
-                "r": r,
-                "volume": est.value,
-                "stderr": est.stderr,
-                "exact": exact,
-                "pull": pull,
-                "passed": ok,
-            }
-        )
+    rows = ball_volume_check(args.group, args.r, quad)
+    for row in rows:
         print(
-            f"  [{_status(ok)}] r={r:.17g}: volume {est.value:.17g}"
-            f" (stderr {est.stderr:.3g}), exact {exact:.17g}, pull {pull:.3g}"
+            f"  [{_status(row.passed)}] r={row.r:.17g}: volume {row.volume:.17g}"
+            f" (stderr {row.stderr:.3g}), exact {row.exact:.17g}, pull {row.pull:.3g}"
         )
-    return _finish(args, results, all(row["passed"] for row in results))
+    return _finish(args, rows, all(row.passed for row in rows))
 
 
 # Built once per process: parsing leaves no state on the parser.

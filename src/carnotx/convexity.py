@@ -17,12 +17,13 @@ from typing import Any, Callable
 import numpy as np
 
 from .calculus import ScalarField, _rejection_sample, horizontal_hessian_sym
+from .catalog import convexity_catalog
+from .estimates import _box_draw
 from .group import GroupDescriptor, _dot, _points
 from .pucci import sym_eigenvalues
 from .rng import substream
 
 __all__ = [
-    "SemiconvexityReport",
     "integrate_xline",
     "check_semiconvex_lines",
     "check_semiconvex_eigen",
@@ -195,3 +196,37 @@ def _semiconvex_eigen(
         return SemiconvexityReport(c, worst <= _SLACK_TOL, worst, witness, point_count)
 
     return [score(c) for c in constants]
+
+
+# A catalog field is expected to pass both checkers at c >= threshold - THRESHOLD_SLACK.
+THRESHOLD_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class CatalogCheck:
+    """Both checkers on one catalog field at one c; ``agreed`` when each gives ``expected``."""
+
+    field: str
+    threshold: float
+    c: float
+    expected: bool
+    lines: SemiconvexityReport
+    eigen: SemiconvexityReport
+    agreed: bool
+
+
+def catalog_check(
+    group: GroupDescriptor, constants, line_count: int, point_count: int, seed: int
+) -> list[CatalogCheck]:
+    """Both checkers, each drawing once per field, on every catalog field at every constant."""
+    sampler = _box_draw(group, 1.0)
+    rows = []
+    for case in convexity_catalog(group):
+        u, threshold = case.field, case.threshold
+        every_lines = _semiconvex_lines(group, u, constants, sampler, line_count, seed)
+        every_eigen = _semiconvex_eigen(group, u, constants, sampler, point_count, seed)
+        for c, lines, eigen in zip(constants, every_lines, every_eigen):
+            expected = threshold <= c + THRESHOLD_SLACK
+            agreed = lines.passed == expected and eigen.passed == expected
+            rows.append(CatalogCheck(u.name, threshold, c, expected, lines, eigen, agreed))
+    return rows

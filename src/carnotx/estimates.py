@@ -33,10 +33,12 @@ from .calculus import (
     horizontal_hessian_sym,
     radial_hessian,
 )
+from .catalog import constant_field, horizontal_quadratic
 from .group import GroupDescriptor, _gauge, _gauge_fourth, _gauge_parts, _gauge_slope, heisenberg
 from .pucci import (
     Ellipticity,
     _frobenius,
+    pucci_minus,
     pucci_plus,
     pucci_plus_of_eigenvalues,
     sym_eigenvalues,
@@ -48,11 +50,6 @@ __all__ = [
     "QuadratureSpec",
     "CounterexampleConfig",
     "McEstimate",
-    "LqEstimate",
-    "AnnihilationReport",
-    "PointwiseBoundReport",
-    "SweepRow",
-    "SweepReport",
     "gauge_ball_sampler",
     "ball_volume",
     "lq_norm",
@@ -67,7 +64,7 @@ __all__ = [
 AXIS_EXCLUSION = 1e-8
 SPLICE_EXCLUSION = 1e-6
 # The annulus where a stencil sees a smooth gauge-radial field, as
-# `_stencil_sampler` draws it: _FD_RHO_MIN <= rho < _FD_RHO_MAX and |x_H| >=
+# `_stencil_points` draws it: _FD_RHO_MIN <= rho < _FD_RHO_MAX and |x_H| >=
 # _FD_MIN_HORIZONTAL.  The annihilation check keeps _FD_SPLICE_GAP above the
 # splice radius as well.
 _FD_RHO_MIN, _FD_RHO_MAX, _FD_MIN_HORIZONTAL, _FD_SPLICE_GAP = 0.15, 0.9, 0.05, 0.03
@@ -212,11 +209,16 @@ def gauge_ball_sampler(
     return lambda count, rng: _rejection_sample(draw, keep, count, rng, _BALL_BATCH)
 
 
-def _stencil_sampler(
-    group: GroupDescriptor, rho_min: float = _FD_RHO_MIN
-) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """Uniform draws of the stencil annulus, from `rho_min` out."""
-    return gauge_ball_sampler(group, _FD_RHO_MAX, rho_min, _FD_MIN_HORIZONTAL)
+def _stencil_points(
+    group: GroupDescriptor, rho_min: float, count: int, rng: np.random.Generator, where: str
+) -> np.ndarray:
+    """`count` draws of the stencil annulus from `rho_min` out, naming `where` if they run out."""
+    draw = gauge_ball_sampler(group, _FD_RHO_MAX, rho_min, _FD_MIN_HORIZONTAL)
+    try:
+        return draw(count, rng)
+    except RuntimeError as err:
+        annulus = f"the stencil annulus {rho_min} <= rho < {_FD_RHO_MAX}"
+        raise RuntimeError(f"{where}: {annulus} is too thin to sample ({err})") from err
 
 
 def _stencil_error(
@@ -257,6 +259,39 @@ def _stencil_error(
                 " so no relative error can be formed against it"
             )
     return diffs / norms
+
+
+# The bound on verify-radial's relative Hessian error.
+RADIAL_TOL = 1e-5
+
+
+def _quartic_profile() -> RadialProfile:
+    return RadialProfile(
+        name="quartic",
+        psi=lambda r: np.asarray(r, dtype=float) ** 4,
+        psi_prime=lambda r: 4.0 * np.asarray(r, dtype=float) ** 3,
+        psi_second=lambda r: 12.0 * np.asarray(r, dtype=float) ** 2,
+    )
+
+
+@dataclass(frozen=True)
+class RadialCheck:
+    """A profile's worst `_stencil_error` over the drawn points; it passes up to RADIAL_TOL."""
+
+    profile: str
+    max_rel_error: float
+    passed: bool
+
+
+def radial_hessian_check(
+    group: GroupDescriptor, alpha: float, points: int, seed: int
+) -> list[RadialCheck]:
+    """The closed-form radial Hessians of 1 - rho^alpha and rho^4 against the stencil."""
+    rng = substream(seed, "verify-radial")
+    pts = _stencil_points(group, _FD_RHO_MIN, points, rng, f"group h:{group.heisenberg_d}")
+    profiles = (power_profile(alpha), _quartic_profile())
+    worst = np.max(_stencil_error(group, profiles, pts), axis=1).tolist()
+    return [RadialCheck(p.name, w, w <= RADIAL_TOL) for p, w in zip(profiles, worst)]
 
 
 def _gauge_moment(group: GroupDescriptor, q: float) -> float:
@@ -377,6 +412,30 @@ def ball_volume(group: GroupDescriptor, r: float, quad: QuadratureSpec) -> McEst
     """Volume of the gauge ball B_r with a standard error: the q = 0 mass of 1."""
     one = _gauge_field(group, "one", lambda rho, h2, g: np.ones(np.shape(rho)))
     return _box_masses(one, group, r, (0.0,), quad)[0][0]
+
+
+@dataclass(frozen=True)
+class BallVolumeCheck:
+    """A sampled gauge-ball volume against the exact r^Q |B_1|."""
+
+    r: float
+    volume: float
+    stderr: float
+    exact: float
+    pull: float
+    passed: bool
+
+
+def ball_volume_check(
+    group: GroupDescriptor, radii: Sequence[float], quad: QuadratureSpec
+) -> list[BallVolumeCheck]:
+    """`ball_volume` at each radius; a row passes within MAX_PULL standard errors of exact."""
+    rows = []
+    for r in radii:
+        est, exact = ball_volume(group, r, quad), _exact_ball_volume(group, r)
+        pull = _pull(est.value, est.stderr, exact)
+        rows.append(BallVolumeCheck(r, est.value, est.stderr, exact, pull, abs(pull) <= MAX_PULL))
+    return rows
 
 
 def lq_norm(
@@ -684,15 +743,8 @@ def verify_pucci_annihilation(
     via_matrix = pucci_plus(radial_hessian(group, profile, pts[sub]).matrix, e)
     matrix_dev = float(np.max(np.abs(via_matrix - mplus[sub]) / scale, initial=0.0))
 
-    try:
-        fd_pts = _stencil_sampler(group, fd_lo)(
-            _FD_CHECKS, substream(seed, "annihilation-fd", repr(float(eps)))
-        )
-    except RuntimeError as err:
-        raise RuntimeError(
-            f"splice radius {eps}: the stencil annulus {fd_lo} <= rho < {_FD_RHO_MAX}"
-            f" is too thin to sample ({err})"
-        ) from err
+    fd_rng = substream(seed, "annihilation-fd", repr(float(eps)))
+    fd_pts = _stencil_points(group, fd_lo, _FD_CHECKS, fd_rng, f"splice radius {eps}")
     fd_excess = float(np.max(_stencil_error(group, (profile,), fd_pts) / _FD_RTOL))
 
     passed = (
@@ -750,17 +802,23 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """The sweep's rows, one fit per exponent, and its annihilation checks in eps order.
+    """The window, q*, the sweep's rows, one fit per q and its annihilation checks in eps order.
 
     Each fit carries its numbers, ``worst_f_pull`` (the row ``f_pull`` of
-    largest magnitude) and ``passed``; the report's ``passed`` needs every
-    fit and every check to pass.
+    largest magnitude) and ``passed``; the report's ``passed``, a property
+    and so no report key, needs every fit and every check to pass.
     """
 
+    lam: float
+    Lam: float
+    critical_q: float
     rows: list[SweepRow]
     fits: list[dict]
     annihilation: list[AnnihilationReport]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(fit["passed"] for fit in self.fits) and all(a.passed for a in self.annihilation)
 
 
 def _sweep_radius(cfg: CounterexampleConfig, quad: QuadratureSpec, eps: float) -> list[SweepRow]:
@@ -922,12 +980,8 @@ def sweep_scaling(
         fit["passed"] = passed and abs(fit["worst_f_pull"]) <= MAX_PULL
         fits.append(fit)
 
-    return SweepReport(
-        rows=rows,
-        fits=fits,
-        annihilation=annihilation,
-        passed=all(fit["passed"] for fit in fits) and all(a.passed for a in annihilation),
-    )
+    e = cfg.ellipticity()
+    return SweepReport(e.lam, e.Lam, cfg.critical_q(), rows, fits, annihilation)
 
 
 # --- pointwise trace bound ----------------------------------------------------
@@ -1009,4 +1063,14 @@ def pointwise_bound_check(
         upper_margin=float(upper_margin),
         surrogate_margin=float(surrogate_margin),
         witness=witness,
+    )
+
+
+def tight_pointwise_bound(
+    group: GroupDescriptor, e: Ellipticity, count: int, seed: int
+) -> PointwiseBoundReport:
+    """`pointwise_bound_check` with both bounds tight: u = -|x_H|^2/2, c4 = 1, f = -Lam m."""
+    u, f = horizontal_quadratic(group, -1.0), constant_field(-e.Lam * group.m, name="tight-rhs")
+    return pointwise_bound_check(
+        group, lambda mat: pucci_minus(mat, e), u, f, 1.0, e, _box_draw(group, 1.0), count, seed
     )

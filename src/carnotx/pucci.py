@@ -20,7 +20,6 @@ from .rng import substream
 
 __all__ = [
     "Ellipticity",
-    "Spectrum",
     "sym_eigenvalues",
     "pucci_plus",
     "pucci_minus",
@@ -229,6 +228,39 @@ def pucci_oracle_check(
     traces = np.einsum("nij,nji->n", a_star, a)
     attained = np.abs(traces - formula) <= 1e-10 * np.maximum(1.0, _frobenius(a))
     return tuple(x.reshape(lead)[()] for x in (oracle_sup, formula, attained))
+
+
+# The bound on `pucci_formula_check`'s gap of the sampled sup above the formula.
+PUCCI_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class PucciFormulaCheck:
+    """The worst matrix's gap; ``passed`` is a property, so no key of a written report."""
+
+    worst_gap: float
+    worst_index: int
+    oracle_sup: float
+    formula: float
+    attained: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.attained and self.worst_gap <= PUCCI_TOL
+
+
+def pucci_formula_check(
+    e: Ellipticity, dim: int, count: int, n_samples: int, seed: int
+) -> PucciFormulaCheck:
+    """`pucci_oracle_check` on `count` random symmetric matrices, gaps scaled by max(1, ||M||)."""
+    raw = substream(seed, "pucci-cli").standard_normal((count, dim, dim))
+    mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    sups, formula, attained = pucci_oracle_check(mats, e, n_samples, seed)
+    gaps = (sups - formula) / np.maximum(1.0, _frobenius(mats))
+    i = int(np.argmax(gaps))
+    return PucciFormulaCheck(
+        float(gaps[i]), i, float(sups[i]), float(formula[i]), bool(np.all(attained))
+    )
 
 
 def isaacs_gap(

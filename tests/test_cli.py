@@ -237,7 +237,6 @@ class TestOtherCommands:
         assert out.read_text() == dumps(want)
 
     def test_pucci_is_one_stacked_call(self, monkeypatch):
-        import carnotx.cli as cli
         import carnotx.pucci as pucci
 
         calls = []
@@ -246,7 +245,7 @@ class TestOtherCommands:
             return lambda *a, **k: calls.append(name) or fn(*a, **k)
 
         monkeypatch.setattr(pucci, "sym_eigenvalues", counted("eig", pucci.sym_eigenvalues))
-        monkeypatch.setattr(cli, "pucci_oracle_check", counted("oracle", cli.pucci_oracle_check))
+        monkeypatch.setattr(pucci, "pucci_oracle_check", counted("oracle", pucci.pucci_oracle_check))
         assert run(["pucci", "--count", "5", "--samples", "16"]) == 0
         assert sorted(calls) == ["eig", "oracle"]
 
@@ -271,8 +270,9 @@ class TestOtherCommands:
             pucci, "substream", lambda *key: keys.append(key[1:]) or Counted(real(*key))
         )
         assert run(["pucci", "--count", "64", "--samples", "1024"]) == 0
-        assert keys == [("pucci-oracle",)]
-        assert normals == [(1024, 4, 4)]
+        # The test matrices are one draw, the oracle's samples one more.
+        assert keys == [("pucci-cli",), ("pucci-oracle",)]
+        assert normals == [(64, 4, 4), (1024, 4, 4)]
 
     def test_pucci_flags_a_low_formula_on_any_matrix(self, monkeypatch, tmp_path):
         # The formula reads 1% low on the matrix after matrix 0 whose sampled
@@ -362,22 +362,15 @@ class TestOtherCommands:
         assert "scaling check" not in out
 
     def test_ball_volume_report_matches_library(self, tmp_path):
-        from carnotx import QuadratureSpec, ball_volume, heisenberg
-        from carnotx.estimates import _exact_ball_volume, _pull
+        from carnotx import QuadratureSpec, heisenberg
+        from carnotx.estimates import ball_volume_check
 
         out = tmp_path / "ball.json"
         argv = ["ball-volume", "--group", "h:2", "--r", "0.5,2", "--samples", "20000"]
         assert run(argv + ["--seed", "3", "--out", str(out)]) == 0
         G, quad = heisenberg(2), QuadratureSpec(n_samples=20000, seed=3)
-        want = []
-        for r in (0.5, 2.0):
-            est = ball_volume(G, r, quad)
-            exact = _exact_ball_volume(G, r)
-            pull = _pull(est.value, est.stderr, exact)
-            want.append(
-                {"r": r, "volume": est.value, "stderr": est.stderr,
-                 "exact": exact, "pull": pull, "passed": abs(pull) <= estimates.MAX_PULL}
-            )
+        want = ball_volume_check(G, (0.5, 2.0), quad)
+        assert [row.passed for row in want] == [True, True]
         assert out.read_text() == dumps(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -392,12 +385,11 @@ class TestOtherCommands:
     def test_ball_volume_far_from_exact_fails(self, monkeypatch, capsys, tmp_path):
         import math
 
-        import carnotx.cli as cli
         from carnotx.estimates import McEstimate
 
         exact = math.pi**2 / 2.0
         monkeypatch.setattr(
-            cli, "ball_volume", lambda group, r, quad: McEstimate(exact + 0.1, 0.01)
+            estimates, "ball_volume", lambda group, r, quad: McEstimate(exact + 0.1, 0.01)
         )
         report = tmp_path / "ball.json"
         assert run(["ball-volume", "--r", "1", "--out", str(report)]) == 1
@@ -410,11 +402,11 @@ class TestOtherCommands:
     def test_convexity_flags_a_wrong_threshold(self, monkeypatch, tmp_path):
         # The quadratic -|x_H|^2/2 has threshold 1; claiming 0 makes both
         # checkers disagree with the catalog at every c below 1.
-        import carnotx.cli as cli
+        import carnotx.convexity as convexity
         from carnotx.catalog import ConvexityCase, horizontal_quadratic
 
         monkeypatch.setattr(
-            cli,
+            convexity,
             "convexity_catalog",
             lambda group: [ConvexityCase(horizontal_quadratic(group, -1.0), threshold=0.0)],
         )
@@ -428,11 +420,9 @@ class TestOtherCommands:
 
     def test_pointwise_bound_flags_a_field_past_c4(self, monkeypatch, tmp_path):
         # -3|x_H|^2/2 is semiconvex with constant 3, above the check's c4 = 1.
-        import carnotx.cli as cli
-
-        real = cli.horizontal_quadratic
+        real = estimates.horizontal_quadratic
         monkeypatch.setattr(
-            cli, "horizontal_quadratic", lambda group, coeff: real(group, 3.0 * coeff)
+            estimates, "horizontal_quadratic", lambda group, coeff: real(group, 3.0 * coeff)
         )
         report = tmp_path / "bound.json"
         assert run(["pointwise-bound", "--count", "16", "--out", str(report)]) == 1
@@ -541,6 +531,13 @@ class TestOtherCommands:
         # an exponent past the largest double
         (["counterexample", "--q", "1e400"], "bad exponent '1e400'"),
         (["counterexample", "--q", "2,1e309"], "bad exponent '1e309'"),
+        # the stencil annulus keeps about 1.5e-4 of the box draws on H^6,
+        # too few for 200 points within the rejection budget
+        (
+            ["verify-radial", "--group", "h:6"],
+            "group h:6: the stencil annulus 0.15 <= rho < 0.9 is too thin to sample"
+            " (rejection sampling kept 152 of 200 rows in 10000 rounds)",
+        ),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -572,11 +569,9 @@ def test_tiny_exact_hessians_are_no_vacuous_pass(monkeypatch, tmp_path):
     # A planted profile whose stencil sees psi = 0 while its exact Hessians,
     # those of rho^1e-40, have norms near 1e-39: normal floats, so the error
     # is measured against them and reads 1, not 1e-39 over a floor.
-    import carnotx.cli as cli
-
-    real = cli.power_profile
+    real = estimates.power_profile
     monkeypatch.setattr(
-        cli,
+        estimates,
         "power_profile",
         lambda alpha: dataclasses.replace(real(alpha), psi=lambda r: np.zeros(np.shape(r))),
     )
@@ -586,6 +581,11 @@ def test_tiny_exact_hessians_are_no_vacuous_pass(monkeypatch, tmp_path):
     assert (power["profile"], power["max_rel_error"], power["passed"]) == (
         "power[1e-40]", 1.0, False
     )
+
+
+@pytest.mark.parametrize("group", ["h:1", "h:2", "h:3", "h:4", "h:5"])
+def test_verify_radial_passes_at_its_defaults(group):
+    assert run(["verify-radial", "--group", group]) == 0
 
 
 @pytest.mark.parametrize("group", ["h:1", "h:3"])

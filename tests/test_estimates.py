@@ -34,20 +34,26 @@ from carnotx import (
     verify_pucci_annihilation,
 )
 from carnotx.calculus import _gauge_field, _radial_eigenvalues, radial_hessian
-from carnotx.cli import _quartic_profile, run
+from carnotx.cli import run
 from carnotx.estimates import (
     MAX_PULL,
+    RADIAL_TOL,
     _CHUNK,
     _FD_CHECKS,
+    _FD_RHO_MIN,
     _box_chunks,
     _box_draw,
     _gauge_moment,
     _linear_fit,
+    _quartic_profile,
     _stencil_error,
-    _stencil_sampler,
+    _stencil_points,
     _sweep_radius,
+    ball_volume_check,
     gauge_box_halfwidths,
     power_profile,
+    radial_hessian_check,
+    tight_pointwise_bound,
 )
 from carnotx.group import _gauge_parts
 from carnotx.pucci import _frobenius
@@ -280,13 +286,13 @@ class TestAnnihilation:
         # The up-front rule is a bound; the draw's RuntimeError stays the last guard.
         import carnotx.estimates as estimates
 
-        def exhausted(group, rho_min):
+        def exhausted(group, rho_max, rho_min, min_horizontal):
             def draw(count, rng):
                 raise RuntimeError(f"rejection sampling kept 0 of {count} rows in 3 rounds")
 
             return draw
 
-        monkeypatch.setattr(estimates, "_stencil_sampler", exhausted)
+        monkeypatch.setattr(estimates, "gauge_ball_sampler", exhausted)
         with pytest.raises(RuntimeError) as err:
             verify_pucci_annihilation(CFG, 0.5, n_samples=2, seed=1)
         assert str(err.value) == (
@@ -328,6 +334,23 @@ class TestQuadrature:
         )
         got = _gauge_moment(heisenberg(d), q)
         assert got == pytest.approx(2.0 * omega * half, rel=1e-8)
+
+    def test_ball_volume_check_fails_a_ten_sigma_bias(self, monkeypatch):
+        import carnotx.estimates as estimates
+
+        quad = QuadratureSpec(n_samples=20000, seed=3)
+        (honest,) = ball_volume_check(H1, (1.0,), quad)
+        assert honest.passed and honest.exact == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
+        real = estimates.ball_volume
+
+        def biased(group, r, quad):
+            est = real(group, r, quad)
+            return McEstimate(est.value + 10.0 * est.stderr, est.stderr)
+
+        monkeypatch.setattr(estimates, "ball_volume", biased)
+        (row,) = ball_volume_check(H1, (1.0,), quad)
+        assert row.pull == pytest.approx(honest.pull + 10.0, rel=1e-12)
+        assert not row.passed
 
     def test_lq_norm_of_constant(self):
         u = constant_field(2.0)
@@ -508,6 +531,21 @@ class TestPointwiseBound:
         assert rep.passed
         assert abs(rep.lower_margin) <= 1e-9
         assert abs(rep.upper_margin) <= 1e-9
+
+    def test_tight_check_flags_a_field_past_c4(self, monkeypatch):
+        # -3|x_H|^2/2 is semiconvex with constant 3, above the check's c4 = 1.
+        import carnotx.estimates as estimates
+
+        e = Ellipticity(lam=1.0, Lam=2.0)
+        rep = tight_pointwise_bound(H1, e, count=16, seed=42)
+        assert rep.passed and rep.n_points == 16
+        assert abs(rep.lower_margin) <= 1e-12 and abs(rep.upper_margin) <= 1e-12
+        real = estimates.horizontal_quadratic
+        monkeypatch.setattr(
+            estimates, "horizontal_quadratic", lambda group, coeff: real(group, 3.0 * coeff)
+        )
+        rep = tight_pointwise_bound(H1, e, count=16, seed=42)
+        assert not rep.passed and not rep.semiconvex_ok
 
     def test_insufficient_constant_is_flagged(self):
         e = Ellipticity(lam=1.0, Lam=2.0)
@@ -728,6 +766,23 @@ def _reference_lq(u, group, r, qs, quad):
     return out
 
 
+def test_radial_hessian_check_fails_a_detuned_stencil(monkeypatch):
+    # A stencil that differentiates psi (1 + 1e-3) is off by a relative 1e-3.
+    import carnotx.estimates as estimates
+
+    rows = radial_hessian_check(H1, 0.5, points=20, seed=1)
+    assert [(row.profile, row.passed) for row in rows] == [("power[0.5]", True), ("quartic", True)]
+    real = estimates.field_from_profile
+
+    def detuned(group, profile):
+        psi = profile.psi
+        return real(group, dataclasses.replace(profile, psi=lambda r: (1.0 + 1e-3) * psi(r)))
+
+    monkeypatch.setattr(estimates, "field_from_profile", detuned)
+    for row in radial_hessian_check(H1, 0.5, points=20, seed=1):
+        assert row.max_rel_error > 10.0 * RADIAL_TOL and not row.passed
+
+
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 200])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
@@ -735,7 +790,7 @@ def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
     # profile alone, through the stack and through its own field.
     group = heisenberg(d)
     profiles = (power_profile(0.3), _quartic_profile(), power_profile(0.7))
-    pts = _stencil_sampler(group)(n, substream(5, "stack"))
+    pts = _stencil_points(group, _FD_RHO_MIN, n, substream(5, "stack"), "stack")
     got = _stencil_error(group, profiles, pts)
     assert got.shape == (len(profiles), n)
     for row, profile in zip(got, profiles):
@@ -859,7 +914,7 @@ class TestGaugeReuse:
             group = heisenberg(d)
             profile = counterexample_profile(dataclasses.replace(CFG, d=d), 0.125)
             u = field_from_profile(group, profile)
-            pts = _stencil_sampler(group)(20, substream(6, "profile"))
+            pts = _stencil_points(group, _FD_RHO_MIN, 20, substream(6, "profile"), "profile")
             u.evaluate(pts)
             u.in_domain(pts)
             horizontal_hessian_sym(group, u, pts)

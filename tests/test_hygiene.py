@@ -116,6 +116,28 @@ def test_every_export_is_read():
     assert unloaded_exports(exports, sources) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Imported names, or parts of dotted ones, with one leading underscore."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if any(p.startswith("_") and not p.startswith("__") for p in alias.name.split("."))
+    ]
+
+
+def test_scanner_flags_a_private_import():
+    src = "from . import __version__\nfrom .a import _b, c\nimport d._e\n"
+    assert private_imports(src) == ["_b", "d._e"]
+
+
+def test_cli_imports_no_private_name():
+    # Every verdict, tolerance and draw lives in the library, so the CLI
+    # needs only its public names.
+    assert private_imports((ROOT / "src" / "carnotx" / "cli.py").read_text()) == []
+
+
 def test_no_source_imports_the_test_oracles():
     for path in SRC:
         for node in ast.walk(ast.parse(path.read_text())):

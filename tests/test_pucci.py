@@ -1,5 +1,6 @@
 """Extremal operators: frozen values, algebraic laws, and the sampled sup."""
 
+import dataclasses
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from carnotx import (
     sym_eigenvalues,
 )
 from carnotx.cli import run
+from carnotx.pucci import PucciFormulaCheck, pucci_formula_check
 
 E13 = Ellipticity(lam=1.0, Lam=3.0)
 
@@ -255,6 +257,18 @@ class TestOracle:
         monkeypatch.setattr(pucci, "substream", lambda *key: Spoiled(real(*key)))
         with pytest.raises(RuntimeError, match=match):
             pucci_oracle_check(random_sym(np.random.default_rng(12), 3), E13, 64, seed=0)
+
+    def test_formula_check_fails_a_low_formula(self, monkeypatch):
+        import carnotx.pucci as pucci
+
+        rep = pucci_formula_check(E13, dim=2, count=8, n_samples=4096, seed=42)
+        assert rep.passed and rep.worst_gap <= 0.0 and rep.attained
+        # A property, not a field: the written report has no "passed" key.
+        assert "passed" not in {f.name for f in dataclasses.fields(PucciFormulaCheck)}
+        real = pucci.pucci_plus_of_eigenvalues
+        monkeypatch.setattr(pucci, "pucci_plus_of_eigenvalues", lambda eigs, e: real(eigs, e) - 1.0)
+        rep = pucci_formula_check(E13, dim=2, count=8, n_samples=4096, seed=42)
+        assert rep.worst_gap > 0.0 and not rep.attained and not rep.passed
 
     def test_empty_stack_is_rejected(self):
         with pytest.raises(ValueError, match="at least one matrix"):
