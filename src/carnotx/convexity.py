@@ -51,23 +51,6 @@ class SemiconvexityReport:
     n_checked: int
 
 
-def _heisenberg_line(
-    group: GroupDescriptor, x0: np.ndarray, alpha: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    # Horizontal parts move linearly; the vertical velocity is constant in t
-    # because the symplectic twist of (x_H + t alpha) against alpha is fixed.
-    d = group.heisenberg_d
-    vertical_speed = 2.0 * (
-        _dot(x0[:, d : 2 * d], alpha[:, :d]) - _dot(x0[:, :d], alpha[:, d : 2 * d])
-    )
-    lines = (len(x0),) + (1,) * t.ndim
-    out = np.empty((len(x0),) + t.shape + (group.n,))
-    out[...] = x0.reshape(lines + (group.n,))
-    out[..., : group.m] += t[..., None] * alpha.reshape(lines + (group.m,))
-    out[..., -1] = x0[:, -1].reshape(lines) + vertical_speed.reshape(lines) * t
-    return out
-
-
 def integrate_xline(
     group: GroupDescriptor, x0: np.ndarray, alpha: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
@@ -86,9 +69,20 @@ def integrate_xline(
     norm = np.sqrt(_dot(alpha, alpha))
     if not np.all((norm != 0.0) & np.isfinite(norm)):
         raise ValueError("direction must be nonzero and finite")
-    alpha = alpha / norm[..., None]
+    alpha = (alpha / norm[..., None]).reshape(-1, group.m)
     t_arr = np.asarray(t, dtype=float)
-    out = _heisenberg_line(group, x0.reshape(-1, group.n), alpha.reshape(-1, group.m), t_arr)
+    starts = x0.reshape(-1, group.n)
+    # Horizontal parts move linearly; the vertical velocity is constant in t
+    # because the symplectic twist of (x_H + t alpha) against alpha is fixed.
+    d = group.heisenberg_d
+    vertical_speed = 2.0 * (
+        _dot(starts[:, d : 2 * d], alpha[:, :d]) - _dot(starts[:, :d], alpha[:, d : 2 * d])
+    )
+    lines = (len(starts),) + (1,) * t_arr.ndim
+    out = np.empty((len(starts),) + t_arr.shape + (group.n,))
+    out[...] = starts.reshape(lines + (group.n,))
+    out[..., : group.m] += t_arr[..., None] * alpha.reshape(lines + (group.m,))
+    out[..., -1] = starts[:, -1].reshape(lines) + vertical_speed.reshape(lines) * t_arr
     return out.reshape(x0.shape[:-1] + t_arr.shape + (group.n,))
 
 

@@ -84,16 +84,14 @@ def sym_eigenvalues(matrix: np.ndarray) -> Spectrum:
     One LAPACK call (np.linalg.eigh, syevd) on the whole stack, which
     decomposes each matrix on its own: a matrix gets the bits of a call on
     it alone, whatever the stack or the thread count, though the bits may
-    differ between LAPACK builds.  Eigenvalues come in ascending order; each
-    eigenvector column is signed so that its largest-magnitude component is
-    positive.  LAPACK's failure to converge raises numpy's LinAlgError, a
-    ValueError.
+    differ between LAPACK builds.  Eigenvalues come in ascending order; the
+    eigenvector columns keep LAPACK's signs, which every reader of them
+    (V diag(c) V^T) cancels.  LAPACK's failure to converge raises numpy's
+    LinAlgError, a ValueError.
     """
     a = _as_symmetric(matrix)
     eig, v = np.linalg.eigh(a)
-    # Deterministic sign convention: largest-magnitude component positive.
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    return Spectrum(eigenvalues=eig, vectors=np.where(lead < 0.0, -v, v))
+    return Spectrum(eigenvalues=eig, vectors=v)
 
 
 def _clamped(eigs: np.ndarray) -> np.ndarray:
@@ -210,8 +208,9 @@ def pucci_oracle_check(
 
     Returns (oracle_sup, formula_value, attained), each of shape (...),
     where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to
-    1e-10 * max(1, ||M||).  A degenerate sample, a Gram-Schmidt column of
-    zero or non-finite norm or a non-finite trace, raises RuntimeError.
+    1e-10 * max(1, Lam ||M||), the scale of Tr(A* M).  A degenerate sample,
+    a Gram-Schmidt column of zero or non-finite norm or a non-finite trace,
+    raises RuntimeError.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -226,7 +225,7 @@ def pucci_oracle_check(
     coeff_star = np.where(spec.eigenvalues > 0.0, e.Lam, e.lam)
     a_star = (spec.vectors * coeff_star[:, None, :]) @ np.swapaxes(spec.vectors, -1, -2)
     traces = np.einsum("nij,nji->n", a_star, a)
-    attained = np.abs(traces - formula) <= 1e-10 * np.maximum(1.0, _frobenius(a))
+    attained = np.abs(traces - formula) <= 1e-10 * np.maximum(1.0, e.Lam * _frobenius(a))
     return tuple(x.reshape(lead)[()] for x in (oracle_sup, formula, attained))
 
 

@@ -303,6 +303,29 @@ class TestOtherCommands:
         assert payload["results"]["worst_gap"] > 0.0
         assert payload["passed"] is False
 
+    @pytest.mark.parametrize("Lam", ["1e6", "1e12"])
+    def test_pucci_attains_the_formula_at_large_Lam(self, Lam, tmp_path):
+        # Tr(A* M) is of order Lam ||M||, and so is its rounding error.
+        out = tmp_path / "pucci.json"
+        assert run(["pucci", "--lam", "1", "--Lam", Lam, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["attained"] is True
+
+    def test_pucci_flags_a_formula_low_by_1e_8_at_large_Lam(self, monkeypatch, tmp_path):
+        # The Lam-scaled tolerance is 1e-10 of Lam ||M||, so a formula a
+        # relative 1e-8 low is still not attained.
+        import carnotx.pucci as pucci
+
+        real = pucci.pucci_plus_of_eigenvalues
+
+        def lowered(eigs, e):
+            out = real(eigs, e)
+            return out - 1e-8 * np.abs(out)
+
+        monkeypatch.setattr(pucci, "pucci_plus_of_eigenvalues", lowered)
+        out = tmp_path / "pucci.json"
+        assert run(["pucci", "--lam", "1", "--Lam", "1e6", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["results"]["attained"] is False
+
     @pytest.mark.parametrize("count", [64, 512])
     def test_pucci_memory_stays_flat(self, count):
         # The oracle holds one chunk of samples, one (8, 6, 1024) product of a
@@ -597,6 +620,28 @@ def test_small_alpha_stencil_passes(group, alpha, tmp_path):
     assert run(["verify-radial", "--group", group, "--alpha", alpha, "--out", str(out)]) == 0
     power = json.loads(out.read_text())["results"][0]
     assert power["max_rel_error"] <= 1e-7
+
+
+def test_matrix_route_cross_check_has_teeth(monkeypatch, tmp_path):
+    # The matrix route (full Hessian, then LAPACK) reading a relative 1e-6
+    # high is a hundred times the annihilation tolerance off inside B_eps,
+    # while the closed form's residuals stay clean.
+    real = estimates.pucci_plus
+    monkeypatch.setattr(estimates, "pucci_plus", lambda m, e: real(m, e) * (1.0 + 1e-6))
+    cfg = carnotx.CounterexampleConfig(d=1, alpha=0.5, eps_list=(0.125,), q_list=(2.0,))
+    rep = carnotx.verify_pucci_annihilation(cfg, 0.125, n_samples=200, seed=11)
+    assert not rep.passed and rep.matrix_route_dev > 1e-8
+    assert rep.max_outer_residual <= 1e-8 and rep.max_inner_residual <= 1e-8
+    out = tmp_path / "counterexample.json"
+    argv = [
+        "counterexample", "--eps", "2^-3..2^-6", "--q", "2", "--samples", "1000",
+        "--annihilation-samples", "200", "--out", str(out),
+    ]
+    assert run(argv) == 1
+    entries = json.loads(out.read_text())["results"]["annihilation"]
+    assert len(entries) == 4
+    for entry in entries:
+        assert entry["passed"] is False and entry["matrix_route_dev"] > 1e-8
 
 
 def test_small_alpha_counterexample_passes(tmp_path):

@@ -1,13 +1,16 @@
 """Source hygiene: every imported name is used and every module-level private
 name is read (no linter runs on this tree), the package exports exactly what
-its modules export and nothing the code and the acceptance tests leave unread,
-and the README states the report schema the code writes and names only options
-the CLI has."""
+its modules export, binds nothing else, and exports nothing the code and the
+acceptance tests leave unread, and the README states the report schema the
+code writes and names only options the CLI has."""
 
 import argparse
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,10 +22,14 @@ from carnotx.report import SCHEMA_VERSION
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "carnotx").glob("*.py"))
 FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
+LAYERS = {p.stem for p in SRC if p.stem not in ("__init__", "cli")}
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads, skipping __future__ and __all__."""
+    """Names a module imports and never reads, skipping __future__ and __all__.
+
+    A star import binds no name this can track; see star_imports.
+    """
     tree = ast.parse(source)
     imported = {}
     exported = set()
@@ -33,7 +40,8 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
@@ -48,6 +56,7 @@ def test_scanner_flags_an_unused_import():
     src = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(src) == ["os (line 2)"]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("from .a import *\nfrom .b import c\n") == ["c (line 2)"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -154,6 +163,45 @@ def test_package_exports_are_the_modules_exports():
              for name in importlib.import_module(f"carnotx.{stem}").__all__}
     # Sorted lists, so a name exported twice fails too.
     assert sorted(carnotx.__all__) == sorted(union | {"__version__"})
+
+
+def star_imports(source: str) -> list[str]:
+    """Modules a source star-imports, a relative one with its leading dots."""
+    return [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+    ]
+
+
+def test_scanner_flags_a_star_import():
+    src = "from .a import *\nfrom b.c import *\nfrom .d import e\nimport f\n"
+    assert star_imports(src) == [".a", "b.c"]
+
+
+def test_star_imports_only_build_the_package_surface():
+    # Nothing above tracks what a star import binds, so star imports may only
+    # gather the layer modules' __all__ into the package, where
+    # test_package_exports_are_the_modules_exports checks them.
+    for path in FILES:
+        stars = star_imports(path.read_text())
+        if path.parent.name == "carnotx" and path.name == "__init__.py":
+            assert set(stars) <= {f".{stem}" for stem in LAYERS}, stars
+        else:
+            assert stars == [], path.name
+
+
+def test_package_binds_only_its_exports_and_layers():
+    # A fresh interpreter, so that no module another test imported (such as
+    # carnotx.cli) is bound; a star import must not leak a helper such as np.
+    code = "import carnotx; print(sorted(n for n in vars(carnotx) if not n.startswith('_')))"
+    src = str(Path(carnotx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    public = set(carnotx.__all__) - {"__version__"}
+    assert ast.literal_eval(done.stdout) == sorted(public | LAYERS)
 
 
 def test_readme_states_the_schema_version():
