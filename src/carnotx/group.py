@@ -114,12 +114,12 @@ def _gauge_fourth(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rho^4, |x_H|^2) at stacked points (..., n), rho^4 = |x_H|^4 + t^2.
 
-    The gauge rho is the fourth root ``np.power(rho^4, 0.25)`` (``_gauge``),
-    the pow being most of its cost, so a caller that reads rho on some rows
-    only takes it there.  ``out``, a float array (3, ...) over the leading
-    axes of x, receives rho^4 and |x_H|^2 in its first two rows and uses the
-    third as scratch, so a caller that gauges stack after stack allocates
-    nothing per stack.  A single point goes through a one-row stack.
+    The gauge rho is its fourth root (``_fourth_root``), taken apart, so a
+    caller that reads rho on some rows only takes it there.  ``out``, a
+    float array (3, ...) over the leading axes of x, receives rho^4 and
+    |x_H|^2 in its first two rows and uses the third as scratch, so a caller
+    that gauges stack after stack allocates nothing per stack.  A single
+    point goes through a one-row stack.
     """
     x = _points(group, x)
     if x.ndim == 1:
@@ -138,24 +138,37 @@ def _gauge(group: GroupDescriptor, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     This is the one definition of the Koranyi-type gauge, homogeneous of
     degree one under the dilations (x_H, t) -> (lam x_H, lam^2 t).  A single
-    point goes through the stacked path: numpy's scalar ** rounds
-    differently from its array loop, so a single call would not give the
-    bits of a stacked one.
+    point goes through the stacked path.
     """
     x = _points(group, x)
     if x.ndim == 1:
         return tuple(part[0] for part in _gauge(group, x[None]))
     rho4, h2 = _gauge_fourth(group, x)
-    return np.power(rho4, 0.25, out=rho4), h2
+    return _fourth_root(rho4), h2
+
+
+def _fourth_root(rho4: np.ndarray) -> np.ndarray:
+    """The gauge's one root, rho = sqrt(sqrt(rho^4)), taken in place of the array rho4.
+
+    Each square root is correctly rounded under IEEE 754, so rho is within
+    an ulp of the exact fourth root on every platform, and its bits do not
+    depend on numpy's SIMD ``pow``.
+    """
+    np.sqrt(rho4, out=rho4)
+    return np.sqrt(rho4, out=rho4)
 
 
 def _gauge_slope(rho: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """|D rho|^2 = |x_H|^2 / rho^2 from the parts of ``_gauge``, with the limit 0 at the origin.
 
     It is a function of rho and |x_H|^2 alone, so a caller that reads it on
-    some rows only gathers those parts and computes it there.
+    some rows only gathers those parts and computes it there.  Where every
+    rho > 0 this is a plain divide, which gives the masked divide's bits.
     """
-    return np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
+    rho2, positive = np.square(rho), rho > 0.0
+    if positive.all():
+        return np.divide(h2, rho2, out=rho2)
+    return np.divide(h2, rho2, out=np.zeros_like(h2), where=positive)
 
 
 def _gauge_parts(

@@ -251,11 +251,16 @@ class PucciFormulaCheck:
 def pucci_formula_check(
     e: Ellipticity, dim: int, count: int, n_samples: int, seed: int
 ) -> PucciFormulaCheck:
-    """`pucci_oracle_check` on `count` random symmetric matrices, gaps scaled by max(1, ||M||)."""
+    """`pucci_oracle_check` on `count` random symmetric matrices.
+
+    Each gap of the sampled sup above the formula is divided by
+    max(1, Lam ||M||), the scale of Tr(A M) and of its rounding error, as
+    ``attained`` is, so a correct formula passes at any window.
+    """
     raw = substream(seed, "pucci-cli").standard_normal((count, dim, dim))
     mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     sups, formula, attained = pucci_oracle_check(mats, e, n_samples, seed)
-    gaps = (sups - formula) / np.maximum(1.0, _frobenius(mats))
+    gaps = (sups - formula) / np.maximum(1.0, e.Lam * _frobenius(mats))
     i = int(np.argmax(gaps))
     return PucciFormulaCheck(
         float(gaps[i]), i, float(sups[i]), float(formula[i]), bool(np.all(attained))

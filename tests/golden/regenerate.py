@@ -7,8 +7,9 @@ Run from the root of a checkout:
 It runs every case below in process, writes its report files and its
 standard output (``<case>.stdout``) into this directory, and records the platform they were made on in ``platform.json``.
 The bits of a report depend on numpy's BLAS dots, its LAPACK eigensolver,
-its SIMD ``pow`` and the C library's ``pow``, so goldens made elsewhere may
-legitimately differ in last digits.
+its SIMD ``pow`` (the q-th powers and the profiles) and the C library's
+``pow``, so goldens made elsewhere may legitimately differ in last digits.
+The gauge's root is two correctly rounded square roots and uses no ``pow``.
 Regenerate only when a change means to alter report bytes (a schema bump,
 or a value change it states), never to make a failing comparison pass.
 """

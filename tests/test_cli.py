@@ -200,7 +200,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("seed", [1, 42])
     def test_pucci_report_matches_per_matrix_loop(self, seed, tmp_path):
         # The reference is the per-matrix loop: one (dim, dim) draw, oracle
-        # call at the same seed and np.linalg.norm scale per matrix.
+        # call at the same seed and Lam np.linalg.norm scale per matrix.
         e = Ellipticity(lam=1.0, Lam=3.0)
         rng = substream(seed, "pucci-cli")
         gaps, sups, formulas, attained = [], [], [], True
@@ -208,7 +208,7 @@ class TestOtherCommands:
             raw = rng.standard_normal((4, 4))
             mat = 0.5 * (raw + raw.T)
             sup, formula, ok = pucci_oracle_check(mat, e, n_samples=300, seed=seed)
-            gaps.append((sup - formula) / max(1.0, float(np.linalg.norm(mat))))
+            gaps.append((sup - formula) / max(1.0, e.Lam * float(np.linalg.norm(mat))))
             sups.append(float(sup))
             formulas.append(float(formula))
             attained = attained and bool(ok)

@@ -2,9 +2,11 @@
 
 Every call exits 0 (pass), 1 (fail) or 2 (usage error), raises no
 RuntimeWarning, and any report it writes has ``passed`` equal to
-``exit == 0``.  The run is derandomized with a fixed example budget, so
-it draws the same arguments every time.  Sizes (samples, points, counts)
-stay small to keep the whole run under about two seconds; the values that
+``exit == 0``.  A command that checks a statement true at every valid
+input (`_NO_TRUE_FAIL`) never exits 1, since for it a FAIL is always
+false.  The run is derandomized with a fixed example budget, so it draws
+the same arguments every time.  Sizes (samples, points, counts) stay
+small to keep the whole run under about two seconds; the values that
 decide the math range over good and bad usage alike.
 """
 
@@ -80,6 +82,11 @@ _OPTIONS = {
 }
 
 
+# `pucci` checks the extremal-operator formula and `pointwise-bound` the
+# trace bound in its tight configuration; both hold at every valid window.
+_NO_TRUE_FAIL = {"pucci", "pointwise-bound"}
+
+
 def _argv(command: str) -> st.SearchStrategy[list[str]]:
     options = {
         flag: st.one_of(st.none(), values.map(str)) for flag, values in _OPTIONS[command].items()
@@ -89,6 +96,26 @@ def _argv(command: str) -> st.SearchStrategy[list[str]]:
         lambda chosen: [command]
         + [token for flag, value in chosen.items() if value is not None for token in (flag, value)]
     )
+
+
+def _run_and_check(command: str, argv: list[str]) -> int:
+    """Run argv and hold it to the contract; returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        sink = io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stdout(sink),
+            contextlib.redirect_stderr(sink),
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(argv + ["--out", str(out)])
+        assert code in ((0, 2) if command in _NO_TRUE_FAIL else (0, 1, 2)), sink.getvalue()
+        if out.exists():
+            assert json.loads(out.read_text())["passed"] == (code == 0)
+        else:
+            assert code == 2, sink.getvalue()
+    return code
 
 
 @pytest.mark.parametrize("command", sorted(_OPTIONS))
@@ -101,19 +128,24 @@ def _argv(command: str) -> st.SearchStrategy[list[str]]:
 )
 @given(data=st.data())
 def test_exit_code_and_report_agree(command, data):
-    argv = data.draw(_argv(command), label="argv")
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report.json"
-        sink = io.StringIO()
-        with (
-            warnings.catch_warnings(),
-            contextlib.redirect_stdout(sink),
-            contextlib.redirect_stderr(sink),
-        ):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run(argv + ["--out", str(out)])
-        assert code in (0, 1, 2), sink.getvalue()
-        if out.exists():
-            assert json.loads(out.read_text())["passed"] == (code == 0)
-        else:
-            assert code == 2, sink.getvalue()
+    _run_and_check(command, data.draw(_argv(command), label="argv"))
+
+
+# Windows where a gap scaled by max(1, ||M||) instead of max(1, Lam ||M||)
+# read as a FAIL, and a lam where the upper trace bound's rounding outgrew
+# a fixed tolerance.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pucci", "--dim", "2", "--count", "8", "--samples", "256", "--lam", "1e6",
+         "--Lam", "1e6", "--seed", "3"],
+        ["pucci", "--dim", "2", "--count", "8", "--samples", "256", "--lam", "1e300",
+         "--Lam", "1e300", "--seed", "3"],
+        ["pointwise-bound", "--count", "50", "--lam", "1e-9", "--Lam", "3", "--seed", "3"],
+        ["pointwise-bound", "--group", "h:3", "--count", "50", "--lam", "1e-9", "--Lam",
+         "0.05", "--seed", "3"],
+    ],
+    ids=["pucci-1e6", "pucci-1e300", "pointwise-bound-h1", "pointwise-bound-h3"],
+)
+def test_a_right_statement_passes_at_an_extreme_window(argv):
+    assert _run_and_check(argv[0], argv) == 0

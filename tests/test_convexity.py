@@ -187,7 +187,7 @@ class TestCheckers:
         def ball(sampler):
             # The box draws of gauge_ball_sampler come from the test sampler.
             monkeypatch.setattr(
-                estimates, "_sample_box", lambda hw, rng, out: sampler(len(out), rng)
+                estimates, "_sample_box", lambda span, rng, out: sampler(len(out), rng)
             )
             return len(gauge_ball_sampler(H1, rho_max=3.0)(8, np.random.default_rng(1)))
 

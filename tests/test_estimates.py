@@ -720,9 +720,10 @@ class TestChunkedSampling:
         drawn = {}
         real = estimates._sample_box
 
-        def counting(hw, rng, out):
-            drawn[float(hw[0])] = drawn.get(float(hw[0]), 0) + len(out)
-            return real(hw, rng, out)
+        def counting(span, rng, out):
+            r = float(span[0]) / 2.0  # the first box width is 2 r
+            drawn[r] = drawn.get(r, 0) + len(out)
+            return real(span, rng, out)
 
         monkeypatch.setattr(estimates, "_sample_box", counting)
         cfg = CounterexampleConfig(
@@ -739,7 +740,8 @@ def _reference_lq(u, group, r, qs, quad):
 
     Every box point is drawn and gauged in one whole array, `u` is evaluated
     on the rows `pts[inside]`, and the per-chunk moments of those values
-    merge in chunk order by the same Chan update.
+    (a sum, and an einsum of the centred weights with themselves) merge in chunk order by the
+    same Chan update.
     """
     n = quad.n_samples
     pts = _whole_box(group, r, n, substream(quad.seed, "box-mass", u.name, repr(r)))
@@ -753,7 +755,8 @@ def _reference_lq(u, group, r, qs, quad):
         for j, q in enumerate(qs):
             w = np.where(bad, 0.0, np.abs(v) ** q)
             m = float(np.sum(w)) / k
-            ss = float(np.sum((w - m) ** 2)) + (k - len(v)) * m * m
+            dev = w - m
+            ss = float(np.einsum("i,i->", dev, dev)) + (k - len(v)) * m * m
             delta = m - mean[j]
             mean[j] += delta * k / (start + k)
             m2[j] += ss + delta * delta * start * k / (start + k)
@@ -957,7 +960,7 @@ class TestGaugeReuse:
         rho = _gauge_parts(group, pts)[0]
         assert 0 < np.count_nonzero(rho < r) < n and np.count_nonzero(rho == r) > 0
 
-        monkeypatch.setattr(estimates, "_sample_box", lambda hw, rng, out: pts[: len(out)])
+        monkeypatch.setattr(estimates, "_sample_box", lambda span, rng, out: pts[: len(out)])
         seen = []
 
         def record(rho, h2, g):

@@ -1,5 +1,6 @@
 """Group layer: descriptors and the gauge, checked with the law and the dilations."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,19 +149,48 @@ def _bits(a) -> np.ndarray:
 
 @pytest.mark.parametrize("d", range(1, 10))
 def test_gauge_parts_bits_match_row_sum(d):
-    """The column sum gives the bits of np.sum's row reduce, on both sides of 8 terms."""
+    """The column sum gives the bits of np.sum's row reduce, on both sides of 8 terms.
+
+    rho is defined as two square roots of rho^4, and |D rho|^2 by the masked
+    divide, whose bits the plain divide of a stack without the origin keeps.
+    """
     G = heisenberg(d)
     rng = np.random.default_rng(100 + d)
     x = rng.uniform(-1.0, 1.0, (200000, G.n)) * rng.uniform(1e-3, 1e3, G.n)
     x[0] = 0.0  # the origin
     x[1:64, : 2 * d] = 0.0  # the vertical axis
     h2 = np.sum(x[..., : 2 * d] ** 2, axis=-1)
-    rho = (h2**2 + x[..., -1] ** 2) ** 0.25
+    rho = np.sqrt(np.sqrt(h2**2 + x[..., -1] ** 2))
     g = np.divide(h2, rho**2, out=np.zeros_like(h2), where=rho > 0.0)
     for want, got in zip((rho, h2, g), _gauge_parts(G, x)):
         assert np.array_equal(_bits(got), _bits(want))
+    for want, got in zip((rho, h2, g), _gauge_parts(G, x[1:])):
+        assert np.array_equal(_bits(got), _bits(want[1:]))
     for want, got in zip((rho, h2, g), _gauge_parts(G, x[200])):
         assert _bits(got) == _bits(want[200])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gauge_root_is_within_an_ulp_of_mpmath(d):
+    """rho is within 1 ulp of the exact fourth root of rho^4, subnormal rho^4 included.
+
+    Points are dilated by 10^-80 to 10^75, so rho^4 runs from subnormal to
+    about 1e300; each single point gets the bits of the stack.
+    """
+    G = heisenberg(d)
+    rng = np.random.default_rng(40 + d)
+    scale = 10.0 ** rng.uniform(-80.0, 75.0, 3000)
+    x = rng.uniform(-1.0, 1.0, (3000, G.n)) * scale[:, None] ** np.array(G.dilation_weights)
+    x[:20, : 2 * d] = 0.0  # the vertical axis, where rho^4 = t^2
+    rho4 = _gauge_fourth(G, x)[0]
+    assert np.count_nonzero(rho4 < np.finfo(float).tiny) > 0 and 1e290 < rho4.max() < np.inf
+    rho = _gauge(G, x)[0]
+    with mpmath.workdps(40):
+        for i in range(len(x)):
+            exact = mpmath.root(mpmath.mpf(float(rho4[i])), 4)
+            assert abs(mpmath.mpf(float(rho[i])) - exact) <= np.spacing(rho[i]), i
+    for i in rng.choice(len(x), 50, replace=False):
+        assert _bits(_gauge(G, x[i])[0]) == _bits(rho[i])
 
 
 @pytest.mark.parametrize("k", [*range(0, 10), 128, 129, 200])
