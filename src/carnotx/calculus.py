@@ -1,8 +1,10 @@
 """Horizontal differential calculus along the frame of H^d.
 
-Euclidean Hessians come from an analytic callback when a field carries one
-and from central finite differences otherwise; the frame coefficients are
-exact, so differencing only ever touches the scalar field itself.
+Horizontal Hessians come from a field's analytic Euclidean Hessian
+callback when it carries one, and otherwise from central second
+differences of the field along the frame directions at each point; the
+frame coefficients are exact, so differencing only ever touches the
+scalar field itself.
 
 The radial part implements the closed-form horizontal Hessian of gauge
 functions psi(rho) on H^d, including its full eigenvalue multiset.
@@ -41,11 +43,9 @@ class SingularPointError(DomainError):
 
 # --- finite differences ----------------------------------------------------
 
-# The one stencil: fourth-order central differences with step
-# 1e-3 * max(1, |x|_inf), Richardson-extrapolated from h and h/2.
-# Offset -> coefficient tables: the second-derivative one gives the diagonal
-# entries, products of first-derivative ones the mixed entries, all over h^2.
-_D1 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
+# The one stencil: the fourth-order central second difference, offset ->
+# coefficient over h^2, with step 1e-3 * max(1, |x|_inf) and
+# Richardson-extrapolated from h and h/2, along frame directions at x.
 _D2 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
 _FD_STEP = 1e-3
 
@@ -116,89 +116,86 @@ def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
 
 
 # Points per stencil evaluation: memory stays bounded whatever the stack size.
-_FD_CHUNK = 16
+_FD_CHUNK = 32
 
 
 @functools.cache
-def _fd_stencil(n: int) -> tuple[np.ndarray, ...]:
-    """The stencil for points of length n: (steps (n, U), index, c2, c_mix, rows, cols).
+def _fd_stencil(d: int) -> tuple[np.ndarray, ...]:
+    """The stencil on H^d: (steps, offsets, dirs, index, rows, cols, layout).
 
-    The stencil has K rows per level, at steps h and h/2: axis rows at the
-    second-derivative offsets, then rows at products of first-derivative
-    offsets for each pair (rows[p], cols[p]), rows[p] < cols[p].  Columns of
-    ``steps`` are its U distinct rows in units of h, ``offset / 2`` on the
-    h/2 level; ``index`` (2K,) puts each back in its (level, row) place.
-    The h/2 level's offsets +-2 are the h level's +-1 and the centre
-    repeats 2n times, so U = 1 + 6n + 28 n(n-1)/2 of 2K = 10n + 16 n(n-1).
-    Products of h with 0, +-0.5, +-1 and +-2 are exact, so h * step has the
-    bits of the level's step times its offset, and a point x + h * step
-    the bits of the stencil row it stands for.  The arrays are shared
-    between calls, so they are read-only.
+    Its D = m^2 directions are sigma_i, then sigma_i + sigma_j and then
+    sigma_i - sigma_j over the pairs (rows[p], cols[p]), rows[p] < cols[p].
+    In units of h, level h takes the offsets 0, +-1, +-2 along each and
+    level h/2 the offsets 0, +-0.5, +-1, so a point has U = 6D + 1 distinct
+    rows: its centre, then the nonzero ``offsets`` (U,) along each
+    direction ``dirs`` (U,) in turn.  ``index`` (2, D, 5) puts each back in
+    its (level, direction, _D2 offset) place, ``steps`` (m, U) holds the
+    rows' horizontal parts in units of h, constant as the frame's are, and
+    ``layout`` (m, m) places the diagonal and pairs; shared, so read-only.
     """
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    eye = np.eye(n)
-    table = np.array(
-        [off * eye[k] for k in range(n) for off, _ in _D2]
-        + [oa * eye[k] + ob * eye[l] for k, l in pairs for oa, _ in _D1 for ob, _ in _D1]
-    )
-    both = np.vstack([table, 0.5 * table])
-    # Keyed by bytes, so that steps differing in the sign of a zero stay apart.
-    first: dict[bytes, int] = {}
-    index = np.array([first.setdefault(step.tobytes(), len(first)) for step in both])
-    steps = both[np.unique(index, return_index=True)[1]]
-    c2 = np.array([c for _, c in _D2])
-    c_mix = np.array([ca * cb for _, ca in _D1 for _, cb in _D1])
-    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    parts = (np.ascontiguousarray(steps.T), index, c2, c_mix, rows, cols)
+    m = 2 * d
+    rows, cols = np.triu_indices(m, 1)
+    eye, units = np.eye(m), (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+    offsets = np.array((0.0,) + units * m * m)
+    dirs = np.concatenate([[0], np.repeat(np.arange(m * m), len(units))])
+    steps = offsets * np.vstack([eye, eye[rows] + eye[cols], eye[rows] - eye[cols]])[dirs].T
+    unit = np.outer([1.0, 0.5], [off for off, _ in _D2])[:, None, :]
+    column = 1 + np.searchsorted(units, unit) + 6 * np.arange(m * m)[:, None]
+    index = np.where(unit != 0.0, column, 0)
+    layout = np.diag(np.arange(m))
+    layout[rows, cols] = layout[cols, rows] = m + np.arange(len(rows))
+    parts = (steps, offsets, dirs, index, rows, cols, layout)
     for part in parts:
         part.flags.writeable = False
     return parts
 
 
-def _fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessians at points (..., n); shape (F..., ..., n, n).
+def _horizontal_fd(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Symmetrized horizontal Hessians of u by differences along the frame; (F..., ..., m, m).
 
-    F... are the leading value axes of ``u.evaluate`` (none for a scalar
-    field), so F fields sharing one ``evaluate`` are differenced in one
-    pass.  The distinct stencil points of a chunk are laid out coordinate
-    by coordinate in one buffer reused across chunks, each entry
-    x_j + h * step, and ``u.evaluate`` gets the buffer's (points, n)
-    transpose.  Each point's values are gathered back into both levels
-    and combined by BLAS dots of their own, so its bits do not depend on
-    the stack, the chunking or the other fields.  An empty stack is still
-    evaluated once, for the value axes.
+    The second difference Q(v) of u along a fixed vector v is v^T D^2u v,
+    so the frame at x gives the diagonal Q(sigma_i) and, by polarization,
+    the rest, (Q(sigma_i + sigma_j) - Q(sigma_i - sigma_j)) / 4: the
+    symmetric part of sigma^T D^2u sigma.  F... are the value axes of
+    ``u.evaluate`` (none for a scalar field), so F fields sharing one
+    ``evaluate`` are differenced in one pass.  A chunk's distinct stencil
+    points, x and x + (s h) v at offset s along v, are laid out coordinate
+    by coordinate in one buffer reused across chunks, and ``u.evaluate``
+    gets its (points, n) transpose.  Each point's values are gathered back
+    into both levels and combined by BLAS dots of their own, so its bits do
+    not depend on the stack, the chunking or the other fields.  An empty
+    stack is still evaluated once, for the value axes.
     """
-    n = x.shape[-1]
-    steps, index, c2, c_mix, rows, cols = _fd_stencil(n)
-    k = len(index) // 2
+    d, m, n = group.heisenberg_d, group.m, group.n
+    steps, offsets, dirs, index, rows, cols, layout = _fd_stencil(d)
     flat = x.reshape(-1, n)
-    buf = np.empty((n, _FD_CHUNK, steps.shape[1]))
+    buf = np.empty((n, _FD_CHUNK, len(offsets)))
     for lo in range(0, max(len(flat), 1), _FD_CHUNK):
         xc = flat[lo : lo + _FD_CHUNK]
-        h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))
+        hc = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1, keepdims=True))
         pts = buf[:, : len(xc)]
-        np.multiply(h[:, None], steps[:, None, :], out=pts)
+        np.multiply(hc, steps[:, None, :], out=pts[:m])
+        # t parts: the frame's t row and its pair sums, times h and then the offsets,
+        # which are powers of two, so each entry rounds once, as (s h) v does.
+        tau = _frame(group, xc)[:, -1]
+        tau = np.concatenate([tau, tau[:, rows] + tau[:, cols], tau[:, rows] - tau[:, cols]], 1)
+        np.multiply(np.take(tau * hc, dirs, axis=1), offsets, out=pts[m])
         pts += xc.T[:, :, None]
+        pts[:, :, 0] = xc.T
         vals = np.asarray(u.evaluate(pts.reshape(n, -1).T), dtype=float)
         lead = vals.shape[:-1]
         # take copies: contiguous values, as a strided operand changes how _dot sums.
         vals = np.take(vals.reshape(lead + pts.shape[1:]), index, axis=-1)
-        vals = vals.reshape(lead + (len(xc), 2, k))
-        axis = vals[..., : n * len(_D2)].reshape(vals.shape[:-1] + (n, len(_D2)))
-        mix = vals[..., n * len(_D2) :].reshape(vals.shape[:-1] + (len(rows), len(c_mix)))
-        # The C library's pow, as a scalar h**2.
-        h2 = np.float_power(np.stack([h, h / 2.0], axis=-1), 2)[..., None]
-        # Richardson on each entry: the fourth-order error of h against h/2 cancels.
-        diag, off = (
-            (16.0 * e[..., 1, :] - e[..., 0, :]) / 15.0
-            for e in (_dot(axis, c2) / h2, _dot(mix, c_mix) / h2)
-        )
+        # The C library's pow, as a scalar h**2, at h and h/2.
+        h2 = np.float_power(hc * [1.0, 0.5], 2)[..., None]
+        q = _dot(vals, np.array([c for _, c in _D2])) / h2
+        # Richardson on each direction: the fourth-order error of h against h/2 cancels.
+        q = (16.0 * q[..., 1, :] - q[..., 0, :]) / 15.0
+        q[..., m : m + len(rows)] = (q[..., m : m + len(rows)] - q[..., m + len(rows) :]) / 4.0
         if lo == 0:
-            hess = np.empty(lead + flat.shape + (n,))
-        block = hess[..., lo : lo + len(xc), :, :]
-        block[..., range(n), range(n)] = diag
-        block[..., rows, cols] = block[..., cols, rows] = off
-    return hess.reshape(lead + x.shape + (n,))
+            hess = np.empty(lead + (len(flat), m, m))
+        hess[..., lo : lo + len(xc), :, :] = np.take(q, layout, axis=-1)
+    return hess.reshape(lead + x.shape[:-1] + (m, m))
 
 
 # --- horizontal derivatives ------------------------------------------------
@@ -208,11 +205,12 @@ def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray
     """Symmetrized horizontal Hessians ((X_i X_j + X_j X_i) u / 2).
 
     Takes points (..., n) and returns shape (F..., ..., m, m), the symmetric
-    part of sigma^T D^2u sigma, with the value axes F... of a stencil field
-    (see ``_fd_hessian``).  The first-order part of X_i X_j u is 2 u_t in
-    the (i+d, i) slot and -2 u_t in (i, i+d): antisymmetric, so the
-    symmetrization removes it exactly.  ValueError names the first point
-    with a non-finite coordinate.
+    part of sigma^T D^2u sigma: from the Hessian callback when u has one,
+    else from differences along the frame, with the value axes F... of the
+    stencil field (see ``_horizontal_fd``).  The first-order part of
+    X_i X_j u is 2 u_t in the (i+d, i) slot and -2 u_t in (i, i+d):
+    antisymmetric, so the symmetrization removes it exactly.  ValueError
+    names the first point with a non-finite coordinate.
     """
     x = _points(group, x)
     bad = ~np.isfinite(x).all(axis=-1)
@@ -220,11 +218,9 @@ def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray
         raise ValueError(f"point {x[bad][0]!r} is not finite")
     _require_in_domain(u, x)
     if u.euclid_hessian is None:
-        hess = _fd_hessian(u, x)
-    else:
-        hess = np.asarray(u.euclid_hessian(x), dtype=float)
+        return _horizontal_fd(group, u, x)
     sigma = _frame(group, x)
-    out = np.swapaxes(sigma, -1, -2) @ hess @ sigma
+    out = np.swapaxes(sigma, -1, -2) @ np.asarray(u.euclid_hessian(x), dtype=float) @ sigma
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 

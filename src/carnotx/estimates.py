@@ -1068,7 +1068,8 @@ def pointwise_bound_check(
     supersolution_ok = not np.any(np.asarray(gop(mats)) > fx + tol)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     low = tr + c4 * m
-    up = (fx + m * c4 * (e.Lam - e.lam) + g0) / e.lam - tr
+    # f + m c4 Lam first: it cancels in the tight case, where Lam - lam would lose lam.
+    up = (fx + m * c4 * e.Lam - m * c4 * e.lam + g0) / e.lam - tr
     sur = tr + 2.0 * c4 * m - np.max(np.abs(mats), axis=(-2, -1))
     up_tol = tol + 4.0 * math.ulp(float(np.max(np.abs(fx))) + m * c4 * e.Lam + g0) / e.lam
     lower_margin, upper_margin, surrogate_margin = (float(v.min()) for v in (low, up, sur))

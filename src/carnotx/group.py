@@ -86,6 +86,7 @@ def _row_sums(
     term: Callable[..., np.ndarray],
     out: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
+    negative_zeros: bool = True,
 ) -> np.ndarray:
     """np.sum(term(x[..., :k]), axis=-1) with the same bits.
 
@@ -93,7 +94,8 @@ def _row_sums(
     unless given ``out``, like ``np.square``.  For 1 <= k < 8 numpy adds a
     row's terms in order, so this adds whole columns in that order, which
     is several times as fast for a few columns, and ends by adding +0, so
-    that -0 terms sum to +0 as in numpy; ``scratch``, of the sums' shape,
+    that -0 terms sum to +0 as in numpy, unless ``negative_zeros`` is False
+    (terms such as squares are never -0); ``scratch``, of the sums' shape,
     then holds each column's term, and nothing is allocated.  Any other k
     is one np.sum call.  ``out`` receives the sums.
     """
@@ -105,7 +107,8 @@ def _row_sums(
     tmp = np.empty(shape) if scratch is None else scratch
     for j in range(1, k):
         acc += term(x[..., j], out=tmp)
-    acc += 0.0
+    if negative_zeros:
+        acc += 0.0
     return acc
 
 
@@ -126,7 +129,7 @@ def _gauge_fourth(
         lifted = _gauge_fourth(group, x[None], None if out is None else out[:, None])
         return tuple(part[0] for part in lifted)
     rho4, h2, tmp = np.empty((3,) + x.shape[:-1]) if out is None else out
-    _row_sums(x, group.m, np.square, out=h2, scratch=tmp)
+    _row_sums(x, group.m, np.square, out=h2, scratch=tmp, negative_zeros=False)
     # h2**2 + t**2, each step into a buffer.
     np.square(h2, out=rho4)
     rho4 += np.square(x[..., -1], out=tmp)

@@ -1,10 +1,12 @@
-"""Test oracles: the group law, dilations, a gradient, callback checkers, a
-reference stencil and a reference report writer.
+"""Test oracles: the group law, dilations, a gradient, callback checkers, two
+reference stencils and a reference report writer.
 
 No verdict of the package reads any of these; the tests use them to check
 the frame, the closed-form X-lines, the homogeneity of the gauge, the
-analytic Hessian callbacks of the catalog, the bits of `calculus._fd_hessian`
-and the bytes of `report.dumps`.
+analytic Hessian callbacks of the catalog, the bits of
+`calculus._horizontal_fd` and the bytes of `report.dumps`.  The Euclidean
+stencil `reference_fd_hessian` is an independent route to the horizontal
+Hessian, sigma^T D^2u sigma, that the package's stencil never takes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from carnotx.calculus import _D1, _D2, _FD_CHUNK, _FD_STEP, RadialProfile, ScalarField, _fd_hessian
+from carnotx.calculus import _D2, _FD_CHUNK, _FD_STEP, RadialProfile, ScalarField
 from carnotx.group import GroupDescriptor, _dot, _frame, _points
 
 
@@ -46,6 +48,8 @@ def group_multiply(group: GroupDescriptor, x: np.ndarray, y: np.ndarray) -> np.n
     return out
 
 
+# The fourth-order central first difference, offset -> coefficient over h.
+_D1 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
 # Step of the first-order differences below.
 _GRADIENT_STEP = 1e-4
 
@@ -87,20 +91,20 @@ def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
     )
 
 
-# Callbacks agree with the stencil within atol + rtol * max(1, |value|).
+# Callbacks agree with the Euclidean stencil within atol + rtol * max(1, |value|).
 _CALLBACK_RTOL, _CALLBACK_ATOL = 1e-6, 1e-8
 # Step and relative tolerance of the one-dimensional profile check.
 _PROFILE_STEP, _PROFILE_RTOL = 1e-4, 1e-6
 
 
 def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
-    """Compare a field's Hessian callback against the package's stencil.
+    """Compare a field's Hessian callback against ``reference_fd_hessian``.
 
     Returns a report dict; ``ok`` is False when the callback deviates from
     the differenced value beyond atol + rtol * scale.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    fd = _fd_hessian(u, points)
+    fd = reference_fd_hessian(u, points)
     a = np.asarray(u.euclid_hessian(points), dtype=float)
     scale = _CALLBACK_ATOL + _CALLBACK_RTOL * np.maximum(1.0, np.abs(a))
     worst = float(np.max(np.abs(a - fd) / scale, initial=0.0))
@@ -110,8 +114,8 @@ def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
 def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict:
     """Verify psi_prime / psi_second against 1-D differences of psi.
 
-    The differences use the coefficient tables of the package's stencil with
-    the fixed step _PROFILE_STEP; radii outside the smooth domain are
+    The differences use the coefficient tables of the stencils with the
+    fixed step _PROFILE_STEP; radii outside the smooth domain are
     skipped, and a ValueError names the profile when none is left.
     """
     radii = np.asarray(radii, dtype=float)
@@ -130,14 +134,14 @@ def check_profile_consistency(profile: RadialProfile, radii: np.ndarray) -> dict
 
 
 def reference_fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
-    """`calculus._fd_hessian` for a scalar field, with every stencil row evaluated.
+    """Euclidean Hessians (..., n, n) of a scalar field by fourth-order differences.
 
-    The table has K rows: the axis rows at the second-derivative offsets,
-    then the rows at products of first-derivative offsets for each pair
-    (rows[p], cols[p]), rows[p] < cols[p].  Each chunk of points (c, n)
-    hands ``u.evaluate`` all 2K rows per point, ``xc + h * table`` at h and
-    h/2 in (point, level, row) order, repeats included; the values are
-    combined by the same dots and Richardson step.
+    The step is the package's, h = _FD_STEP * max(1, |x|_inf), and the
+    result is Richardson-extrapolated from h and h/2.  The table has K rows:
+    the axis rows at the second-derivative offsets, then the rows at
+    products of first-derivative offsets for each pair (rows[p], cols[p]),
+    rows[p] < cols[p].  Each chunk of points (c, n) hands ``u.evaluate``
+    all 2K rows per point, ``xc + h * table`` at h and h/2, repeats included.
     """
     n = x.shape[-1]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
@@ -170,6 +174,42 @@ def reference_fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
         H[..., rows, cols] = H[..., cols, rows] = _dot(mix, c_mix) / h2
         hess[lo : lo + len(xc)] = (16.0 * H[:, 1] - H[:, 0]) / 15.0
     return hess.reshape(x.shape + (n,))
+
+
+def reference_horizontal_fd(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
+    """`calculus._horizontal_fd` for a scalar field, with every direction row evaluated.
+
+    For each point, level h_L in (h, h/2), direction v in (sigma_i, then
+    sigma_i + sigma_j, then sigma_i - sigma_j over the pairs i < j) of the
+    frame at x and offset o of the second-difference table, ``u.evaluate``
+    gets its own row, x at o = 0 and x + (o h_L) v otherwise: no row is
+    shared between directions or levels.  Q(v) = sum c_o u(row) / h_L^2 by
+    the same dots; Richardson per direction, then polarization.
+    """
+    m, n = group.m, group.n
+    flat = x.reshape(-1, n)
+    sigma = _frame(group, flat)
+    rows, cols = np.triu_indices(m, 1)
+    dirs = np.concatenate(
+        [sigma, sigma[..., rows] + sigma[..., cols], sigma[..., rows] - sigma[..., cols]], -1
+    )
+    h = _FD_STEP * np.maximum(1.0, np.max(np.abs(flat), axis=-1))
+    levels = np.stack([h, h / 2.0], axis=-1)
+    pts = np.empty((len(flat), 2, m * m, len(_D2), n))
+    for k, (off, _) in enumerate(_D2):
+        for level in range(2):
+            step = off * levels[:, level, None, None]
+            row = flat[:, None] + step * np.swapaxes(dirs, -1, -2)
+            pts[:, level, :, k] = row if off else flat[:, None]
+    vals = np.ascontiguousarray(u.evaluate(pts.reshape(-1, n)), dtype=float)
+    vals = vals.reshape(pts.shape[:-1])
+    q = _dot(vals, np.array([c for _, c in _D2])) / np.float_power(levels, 2)[..., None]
+    q = (16.0 * q[:, 1] - q[:, 0]) / 15.0
+    hess = np.empty((len(flat), m, m))
+    hess[:, range(m), range(m)] = q[:, :m]
+    plus, minus = q[:, m : m + len(rows)], q[:, m + len(rows) :]
+    hess[:, rows, cols] = hess[:, cols, rows] = (plus - minus) / 4.0
+    return hess.reshape(x.shape[:-1] + (m, m))
 
 
 def _reference_write(obj: Any, out: list[str], indent: int) -> None:

@@ -6,6 +6,7 @@ Run from the root of a checkout:
 
 It runs every case below in process, writes its report files and its
 standard output (``<case>.stdout``) into this directory, and records the platform they were made on in ``platform.json``.
+It prints the path of each of those files whose bytes changed, one a line.
 The bits of a report depend on numpy's BLAS dots, its LAPACK eigensolver,
 its SIMD ``pow`` (the q-th powers and the profiles) and the C library's
 ``pow``, so goldens made elsewhere may legitimately differ in last digits.
@@ -22,6 +23,7 @@ import json
 import platform
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 from numpy._core import _multiarray_umath as umath
@@ -111,13 +113,29 @@ def environment() -> dict:
     }
 
 
+def _snapshot(paths: list[Path]) -> dict[Path, Optional[bytes]]:
+    """Each path's bytes, None for a missing file."""
+    return {path: path.read_bytes() if path.exists() else None for path in paths}
+
+
+def _print_moved(before: dict[Path, Optional[bytes]]) -> None:
+    """Print, relative to the checkout, each path whose bytes differ from ``before``."""
+    for path, old in before.items():
+        if path.read_bytes() != old:
+            print(path.relative_to(HERE.parents[1]))
+
+
 def main() -> int:
     for name in CASES:
+        before = _snapshot([HERE / f for f in CASES[name][1].values()] + [HERE / f"{name}.stdout"])
         code = run_case(name, HERE)
         if code != 0:
             print(f"{name}: exit {code}", file=sys.stderr)
             return 1
+        _print_moved(before)
+    before = _snapshot([HERE / "platform.json"])
     (HERE / "platform.json").write_text(json.dumps(environment(), indent=2) + "\n")
+    _print_moved(before)
     return 0
 
 

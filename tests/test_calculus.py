@@ -19,6 +19,7 @@ from _oracles import (
     group_multiply,
     horizontal_gradient,
     reference_fd_hessian,
+    reference_horizontal_fd,
 )
 from carnotx import (
     CounterexampleConfig,
@@ -37,7 +38,8 @@ from carnotx import (
     radial_hessian,
     sublaplacian,
 )
-from carnotx.calculus import _fd_hessian, _radial_eigenvalues
+from carnotx.calculus import _horizontal_fd, _radial_eigenvalues
+from carnotx.estimates import _quartic_profile
 from carnotx.group import _frame, _gauge_parts
 
 H1 = heisenberg(1)
@@ -149,7 +151,8 @@ class TestFiniteDifferences:
         rhs = horizontal_hessian_sym(H1, u, group_multiply(H1, g, x))
         assert np.allclose(lhs, rhs, atol=1e-8)
         # Not by accident: the Euclidean Hessians differ.
-        assert not np.allclose(_fd_hessian(composed, x), _fd_hessian(u, group_multiply(H1, g, x)))
+        moved = reference_fd_hessian(u, group_multiply(H1, g, x))
+        assert not np.allclose(reference_fd_hessian(composed, x), moved)
 
 
 class TestRadialCalculus:
@@ -312,7 +315,7 @@ def carnot_frame_hessian_sym(group, u, x):
         jac[i + d, n - 1, i] = 2.0
         jac[i, n - 1, i + d] = -2.0
     grad = euclid_gradient(u, x)
-    hess = _fd_hessian(u, x) if u.euclid_hessian is None else u.euclid_hessian(x)
+    hess = reference_fd_hessian(u, x) if u.euclid_hessian is None else u.euclid_hessian(x)
     sigma = _frame(group, x)
     jac = np.broadcast_to(jac, x.shape[:-1] + (n, n, m))
     main = np.swapaxes(sigma, -1, -2) @ hess @ sigma
@@ -324,7 +327,8 @@ def carnot_frame_hessian_sym(group, u, x):
 @pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
 def test_hessian_sym_equals_carnot_frame_formula(group):
     # On H^d the symmetrized first-order term is exactly zero, so dropping
-    # it must leave every entry unchanged.
+    # it must leave every entry of a callback's Hessian unchanged; the
+    # stencil, which never forms D^2u, agrees with the Euclidean route.
     eps = 2.0**-3
     cfg = CounterexampleConfig(d=group.heisenberg_d, alpha=0.5, eps_list=(eps,), q_list=(2.0,))
     fields = [case.field for case in convexity_catalog(group)]
@@ -334,8 +338,11 @@ def test_hessian_sym_equals_carnot_frame_formula(group):
     )
     pts = sampler(2000, np.random.default_rng(17))
     for u in fields:
-        got = horizontal_hessian_sym(group, u, pts)
-        assert np.array_equal(got, carnot_frame_hessian_sym(group, u, pts)), u.name
+        got, want = horizontal_hessian_sym(group, u, pts), carnot_frame_hessian_sym(group, u, pts)
+        if u.euclid_hessian is None:
+            assert np.allclose(got, want, rtol=1e-7, atol=1e-7), u.name
+        else:
+            assert np.array_equal(got, want), u.name
 
 
 @pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
@@ -371,7 +378,7 @@ def distinct_rows(pts: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("shape", [(1,), (15,), (16,), (17,), (200,), (2, 3)])
+@pytest.mark.parametrize("shape", [(1,), (15,), (16,), (17,), (200,), (2, 3), (32,), (33,)])
 def test_stencil_points_and_hessians_keep_their_bits(d, shape):
     # The stencil evaluates each distinct point of the reference's stencil
     # once, and its Hessians keep the reference's bits.  A coordinate -0.0
@@ -383,18 +390,48 @@ def test_stencil_points_and_hessians_keep_their_bits(d, shape):
     fields = [gauge_quartic(group), field_from_profile(group, power_profile(0.5))]
     fields += [case.field for case in convexity_catalog(group)]
     for u in fields:
-        seen, copied, legacy = [], [], []
-        got = _fd_hessian(recording(u, seen, contiguous=False), x)
-        ref = _fd_hessian(recording(u, copied, contiguous=True), x)
-        want = reference_fd_hessian(recording(u, legacy, contiguous=False), x)
-        assert got.shape == x.shape + (group.n,)
+        seen, copied, every = [], [], []
+        got = _horizontal_fd(group, recording(u, seen, contiguous=False), x)
+        ref = _horizontal_fd(group, recording(u, copied, contiguous=True), x)
+        want = reference_horizontal_fd(group, recording(u, every, contiguous=False), x)
+        assert got.shape == x.shape[:-1] + (group.m, group.m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), u.name
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), u.name
-    # The points do not depend on the field: check the last one's.
-    assert len(seen) == len(legacy)
-    for pts, full in zip(seen, legacy):
-        assert len(pts) == len(distinct_rows(pts)) < len(full)
-        assert np.array_equal(distinct_rows(pts), distinct_rows(full))
+    # The points do not depend on the field: check the last one's.  Each
+    # point has 6 m^2 + 1 distinct rows of the reference's 10 m^2.
+    (full,) = every
+    full = full.reshape(-1, 10 * group.m**2, group.n)
+    pts = np.concatenate(seen).reshape(len(full), -1, group.n)
+    assert pts.shape[1] == 6 * group.m**2 + 1
+    for mine, theirs in zip(pts, full):
+        assert len(mine) == len(distinct_rows(mine))
+        assert np.array_equal(distinct_rows(mine), distinct_rows(theirs))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "profile",
+    [power_profile(0.5), _quartic_profile(), None],
+    ids=["power", "quartic", "splice"],
+)
+def test_stencil_agrees_with_the_euclidean_route(d, profile):
+    # Differences along the frame against sigma^T D^2u sigma from the
+    # Euclidean stencil: two independent routes to one matrix.
+    group = heisenberg(d)
+    if profile is None:
+        cfg = CounterexampleConfig(d=d, alpha=0.5, eps_list=(0.25,), q_list=(2.0,))
+        profile = counterexample_profile(cfg, 0.25)
+    sampler = gauge_ball_sampler(
+        group, rho_max=0.95, rho_min=0.05, min_horizontal=0.01, exclude_shells=[(0.25, 0.05)]
+    )
+    pts = sampler(100, np.random.default_rng(40 + d))
+    u = field_from_profile(group, profile)
+    sigma = _frame(group, pts)
+    euclid = np.swapaxes(sigma, -1, -2) @ reference_fd_hessian(u, pts) @ sigma
+    got = horizontal_hessian_sym(group, u, pts)
+    exact = radial_hessian(group, profile, pts).matrix
+    scale = np.max(np.abs(exact), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - euclid) <= 1e-7 * np.maximum(scale, 1.0))
 
 
 @pytest.mark.parametrize("count", [64, 4096])
@@ -404,7 +441,7 @@ def test_stencil_memory_stays_at_one_chunk(count):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _fd_hessian(u, x)
+        out = _horizontal_fd(H2, u, x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -378,6 +378,17 @@ class TestOtherCommands:
         assert len(results["witness"]["point"]) == 3
         assert results["witness"]["trace"] == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("lam, Lam", [("1", "1e17"), ("1e-300", "1e300")])
+    def test_pointwise_bound_keeps_lam_beside_a_large_Lam(self, lam, Lam, tmp_path, capsys):
+        # The tight configuration's exact upper margin is 0; with Lam - lam
+        # formed first, lam was lost and the margin read 2.
+        out = tmp_path / "bound.json"
+        argv = ["pointwise-bound", "--lam", lam, "--Lam", Lam, "--count", "50", "--seed", "3"]
+        assert run(argv + ["--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert abs(results["upper_margin"]) <= 1e-12 and results["lower_margin"] == 0.0
+        assert "upper margin 0," in capsys.readouterr().out
+
     def test_ball_volume(self, capsys):
         assert run(["ball-volume", "--r", "0.5,1", "--samples", "50000"]) == 0
         out = capsys.readouterr().out

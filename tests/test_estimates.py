@@ -923,21 +923,22 @@ class TestGaugeReuse:
             horizontal_hessian_sym(group, u, pts)
         assert gauged and {piece for piece, _ in gauged} == {"fourth"}
 
-    @pytest.mark.parametrize("d, distinct", [(1, 103), (2, 311), (3, 631)])
+    @pytest.mark.parametrize("d, distinct", [(1, 25), (2, 97), (3, 217)])
     def test_verify_radial_gauges_each_stencil_point_once(self, d, distinct, gauged, monkeypatch):
         # Both profiles share one stencil pass, which gauges each distinct
-        # stencil row of a point once: U of its 2K rows at h and h/2.
+        # stencil row of a point once: its centre and 6 rows along each of
+        # the m^2 frame directions, of 10 m^2 at h and h/2.
         import carnotx.calculus as calculus
 
-        real, spans = calculus._fd_hessian, []
+        real, spans = calculus._horizontal_fd, []
 
-        def spanned(u, x):
+        def spanned(group, u, x):
             start = len(gauged)
-            out = real(u, x)
+            out = real(group, u, x)
             spans.append((start, len(gauged)))
             return out
 
-        monkeypatch.setattr(calculus, "_fd_hessian", spanned)
+        monkeypatch.setattr(calculus, "_horizontal_fd", spanned)
         n = 40
         assert run(["verify-radial", "--group", f"h:{d}", "--points", str(n)]) == 0
         assert len(spans) == 1

@@ -215,6 +215,24 @@ def test_row_sums_have_the_bits_of_np_sum(k):
         for got in (_row_sums(x, k, term), _row_sums(x, k, term, out=out, scratch=scratch)):
             assert np.array_equal(_bits(got), _bits(want)), name
         assert _row_sums(x, k, term, out=out) is out
+    # Squares are never -0, so their sums need no closing +0.
+    got = _row_sums(x, k, np.square, negative_zeros=False)
+    assert np.array_equal(_bits(got), _bits(np.sum(np.square(x[:, :k]), axis=-1)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_negative_zero_coordinates_give_positive_zero_horizontal_norm(d):
+    # |x_H|^2 skips the closing +0 of a row sum: a -0 coordinate squares to +0.
+    G = heisenberg(d)
+    x = np.zeros((4, G.n))
+    x[0, : G.m] = -0.0
+    x[1, 0] = -0.0
+    x[2, G.m - 1], x[2, -1] = -0.0, -0.0
+    x[3, : G.m], x[3, -1] = -0.0, 0.5
+    rho4, h2 = _gauge_fourth(G, x)
+    assert np.array_equal(_bits(h2), _bits(np.zeros(4)))
+    assert np.array_equal(_bits(h2), _bits(np.sum(np.square(x[:, : G.m]), axis=-1)))
+    assert np.array_equal(_bits(rho4[:3]), _bits(np.zeros(3)))
 
 
 def test_gauge_sums_130_horizontal_squares_like_np_sum():
