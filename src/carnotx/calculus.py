@@ -1,10 +1,9 @@
 """Horizontal differential calculus along the frame of H^d.
 
-Horizontal Hessians come from a field's analytic Euclidean Hessian
-callback when it carries one, and otherwise from central second
-differences of the field along the frame directions at each point; the
-frame coefficients are exact, so differencing only ever touches the
-scalar field itself.
+Horizontal Hessians come from a field's horizontal Hessian callback when
+it carries one, and otherwise from central second differences of the
+field along the frame directions at each point; the frame coefficients
+are exact, so differencing only ever touches the scalar field itself.
 
 The radial part implements the closed-form horizontal Hessian of gauge
 functions psi(rho) on H^d, including its full eigenvalue multiset.
@@ -19,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import GroupDescriptor, _dot, _frame, _gauge, _gauge_parts, _points
+from .group import GroupDescriptor, _dot, _frame_t, _gauge, _gauge_parts, _points
 
 __all__ = [
     "DomainError",
@@ -52,14 +51,15 @@ _FD_STEP = 1e-3
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function with an optional analytic Hessian callback.
+    """A scalar function with an optional horizontal Hessian callback.
 
     ``evaluate`` must accept stacked points (..., n) in any memory layout,
     column-major views included, and return shape (...), or (F..., ...)
     for F... values per point, which one stencil pass differences
     together; it must not keep the points, as the stencil reuses its
-    buffer.  A Hessian callback, when present, is trusted in place of
-    finite differences of ``evaluate``.
+    buffer.  ``horizontal_hessian``, when present, maps points (..., n) to
+    their symmetrized horizontal Hessians (..., m, m) and is trusted in
+    place of finite differences of ``evaluate``.
     ``smooth_domain`` is a vectorized predicate for where derivative
     queries are legitimate (None means everywhere).  A field that is a
     function of the gauge on H^d carries ``of_gauge(rho, h2, g)``, mapping
@@ -70,7 +70,7 @@ class ScalarField:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    euclid_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    horizontal_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     of_gauge: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -177,7 +177,7 @@ def _horizontal_fd(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.
         np.multiply(hc, steps[:, None, :], out=pts[:m])
         # t parts: the frame's t row and its pair sums, times h and then the offsets,
         # which are powers of two, so each entry rounds once, as (s h) v does.
-        tau = _frame(group, xc)[:, -1]
+        tau = _frame_t(group, xc)
         tau = np.concatenate([tau, tau[:, rows] + tau[:, cols], tau[:, rows] - tau[:, cols]], 1)
         np.multiply(np.take(tau * hc, dirs, axis=1), offsets, out=pts[m])
         pts += xc.T[:, :, None]
@@ -205,8 +205,9 @@ def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray
     """Symmetrized horizontal Hessians ((X_i X_j + X_j X_i) u / 2).
 
     Takes points (..., n) and returns shape (F..., ..., m, m), the symmetric
-    part of sigma^T D^2u sigma: from the Hessian callback when u has one,
-    else from differences along the frame, with the value axes F... of the
+    part of sigma^T D^2u sigma.  When u has ``horizontal_hessian``, that is
+    its output as floats, trusted, and no frame is built; else it comes
+    from differences along the frame, with the value axes F... of the
     stencil field (see ``_horizontal_fd``).  The first-order part of
     X_i X_j u is 2 u_t in the (i+d, i) slot and -2 u_t in (i, i+d):
     antisymmetric, so the symmetrization removes it exactly.  ValueError
@@ -217,11 +218,9 @@ def horizontal_hessian_sym(group: GroupDescriptor, u: ScalarField, x: np.ndarray
     if bad.any():
         raise ValueError(f"point {x[bad][0]!r} is not finite")
     _require_in_domain(u, x)
-    if u.euclid_hessian is None:
+    if u.horizontal_hessian is None:
         return _horizontal_fd(group, u, x)
-    sigma = _frame(group, x)
-    out = np.swapaxes(sigma, -1, -2) @ np.asarray(u.euclid_hessian(x), dtype=float) @ sigma
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return np.asarray(u.horizontal_hessian(x), dtype=float)
 
 
 def sublaplacian(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Reference scalar fields with exact derivative callbacks.
+"""Reference scalar fields with exact horizontal Hessian callbacks.
 
 These power the convexity catalog, the pointwise-bound harness, and many
-tests.  Every field is vectorized over stacked points and carries an
-analytic Euclidean Hessian, so horizontal Hessians computed from them are
-exact up to rounding.
+tests.  Every field is vectorized over stacked points and carries its
+symmetrized horizontal Hessian (..., m, m) in closed form, so no frame is
+built to read it and it is exact up to rounding.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ScalarField
-from .group import GroupDescriptor, _points
+from .calculus import ScalarField, _outer
+from .group import GroupDescriptor, _frame_t, _points
 
 __all__ = [
     "constant_field",
@@ -27,45 +27,43 @@ __all__ = [
 ]
 
 
+def _constant_hessian(group: GroupDescriptor, diagonal):
+    """The callback that gives every point the horizontal Hessian diag(diagonal)."""
+    mat = np.diag(np.broadcast_to(np.asarray(diagonal, dtype=float), (group.m,)))
+    return lambda x: np.broadcast_to(mat, _points(group, x).shape[:-1] + mat.shape)
+
+
 def constant_field(value: float, name: str | None = None) -> ScalarField:
+    """The constant value; its callback takes points of any H^d, where m = n - 1."""
     value = float(value)
     return ScalarField(
         name=name or f"const({value})",
         evaluate=lambda x: np.full(np.asarray(x).shape[:-1], value),
-        euclid_hessian=lambda x: np.zeros(
-            np.asarray(x).shape + (np.asarray(x).shape[-1],)
-        ),
+        horizontal_hessian=lambda x: np.zeros(np.shape(x)[:-1] + (np.shape(x)[-1] - 1,) * 2),
     )
 
 
 def coordinate_field(group: GroupDescriptor, i: int) -> ScalarField:
-    """The coordinate function x_i, i in 1..n."""
+    """The coordinate function x_i, i in 1..n; its symmetrized horizontal Hessian is 0."""
     if not 1 <= i <= group.n:
         raise ValueError(f"coordinate index must lie in 1..{group.n}, got {i}")
-    n, k = group.n, i - 1
     return ScalarField(
         name=f"x{i}",
-        evaluate=lambda x: _points(group, x)[..., k],
-        euclid_hessian=lambda x: np.zeros(_points(group, x).shape + (n,)),
+        evaluate=lambda x: _points(group, x)[..., i - 1],
+        horizontal_hessian=_constant_hessian(group, 0.0),
     )
 
 
 def horizontal_quadratic(group: GroupDescriptor, coeff: float = 1.0) -> ScalarField:
     """(coeff/2) * sum_{i<=m} x_i^2; horizontal Hessian is exactly coeff * I_m."""
-    m, n = group.m, group.n
+    m = group.m
     coeff = float(coeff)
-
-    bump = np.zeros((n, n))
-    bump[:m, :m] = coeff * np.eye(m)
-
     return ScalarField(
         name=f"{coeff}/2*|x_H|^2",
         evaluate=lambda x: 0.5
         * coeff
         * np.sum(_points(group, x)[..., :m] ** 2, axis=-1),
-        euclid_hessian=lambda x: np.broadcast_to(
-            bump, _points(group, x).shape[:-1] + (n, n)
-        ),
+        horizontal_hessian=_constant_hessian(group, coeff),
     )
 
 
@@ -84,7 +82,7 @@ def add_horizontal_quadratic(group: GroupDescriptor, u: ScalarField, coeff: floa
     return ScalarField(
         name=f"{u.name}+{q.name}",
         evaluate=plus(u.evaluate, q.evaluate),
-        euclid_hessian=plus(u.euclid_hessian, q.euclid_hessian),
+        horizontal_hessian=plus(u.horizontal_hessian, q.horizontal_hessian),
         smooth_domain=u.smooth_domain,
     )
 
@@ -93,27 +91,22 @@ def saddle_field(group: GroupDescriptor) -> ScalarField:
     """(x_2^2 - x_1^2) / 2; horizontal Hessian diag(-1, 1, 0, ...)."""
     if group.m < 2:
         raise ValueError("saddle needs at least two horizontal directions")
-    n = group.n
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = _points(group, x)
         return 0.5 * (x[..., 1] ** 2 - x[..., 0] ** 2)
 
-    bump = np.zeros((n, n))
-    bump[0, 0], bump[1, 1] = -1.0, 1.0
-
     return ScalarField(
         name="(x2^2-x1^2)/2",
         evaluate=evaluate,
-        euclid_hessian=lambda x: np.broadcast_to(
-            bump, _points(group, x).shape[:-1] + (n, n)
-        ),
+        horizontal_hessian=_constant_hessian(group, [-1.0, 1.0] + [0.0] * (group.m - 2)),
     )
 
 
 def gauge_quartic(group: GroupDescriptor) -> ScalarField:
-    """rho^4 = |x_H|^4 + t^2 on H^d: a polynomial, smooth everywhere."""
-    m, n = group.m, group.n
+    """rho^4 = |x_H|^4 + t^2 on H^d, a polynomial; its horizontal Hessian is
+    8 x_H x_H^T + 4 |x_H|^2 I + 2 tau tau^T, tau the frame's t row."""
+    m = group.m
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = _points(group, x)
@@ -122,19 +115,15 @@ def gauge_quartic(group: GroupDescriptor) -> ScalarField:
 
     def hessian(x: np.ndarray) -> np.ndarray:
         x = _points(group, x)
-        h2 = np.sum(x[..., :m] ** 2, axis=-1)
-        out = np.zeros(x.shape + (n,))
-        xh = x[..., :m]
-        out[..., :m, :m] = 8.0 * xh[..., :, None] * xh[..., None, :]
-        idx = np.arange(m)
-        out[..., idx, idx] += 4.0 * h2[..., None]
-        out[..., n - 1, n - 1] = 2.0
+        xh, tau = x[..., :m], _frame_t(group, x)
+        out = 8.0 * _outer(xh, xh) + 2.0 * _outer(tau, tau)
+        out[..., range(m), range(m)] += 4.0 * np.sum(xh**2, axis=-1)[..., None]
         return out
 
     return ScalarField(
         name="rho^4",
         evaluate=evaluate,
-        euclid_hessian=hessian,
+        horizontal_hessian=hessian,
     )
 
 

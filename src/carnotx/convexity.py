@@ -19,7 +19,7 @@ import numpy as np
 from .calculus import ScalarField, _rejection_sample, horizontal_hessian_sym
 from .catalog import convexity_catalog
 from .estimates import _box_draw
-from .group import GroupDescriptor, _dot, _points
+from .group import GroupDescriptor, _dot, _frame_t, _points
 from .pucci import sym_eigenvalues
 from .rng import substream
 
@@ -72,12 +72,9 @@ def integrate_xline(
     alpha = (alpha / norm[..., None]).reshape(-1, group.m)
     t_arr = np.asarray(t, dtype=float)
     starts = x0.reshape(-1, group.n)
-    # Horizontal parts move linearly; the vertical velocity is constant in t
-    # because the symplectic twist of (x_H + t alpha) against alpha is fixed.
-    d = group.heisenberg_d
-    vertical_speed = 2.0 * (
-        _dot(starts[:, d : 2 * d], alpha[:, :d]) - _dot(starts[:, :d], alpha[:, d : 2 * d])
-    )
+    # Horizontal parts move linearly; the vertical speed tau(x) . alpha is
+    # constant in t because tau is linear and tau(alpha) . alpha = 0.
+    vertical_speed = _dot(_frame_t(group, starts), alpha)
     lines = (len(starts),) + (1,) * t_arr.ndim
     out = np.empty((len(starts),) + t_arr.shape + (group.n,))
     out[...] = starts.reshape(lines + (group.n,))

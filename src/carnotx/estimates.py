@@ -243,14 +243,16 @@ def _stencil_points(
 
 def _stencil_error(
     group: GroupDescriptor, profiles: Sequence[RadialProfile], pts: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relative Frobenius distances (len(profiles), N) of stencil Hessians from the closed form.
 
-    The profiles are stacked into one whose psi, psi' and psi'' carry them
-    on a leading axis, so one stencil pass gauges each distinct stencil
-    point once for all of them.  Every profile keeps the bits of a call on
-    it alone.  A profile with a non-finite error, or with an exact Hessian
-    whose norm is zero or subnormal, leaves nothing to compare: ValueError.
+    They come with the stencil and closed-form Hessians (len(profiles), N,
+    m, m) that they compare.  The profiles are stacked into one whose psi,
+    psi' and psi'' carry them on a leading axis, so one stencil pass gauges
+    each distinct stencil point once for all of them.  Every profile keeps
+    the bits of a call on it alone.  A profile with a non-finite error, or
+    with an exact Hessian whose norm is zero or subnormal, leaves nothing
+    to compare: ValueError.
     """
 
     def stacked(attr: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,9 +268,8 @@ def _stencil_error(
     # A product like inf * 0 in psi'' is caught below as a NaN, not warned about.
     with np.errstate(invalid="ignore"):
         exact = radial_hessian(group, profile, pts).matrix
-        diffs = _frobenius(
-            horizontal_hessian_sym(group, field_from_profile(group, profile), pts) - exact
-        )
+        stencil = horizontal_hessian_sym(group, field_from_profile(group, profile), pts)
+        diffs = _frobenius(stencil - exact)
     norms = _frobenius(exact)
     for p, diff, norm in zip(profiles, diffs, norms):
         if not (np.isfinite(diff).all() and np.isfinite(norm).all()):
@@ -278,7 +279,7 @@ def _stencil_error(
                 f"profile {p.name}: an exact Hessian has zero or subnormal Frobenius norm,"
                 " so no relative error can be formed against it"
             )
-    return diffs / norms
+    return diffs / norms, stencil, exact
 
 
 # The bound on verify-radial's relative Hessian error.
@@ -296,22 +297,32 @@ def _quartic_profile() -> RadialProfile:
 
 @dataclass(frozen=True)
 class RadialCheck:
-    """A profile's worst `_stencil_error` over the drawn points; it passes up to RADIAL_TOL."""
+    """A profile's worst `_stencil_error` over the drawn points; it passes up to RADIAL_TOL.
+
+    ``witness`` holds the worst point and the stencil and exact Hessians there."""
 
     profile: str
     max_rel_error: float
     passed: bool
+    witness: dict
 
 
 def radial_hessian_check(
     group: GroupDescriptor, alpha: float, points: int, seed: int
 ) -> list[RadialCheck]:
-    """The closed-form radial Hessians of 1 - rho^alpha and rho^4 against the stencil."""
+    """The closed-form radial Hessians of 1 - rho^alpha and rho^4 against the stencil.
+
+    Each row's witness comes from the one stencil pass that both share."""
     rng = substream(seed, "verify-radial")
     pts = _stencil_points(group, _FD_RHO_MIN, points, rng, f"group h:{group.heisenberg_d}")
     profiles = (power_profile(alpha), _quartic_profile())
-    worst = np.max(_stencil_error(group, profiles, pts), axis=1).tolist()
-    return [RadialCheck(p.name, w, w <= RADIAL_TOL) for p, w in zip(profiles, worst)]
+    errors, stencil, exact = _stencil_error(group, profiles, pts)
+    rows = []
+    for p, err, hess, closed in zip(profiles, errors, stencil, exact):
+        i = int(np.argmax(err))
+        witness = {"point": pts[i].copy(), "stencil": hess[i].copy(), "exact": closed[i].copy()}
+        rows.append(RadialCheck(p.name, float(err[i]), bool(err[i] <= RADIAL_TOL), witness))
+    return rows
 
 
 def _gauge_moment(group: GroupDescriptor, q: float) -> float:
@@ -768,7 +779,7 @@ def verify_pucci_annihilation(
 
     fd_rng = substream(seed, "annihilation-fd", repr(float(eps)))
     fd_pts = _stencil_points(group, fd_lo, _FD_CHECKS, fd_rng, f"splice radius {eps}")
-    fd_excess = float(np.max(_stencil_error(group, (profile,), fd_pts) / _FD_RTOL))
+    fd_excess = float(np.max(_stencil_error(group, (profile,), fd_pts)[0] / _FD_RTOL))
 
     passed = (
         outer_res <= tol

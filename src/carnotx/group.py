@@ -6,10 +6,10 @@ Coordinates are (x_1, ..., x_2d, t) and the horizontal frame is
     X_{i+d} = d/dx_{i+d} - 2 x_i     d/dt,      i = 1..d,
 
 so m = 2d, n = 2d + 1 and the homogeneous dimension is Q = 2d + 2.  Points
-are plain numpy arrays whose last axis has length n; the frame and the
-gauge broadcast over leading axes and never mutate their inputs.  General Carnot
-groups are out of scope: the paper's estimates hold on them, but every
-verdict here runs on H^d.
+are plain numpy arrays whose last axis has length n; the frame's t row
+tau(x) and the gauge broadcast over leading axes and never mutate their
+inputs.  General Carnot groups are out of scope: the paper's estimates
+hold on them, but every verdict here runs on H^d.
 """
 
 from __future__ import annotations
@@ -64,15 +64,11 @@ def _points(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _frame(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
-    """Frame coefficients sigma(x), shape (..., n, m): X_j = sum_k sigma_kj d/dx_k."""
+def _frame_t(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
+    """The frame's t row tau(x), shape (..., m): X_j = d/dx_j + tau_j(x) d/dt."""
     d, m = group.heisenberg_d, group.m
     x = _points(group, x)
-    out = np.zeros(x.shape + (m,))
-    out[..., :m, :] = np.eye(m)
-    out[..., -1, :d] = 2.0 * x[..., d:m]
-    out[..., -1, d:] = -2.0 * x[..., :d]
-    return out
+    return np.concatenate([2.0 * x[..., d:m], -2.0 * x[..., :d]], axis=-1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""Test oracles: the group law, dilations, a gradient, callback checkers, two
-reference stencils and a reference report writer.
+"""Test oracles: the full frame, the group law, dilations, a gradient,
+callback checkers, two reference stencils and a reference report writer.
 
 No verdict of the package reads any of these; the tests use them to check
-the frame, the closed-form X-lines, the homogeneity of the gauge, the
-analytic Hessian callbacks of the catalog, the bits of
-`calculus._horizontal_fd` and the bytes of `report.dumps`.  The Euclidean
-stencil `reference_fd_hessian` is an independent route to the horizontal
-Hessian, sigma^T D^2u sigma, that the package's stencil never takes.
+the frame's t row, the closed-form X-lines, the homogeneity of the gauge,
+the horizontal Hessian callbacks of the catalog, the bits of
+`calculus._horizontal_fd` and the bytes of `report.dumps`.  The package
+never builds the full frame sigma(x): its callbacks give the horizontal
+Hessian in closed form and its stencil reads the frame's t row alone.  So
+the Euclidean stencil `reference_fd_hessian`, conjugated by the frame
+(`horizontal_of`), is an independent route to the horizontal Hessian,
+sym(sigma^T D^2u sigma), that the package never takes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,30 @@ from typing import Any
 import numpy as np
 
 from carnotx.calculus import _D2, _FD_CHUNK, _FD_STEP, RadialProfile, ScalarField
-from carnotx.group import GroupDescriptor, _dot, _frame, _points
+from carnotx.group import GroupDescriptor, _dot, _points
+
+
+def frame(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
+    """Frame coefficients sigma(x), shape (..., n, m): X_j = sum_k sigma_kj d/dx_k."""
+    d, m = group.heisenberg_d, group.m
+    x = _points(group, x)
+    out = np.zeros(x.shape + (m,))
+    out[..., :m, :] = np.eye(m)
+    out[..., -1, :d] = 2.0 * x[..., d:m]
+    out[..., -1, d:] = -2.0 * x[..., :d]
+    return out
+
+
+def horizontal_of(group: GroupDescriptor, euclid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetrized horizontal Hessians sym(sigma^T H sigma) (..., m, m) of Euclidean ones H.
+
+    The first-order part of X_i X_j u is antisymmetric on H^d, so this is
+    the symmetrized horizontal Hessian of a field whose Euclidean Hessian
+    at x is H.
+    """
+    sigma = frame(group, x)
+    out = np.swapaxes(sigma, -1, -2) @ np.asarray(euclid, dtype=float) @ sigma
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def dilate(group: GroupDescriptor, lam: float, x: np.ndarray) -> np.ndarray:
@@ -63,12 +89,12 @@ def euclid_gradient(u: ScalarField, x: np.ndarray) -> np.ndarray:
 
 def horizontal_gradient(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.ndarray:
     """(X_1 u, ..., X_m u) at points (..., n) from differences of u; shape (..., m)."""
-    sigma = _frame(group, x)
+    sigma = frame(group, x)
     return (np.swapaxes(sigma, -1, -2) @ euclid_gradient(u, x)[..., None])[..., 0]
 
 
 def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
-    """The monomial x_i * x_j (1-based indices) with its Hessian callback."""
+    """The monomial x_i * x_j (1-based indices) with its horizontal Hessian callback."""
     for idx in (i, j):
         if not 1 <= idx <= group.n:
             raise ValueError(f"coordinate index must lie in 1..{group.n}, got {idx}")
@@ -85,27 +111,26 @@ def coordinate_product(group: GroupDescriptor, i: int, j: int) -> ScalarField:
     return ScalarField(
         name=f"x{i}*x{j}",
         evaluate=evaluate,
-        euclid_hessian=lambda x: np.broadcast_to(
-            bump, _points(group, x).shape[:-1] + (n, n)
-        ),
+        horizontal_hessian=lambda x: horizontal_of(group, bump, x),
     )
 
 
-# Callbacks agree with the Euclidean stencil within atol + rtol * max(1, |value|).
+# Callbacks agree with the conjugated Euclidean stencil within atol + rtol * max(1, |value|).
 _CALLBACK_RTOL, _CALLBACK_ATOL = 1e-6, 1e-8
 # Step and relative tolerance of the one-dimensional profile check.
 _PROFILE_STEP, _PROFILE_RTOL = 1e-4, 1e-6
 
 
-def check_field_consistency(u: ScalarField, points: np.ndarray) -> dict:
-    """Compare a field's Hessian callback against ``reference_fd_hessian``.
+def check_field_consistency(group: GroupDescriptor, u: ScalarField, points: np.ndarray) -> dict:
+    """Compare a field's horizontal Hessian callback against the frame and the Euclidean stencil.
 
+    The reference is ``horizontal_of(group, reference_fd_hessian(u, x), x)``.
     Returns a report dict; ``ok`` is False when the callback deviates from
-    the differenced value beyond atol + rtol * scale.
+    it beyond atol + rtol * scale.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    fd = reference_fd_hessian(u, points)
-    a = np.asarray(u.euclid_hessian(points), dtype=float)
+    points = np.atleast_2d(_points(group, points))
+    fd = horizontal_of(group, reference_fd_hessian(u, points), points)
+    a = np.asarray(u.horizontal_hessian(points), dtype=float)
     scale = _CALLBACK_ATOL + _CALLBACK_RTOL * np.maximum(1.0, np.abs(a))
     worst = float(np.max(np.abs(a - fd) / scale, initial=0.0))
     return {"ok": worst <= 1.0, "hessian_excess": worst}
@@ -188,7 +213,7 @@ def reference_horizontal_fd(group: GroupDescriptor, u: ScalarField, x: np.ndarra
     """
     m, n = group.m, group.n
     flat = x.reshape(-1, n)
-    sigma = _frame(group, flat)
+    sigma = frame(group, flat)
     rows, cols = np.triu_indices(m, 1)
     dirs = np.concatenate(
         [sigma, sigma[..., rows] + sigma[..., cols], sigma[..., rows] - sigma[..., cols]], -1

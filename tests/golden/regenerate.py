@@ -6,7 +6,10 @@ Run from the root of a checkout:
 
 It runs every case below in process, writes its report files and its
 standard output (``<case>.stdout``) into this directory, and records the platform they were made on in ``platform.json``.
-It prints the path of each of those files whose bytes changed, one a line.
+It prints the path of each of those files whose bytes changed, one a line,
+and under each such JSON file, indented, each key path whose value moved
+with its old and new value (``json_differences``), leaving out
+``schema_version``.
 The bits of a report depend on numpy's BLAS dots, its LAPACK eigensolver,
 its SIMD ``pow`` (the q-th powers and the profiles) and the C library's
 ``pow``, so goldens made elsewhere may legitimately differ in last digits.
@@ -118,11 +121,59 @@ def _snapshot(paths: list[Path]) -> dict[Path, Optional[bytes]]:
     return {path: path.read_bytes() if path.exists() else None for path in paths}
 
 
+def _parse_json(text: str):
+    # Numbers stay as their text, so -0 differs from 0 and 1 from 1.0;
+    # objects stay as ordered pairs, so key order counts.
+    return json.loads(text, parse_float=str, parse_int=str, object_pairs_hook=list)
+
+
+def json_differences(want: str, got: str) -> list[str]:
+    """Paths where two reports differ, each with the golden and the new value."""
+    diffs = []
+
+    def walk(a, b, path):
+        if isinstance(a, list) and isinstance(b, list):
+            pairs_a = all(isinstance(x, tuple) for x in a) and bool(a)
+            pairs_b = all(isinstance(x, tuple) for x in b) and bool(b)
+            if pairs_a and pairs_b:
+                keys_a, keys_b = [k for k, _ in a], [k for k, _ in b]
+                if keys_a != keys_b:
+                    diffs.append(f"{path or '<root>'}: keys {keys_a} != {keys_b}")
+                    return
+                for (key, va), (_, vb) in zip(a, b):
+                    walk(va, vb, f"{path}.{key}" if path else key)
+                return
+            if not pairs_a and not pairs_b:
+                if len(a) != len(b):
+                    diffs.append(f"{path}: length {len(a)} != {len(b)}")
+                    return
+                for i, (va, vb) in enumerate(zip(a, b)):
+                    walk(va, vb, f"{path}[{i}]")
+                return
+        if a != b:
+            diffs.append(f"{path or '<root>'}: golden {a!r}, now {b!r}")
+
+    walk(_parse_json(want), _parse_json(got), "")
+    if not diffs:
+        diffs.append("same values, different layout or whitespace")
+    return diffs
+
+
 def _print_moved(before: dict[Path, Optional[bytes]]) -> None:
-    """Print, relative to the checkout, each path whose bytes differ from ``before``."""
+    """Print, relative to the checkout, each path whose bytes differ from ``before``.
+
+    Under a JSON file that existed before, print its ``json_differences``,
+    those of ``schema_version`` left out.
+    """
     for path, old in before.items():
-        if path.read_bytes() != old:
-            print(path.relative_to(HERE.parents[1]))
+        new = path.read_bytes()
+        if new == old:
+            continue
+        print(path.relative_to(HERE.parents[1]))
+        if path.suffix == ".json" and old is not None:
+            for line in json_differences(old.decode(), new.decode()):
+                if not line.startswith("schema_version:"):
+                    print(f"  {line}")
 
 
 def main() -> int:

@@ -16,8 +16,10 @@ from _oracles import (
     check_profile_consistency,
     coordinate_product,
     euclid_gradient,
+    frame,
     group_multiply,
     horizontal_gradient,
+    horizontal_of,
     reference_fd_hessian,
     reference_horizontal_fd,
 )
@@ -28,7 +30,9 @@ from carnotx import (
     ScalarField,
     SingularPointError,
     add_horizontal_quadratic,
+    constant_field,
     convexity_catalog,
+    coordinate_field,
     counterexample_profile,
     field_from_profile,
     gauge_ball_sampler,
@@ -40,7 +44,7 @@ from carnotx import (
 )
 from carnotx.calculus import _horizontal_fd, _radial_eigenvalues
 from carnotx.estimates import _quartic_profile
-from carnotx.group import _frame, _gauge_parts
+from carnotx.group import _frame_t, _gauge_parts
 
 H1 = heisenberg(1)
 H2 = heisenberg(2)
@@ -272,22 +276,56 @@ class TestFieldUtilities:
         assert np.allclose(h_shift - h_base, 3.0 * np.eye(2), atol=1e-9)
 
     def test_consistency_checker_accepts_good_callbacks(self):
-        pts = np.random.default_rng(3).uniform(-1, 1, (8, 3))
-        report = check_field_consistency(gauge_quartic(H1), pts)
-        assert report["ok"], report
+        # Each closed-form callback, and sums made by add_horizontal_quadratic,
+        # against sym(sigma^T D^2u sigma) from the frame and the Euclidean stencil.
+        for d in (1, 2, 3):
+            group = heisenberg(d)
+            pts = np.random.default_rng(3).uniform(-1, 1, (16, group.n))
+            fields = [case.field for case in convexity_catalog(group)]
+            fields += [
+                add_horizontal_quadratic(group, gauge_quartic(group), -2.5),
+                coordinate_field(group, group.n),
+                constant_field(1.5),
+            ]
+            for u in fields:
+                report = check_field_consistency(group, u, pts)
+                assert report["ok"], (d, u.name, report)
 
     def test_consistency_checker_flags_wrong_hessian(self):
-        # x1^2 has Euclidean Hessian 2 e1 e1^T; the callback claims 3 e1 e1^T.
-        lying = np.zeros((3, 3))
-        lying[0, 0] = 3.0
+        # x1^2 has horizontal Hessian 2 e1 e1^T; the callback claims 3 e1 e1^T.
+        lying = np.diag([3.0, 0.0])
         u = ScalarField(
             name="lying",
             evaluate=lambda x: x[..., 0] ** 2,
-            euclid_hessian=lambda x: np.broadcast_to(lying, x.shape + (3,)),
+            horizontal_hessian=lambda x: np.broadcast_to(lying, x.shape[:-1] + (2, 2)),
         )
         pts = np.random.default_rng(3).uniform(-1, 1, (8, 3))
-        report = check_field_consistency(u, pts)
+        report = check_field_consistency(H1, u, pts)
         assert not report["ok"]
+        # rho^4's t^2 seen along the frame is 2 tau tau^T; a callback that
+        # keeps only the Euclidean horizontal block must fail too.
+        for d in (1, 2, 3):
+            group = heisenberg(d)
+            quartic = gauge_quartic(group)
+
+            def block_only(x, group=group, quartic=quartic):
+                tau = _frame_t(group, x)
+                return quartic.horizontal_hessian(x) - 2.0 * tau[..., :, None] * tau[..., None, :]
+
+            bad = dataclasses.replace(quartic, horizontal_hessian=block_only)
+            pts = np.random.default_rng(3).uniform(-1, 1, (16, group.n))
+            assert not check_field_consistency(group, bad, pts)["ok"], d
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_hessian_sym_returns_the_callback_bits(self, d):
+        # No frame and no product: the callback's output, bit for bit.
+        group = heisenberg(d)
+        pts = np.random.default_rng(80 + d).uniform(-1, 1, (5, 3, group.n))
+        for case in convexity_catalog(group):
+            want = np.asarray(case.field.horizontal_hessian(pts), dtype=float)
+            got = horizontal_hessian_sym(group, case.field, pts)
+            assert got.shape == (5, 3, group.m, group.m)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case.field.name
 
     def test_profile_consistency(self):
         radii = np.linspace(0.2, 1.8, 16)
@@ -307,7 +345,8 @@ def carnot_frame_hessian_sym(group, u, x):
     """The general Carnot-frame formula sym(sigma^T D^2u sigma + sym(T)).
 
     T_ij = sum_{l,k} sigma_li (d_l sigma_kj) (d_k u) takes the exact
-    partials of the frame from the Jacobian table of H^d built here.
+    partials of the frame from the Jacobian table of H^d built here, and
+    D^2u and Du come from differences of ``u.evaluate``.
     """
     d, n, m = group.heisenberg_d, group.n, group.m
     jac = np.zeros((n, n, m))  # [l, k, j] = d sigma_kj / d x_l
@@ -315,8 +354,8 @@ def carnot_frame_hessian_sym(group, u, x):
         jac[i + d, n - 1, i] = 2.0
         jac[i, n - 1, i + d] = -2.0
     grad = euclid_gradient(u, x)
-    hess = reference_fd_hessian(u, x) if u.euclid_hessian is None else u.euclid_hessian(x)
-    sigma = _frame(group, x)
+    hess = reference_fd_hessian(u, x)
+    sigma = frame(group, x)
     jac = np.broadcast_to(jac, x.shape[:-1] + (n, n, m))
     main = np.swapaxes(sigma, -1, -2) @ hess @ sigma
     first = np.einsum("...li,...lkj,...k->...ij", sigma, jac, grad)
@@ -326,9 +365,9 @@ def carnot_frame_hessian_sym(group, u, x):
 
 @pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
 def test_hessian_sym_equals_carnot_frame_formula(group):
-    # On H^d the symmetrized first-order term is exactly zero, so dropping
-    # it must leave every entry of a callback's Hessian unchanged; the
-    # stencil, which never forms D^2u, agrees with the Euclidean route.
+    # On H^d the symmetrized first-order term is zero, so the callbacks and
+    # the stencil, which leave it out and never form D^2u, agree with the
+    # general formula built on the Euclidean stencil.
     eps = 2.0**-3
     cfg = CounterexampleConfig(d=group.heisenberg_d, alpha=0.5, eps_list=(eps,), q_list=(2.0,))
     fields = [case.field for case in convexity_catalog(group)]
@@ -339,10 +378,7 @@ def test_hessian_sym_equals_carnot_frame_formula(group):
     pts = sampler(2000, np.random.default_rng(17))
     for u in fields:
         got, want = horizontal_hessian_sym(group, u, pts), carnot_frame_hessian_sym(group, u, pts)
-        if u.euclid_hessian is None:
-            assert np.allclose(got, want, rtol=1e-7, atol=1e-7), u.name
-        else:
-            assert np.array_equal(got, want), u.name
+        assert np.allclose(got, want, rtol=1e-7, atol=1e-7), u.name
 
 
 @pytest.mark.parametrize("group", [H1, H2], ids=["h1", "h2"])
@@ -426,8 +462,7 @@ def test_stencil_agrees_with_the_euclidean_route(d, profile):
     )
     pts = sampler(100, np.random.default_rng(40 + d))
     u = field_from_profile(group, profile)
-    sigma = _frame(group, pts)
-    euclid = np.swapaxes(sigma, -1, -2) @ reference_fd_hessian(u, pts) @ sigma
+    euclid = horizontal_of(group, reference_fd_hessian(u, pts), pts)
     got = horizontal_hessian_sym(group, u, pts)
     exact = radial_hessian(group, profile, pts).matrix
     scale = np.max(np.abs(exact), axis=(-2, -1), keepdims=True)

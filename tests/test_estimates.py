@@ -786,6 +786,27 @@ def test_radial_hessian_check_fails_a_detuned_stencil(monkeypatch):
         assert row.max_rel_error > 10.0 * RADIAL_TOL and not row.passed
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_check_witness_is_the_worst_point_with_its_hessians(d):
+    # The witness is the drawn point of largest error; its two Hessians give
+    # max_rel_error bit for bit, and each keeps the bits of a call at that
+    # point alone: the stencil's and the closed form's bits are per point.
+    group = heisenberg(d)
+    rows = radial_hessian_check(group, 0.5, points=30, seed=3)
+    pts = _stencil_points(group, _FD_RHO_MIN, 30, substream(3, "verify-radial"), "draw")
+    profiles = (power_profile(0.5), _quartic_profile())
+    errors = _stencil_error(group, profiles, pts)[0]
+    for row, profile, row_errors in zip(rows, profiles, errors):
+        point, stencil, exact = (row.witness[key] for key in ("point", "stencil", "exact"))
+        assert np.array_equal(point, pts[np.argmax(row_errors)])
+        assert stencil.shape == exact.shape == (group.m, group.m)
+        assert _frobenius(stencil - exact) / _frobenius(exact) == row.max_rel_error
+        alone = horizontal_hessian_sym(group, field_from_profile(group, profile), point)
+        assert np.array_equal(alone.view(np.uint64), stencil.view(np.uint64))
+        alone = radial_hessian(group, profile, point).matrix
+        assert np.array_equal(alone.view(np.uint64), exact.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 200])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
@@ -794,10 +815,10 @@ def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
     group = heisenberg(d)
     profiles = (power_profile(0.3), _quartic_profile(), power_profile(0.7))
     pts = _stencil_points(group, _FD_RHO_MIN, n, substream(5, "stack"), "stack")
-    got = _stencil_error(group, profiles, pts)
+    got = _stencil_error(group, profiles, pts)[0]
     assert got.shape == (len(profiles), n)
     for row, profile in zip(got, profiles):
-        alone = _stencil_error(group, (profile,), pts)[0]
+        alone = _stencil_error(group, (profile,), pts)[0][0]
         exact = radial_hessian(group, profile, pts).matrix
         own = _frobenius(
             horizontal_hessian_sym(group, field_from_profile(group, profile), pts) - exact

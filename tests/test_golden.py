@@ -19,44 +19,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
-
-
-def _parse_json(text: str):
-    # Numbers stay as their text, so -0 differs from 0 and 1 from 1.0;
-    # objects stay as ordered pairs, so key order counts.
-    return json.loads(text, parse_float=str, parse_int=str, object_pairs_hook=list)
-
-
-def json_differences(want: str, got: str) -> list[str]:
-    """Paths where two reports differ, each with the golden and the new value."""
-    diffs = []
-
-    def walk(a, b, path):
-        if isinstance(a, list) and isinstance(b, list):
-            pairs_a = all(isinstance(x, tuple) for x in a) and bool(a)
-            pairs_b = all(isinstance(x, tuple) for x in b) and bool(b)
-            if pairs_a and pairs_b:
-                keys_a, keys_b = [k for k, _ in a], [k for k, _ in b]
-                if keys_a != keys_b:
-                    diffs.append(f"{path or '<root>'}: keys {keys_a} != {keys_b}")
-                    return
-                for (key, va), (_, vb) in zip(a, b):
-                    walk(va, vb, f"{path}.{key}" if path else key)
-                return
-            if not pairs_a and not pairs_b:
-                if len(a) != len(b):
-                    diffs.append(f"{path}: length {len(a)} != {len(b)}")
-                    return
-                for i, (va, vb) in enumerate(zip(a, b)):
-                    walk(va, vb, f"{path}[{i}]")
-                return
-        if a != b:
-            diffs.append(f"{path or '<root>'}: golden {a!r}, now {b!r}")
-
-    walk(_parse_json(want), _parse_json(got), "")
-    if not diffs:
-        diffs.append("same values, different layout or whitespace")
-    return diffs
+json_differences = regenerate.json_differences
 
 
 def csv_differences(want: str, got: str) -> list[str]:
@@ -151,3 +114,23 @@ def test_report_bytes_match_golden(name, tmp_path):
                 + f"\n{_environment_note()}"
                 "\nRegenerate only with tests/golden/regenerate.py, and say why in CHANGES.md."
             )
+
+
+def test_regenerate_prints_the_moved_key_paths(tmp_path, monkeypatch, capsys):
+    # Each changed file is printed; under a changed JSON file that existed
+    # before, its moved key paths with both values, schema_version left out.
+    here = tmp_path / "tests" / "golden"
+    here.mkdir(parents=True)
+    monkeypatch.setattr(regenerate, "HERE", here)
+    report, same, new = here / "r.json", here / "s.json", here / "new.json"
+    report.write_text('{\n  "schema_version": 15,\n  "a": [\n    1,\n    0.5\n  ]\n}\n')
+    same.write_text("{}\n")
+    before = regenerate._snapshot([report, same, new])
+    report.write_text('{\n  "schema_version": 16,\n  "a": [\n    1,\n    -0.5\n  ]\n}\n')
+    new.write_text("{}\n")
+    regenerate._print_moved(before)
+    assert capsys.readouterr().out.splitlines() == [
+        "tests/golden/r.json",
+        "  a[1]: golden '0.5', now '-0.5'",
+        "tests/golden/new.json",
+    ]

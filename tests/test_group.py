@@ -8,8 +8,10 @@ from _oracles import (
     check_field_consistency,
     coordinate_product,
     dilate,
+    frame,
     group_multiply,
     horizontal_gradient,
+    horizontal_of,
 )
 from carnotx import (
     CounterexampleConfig,
@@ -31,7 +33,7 @@ from carnotx import (
     sublaplacian,
 )
 from carnotx.estimates import power_profile
-from carnotx.group import _frame, _gauge, _gauge_fourth, _gauge_parts, _row_sums
+from carnotx.group import _frame_t, _gauge, _gauge_fourth, _gauge_parts, _row_sums
 
 
 class TestDescriptor:
@@ -53,22 +55,28 @@ class TestDescriptor:
 
     def test_frame_matrix_values(self):
         G = heisenberg(1)
-        sig = _frame(G, np.array([0.3, -0.7, 0.2]))
-        assert np.allclose(sig, [[1.0, 0.0], [0.0, 1.0], [-1.4, -0.6]])
+        x = np.array([0.3, -0.7, 0.2])
+        assert np.allclose(frame(G, x), [[1.0, 0.0], [0.0, 1.0], [-1.4, -0.6]])
+        assert np.array_equal(_frame_t(G, x), [-1.4, -0.6])
 
     def test_frame_is_derivative_of_right_translation(self):
-        # Column j of sigma(x) is d/ds of x * (s e_j) at s = 0.
-        G = heisenberg(2)
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-1, 1, G.n)
-        s = 1e-6
-        for j in range(G.m):
-            e = np.zeros(G.n)
-            e[j] = 1.0
-            plus = group_multiply(G, x, s * e)
-            minus = group_multiply(G, x, -s * e)
-            col = (plus - minus) / (2 * s)
-            assert np.allclose(col, _frame(G, x)[:, j], atol=1e-9)
+        # Column j of sigma(x) is d/ds of x * (s e_j) at s = 0, and the
+        # package's t row is the oracle frame's last row, bit for bit.
+        for d in (1, 2, 3):
+            G = heisenberg(d)
+            xs = np.random.default_rng(7).uniform(-1, 1, (4, G.n))
+            xs[0, 0] = -0.0
+            tau = _frame_t(G, xs)
+            assert tau.shape == (4, G.m)
+            assert np.array_equal(tau.view(np.uint64), frame(G, xs)[:, -1].view(np.uint64))
+            s = 1e-6
+            for x, row in zip(xs, tau):
+                for j in range(G.m):
+                    e = np.zeros(G.n)
+                    e[j] = 1.0
+                    col = (group_multiply(G, x, s * e) - group_multiply(G, x, -s * e)) / (2 * s)
+                    assert np.allclose(col, frame(G, x)[:, j], atol=1e-9)
+                    assert col[-1] == pytest.approx(row[j], abs=1e-9)
 
 
 class TestLaw:
@@ -272,7 +280,9 @@ POINT_TAKERS = {
     "_gauge": _gauge,
     "_gauge_fourth": _gauge_fourth,
     "_gauge_parts": _gauge_parts,
-    "_frame": _frame,
+    "_frame_t": _frame_t,
+    "frame": frame,
+    "horizontal_of": lambda G, x: horizontal_of(G, np.zeros((G.n, G.n)), x),
     "dilate": lambda G, x: dilate(G, 2.0, x),
     "group_multiply_left": lambda G, x: group_multiply(G, x, np.zeros(G.n)),
     "group_multiply_right": lambda G, x: group_multiply(G, np.zeros(G.n), x),
@@ -297,7 +307,7 @@ POINT_TAKERS = {
     ),
     "integrate_xline": lambda G, x: integrate_xline(G, x, np.ones(G.m), 0.5),
     "check_field_consistency": lambda G, x: check_field_consistency(
-        horizontal_quadratic(G), x
+        G, horizontal_quadratic(G), x
     ),
 }
 # Every callback of every group-bound catalog field takes points too.
@@ -310,7 +320,7 @@ _CATALOG_FIELDS = {
     "add_horizontal_quadratic": lambda G: add_horizontal_quadratic(G, constant_field(0.0), 1.0),
 }
 for _name, _make in _CATALOG_FIELDS.items():
-    for _callback in ("evaluate", "euclid_hessian"):
+    for _callback in ("evaluate", "horizontal_hessian"):
         POINT_TAKERS[f"{_name}.{_callback}"] = (
             lambda G, x, make=_make, cb=_callback: getattr(make(G), cb)(x)
         )
