@@ -310,7 +310,9 @@ POINT_TAKERS = {
         G, horizontal_quadratic(G), x
     ),
 }
-# Every callback of every group-bound catalog field takes points too.
+# Every callback of every group-bound catalog field takes points too. The
+# Hessian callback's id is ".hessian", short enough that "n-1" and "n+2" stay
+# apart in the first 100 characters of a test id.
 _CATALOG_FIELDS = {
     "coordinate_field": lambda G: coordinate_field(G, 1),
     "horizontal_quadratic": horizontal_quadratic,
@@ -320,8 +322,8 @@ _CATALOG_FIELDS = {
     "add_horizontal_quadratic": lambda G: add_horizontal_quadratic(G, constant_field(0.0), 1.0),
 }
 for _name, _make in _CATALOG_FIELDS.items():
-    for _callback in ("evaluate", "horizontal_hessian"):
-        POINT_TAKERS[f"{_name}.{_callback}"] = (
+    for _label, _callback in (("evaluate", "evaluate"), ("hessian", "horizontal_hessian")):
+        POINT_TAKERS[f"{_name}.{_label}"] = (
             lambda G, x, make=_make, cb=_callback: getattr(make(G), cb)(x)
         )
 
