@@ -177,7 +177,7 @@ def _semiconvex_eigen(
     rng = substream(seed, "semiconvex-eigen")
     pts = _rejection_sample(sampler, u.in_domain, point_count, rng)
     mats = horizontal_hessian_sym(group, u, pts)
-    low = sym_eigenvalues(mats).eigenvalues[:, 0]
+    low = sym_eigenvalues(mats)[:, 0]
 
     def score(c: float) -> SemiconvexityReport:
         slack = -c - low  # positive when the bound is violated

@@ -124,14 +124,15 @@ def gauge_box_halfwidths(group: GroupDescriptor, r: float) -> np.ndarray:
 
     Coordinate i gets half-width r**w_i; on H^d that is |x_i| <= r for the
     horizontal slots and |t| <= r^2 vertically, which contains {rho < r}.
-    A radius whose box volume underflows to 0 or overflows is rejected.
+    A radius whose box volume is subnormal, underflows to 0 or overflows is
+    rejected: the exact ball volume, smaller still, would round to 0.
     """
     with np.errstate(over="ignore", under="ignore"):
         hw = float(r) ** np.array(group.dilation_weights, dtype=float)
         volume = np.prod(2.0 * hw)
-    if not (r > 0.0 and 0.0 < volume < math.inf):
+    if not (r > 0.0 and np.finfo(float).tiny <= volume < math.inf):
         raise ValueError(
-            f"ball radius must be positive with a positive, finite box volume, got {r}"
+            f"ball radius must be positive with a normal, finite box volume, got {r}"
         )
     return hw
 
@@ -648,7 +649,7 @@ class AnnihilationReport:
 
     Residuals are reported relative to the natural scale eps**(alpha-2).
     ``matrix_route_dev`` is the worst disagreement between the closed-form
-    eigenvalue multiset and a full matrix eigendecomposition;
+    eigenvalue multiset and the LAPACK eigenvalues of the full matrix;
     ``fd_max_excess`` is the worst finite-difference Hessian deviation at
     the _FD_CHECKS stencil points in units of its tolerance (<= 1 is good).
     """
@@ -719,8 +720,8 @@ def verify_pucci_annihilation(
     vanish; inside it must equal the paired right-hand side.  Half the
     samples cover the annulus eps <= rho < 1, half the inner ball (whose
     bounding box scales with eps, so both regimes are exercised at any
-    splice radius).  Closed forms are cross-checked against a matrix
-    eigendecomposition on a subsample, and against finite differences of
+    splice radius).  Closed forms are cross-checked against the LAPACK
+    eigenvalues of the matrix on a subsample, and against finite differences of
     the field itself at _FD_CHECKS points drawn on their own substream from
     the stencil annulus above the splice, max(_FD_RHO_MIN, eps +
     _FD_SPLICE_GAP) <= rho < _FD_RHO_MAX.
@@ -811,7 +812,8 @@ class SweepRow:
 
     Masses are q-th powers of norms.  The source mass is the `lq_norm`
     estimate of the right-hand side over B_eps from the radius's shared box
-    pass, with ``n_inside`` of its samples in the ball; ``f_mass_exact`` is
+    pass, with ``n_inside`` of its samples in the ball, of which the share
+    ``rejected_fraction`` was unevaluable; ``f_mass_exact`` is
     its closed form and ``f_pull`` the distance between the two in standard
     errors.  The Hessian magnitude is the pointwise spectral norm (largest
     absolute eigenvalue), and both of its masses are exact: the closed-form
@@ -827,6 +829,7 @@ class SweepRow:
     f_mass_exact: float
     f_pull: float
     n_inside: int
+    rejected_fraction: float
     f_norm: float
     f_norm_stderr: float
     hess_mass_inner: float
@@ -893,6 +896,7 @@ def _sweep_row(cfg: CounterexampleConfig, eps: float, q: float, f: LqEstimate) -
         f_mass_exact=f_exact,
         f_pull=_pull(f.mass, f.mass_stderr, f_exact),
         n_inside=f.n_inside,
+        rejected_fraction=f.rejected_fraction,
         f_norm=f.norm,
         f_norm_stderr=f.norm_stderr,
         hess_mass_inner=hess_inner,
@@ -1075,7 +1079,7 @@ def pointwise_bound_check(
     g0 = abs(float(gop(np.zeros((m, m)))))
     mats = horizontal_hessian_sym(group, u, pts)
     fx = np.asarray(f.evaluate(pts), dtype=float)
-    semiconvex_ok = not np.any(sym_eigenvalues(mats).eigenvalues[:, 0] < -c4 - tol)
+    semiconvex_ok = not np.any(sym_eigenvalues(mats)[:, 0] < -c4 - tol)
     supersolution_ok = not np.any(np.asarray(gop(mats)) > fx + tol)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     low = tr + c4 * m

@@ -2,10 +2,12 @@
 
 The maximal operator is the supremum of Tr(A M) over symmetric A with
 spectrum in [lam, Lam]; in eigenvalues it is Lam * (positive part sum) +
-lam * (negative part sum), with the minimal operator as its dual.
-Eigenvalues come from one LAPACK call per stack (np.linalg.eigh), whose
-bits do not depend on the stack or the thread count on a given platform.
-A single matrix is the one-element case of a stack (..., m, m).
+lam * (negative part sum), with the minimal operator as its dual.  Both
+read eigenvalues only, which come from one LAPACK call per stack
+(np.linalg.eigvalsh), whose bits do not depend on the stack or the thread
+count on a given platform.  Only the oracle, which builds the optimizer
+A*, asks LAPACK for eigenvectors.  A single matrix is the one-element case
+of a stack (..., m, m).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "isaacs_gap",
 ]
 
-_ZERO_CLAMP = 1e-14
 _SANDWICH_TOL = 1e-9
 # Matrices the oracle scores per stacked product.  The traced peak of
 # `pucci --dim 6 --count 512 --samples 1024` is 1.50 MB at 8 and 2.02 MB at
@@ -51,14 +52,6 @@ class Ellipticity:
             )
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order with orthonormal column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
 def _as_symmetric(matrix: np.ndarray) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
@@ -78,26 +71,17 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(flat, flat))
 
 
-def sym_eigenvalues(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix or a stack (..., m, m).
+def sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., m) of a symmetric matrix or a stack (..., m, m).
 
-    One LAPACK call (np.linalg.eigh, syevd) on the whole stack, which
-    decomposes each matrix on its own: a matrix gets the bits of a call on
-    it alone, whatever the stack or the thread count, though the bits may
-    differ between LAPACK builds.  Eigenvalues come in ascending order; the
-    eigenvector columns keep LAPACK's signs, which every reader of them
-    (V diag(c) V^T) cancels.  LAPACK's failure to converge raises numpy's
+    One LAPACK call (np.linalg.eigvalsh, syevd without vectors) on the
+    whole stack, which treats each matrix on its own: a matrix gets the
+    bits of a call on it alone, whatever the stack or the thread count,
+    though the bits may differ between LAPACK builds.  An empty stack
+    gives shape (0, m).  LAPACK's failure to converge raises numpy's
     LinAlgError, a ValueError.
     """
-    a = _as_symmetric(matrix)
-    eig, v = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=eig, vectors=v)
-
-
-def _clamped(eigs: np.ndarray) -> np.ndarray:
-    eigs = np.asarray(eigs, dtype=float)
-    scale = np.sqrt(np.sum(eigs**2, axis=-1, keepdims=True))
-    return np.where(np.abs(eigs) < _ZERO_CLAMP * scale, 0.0, eigs)
+    return np.linalg.eigvalsh(_as_symmetric(matrix))
 
 
 def _part_sums(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +112,12 @@ def pucci_minus_of_eigenvalues(eigs: np.ndarray, e: Ellipticity) -> np.ndarray:
 
 def pucci_plus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
     """Maximal Pucci operator of a symmetric matrix or a stack; shape (...)."""
-    return pucci_plus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
+    return pucci_plus_of_eigenvalues(sym_eigenvalues(matrix), e)
 
 
 def pucci_minus(matrix: np.ndarray, e: Ellipticity) -> np.ndarray:
     """Minimal Pucci operator of a symmetric matrix or a stack; shape (...)."""
-    return pucci_minus_of_eigenvalues(_clamped(sym_eigenvalues(matrix).eigenvalues), e)
+    return pucci_minus_of_eigenvalues(sym_eigenvalues(matrix), e)
 
 
 def _haar_columns(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -204,7 +188,8 @@ def pucci_oracle_check(
     matrix therefore gets the bits of a call on it alone with the same
     seed.  The sampled traces are sums c_j u_j^T M u_j over the columns of
     U, and nothing here shares code with the LAPACK eigensolver that gives
-    the formula.
+    the formula; one eigh call on the stack gives both the formula's
+    eigenvalues and A*'s eigenvectors.
 
     Returns (oracle_sup, formula_value, attained), each of shape (...),
     where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to
@@ -219,11 +204,11 @@ def pucci_oracle_check(
     a = a.reshape((-1, m, m))
     if not len(a):
         raise ValueError("need at least one matrix")
-    spec = sym_eigenvalues(a)
-    formula = pucci_plus_of_eigenvalues(_clamped(spec.eigenvalues), e)
+    eigs, vectors = np.linalg.eigh(a)
+    formula = pucci_plus_of_eigenvalues(eigs, e)
     oracle_sup = _sampled_sups(a, e, n_samples, seed)
-    coeff_star = np.where(spec.eigenvalues > 0.0, e.Lam, e.lam)
-    a_star = (spec.vectors * coeff_star[:, None, :]) @ np.swapaxes(spec.vectors, -1, -2)
+    coeff_star = np.where(eigs > 0.0, e.Lam, e.lam)
+    a_star = (vectors * coeff_star[:, None, :]) @ np.swapaxes(vectors, -1, -2)
     traces = np.einsum("nij,nji->n", a_star, a)
     attained = np.abs(traces - formula) <= 1e-10 * np.maximum(1.0, e.Lam * _frobenius(a))
     return tuple(x.reshape(lead)[()] for x in (oracle_sup, formula, attained))
@@ -289,7 +274,7 @@ def isaacs_gap(
     ys = _as_symmetric(np.asarray(y_samples, dtype=float).reshape((-1,) + a.shape))
     g_m = float(gop(a))
     g_y = np.asarray(gop(ys), dtype=float)
-    eigs = _clamped(sym_eigenvalues(a - ys).eigenvalues)
+    eigs = sym_eigenvalues(a - ys)
     diff_plus = pucci_plus_of_eigenvalues(eigs, e)
     diff_minus = pucci_minus_of_eigenvalues(eigs, e)
     delta = g_m - g_y

@@ -86,6 +86,43 @@ class TestCounterexampleCommand:
         assert header == ",".join(CSV_HEADER)
         assert len(csv_path.read_text().splitlines()) == 9
 
+    def test_rows_carry_the_lq_norm_rejected_fraction(self, monkeypatch, tmp_path):
+        # A right-hand side unevaluable on a thin outer shell of B_eps, about
+        # 4e-4 of the ball on H^1, so the rows have nonzero fractions to copy.
+        real = estimates.counterexample_rhs_field
+
+        def holed(cfg, eps):
+            u = real(cfg, eps)
+            return dataclasses.replace(
+                u,
+                of_gauge=lambda rho, h2, g: np.where(
+                    rho > eps * (1.0 - 1e-4), np.nan, u.of_gauge(rho, h2, g)
+                ),
+            )
+
+        monkeypatch.setattr(estimates, "counterexample_rhs_field", holed)
+        out, csv_path = tmp_path / "report.json", tmp_path / "rows.csv"
+        argv = [
+            "counterexample", "--eps", "2^-3..2^-6", "--q", "2,8/3", "--samples", "20000",
+            "--annihilation-samples", "0", "--seed", "5", "--out", str(out), "--csv", str(csv_path),
+        ]
+        run(argv)
+        rows = json.loads(out.read_text())["results"]["rows"]
+        lines = csv_path.read_text().splitlines()
+        column = lines[0].split(",").index("rejected_fraction")
+        cfg = estimates.CounterexampleConfig(
+            d=1, alpha=0.5, eps_list=tuple(2.0**-k for k in range(3, 7)), q_list=(2.0, 8 / 3)
+        )
+        quad = estimates.QuadratureSpec(n_samples=20000, seed=5)
+        fractions = []
+        for row, line in zip(rows, lines[1:]):
+            field = holed(cfg, row["eps"])
+            want = estimates.lq_norm(field, cfg.group(), row["eps"], cfg.q_list, quad)[0]
+            assert row["rejected_fraction"] == want.rejected_fraction
+            assert float(line.split(",")[column]) == want.rejected_fraction
+            fractions.append(want.rejected_fraction)
+        assert len(fractions) == 8 and 0.0 < max(fractions) <= 1e-3
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         blobs = []
         for w in ("1", "3"):
@@ -244,10 +281,12 @@ class TestOtherCommands:
         def counted(name, fn):
             return lambda *a, **k: calls.append(name) or fn(*a, **k)
 
-        monkeypatch.setattr(pucci, "sym_eigenvalues", counted("eig", pucci.sym_eigenvalues))
+        # The oracle's one eigh call gives both the formula and A*.
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(pucci, "pucci_oracle_check", counted("oracle", pucci.pucci_oracle_check))
         assert run(["pucci", "--count", "5", "--samples", "16"]) == 0
-        assert sorted(calls) == ["eig", "oracle"]
+        assert sorted(calls) == ["eigh", "oracle"]
 
     def test_pucci_draws_one_sample_set(self, monkeypatch):
         import carnotx.pucci as pucci
@@ -572,6 +611,8 @@ class TestOtherCommands:
             "group h:6: the stencil annulus 0.15 <= rho < 0.9 is too thin to sample"
             " (rejection sampling kept 152 of 200 rows in 10000 rounds)",
         ),
+        # a subnormal box volume (8e-324 on H^1), whose exact ball volume rounds to 0
+        (["ball-volume", "--r", "1e-81", "--samples", "2000"], "box volume"),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
