@@ -254,7 +254,8 @@ class RadialProfile:
 class RadialHessian:
     """Closed-form horizontal Hessians (..., 2d, 2d) of psi(rho) on H^d.
 
-    Per point, the eigenvalue multiset is {radial, tangential, flat x (2d-2)}.
+    Per point, the eigenvalue multiset is {radial, tangential, flat x (2d-2)}, on
+    the eigenvectors grad_H rho, J grad_H rho and the rest.
     """
 
     matrix: np.ndarray
@@ -276,12 +277,13 @@ def radial_hessian(
 ) -> RadialHessian:
     """Horizontal Hessians of psi(rho) at points (..., n), with eigenvalue components.
 
-    With x = (a, b, t) and h2 = |x_H|^2, v = (a h2 + b t, b h2 - a t) / rho^3
-    is the horizontal gradient of the gauge; B = aa^T + bb^T and C = ab^T - ba^T
-    assemble the angular part.  Raises SingularPointError where x_H = 0 and
-    DomainError where the profile is not smooth.
+    With h2 = |x_H|^2 and tau the frame's t row, the eigenvectors
+    v = grad_H rho = (h2 x_H + (t/2) tau) / rho^3 and w = J grad_H rho =
+    (h2 tau/2 - t x_H) / rho^3 are orthogonal with |v|^2 = |w|^2 = g, so the
+    Hessian is flat I + (psi'' - psi'/rho) v v^T + (2 psi'/rho) w w^T, exactly
+    symmetric.  Raises SingularPointError where x_H = 0 and DomainError where
+    the profile is not smooth.
     """
-    d = group.heisenberg_d
     x = _points(group, x)
     rho, h2, g = _gauge_parts(group, x)
     if np.any(h2 == 0.0):
@@ -293,26 +295,18 @@ def radial_hessian(
     psi1 = np.asarray(profile.psi_prime(rho), dtype=float)
     psi2 = np.asarray(profile.psi_second(rho), dtype=float)
     radial, tangential, flat = _radial_components(psi1, psi2, rho, g)
-    rho3 = np.float_power(rho, 3)
 
-    a, b, t = x[..., :d], x[..., d : 2 * d], x[..., -1]
-    h2_, t_ = h2[..., None], t[..., None]
-    v = np.concatenate([a * h2_ + b * t_, b * h2_ - a * t_], axis=-1) / rho3[..., None]
-    b_block, c_block = _outer(a, a) + _outer(b, b), _outer(a, b) - _outer(b, a)
-    angular = np.block([[b_block, c_block], [-c_block, b_block]])
+    xh, t, tau = x[..., : group.m], x[..., -1:], _frame_t(group, x)
+    h2_, rho3 = h2[..., None], np.float_power(rho, 3)[..., None]
+    v = (h2_ * xh + 0.5 * t * tau) / rho3
+    w = (0.5 * h2_ * tau - t * xh) / rho3
+    psi1_rho = psi1 / rho
     mat = (
-        flat[..., None, None] * np.eye(2 * d)
-        + (2.0 * psi1 / rho3)[..., None, None] * angular
-        + (psi2 - 3.0 * psi1 / rho)[..., None, None] * _outer(v, v)
+        flat[..., None, None] * np.eye(group.m)
+        + (psi2 - psi1_rho)[..., None, None] * _outer(v, v)
+        + (2.0 * psi1_rho)[..., None, None] * _outer(w, w)
     )
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    return RadialHessian(
-        matrix=mat,
-        eigen_radial=radial,
-        eigen_tangential=tangential,
-        eigen_flat=flat,
-        flat_multiplicity=2 * d - 2,
-    )
+    return RadialHessian(mat, radial, tangential, flat, flat_multiplicity=group.m - 2)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ Coordinates are (x_1, ..., x_2d, t) and the horizontal frame is
 
 so m = 2d, n = 2d + 1 and the homogeneous dimension is Q = 2d + 2.  Points
 are plain numpy arrays whose last axis has length n; the frame's t row
-tau(x) and the gauge broadcast over leading axes and never mutate their
-inputs.  General Carnot groups are out of scope: the paper's estimates
-hold on them, but every verdict here runs on H^d.
+tau(x) (read by the stencil, the X-lines, the gauge quartic's Hessian and
+the radial Hessian) and the gauge broadcast over leading axes and never
+mutate their inputs.  General Carnot groups are out of scope: the
+paper's estimates hold on them, but every verdict here runs on H^d.
 """
 
 from __future__ import annotations

@@ -469,6 +469,49 @@ def test_stencil_agrees_with_the_euclidean_route(d, profile):
     assert np.all(np.abs(got - euclid) <= 1e-7 * np.maximum(scale, 1.0))
 
 
+def stacked_profile(*profiles: RadialProfile) -> RadialProfile:
+    """The profiles as one whose psi, psi' and psi'' carry them on a leading axis."""
+
+    def stacked(attr):
+        return lambda r: np.stack([getattr(p, attr)(r) for p in profiles])
+
+    return RadialProfile("stacked", stacked("psi"), stacked("psi_prime"), stacked("psi_second"))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_hessian_is_exactly_symmetric(d):
+    # Each entry is a sum of commuting products, so M equals M^T bit for bit,
+    # for one profile and for profiles stacked on a leading axis.
+    group = heisenberg(d)
+    pts = np.random.default_rng(60 + d).uniform(-1.0, 1.0, (500, group.n))
+    profiles = (power_profile(0.5), _quartic_profile(), power_profile(-3.0))
+    for profile in profiles + (stacked_profile(*profiles),):
+        mat = radial_hessian(group, profile, pts).matrix
+        assert np.array_equal(mat.view(np.uint64), np.swapaxes(mat, -1, -2).view(np.uint64))
+    assert mat.shape == (3, 500, group.m, group.m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_hessian_eigenvectors_are_the_gradient_and_its_rotation(d):
+    # v = grad_H rho from the oracle frame and the Euclidean gradient of rho,
+    # (|x_H|^2 x_H, t / 2) / rho^3, and w = J v: M v = radial v, M w =
+    # tangential w, and |v|^2 is |D rho|^2 to a few ulp (8 at most here, as
+    # rho is within an ulp and enters cubed and squared).
+    group, m = heisenberg(d), 2 * d
+    pts = np.random.default_rng(70 + d).uniform(-1.0, 1.0, (500, group.n))
+    rho, h2, g = _gauge_parts(group, pts)
+    euclid = np.concatenate([h2[:, None] * pts[:, :m], pts[:, -1:] / 2.0], axis=-1)
+    v = np.einsum("...km,...k->...m", frame(group, pts), euclid / rho[:, None] ** 3)
+    w = np.concatenate([v[:, d:], -v[:, :d]], axis=-1)
+    assert np.all(np.abs(np.sum(v * v, axis=-1) - g) <= 16.0 * np.spacing(g))
+    for profile in (power_profile(0.5), _quartic_profile(), power_profile(-3.0)):
+        closed = radial_hessian(group, profile, pts)
+        scale = np.linalg.norm(closed.matrix, axis=(-2, -1)) * np.sqrt(g)
+        for vec, eigen in ((v, closed.eigen_radial), (w, closed.eigen_tangential)):
+            residual = (closed.matrix @ vec[..., None])[..., 0] - eigen[:, None] * vec
+            assert np.all(np.linalg.norm(residual, axis=-1) <= 1e-13 * scale), profile.name
+
+
 @pytest.mark.parametrize("count", [64, 4096])
 def test_stencil_memory_stays_at_one_chunk(count):
     u = evaluation_only(gauge_quartic(H2))

@@ -566,12 +566,13 @@ class TestOtherCommands:
         (["convexity", "--c", "-1"], "semiconvexity constants must be >= 0"),
         # the thread count is checked at parse time, before any work runs
         (["counterexample", "--workers", "0"], "positive integer"),
-        # a relative error needs a finite error and an exact Hessian of normal
-        # norm: rho^1e-300 rounds to 1 and its Hessian's norm to 0, 1e300 (1 -
-        # 1e300) * 0 is NaN, and rho^398 underflows on the stencil annulus
+        # a relative error needs an exact Hessian of normal norm: rho^1e-300
+        # rounds to 1 and its Hessian's norm to 0; and the stencil resolves
+        # only the exponents in [-50, 8], so 1e300, where (1 - 1e300) * 0 is
+        # NaN, and 400, where rho^398 underflows, are refused before it runs
         (["verify-radial", "--alpha", "1e-300"], "power[1e-300]: an exact Hessian has zero"),
-        (["verify-radial", "--alpha", "1e300"], "power[1e+300]: a relative Hessian error is not"),
-        (["verify-radial", "--alpha", "400"], "power[400.0]: an exact Hessian has zero"),
+        (["verify-radial", "--alpha", "1e300"], "alpha 1e+300 is outside"),
+        (["verify-radial", "--alpha", "400"], "alpha 400.0 is outside"),
         # a seed outside the 64-bit key would alias one inside it
         (["ball-volume", "--samples", "2000", "--seed", "-1"], "seed must lie in [0, 2^64)"),
         # a repeated constant would only print its rows twice
@@ -613,6 +614,14 @@ class TestOtherCommands:
         ),
         # a subnormal box volume (8e-324 on H^1), whose exact ball volume rounds to 0
         (["ball-volume", "--r", "1e-81", "--samples", "2000"], "box volume"),
+        # at 20 the stencil's own truncation outgrows the tolerance on H^1
+        *(
+            (
+                ["verify-radial", "--group", group, "--alpha", "20"],
+                "alpha 20.0 is outside the stencil's range [-50, 8]",
+            )
+            for group in ("h:1", "h:3")
+        ),
     ],
 )
 def test_degenerate_work_is_usage_error(argv, message, capsys):
@@ -672,6 +681,34 @@ def test_small_alpha_stencil_passes(group, alpha, tmp_path):
     assert run(["verify-radial", "--group", group, "--alpha", alpha, "--out", str(out)]) == 0
     power = json.loads(out.read_text())["results"][0]
     assert power["max_rel_error"] <= 1e-7
+
+
+@pytest.mark.parametrize("group", ["h:1", "h:2", "h:3"])
+@pytest.mark.parametrize("alpha", ["-50", "8"])
+def test_verify_radial_passes_at_both_ends_of_its_range(group, alpha):
+    for seed in range(1, 6):
+        argv = ["verify-radial", "--group", group, "--alpha", alpha, "--points", "300"]
+        assert run(argv + ["--seed", str(seed)]) == 0, seed
+
+
+@pytest.mark.parametrize("group", ["h:1", "h:2"])
+def test_verify_radial_fails_a_rotation_term_planted_as_the_gradient(group, monkeypatch, tmp_path):
+    # radial_hessian forms v v^T and then w w^T with w = J v; handing it
+    # v v^T twice (w := v) puts the flat eigenvalue where the tangential
+    # one belongs, and both profiles must fail on it.
+    real, gradients = calculus._outer, []
+
+    def w_is_v(a, b):
+        gradients.append(a)
+        if len(gradients) % 2 == 0:
+            a = b = gradients[-2]
+        return real(a, b)
+
+    monkeypatch.setattr(calculus, "_outer", w_is_v)
+    out = tmp_path / "verify-radial.json"
+    assert run(["verify-radial", "--group", group, "--out", str(out)]) == 1
+    for entry in json.loads(out.read_text())["results"]:
+        assert entry["passed"] is False and entry["max_rel_error"] > 0.1
 
 
 def test_matrix_route_cross_check_has_teeth(monkeypatch, tmp_path):
