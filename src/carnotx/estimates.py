@@ -270,17 +270,22 @@ def _stencil_error(
     with np.errstate(invalid="ignore"):
         exact = radial_hessian(group, profile, pts).matrix
         stencil = horizontal_hessian_sym(group, field_from_profile(group, profile), pts)
-        diffs = _frobenius(stencil - exact)
     norms = _frobenius(exact)
-    for p, diff, norm in zip(profiles, diffs, norms):
-        if not (np.isfinite(diff).all() and np.isfinite(norm).all()):
+    for p, norm in zip(profiles, norms):
+        if not np.isfinite(norm).all():
             raise ValueError(f"profile {p.name}: a relative Hessian error is not finite")
         if not (norm >= np.finfo(float).tiny).all():
             raise ValueError(
                 f"profile {p.name}: an exact Hessian has zero or subnormal Frobenius norm,"
                 " so no relative error can be formed against it"
             )
-    return diffs / norms, stencil, exact
+    # Scaled before squaring: a difference's entries below 1e-162 square to 0.
+    with np.errstate(invalid="ignore"):
+        errors = _frobenius((stencil - exact) / norms[..., None, None])
+    for p, err in zip(profiles, errors):
+        if not np.isfinite(err).all():
+            raise ValueError(f"profile {p.name}: a relative Hessian error is not finite")
+    return errors, stencil, exact
 
 
 # The bound on verify-radial's relative Hessian error.

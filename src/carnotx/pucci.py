@@ -32,9 +32,9 @@ __all__ = [
 ]
 
 _SANDWICH_TOL = 1e-9
-# Matrices the oracle scores per stacked product.  The traced peak of
-# `pucci --dim 6 --count 512 --samples 1024` is 1.50 MB at 8 and 2.02 MB at
-# 16, against a 2 MB bound.
+# Matrices the oracle scores per contraction.  The traced peak of
+# `pucci --dim 6 --count 512 --samples 1024` is 1.61 MB at 8, and that of
+# `pucci` at its defaults 1.79 MB at 8 and 2.25 MB at 16, against a 2 MB bound.
 _BLOCK = 8
 
 
@@ -146,13 +146,13 @@ def _haar_columns(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _sampled_sups(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> np.ndarray:
     """Sampled max of Tr(A a_i) for each matrix a_i of a stack (N, m, m), over one sample set.
 
-    Tr(A a_i) = sum_j c_j u_j^T a_i u_j over the columns u_j of Haar U, so A
-    is never formed; it depends on u_j only through u_j u_j^T, which is why
-    a column's sign does not matter.  Only one chunk of samples, one
-    (_BLOCK, m, k) product and the (N,) running maxima are held: each chunk
-    is drawn once and scored against _BLOCK matrices at a time.  A stacked
-    @ runs the same product per matrix as a_i @ u_j, and the einsum sums
-    over the same axis, so matrix i's bits are those of a stack of a_i alone.
+    Each chunk's A = sum_j c_j u_j u_j^T over the columns u_j of Haar U is
+    formed once, as an (m*m, k) slab, so a column's sign does not matter,
+    and Tr(A a_i) = <A, a_i>_F is one contraction with a_i's entries.  One
+    chunk with its slab, one (_BLOCK, k) block of traces and the (N,)
+    running maxima are held.  Both einsums run numpy's own loops, not BLAS,
+    and a trace sums over a_i's entries alone, so matrix i's bits are those
+    of a stack of a_i alone, whatever the block or the BLAS thread count.
     """
     m = a.shape[-1]
     rng = substream(seed, "pucci-oracle")
@@ -161,11 +161,10 @@ def _sampled_sups(a: np.ndarray, e: Ellipticity, n_samples: int, seed: int) -> n
         k = min(4096, n_samples - start)
         cols = _haar_columns(rng.standard_normal((k, m, m)), np.empty((m, m, k)))
         coeffs = rng.uniform(e.lam, e.Lam, size=(k, m))
+        slab = np.einsum("jpk,jqk->pqk", cols * coeffs.T[:, None, :], cols).reshape(m * m, k)
         for lo in range(0, len(a), _BLOCK):
             block, best = a[lo : lo + _BLOCK], sups[lo : lo + _BLOCK]
-            traces = np.zeros((len(block), k))
-            for j in range(m):
-                traces += coeffs[:, j] * np.einsum("ik,nik->nk", cols[j], block @ cols[j])
+            traces = np.einsum("np,pk->nk", block.reshape(len(block), m * m), slab)
             if not np.isfinite(traces).all():
                 raise RuntimeError("sampled trace Tr(A M) is not finite")
             np.maximum(best, traces.max(axis=1), out=best)
@@ -186,10 +185,10 @@ def pucci_oracle_check(
     stack: per chunk of at most 4096 samples, the Gaussians whose
     twice-applied Gram-Schmidt factor is U (_haar_columns), then c.  Each
     matrix therefore gets the bits of a call on it alone with the same
-    seed.  The sampled traces are sums c_j u_j^T M u_j over the columns of
-    U, and nothing here shares code with the LAPACK eigensolver that gives
-    the formula; one eigh call on the stack gives both the formula's
-    eigenvalues and A*'s eigenvectors.
+    seed.  Each sample's A is formed once per chunk and its trace against
+    M is the Frobenius product <A, M>_F, and nothing here shares code with
+    the LAPACK eigensolver that gives the formula; one eigh call on the
+    stack gives both the formula's eigenvalues and A*'s eigenvectors.
 
     Returns (oracle_sup, formula_value, attained), each of shape (...),
     where ``attained`` says Tr(A* M) reproduces the eigenvalue formula to

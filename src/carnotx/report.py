@@ -26,7 +26,7 @@ __all__ = [
     "write_rows_csv",
 ]
 
-SCHEMA_VERSION = 18
+SCHEMA_VERSION = 19
 
 CSV_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 

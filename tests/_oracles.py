@@ -1,10 +1,12 @@
 """Test oracles: the full frame, the group law, dilations, a gradient,
-callback checkers, two reference stencils and a reference report writer.
+callback checkers, two reference stencils, the Pucci oracle's per-column
+traces and a reference report writer.
 
 No verdict of the package reads any of these; the tests use them to check
 the frame's t row, the closed-form X-lines, the homogeneity of the gauge,
 the horizontal Hessian callbacks of the catalog, the bits of
-`calculus._horizontal_fd` and the bytes of `report.dumps`.  The package
+`calculus._horizontal_fd`, the sampled sups of `pucci._sampled_sups` and
+the bytes of `report.dumps`.  The package
 never builds the full frame sigma(x): its callbacks give the horizontal
 Hessian in closed form and its stencil reads the frame's t row alone.  So
 the Euclidean stencil `reference_fd_hessian`, conjugated by the frame
@@ -23,6 +25,8 @@ import numpy as np
 
 from carnotx.calculus import _D2, _FD_CHUNK, _FD_STEP, RadialProfile, ScalarField
 from carnotx.group import GroupDescriptor, _dot, _points
+from carnotx.pucci import _haar_columns
+from carnotx.rng import substream
 
 
 def frame(group: GroupDescriptor, x: np.ndarray) -> np.ndarray:
@@ -235,6 +239,31 @@ def reference_horizontal_fd(group: GroupDescriptor, u: ScalarField, x: np.ndarra
     plus, minus = q[:, m : m + len(rows)], q[:, m + len(rows) :]
     hess[:, rows, cols] = hess[:, cols, rows] = (plus - minus) / 4.0
     return hess.reshape(x.shape[:-1] + (m, m))
+
+
+def reference_sampled_sups(
+    mats: np.ndarray, lam: float, Lam: float, n_samples: int, seed: int
+) -> np.ndarray:
+    """`pucci._sampled_sups` of a stack (N, m, m) by per-column sums, one matrix at a time.
+
+    The draws are the oracle's: per chunk of at most 4096 samples from
+    substream(seed, "pucci-oracle"), the Gaussians whose Q factor gives the
+    columns u_j of U, then the coefficients c.  Each trace is
+    Tr(A M) = sum_j c_j u_j^T M u_j, so A is never formed.
+    """
+    m = mats.shape[-1]
+    rng = substream(seed, "pucci-oracle")
+    sups = np.full(len(mats), -np.inf)
+    for start in range(0, n_samples, 4096):
+        k = min(4096, n_samples - start)
+        cols = _haar_columns(rng.standard_normal((k, m, m)), np.empty((m, m, k)))
+        coeffs = rng.uniform(lam, Lam, size=(k, m))
+        for i, mat in enumerate(mats):
+            traces = sum(
+                coeffs[:, j] * np.einsum("ik,ik->k", cols[j], mat @ cols[j]) for j in range(m)
+            )
+            sups[i] = max(sups[i], traces.max())
+    return sups
 
 
 def _reference_write(obj: Any, out: list[str], indent: int) -> None:

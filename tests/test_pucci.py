@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from _oracles import reference_sampled_sups
 from carnotx import (
     Ellipticity,
     isaacs_gap,
@@ -229,6 +230,24 @@ class TestOracle:
         _, formula, _ = pucci_oracle_check(mats, e, n_samples=1, seed=0)
         scale = np.maximum(1.0, e.Lam * np.linalg.norm(mats, axis=(-2, -1)))
         assert np.all(np.abs(formula - pucci_plus(mats, e)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("window", [(1.0, 3.0), (1e-3, 1e3)])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_sampled_sups_match_per_column_traces(self, m, window):
+        # The formed A contracted with M against sum_j c_j u_j^T M u_j on the
+        # same draws: 4097 samples cross a chunk boundary, and 2B + 3
+        # matrices of norms 1e-3 to 1e3 fill blocks of B and end inside one.
+        from carnotx.pucci import _BLOCK as B
+        from carnotx.pucci import _sampled_sups
+
+        e = Ellipticity(*window)
+        rng = np.random.default_rng(60 + m)
+        raw = rng.standard_normal((2 * B + 3, m, m)) * rng.uniform(1e-3, 1e3, (2 * B + 3, 1, 1))
+        mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        got = _sampled_sups(mats, e, 4097, seed=13)
+        want = reference_sampled_sups(mats, e.lam, e.Lam, 4097, seed=13)
+        scale = np.maximum(1.0, e.Lam * np.linalg.norm(mats, axis=(-2, -1)))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_haar_columns_match_sign_fixed_lapack_qr(self, m):
