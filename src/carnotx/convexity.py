@@ -209,7 +209,14 @@ class CatalogCheck:
 def catalog_check(
     group: GroupDescriptor, constants, line_count: int, point_count: int, seed: int
 ) -> list[CatalogCheck]:
-    """Both checkers, each drawing once per field, on every catalog field at every constant."""
+    """Both checkers, each drawing once per field, on every catalog field at every constant.
+
+    No constants, or a negative one, which the thresholds do not classify, is a ValueError."""
+    constants = tuple(constants)
+    if not constants:
+        raise ValueError("the catalog check needs at least one semiconvexity constant in constants")
+    if min(constants) < 0.0:
+        raise ValueError(f"constants must be >= 0 (thresholds classify no c < 0), got {constants}")
     sampler = _box_draw(group, 1.0)
     rows = []
     for case in convexity_catalog(group):

@@ -323,10 +323,13 @@ def radial_hessian_check(
     """The closed-form radial Hessians of 1 - rho^alpha and rho^4 against the stencil.
 
     Each row's witness comes from the one stencil pass that both share.  An
-    alpha outside _RADIAL_ALPHA, past the stencil's truncation, is a ValueError."""
+    alpha outside _RADIAL_ALPHA, past the stencil's truncation, or points < 1
+    is a ValueError."""
     lo, hi = _RADIAL_ALPHA
     if not lo <= alpha <= hi:
         raise ValueError(f"alpha {alpha!r} is outside the stencil's range [{lo:g}, {hi:g}]")
+    if points < 1:
+        raise ValueError(f"the radial check needs at least one point, got points={points}")
     rng = substream(seed, "verify-radial")
     pts = _stencil_points(group, _FD_RHO_MIN, points, rng, f"group h:{group.heisenberg_d}")
     profiles = (power_profile(alpha), _quartic_profile())
@@ -477,7 +480,11 @@ class BallVolumeCheck:
 def ball_volume_check(
     group: GroupDescriptor, radii: Sequence[float], quad: QuadratureSpec
 ) -> list[BallVolumeCheck]:
-    """`ball_volume` at each radius; a row passes within MAX_PULL standard errors of exact."""
+    """`ball_volume` at each radius; a row passes within MAX_PULL standard errors of exact.
+
+    No radii is a ValueError, not an empty list that every row passes."""
+    if len(radii) == 0:
+        raise ValueError("the ball-volume check needs at least one radius in radii")
     rows = []
     for r in radii:
         est, exact = ball_volume(group, r, quad), _exact_ball_volume(group, r)
