@@ -26,6 +26,7 @@ from carnotx import (
 import carnotx.calculus as calculus
 import carnotx.estimates as estimates
 from carnotx.calculus import ScalarField
+from carnotx.catalog import ConvexityCase
 from carnotx.convexity import _STEP_SIZES, _semiconvex_eigen, _semiconvex_lines, catalog_check
 
 H1 = heisenberg(1)
@@ -94,6 +95,23 @@ class TestCheckers:
                 )
                 assert lines.passed is expect, (case.field.name, c, lines)
                 assert eigen.passed is expect, (case.field.name, c, eigen)
+
+    def test_catalog_check_flags_a_wrong_threshold(self, monkeypatch):
+        # The quadratic -|x_H|^2/2 has threshold 1; claiming 0 makes both
+        # checkers disagree with the catalog at every c below 1.
+        import carnotx.convexity as convexity
+
+        constants = (0.0, 0.5, 1.0, 2.0)
+        assert all(row.agreed for row in catalog_check(H1, constants, 24, 24, seed=42))
+        monkeypatch.setattr(
+            convexity,
+            "convexity_catalog",
+            lambda group: [ConvexityCase(horizontal_quadratic(group, -1.0), threshold=0.0)],
+        )
+        rows = catalog_check(H1, constants, 24, 24, seed=42)
+        assert [(row.c, row.expected, row.agreed) for row in rows] == [
+            (0.0, True, False), (0.5, True, False), (1.0, True, True), (2.0, True, True)
+        ]
 
     @pytest.mark.parametrize(
         "constants, match",

@@ -52,6 +52,7 @@ from carnotx.estimates import (
     gauge_box_halfwidths,
     power_profile,
     radial_hessian_check,
+    tight_pointwise_bound,
 )
 from carnotx.group import _gauge_parts
 from carnotx.pucci import _frobenius
@@ -333,6 +334,23 @@ class TestQuadrature:
         got = _gauge_moment(heisenberg(d), q)
         assert got == pytest.approx(2.0 * omega * half, rel=1e-8)
 
+    def test_ball_volume_check_fails_a_ten_sigma_bias(self, monkeypatch):
+        import carnotx.estimates as estimates
+
+        quad = QuadratureSpec(n_samples=20000, seed=3)
+        (honest,) = ball_volume_check(H1, (1.0,), quad)
+        assert honest.passed and honest.exact == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
+        real = estimates.ball_volume
+
+        def biased(group, r, quad):
+            est = real(group, r, quad)
+            return McEstimate(est.value + 10.0 * est.stderr, est.stderr)
+
+        monkeypatch.setattr(estimates, "ball_volume", biased)
+        (row,) = ball_volume_check(H1, (1.0,), quad)
+        assert row.pull == pytest.approx(honest.pull + 10.0, rel=1e-12)
+        assert not row.passed
+
     def test_lq_norm_of_constant(self):
         u = constant_field(2.0)
         quad = QuadratureSpec(n_samples=100000, seed=7)
@@ -512,6 +530,21 @@ class TestPointwiseBound:
         assert rep.passed
         assert abs(rep.lower_margin) <= 1e-9
         assert abs(rep.upper_margin) <= 1e-9
+
+    def test_tight_check_flags_a_field_past_c4(self, monkeypatch):
+        # -3|x_H|^2/2 is semiconvex with constant 3, above the check's c4 = 1.
+        import carnotx.estimates as estimates
+
+        e = Ellipticity(lam=1.0, Lam=2.0)
+        rep = tight_pointwise_bound(H1, e, count=16, seed=42)
+        assert rep.passed and rep.n_points == 16
+        assert abs(rep.lower_margin) <= 1e-12 and abs(rep.upper_margin) <= 1e-12
+        real = estimates.horizontal_quadratic
+        monkeypatch.setattr(
+            estimates, "horizontal_quadratic", lambda group, coeff: real(group, 3.0 * coeff)
+        )
+        rep = tight_pointwise_bound(H1, e, count=16, seed=42)
+        assert not rep.passed and not rep.semiconvex_ok
 
     def test_insufficient_constant_is_flagged(self):
         e = Ellipticity(lam=1.0, Lam=2.0)
