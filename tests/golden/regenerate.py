@@ -75,6 +75,8 @@ CASES = {
         ["counterexample", "--group", "h:2", "--q", "2,4"],
         {"--out": "counterexample-h2.json"},
     ),
+    # The convexity catalog on H^2 (m = 4): 4x4 Hessians; `convexity` above is 2x2.
+    "convexity-h2": (["convexity", "--group", "h:2"], {"--out": "convexity-h2.json"}),
 }
 
 
