@@ -113,27 +113,6 @@ def _parse_float_list(spec: str) -> tuple[float, ...]:
     return tuple(_finite_float(t) for t in spec.split(","))
 
 
-def _distinct(values: tuple[float, ...], what: str) -> tuple[float, ...]:
-    """values, if no two are equal: a repeated one would only repeat its rows."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise argparse.ArgumentTypeError(f"{what} {value!r} is repeated")
-    return values
-
-
-def _parse_c_list(spec: str) -> tuple[float, ...]:
-    """Distinct semiconvexity constants, each >= 0: the catalog's thresholds classify no c < 0."""
-    values = _parse_float_list(spec)
-    if min(values) < 0.0:
-        raise argparse.ArgumentTypeError(f"semiconvexity constants must be >= 0, got {spec!r}")
-    return _distinct(values, "semiconvexity constant")
-
-
-def _parse_r_list(spec: str) -> tuple[float, ...]:
-    """Distinct ball radii: a repeated radius draws the same substream twice."""
-    return _distinct(_parse_float_list(spec), "ball radius")
-
-
 def _int_at_least(token: str, low: int, what: str) -> int:
     try:
         value = int(token)
@@ -377,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--c",
-        type=_parse_c_list,
+        type=_parse_float_list,
         default=(0.0, 0.5, 1.0, 2.0),
         help="non-negative semiconvexity constants to test, comma-separated",
     )
@@ -398,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--r",
-        type=_parse_r_list,
+        type=_parse_float_list,
         default=(1.0,),
         help="distinct ball radii, comma-separated",
     )

@@ -12,13 +12,13 @@ can be compared directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .calculus import ScalarField, _rejection_sample, horizontal_hessian_sym
 from .catalog import convexity_catalog
-from .estimates import _box_draw
+from .estimates import _box_draw, _require_distinct
 from .group import GroupDescriptor, _dot, _frame_t, _points
 from .pucci import sym_eigenvalues
 from .rng import substream
@@ -97,23 +97,48 @@ def check_semiconvex_lines(
     each is probed at the half-widths s = 2^-3, ..., 2^-8.  A candidate is
     a start and then a Gaussian direction; one whose direction vanishes or
     whose start or any endpoint leaves the smooth domain is redrawn.  The
-    lines depend on (sampler, line_count, seed, u.in_domain), never on c.
+    lines depend on (sampler, line_count, seed) and the domain they are
+    drawn in, never on c: here u.in_domain, and in ``catalog_check`` the
+    joint domain of all its fields, so one draw serves every field.
     """
-    return _semiconvex_lines(group, u, (c,), sampler, line_count, seed)[0]
+    return _semiconvex_lines(group, (u,), (c,), sampler, line_count, seed)[0][0]
 
 
-def _semiconvex_lines(
-    group: GroupDescriptor, u: ScalarField, constants, sampler, line_count: int, seed: int
-) -> list[SemiconvexityReport]:
-    """One ``check_semiconvex_lines`` report per constant, all from one draw of lines."""
+def _finite_constants(constants) -> tuple[float, ...]:
     constants = tuple(float(c) for c in constants)
     if not np.all(np.isfinite(constants)):
         raise ValueError(f"semiconvexity constants must be finite, got {constants}")
+    return constants
+
+
+def _joint_domain(fields: Sequence[ScalarField]) -> Callable[[np.ndarray], np.ndarray]:
+    """The AND of every field's ``in_domain``: one field's own values when it is alone."""
+    first, *rest = fields
+
+    def in_domain(x: np.ndarray) -> np.ndarray:
+        ok = first.in_domain(x)
+        for u in rest:
+            ok = ok & u.in_domain(x)
+        return ok
+
+    return in_domain
+
+
+def _semiconvex_lines(
+    group: GroupDescriptor, fields: Sequence[ScalarField], constants, sampler, line_count, seed
+) -> list[list[SemiconvexityReport]]:
+    """One list per field of ``check_semiconvex_lines`` reports, one per constant.
+
+    All come from one draw of lines, which stay in the joint smooth domain
+    of the fields; each field is scored on them before the next is evaluated.
+    """
+    constants = _finite_constants(constants)
     if line_count < 1:
         raise ValueError(f"the line check needs at least one line, got {line_count}")
     rng = substream(seed, "semiconvex-lines")
     s = np.asarray(_STEP_SIZES, dtype=float)
     n = group.n
+    in_domain = _joint_domain(fields)
 
     def draw(k: int, rng: np.random.Generator) -> np.ndarray:
         starts = _points(group, sampler(k, rng))
@@ -126,10 +151,10 @@ def _semiconvex_lines(
     def keep(rows: np.ndarray) -> np.ndarray:
         starts, gauss = rows[:, :n], rows[:, n:]
         norms = np.linalg.norm(gauss, axis=1)
-        ok = (norms > 1e-12) & u.in_domain(starts)
+        ok = (norms > 1e-12) & in_domain(starts)
         dirs = gauss[ok] / norms[ok, None]
         fwd, bwd = (integrate_xline(group, starts[ok], dirs, t) for t in (s, -s))
-        inside = np.all(u.in_domain(fwd), axis=-1) & np.all(u.in_domain(bwd), axis=-1)
+        inside = np.all(in_domain(fwd), axis=-1) & np.all(in_domain(bwd), axis=-1)
         kept.append((dirs[inside], fwd[inside], bwd[inside]))
         ok[ok] = inside
         return ok
@@ -137,17 +162,19 @@ def _semiconvex_lines(
     starts = _rejection_sample(draw, keep, line_count, rng)[:, :n]
     dirs, fwd, bwd = (np.concatenate(parts)[:line_count] for parts in zip(*kept))
 
-    centers = np.asarray(u.evaluate(starts), dtype=float)
-    base = 2.0 * centers[:, None] - u.evaluate(fwd) - u.evaluate(bwd)
-
-    def score(c: float) -> SemiconvexityReport:
+    def score(base: np.ndarray, c: float) -> SemiconvexityReport:
         slack = base - c * s[None, :] ** 2
         i, j = divmod(int(np.argmax(slack)), s.size)
         worst = float(slack[i, j])
         witness = {"start": starts[i].copy(), "direction": dirs[i].copy(), "s": float(s[j])}
         return SemiconvexityReport(c, worst <= _SLACK_TOL, worst, witness, line_count * s.size)
 
-    return [score(c) for c in constants]
+    def reports(u: ScalarField) -> list[SemiconvexityReport]:
+        centers = np.asarray(u.evaluate(starts), dtype=float)
+        base = 2.0 * centers[:, None] - u.evaluate(fwd) - u.evaluate(bwd)
+        return [score(base, c) for c in constants]
+
+    return [reports(u) for u in fields]
 
 
 def check_semiconvex_eigen(
@@ -160,33 +187,39 @@ def check_semiconvex_eigen(
 ) -> SemiconvexityReport:
     """Pointwise test: smallest horizontal Hessian eigenvalue >= -c - 1e-9.
 
-    The points depend on (sampler, point_count, seed, u.in_domain), never on c.
+    The points depend on (sampler, point_count, seed) and the domain they
+    are drawn in, never on c: here u.in_domain, and in ``catalog_check``
+    the joint domain of all its fields, so one draw serves every field.
     """
-    return _semiconvex_eigen(group, u, (c,), sampler, point_count, seed)[0]
+    return _semiconvex_eigen(group, (u,), (c,), sampler, point_count, seed)[0][0]
 
 
 def _semiconvex_eigen(
-    group: GroupDescriptor, u: ScalarField, constants, sampler, point_count: int, seed: int
-) -> list[SemiconvexityReport]:
-    """One ``check_semiconvex_eigen`` report per constant, all from one draw of points."""
-    constants = tuple(float(c) for c in constants)
-    if not np.all(np.isfinite(constants)):
-        raise ValueError(f"semiconvexity constants must be finite, got {constants}")
+    group: GroupDescriptor, fields: Sequence[ScalarField], constants, sampler, point_count, seed
+) -> list[list[SemiconvexityReport]]:
+    """One list per field of ``check_semiconvex_eigen`` reports, one per constant.
+
+    All come from one draw of points, which lie in the joint smooth domain
+    of the fields; each field's Hessians are formed and scored before the next's.
+    """
+    constants = _finite_constants(constants)
     if point_count < 1:
         raise ValueError(f"the eigenvalue check needs at least one point, got {point_count}")
     rng = substream(seed, "semiconvex-eigen")
-    pts = _rejection_sample(sampler, u.in_domain, point_count, rng)
-    mats = horizontal_hessian_sym(group, u, pts)
-    low = sym_eigenvalues(mats)[:, 0]
+    pts = _rejection_sample(sampler, _joint_domain(fields), point_count, rng)
 
-    def score(c: float) -> SemiconvexityReport:
+    def score(low: np.ndarray, c: float) -> SemiconvexityReport:
         slack = -c - low  # positive when the bound is violated
         i = int(np.argmax(slack))
         worst = float(slack[i])
         witness = {"point": pts[i].copy(), "min_eigenvalue": float(low[i])}
         return SemiconvexityReport(c, worst <= _SLACK_TOL, worst, witness, point_count)
 
-    return [score(c) for c in constants]
+    def reports(u: ScalarField) -> list[SemiconvexityReport]:
+        low = sym_eigenvalues(horizontal_hessian_sym(group, u, pts))[:, 0]
+        return [score(low, c) for c in constants]
+
+    return [reports(u) for u in fields]
 
 
 # A catalog field is expected to pass both checkers at c >= threshold - THRESHOLD_SLACK.
@@ -209,22 +242,29 @@ class CatalogCheck:
 def catalog_check(
     group: GroupDescriptor, constants, line_count: int, point_count: int, seed: int
 ) -> list[CatalogCheck]:
-    """Both checkers, each drawing once per field, on every catalog field at every constant.
+    """Both checkers, each drawing once per call, on every catalog field at every constant.
 
-    No constants, or a negative one, which the thresholds do not classify, is a ValueError."""
+    No constants, a negative one, which the thresholds do not classify, or a
+    repeated one, which would only repeat its rows, is a ValueError."""
     constants = tuple(constants)
     if not constants:
         raise ValueError("the catalog check needs at least one semiconvexity constant in constants")
     if min(constants) < 0.0:
-        raise ValueError(f"constants must be >= 0 (thresholds classify no c < 0), got {constants}")
+        raise ValueError(
+            f"semiconvexity constants must be >= 0 (thresholds classify no c < 0), got {constants}"
+        )
+    _require_distinct(constants, "semiconvexity constant")
+    cases = convexity_catalog(group)
+    fields = [case.field for case in cases]
     sampler = _box_draw(group, 1.0)
+    every_lines = _semiconvex_lines(group, fields, constants, sampler, line_count, seed)
+    every_eigen = _semiconvex_eigen(group, fields, constants, sampler, point_count, seed)
     rows = []
-    for case in convexity_catalog(group):
-        u, threshold = case.field, case.threshold
-        every_lines = _semiconvex_lines(group, u, constants, sampler, line_count, seed)
-        every_eigen = _semiconvex_eigen(group, u, constants, sampler, point_count, seed)
-        for c, lines, eigen in zip(constants, every_lines, every_eigen):
-            expected = threshold <= c + THRESHOLD_SLACK
+    for case, field_lines, field_eigen in zip(cases, every_lines, every_eigen):
+        for c, lines, eigen in zip(constants, field_lines, field_eigen):
+            expected = case.threshold <= c + THRESHOLD_SLACK
             agreed = lines.passed == expected and eigen.passed == expected
-            rows.append(CatalogCheck(u.name, threshold, c, expected, lines, eigen, agreed))
+            rows.append(
+                CatalogCheck(case.field.name, case.threshold, c, expected, lines, eigen, agreed)
+            )
     return rows

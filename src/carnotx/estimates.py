@@ -477,14 +477,23 @@ class BallVolumeCheck:
     passed: bool
 
 
+def _require_distinct(values: Sequence[float], what: str) -> None:
+    """ValueError naming the first repeated value: a repeat would only repeat its rows."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{what} {value!r} is repeated")
+
+
 def ball_volume_check(
     group: GroupDescriptor, radii: Sequence[float], quad: QuadratureSpec
 ) -> list[BallVolumeCheck]:
     """`ball_volume` at each radius; a row passes within MAX_PULL standard errors of exact.
 
-    No radii is a ValueError, not an empty list that every row passes."""
+    No radii is a ValueError, not an empty list that every row passes, and so
+    is a repeated radius, which would draw the same substream twice."""
     if len(radii) == 0:
         raise ValueError("the ball-volume check needs at least one radius in radii")
+    _require_distinct(radii, "ball radius")
     rows = []
     for r in radii:
         est, exact = ball_volume(group, r, quad), _exact_ball_volume(group, r)

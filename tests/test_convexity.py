@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,26 @@ class TestCheckers:
         # catalog's thresholds define no expected outcome.
         with pytest.raises(ValueError, match=match):
             catalog_check(H1, constants, 8, 8, seed=1)
+
+    def test_catalog_check_refuses_a_repeated_constant(self):
+        # A repeated constant would only repeat its rows.
+        with pytest.raises(ValueError, match=r"^semiconvexity constant 1\.0 is repeated$"):
+            catalog_check(H1, (1.0, 0.5, 1.0), 8, 8, seed=1)
+
+    def test_catalog_check_memory_stays_flat(self):
+        # One draw of points serves all six fields, but each field's (N, m, m)
+        # Hessians and lowest eigenvalues are freed before the next field's
+        # are formed: stacking the six Hessian stacks peaks near 12 MB, and
+        # holding all six eigenvalue columns until scoring near 3.4 MB.
+        # The warm-up run pays for lazy imports before the tracing starts.
+        catalog_check(H1, (0.0, 1.0), 8, 8, seed=1)
+        tracemalloc.start()
+        try:
+            catalog_check(H1, (0.0, 1.0), 8, 20000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_catalog_composition(self):
         cases = convexity_catalog(H1)
@@ -285,29 +306,61 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("group", [H1, H2], ids=["H1", "H2"])
+@pytest.mark.parametrize("group", [H1, H2, heisenberg(3)], ids=["H1", "H2", "H3"])
 def test_batched_cores_match_single_constant_calls(group):
-    # One draw scored against every constant gives, for each constant, the
-    # report of its own call; -0.9 is the uniform-convexity case.
+    # One draw scored against every field and constant gives, for each
+    # (field, constant), the report of that field's own call at that constant,
+    # whether the core ran on the field alone or on the whole catalog;
+    # -0.9 is the uniform-convexity case.
     constants = (0.0, 0.5, 1.0, 2.0, -0.9)
     sampler = box_sampler(group)
+    fields = [case.field for case in convexity_catalog(group)]
     cores = (
         (_semiconvex_lines, check_semiconvex_lines),
         (_semiconvex_eigen, check_semiconvex_eigen),
     )
-    for case in convexity_catalog(group):
-        for core, single in cores:
-            batch = core(group, case.field, constants, sampler, 24, 3)
-            assert len(batch) == len(constants)
-            for c, got in zip(constants, batch):
-                want = single(group, case.field, c, sampler, 24, seed=3)
-                assert (got.constant, got.passed, got.n_checked) == (
-                    want.constant, want.passed, want.n_checked
-                ), (case.field.name, c)
-                assert bits(got.worst_slack) == bits(want.worst_slack)
-                assert got.witness.keys() == want.witness.keys()
-                for key, value in want.witness.items():
-                    assert np.array_equal(bits(got.witness[key]), bits(value)), (key, c)
+    for core, single in cores:
+        catalog = core(group, fields, constants, sampler, 24, 3)
+        assert len(catalog) == len(fields)
+        for field, together in zip(fields, catalog):
+            (alone,) = core(group, (field,), constants, sampler, 24, 3)
+            for batch in (alone, together):
+                assert len(batch) == len(constants)
+                for c, got in zip(constants, batch):
+                    want = single(group, field, c, sampler, 24, seed=3)
+                    assert (got.constant, got.passed, got.n_checked) == (
+                        want.constant, want.passed, want.n_checked
+                    ), (field.name, c)
+                    assert bits(got.worst_slack) == bits(want.worst_slack)
+                    assert got.witness.keys() == want.witness.keys()
+                    for key, value in want.witness.items():
+                        assert np.array_equal(bits(got.witness[key]), bits(value)), (key, c)
+
+
+@pytest.mark.parametrize("core", [_semiconvex_lines, _semiconvex_eigen])
+def test_one_draw_stays_in_every_fields_domain(core):
+    # Two fields smooth on different half-spaces: the shared draw keeps only
+    # points (and line endpoints) in both, and each field sees only those.
+    seen = []
+
+    def field(i):
+        def evaluate(x):
+            seen.append((i, x.copy()))
+            return np.zeros(x.shape[:-1])
+
+        def hessian(x):
+            seen.append((i, x.copy()))
+            return np.zeros(x.shape[:-1] + (H1.m, H1.m))
+
+        return ScalarField(
+            f"x{i + 1} > 0", evaluate, hessian, smooth_domain=lambda x: x[..., i] > 0.0
+        )
+
+    reports = core(H1, (field(0), field(1)), (0.0,), box_sampler(H1), 16, 1)
+    assert [len(r) for r in reports] == [1, 1]
+    assert {i for i, _ in seen} == {0, 1}
+    for _, x in seen:
+        assert np.all(x[..., 0] > 0.0) and np.all(x[..., 1] > 0.0)
 
 
 @pytest.mark.parametrize("core", [_semiconvex_lines, _semiconvex_eigen])

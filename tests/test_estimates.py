@@ -783,6 +783,13 @@ def test_empty_work_is_a_value_error(call, match):
         call()
 
 
+def test_ball_volume_check_refuses_a_repeated_radius():
+    # A repeated radius would draw its substream again and repeat its row.
+    quad = QuadratureSpec(n_samples=2000, seed=1)
+    with pytest.raises(ValueError, match=r"^ball radius 1\.0 is repeated$"):
+        ball_volume_check(H1, (1.0, 0.5, 1.0), quad)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_check_witness_is_the_worst_point_with_its_hessians(d):
     # The witness is the drawn point of largest error; its two Hessians give
