@@ -133,8 +133,8 @@ class TestCheckers:
     def test_catalog_check_memory_stays_flat(self):
         # One draw of points serves all six fields, but each field's (N, m, m)
         # Hessians and lowest eigenvalues are freed before the next field's
-        # are formed: stacking the six Hessian stacks peaks near 12 MB, and
-        # holding all six eigenvalue columns until scoring near 3.4 MB.
+        # are formed: stacking the six Hessian stacks peaks near 13 MB, and
+        # holding all six eigenvalue columns until scoring near 3.6 MB.
         # The warm-up run pays for lazy imports before the tracing starts.
         catalog_check(H1, (0.0, 1.0), 8, 8, seed=1)
         tracemalloc.start()
