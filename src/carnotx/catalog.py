@@ -89,8 +89,6 @@ def add_horizontal_quadratic(group: GroupDescriptor, u: ScalarField, coeff: floa
 
 def saddle_field(group: GroupDescriptor) -> ScalarField:
     """(x_2^2 - x_1^2) / 2; horizontal Hessian diag(-1, 1, 0, ...)."""
-    if group.m < 2:
-        raise ValueError("saddle needs at least two horizontal directions")
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = _points(group, x)

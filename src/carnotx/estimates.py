@@ -556,8 +556,6 @@ class CounterexampleConfig:
         # A repeated radius or exponent would repeat rows and inflate a fit.
         if any(len(set(v)) < len(v) for v in (self.eps_list, self.q_list)):
             raise ValueError("splice radii and exponents must be distinct")
-        if not self.ellipticity().Lam > self.ellipticity().lam:
-            raise ValueError("degenerate ellipticity window")
 
     @property
     def homogeneous_dim(self) -> int:

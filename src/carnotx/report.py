@@ -1,16 +1,19 @@
 """Deterministic report serialization.
 
-Reports must be byte-identical for identical inputs regardless of worker
-count or platform, so floats are always rendered with the '.17g' format
-(full round-trip precision), keys keep insertion order, and non-finite
-values become nulls.  The CSV writer emits one row per measured cell with
-a fixed header and newline convention.
+Reports are byte-identical for identical inputs regardless of worker
+count: floats are always rendered with the '.17g' format (full round-trip
+precision), keys keep insertion order, and non-finite values become nulls.
+The formatting adds no platform dependence, but the values written may
+differ across platforms in their last bits (numpy's SIMD loops, BLAS
+kernels).  The CSV writer emits one row per measured cell with a fixed
+header and newline convention.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from typing import Any, Iterable
@@ -41,9 +44,29 @@ def _fmt_float(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _write(obj: Any, out: list[str], indent: int) -> None:
+@functools.cache
+def _pads(depth: int, brackets: str) -> tuple[str, str, str]:
+    """A non-empty container's text at `depth` before, between and after items."""
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner, "," + inner, "\n" + "  " * depth + brackets[1]
+
+
+@functools.cache
+def _layout(cls: type, depth: int) -> tuple[tuple[tuple[str, str], ...], str] | None:
+    """Each field of dataclass `cls` (the exact class) at `depth` as (the whole
+    text before its value, its name), and the closing text; None otherwise."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    first, sep, close = _pads(depth, "{}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    prefixes = (f"{sep if i else first}{_quote(n)}: " for i, n in enumerate(names))
+    return tuple(zip(prefixes, names)), close if names else "{}"
+
+
+def _write(obj: Any, out: list[str], depth: int) -> None:
     # Strings and floats, most of the leaves, go first; neither is ever a
-    # bool, an int or an np.bool_.
+    # bool, an int or an np.bool_.  Containers write finite `float` items
+    # themselves, without a call.
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, (float, np.floating)):
@@ -55,37 +78,39 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, indent)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _write(
-            {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
-            out,
-            indent,
-        )
+        _write(obj.tolist(), out, depth)
+    elif (layout := _layout(type(obj), depth)) is not None:
+        fields, close = layout
+        for prefix, name in fields:
+            out.append(prefix)
+            value = getattr(obj, name)
+            if type(value) is float and math.isfinite(value):
+                out.append(format(value, ".17g"))
+            else:
+                _write(value, out, depth + 1)
+        out.append(close)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        pad, inner = "  " * indent, "  " * (indent + 1)
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
+        lead, sep, close = _pads(depth, "{}")
+        for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(f"{inner}{_quote(key)}: ")
-            _write(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            out.append(f"{lead}{_quote(key)}: ")
+            lead = sep
+            if type(value) is float and math.isfinite(value):
+                out.append(format(value, ".17g"))
+            else:
+                _write(value, out, depth + 1)
+        out.append(close if obj else "{}")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        pad, inner = "  " * indent, "  " * (indent + 1)
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _write(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        lead, sep, close = _pads(depth, "[]")
+        for value in obj:
+            out.append(lead)
+            lead = sep
+            if type(value) is float and math.isfinite(value):
+                out.append(format(value, ".17g"))
+            else:
+                _write(value, out, depth + 1)
+        out.append(close if obj else "[]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 

@@ -7,6 +7,9 @@ from typing import Any
 import numpy as np
 import pytest
 from _oracles import reference_dumps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from carnotx.report import dumps
 
@@ -22,6 +25,24 @@ class Outer:
     name: str
     inner: Inner
     rows: tuple
+
+
+@dataclass(frozen=True)
+class Wider(Inner):
+    extra: float
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+def nested(levels: int) -> Any:
+    """A chain of `levels` containers: a dict, a list and a dataclass in turn."""
+    value: Any = 0.5
+    for i in range(levels):
+        value = ({"next": value}, [value], Inner(values=value, missing=i))[i % 3]
+    return value
 
 
 class Tag(str):
@@ -50,6 +71,17 @@ EDGES = {
     ),
     "strings": ["plain", "é ü 漢 😀", "tab\tnew\nline\x00bell\x07", '"quoted" \\ slash/'],
     "kéy\t\"\x01": {"漢": "\x1f", "": ""},
+    "one class at two depths": [
+        Inner(values=np.array([0.5]), missing=1),
+        {"deeper": [Inner(values=(), missing=None)]},
+    ],
+    "subclass adds a field": [
+        Inner(values=1.0, missing=None),
+        Wider(values=2.0, missing=None, extra=3.0),
+        Inner(values=4.0, missing=Wider(values=[], missing={}, extra=-0.0)),
+    ],
+    "no fields": [Empty(), {"empty": Empty()}],
+    "100 levels": nested(100),
 }
 
 
@@ -78,3 +110,37 @@ def test_unsupported_values_raise(bad, match):
     for writer in (dumps, reference_dumps):
         with pytest.raises(TypeError, match=match):
             writer(bad)
+
+
+def _trees() -> st.SearchStrategy:
+    leaves = st.one_of(
+        st.floats(),
+        st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e-310]),
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=8),
+        st.floats().map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+        hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), children, max_size=4),
+            st.builds(Inner, children, children),
+            st.builds(Outer, st.text(max_size=4), children, children),
+        ),
+        max_leaves=24,
+    )
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_trees())
+def test_dumps_matches_the_reference_on_generated_trees(tree):
+    assert dumps(tree) == reference_dumps(tree)
