@@ -115,8 +115,10 @@ def _require_in_domain(u: ScalarField, x: np.ndarray) -> None:
         raise DomainError(f"point {x[bad][0]!r} is outside the smooth domain of {u.name!r}")
 
 
-# Points per stencil evaluation: memory stays bounded whatever the stack size.
-_FD_CHUNK = 32
+# Stencil rows per pass: a pass differences max(1, _FD_ROWS // (6 m^2 + 1))
+# points, so its memory stays bounded whatever the stack size or the group
+# (286, 73 and 33 points on H^1, H^2 and H^3, each pass under 1 MiB).
+_FD_ROWS = 7 * 2**10
 
 
 @functools.cache
@@ -158,20 +160,22 @@ def _horizontal_fd(group: GroupDescriptor, u: ScalarField, x: np.ndarray) -> np.
     the rest, (Q(sigma_i + sigma_j) - Q(sigma_i - sigma_j)) / 4: the
     symmetric part of sigma^T D^2u sigma.  F... are the value axes of
     ``u.evaluate`` (none for a scalar field), so F fields sharing one
-    ``evaluate`` are differenced in one pass.  A chunk's distinct stencil
-    points, x and x + (s h) v at offset s along v, are laid out coordinate
-    by coordinate in one buffer reused across chunks, and ``u.evaluate``
-    gets its (points, n) transpose.  Each point's values are gathered back
-    into both levels and combined by BLAS dots of their own, so its bits do
-    not depend on the stack, the chunking or the other fields.  An empty
-    stack is still evaluated once, for the value axes.
+    ``evaluate`` are differenced in one pass.  A pass takes as many points
+    as fit their U = 6 m^2 + 1 distinct stencil rows, x and x + (s h) v at
+    offset s along v, in _FD_ROWS rows; they are laid out coordinate by
+    coordinate in one buffer reused across passes, and ``u.evaluate`` gets
+    its (points, n) transpose.  Each point's values are gathered back into
+    both levels and combined by BLAS dots of their own, so its bits do not
+    depend on the stack, the pass size or the other fields.  An empty stack
+    is still evaluated once, for the value axes.
     """
     d, m, n = group.heisenberg_d, group.m, group.n
     steps, offsets, dirs, index, rows, cols, layout = _fd_stencil(d)
     flat = x.reshape(-1, n)
-    buf = np.empty((n, _FD_CHUNK, len(offsets)))
-    for lo in range(0, max(len(flat), 1), _FD_CHUNK):
-        xc = flat[lo : lo + _FD_CHUNK]
+    size = max(1, _FD_ROWS // len(offsets))
+    buf = np.empty((n, min(size, len(flat)), len(offsets)))
+    for lo in range(0, max(len(flat), 1), size):
+        xc = flat[lo : lo + size]
         hc = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1, keepdims=True))
         pts = buf[:, : len(xc)]
         np.multiply(hc, steps[:, None, :], out=pts[:m])

@@ -76,7 +76,7 @@ SPLICE_EXCLUSION = 1e-6
 # _FD_MIN_HORIZONTAL.  The annihilation check keeps _FD_SPLICE_GAP above the
 # splice radius as well.
 _FD_RHO_MIN, _FD_RHO_MAX, _FD_MIN_HORIZONTAL, _FD_SPLICE_GAP = 0.15, 0.9, 0.05, 0.03
-# The batch floor of `gauge_ball_sampler`'s rejection rounds.
+# The least batch of `gauge_ball_sampler`'s rejection rounds.
 _BALL_BATCH = 64
 
 
@@ -198,6 +198,19 @@ def _box_draw(
     return lambda k, rng: _sample_box(span, rng, np.empty((k, group.n)))
 
 
+def _annulus_share(group: GroupDescriptor, rho_max: float, rho_min: float) -> float:
+    """The exact share |B_max| (1 - (rho_min/rho_max)^Q) / vol(box(B_max)) of the annulus.
+
+    It is the share of box(B_max) draws that land in rho_min <= rho <
+    rho_max; both volumes scale as rho_max^Q, so it is taken on B_1.
+    """
+    return (
+        _exact_ball_volume(group, 1.0)
+        * (1.0 - (rho_min / rho_max) ** group.homogeneous_dimension)
+        / float(np.prod(2.0 * gauge_box_halfwidths(group, 1.0)))
+    )
+
+
 def gauge_ball_sampler(
     group: GroupDescriptor,
     rho_max: float,
@@ -212,6 +225,14 @@ def gauge_ball_sampler(
     finite-difference stencils away from splice radii.  An empty annulus,
     unless 0 <= rho_min < rho_max and 0 <= min_horizontal < rho_max, is a
     ValueError.
+
+    The sampler keeps the first `count` box draws that land in the
+    annulus, in draw order.  Its rejection rounds continue one stream of
+    box draws, so how they split it does not move those rows: a round
+    draws at least ceil(1.25 count / share) rows, `share` the annulus's
+    exact share of the box (`_annulus_share`), so that one round nearly
+    always suffices, or `_BALL_BATCH` rows when that would exceed `_CHUNK`.
+    The generator ends past the kept rows, after a whole round's draws.
     """
     if not (0.0 <= rho_min < rho_max and 0.0 <= min_horizontal < rho_max):
         raise ValueError(
@@ -219,6 +240,7 @@ def gauge_ball_sampler(
             f" got rho_min={rho_min}, rho_max={rho_max}, min_horizontal={min_horizontal}"
         )
     draw = _box_draw(group, rho_max)
+    share = _annulus_share(group, rho_max, rho_min)
 
     def keep(pts: np.ndarray) -> np.ndarray:
         rho, h2 = _gauge(group, pts)
@@ -227,7 +249,12 @@ def gauge_ball_sampler(
             mask &= np.abs(rho - center) >= width
         return mask
 
-    return lambda count, rng: _rejection_sample(draw, keep, count, rng, _BALL_BATCH)
+    def sample(count: int, rng: np.random.Generator) -> np.ndarray:
+        rows = math.ceil(1.25 * count / share)
+        floor = max(_BALL_BATCH, rows) if rows <= _CHUNK else _BALL_BATCH
+        return _rejection_sample(draw, keep, count, rng, floor)
+
+    return sample
 
 
 def _stencil_points(
@@ -252,8 +279,9 @@ def _stencil_error(
     psi' and psi'' carry them on a leading axis, so one stencil pass gauges
     each distinct stencil point once for all of them.  Every profile keeps
     the bits of a call on it alone.  A profile with a non-finite error, or
-    with an exact Hessian whose norm is zero or subnormal, leaves nothing
-    to compare: ValueError.
+    with an exact Hessian whose largest |entry| is below sqrt(tiny), whose
+    norm is then zero or summed from subnormal squares, leaves nothing to
+    compare: ValueError.
     """
 
     def stacked(attr: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -271,13 +299,16 @@ def _stencil_error(
         exact = radial_hessian(group, profile, pts).matrix
         stencil = horizontal_hessian_sym(group, field_from_profile(group, profile), pts)
     norms = _frobenius(exact)
-    for p, norm in zip(profiles, norms):
+    # Below sqrt(tiny) the largest entry squares to a subnormal, and so may the norm's sum.
+    largest = np.max(np.abs(exact), axis=(-2, -1))
+    for p, norm, top in zip(profiles, norms, largest):
         if not np.isfinite(norm).all():
             raise ValueError(f"profile {p.name}: a relative Hessian error is not finite")
-        if not (norm >= np.finfo(float).tiny).all():
+        if not (top >= math.sqrt(np.finfo(float).tiny)).all():
             raise ValueError(
-                f"profile {p.name}: an exact Hessian has zero or subnormal Frobenius norm,"
-                " so no relative error can be formed against it"
+                f"profile {p.name}: an exact Hessian has zero or tiny entries, all below"
+                " sqrt(tiny) in magnitude, so its Frobenius norm is zero or summed from"
+                " subnormal squares, and no relative error can be formed against it"
             )
     # Scaled before squaring: a difference's entries below 1e-162 square to 0.
     with np.errstate(invalid="ignore"):
@@ -594,7 +625,10 @@ def power_profile(alpha: float) -> RadialProfile:
         # part on the radii r > 0, fed 1 elsewhere, and at_zero where r <= 0.
         def guarded(r: np.ndarray) -> np.ndarray:
             r = np.asarray(r, dtype=float)
-            return np.where(r > 0.0, part(np.where(r > 0.0, r, 1.0)), at_zero)
+            positive = r > 0.0
+            if positive.all():  # the bits of the where pair, without either pass
+                return np.asarray(part(r), dtype=float)
+            return np.where(positive, part(np.where(positive, r, 1.0)), at_zero)
 
         return guarded
 
@@ -686,10 +720,10 @@ def _annihilation_reach(cfg: CounterexampleConfig, eps: float, n_samples: int) -
     A ValueError unless there are 2 samples, both regions have a box, and
     eps leaves an inner ball and a stencil window wide enough to draw;
     returns the window's lower edge.  The box of B_hi keeps at most the
-    share |B_1| (1 - (lo/hi)^Q) / vol(box(B_1)) of its draws in the window
-    [lo, hi), and the stencil sampler makes at least _MAX_ROUNDS batches of
-    _BALL_BATCH draws before it gives up; a window expected to keep fewer
-    than 100 _FD_CHECKS rows of those is too thin.
+    share `_annulus_share` of its draws in the window [lo, hi), and the
+    stencil sampler makes at least _MAX_ROUNDS batches of _BALL_BATCH
+    draws before it gives up; a window expected to keep fewer than 100
+    _FD_CHECKS rows of those is too thin.
     """
     if n_samples < 2:
         raise ValueError(
@@ -705,12 +739,7 @@ def _annihilation_reach(cfg: CounterexampleConfig, eps: float, n_samples: int) -
             f" eps > {2.0 * SPLICE_EXCLUSION}, as it excludes the shell |rho - eps| <"
             f" {SPLICE_EXCLUSION}, and a finite-difference window {fd_lo} < rho < {_FD_RHO_MAX}"
         )
-    share = (
-        _exact_ball_volume(group, 1.0)
-        * (1.0 - (fd_lo / _FD_RHO_MAX) ** group.homogeneous_dimension)
-        / float(np.prod(2.0 * gauge_box_halfwidths(group, 1.0)))
-    )
-    expected = share * _MAX_ROUNDS * _BALL_BATCH
+    expected = _annulus_share(group, _FD_RHO_MAX, fd_lo) * _MAX_ROUNDS * _BALL_BATCH
     if expected < 100 * _FD_CHECKS:
         raise ValueError(
             f"splice radius {eps}: the stencil window {fd_lo} <= rho < {_FD_RHO_MAX} is too"

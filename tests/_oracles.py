@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from carnotx.calculus import _D2, _FD_CHUNK, _FD_STEP, RadialProfile, ScalarField
+from carnotx.calculus import _D2, _FD_ROWS, _FD_STEP, RadialProfile, ScalarField
 from carnotx.group import GroupDescriptor, _dot, _points
 from carnotx.pucci import _haar_columns
 from carnotx.rng import substream
@@ -170,7 +170,8 @@ def reference_fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
     the axis rows at the second-derivative offsets, then the rows at
     products of first-derivative offsets for each pair (rows[p], cols[p]),
     rows[p] < cols[p].  Each chunk of points (c, n) hands ``u.evaluate``
-    all 2K rows per point, ``xc + h * table`` at h and h/2, repeats included.
+    all 2K rows per point, ``xc + h * table`` at h and h/2, repeats
+    included, with c = max(1, _FD_ROWS // 2K), the package's row budget.
     """
     n = x.shape[-1]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
@@ -184,9 +185,10 @@ def reference_fd_hessian(u: ScalarField, x: np.ndarray) -> np.ndarray:
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     flat = x.reshape(-1, n)
     hess = np.empty(flat.shape + (n,))
-    buf = np.empty((n, _FD_CHUNK, 2, offsets.shape[1]))
-    for lo in range(0, len(flat), _FD_CHUNK):
-        xc = flat[lo : lo + _FD_CHUNK]
+    size = max(1, _FD_ROWS // (2 * offsets.shape[1]))
+    buf = np.empty((n, size, 2, offsets.shape[1]))
+    for lo in range(0, len(flat), size):
+        xc = flat[lo : lo + size]
         h = _FD_STEP * np.maximum(1.0, np.max(np.abs(xc), axis=-1))[:, None]
         h = np.concatenate([h, h / 2.0], axis=1)
         pts = buf[:, : len(xc)]

@@ -513,13 +513,17 @@ def test_radial_hessian_eigenvectors_are_the_gradient_and_its_rotation(d):
 
 
 @pytest.mark.parametrize("count", [64, 4096])
-def test_stencil_memory_stays_at_one_chunk(count):
-    u = evaluation_only(gauge_quartic(H2))
-    x = np.random.default_rng(3).uniform(-0.5, 0.5, (count, H2.n))
+@pytest.mark.parametrize("d", [1, 2, 3], ids=["h1", "h2", "h3"])
+def test_stencil_memory_stays_at_one_chunk(d, count):
+    # A pass holds _FD_ROWS stencil rows whatever the group: its points
+    # shrink as m grows, so its memory stays under one bound on every H^d.
+    group = heisenberg(d)
+    u = evaluation_only(gauge_quartic(group))
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, (count, group.n))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _horizontal_fd(H2, u, x)
+        out = _horizontal_fd(group, u, x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

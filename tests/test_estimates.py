@@ -37,9 +37,13 @@ from carnotx.calculus import _gauge_field, _radial_eigenvalues, radial_hessian
 from carnotx.cli import run
 from carnotx.estimates import (
     MAX_PULL,
+    _BALL_BATCH,
     _CHUNK,
     _FD_CHECKS,
+    _FD_RHO_MAX,
     _FD_RHO_MIN,
+    _annihilation_reach,
+    _annulus_share,
     _box_chunks,
     _box_draw,
     _gauge_moment,
@@ -790,6 +794,17 @@ def test_ball_volume_check_refuses_a_repeated_radius():
         ball_volume_check(H1, (1.0, 0.5, 1.0), quad)
 
 
+def test_exact_hessians_below_sqrt_tiny_are_refused():
+    # At alpha = 1e-160 every entry of the exact Hessian of 1 - rho^alpha is
+    # below sqrt(tiny), so its squares, and the norm summed from them, are
+    # subnormal: the norm would be off by percents.  At 1e-150 they are normal.
+    with pytest.raises(ValueError, match=r"profile power\[1e-160\]: .* sqrt\(tiny\)"):
+        radial_hessian_check(H1, 1e-160, points=200, seed=42)
+    rows = radial_hessian_check(H1, 1e-150, points=200, seed=42)
+    assert [row.profile for row in rows] == ["power[1e-150]", "quartic"]
+    assert all(row.max_rel_error > 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_check_witness_is_the_worst_point_with_its_hessians(d):
     # The witness is the drawn point of largest error; its two Hessians give
@@ -828,6 +843,78 @@ def test_stencil_error_stacks_profiles_with_their_own_bits(d, n):
         own = _frobenius((stencil - exact) / _frobenius(exact)[:, None, None])
         assert np.array_equal(row.view(np.uint64), alone.view(np.uint64)), profile.name
         assert np.array_equal(row.view(np.uint64), own.view(np.uint64)), profile.name
+
+
+@pytest.mark.parametrize("pass_size", [1, 3, None], ids=["1", "3", "stack"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pass_size_does_not_move_the_stencil_bits(d, pass_size, monkeypatch):
+    # verify-radial's two stacked profiles, differenced in passes of 1 point,
+    # 3 points or the whole stack, keep the bits of the default passes of P
+    # points, on stacks that end a point short of, at and past a pass.
+    import carnotx.calculus as calculus
+
+    group = heisenberg(d)
+    rows = 6 * group.m**2 + 1
+    per_pass = calculus._FD_ROWS // rows
+    profiles = (power_profile(0.5), _quartic_profile())
+    for n in (per_pass - 1, per_pass, per_pass + 1, 2 * per_pass + 5):
+        pts = _stencil_points(group, _FD_RHO_MIN, n, substream(11, "passes", n), "passes")
+        want = _stencil_error(group, profiles, pts)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(calculus, "_FD_ROWS", (pass_size or n) * rows)
+            got = _stencil_error(group, profiles, pts)[1]
+        assert got.shape == (2, n, group.m, group.m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+# The stencil annulus of verify-radial on H^1-H^4, and the annihilation's
+# stencil windows above the splice radii 2^-3 and 2^-8 on H^1 and H^2.
+SAMPLED_WINDOWS = [(d, None) for d in (1, 2, 3, 4)] + [
+    (d, eps) for d in (1, 2) for eps in (2.0**-3, 2.0**-8)
+]
+
+
+@pytest.mark.parametrize("d, eps", SAMPLED_WINDOWS)
+def test_sized_rounds_keep_the_rows_of_64_row_rounds(d, eps, monkeypatch):
+    # A round sized from the annulus's share draws further along the box
+    # stream than 64-row rounds, but the rows kept are the first `count`
+    # that land either way: the same draw, keep and seed give the same bits.
+    import carnotx.estimates as estimates
+
+    group = heisenberg(d)
+    lo = _FD_RHO_MIN if eps is None else _annihilation_reach(dataclasses.replace(CFG, d=d), eps, 2)
+    real, seen = estimates._rejection_sample, []
+
+    def recording(draw, keep, count, rng, batch_floor):
+        seen.append((draw, keep))
+        return real(draw, keep, count, rng, batch_floor)
+
+    monkeypatch.setattr(estimates, "_rejection_sample", recording)
+    for count in (1, 12, 200, 1000):
+        got = _stencil_points(group, lo, count, substream(9, "rounds", count), "rounds")
+        draw, keep = seen[-1]
+        want = real(draw, keep, count, substream(9, "rounds", count), _BALL_BATCH)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), count
+
+
+def test_a_round_is_sized_from_its_annulus_until_it_passes_a_chunk(monkeypatch):
+    # 200 points of H^2's stencil annulus take one round of 1.25 x 200 / share
+    # draws; on H^6 that would exceed a chunk, so its rounds keep the 64-row floor.
+    import carnotx.estimates as estimates
+
+    floors = []
+
+    def recording(draw, keep, count, rng, batch_floor):
+        floors.append(batch_floor)
+        return np.empty((0, 0))
+
+    monkeypatch.setattr(estimates, "_rejection_sample", recording)
+    for d in (2, 6):
+        _stencil_points(heisenberg(d), _FD_RHO_MIN, 200, substream(1, "floor"), "floor")
+    share = {d: _annulus_share(heisenberg(d), _FD_RHO_MAX, _FD_RHO_MIN) for d in (2, 6)}
+    h2, h6 = (math.ceil(1.25 * 200 / share[d]) for d in (2, 6))
+    assert h6 > _CHUNK
+    assert floors == [h2, _BALL_BATCH]
 
 
 class TestGaugeReuse:
